@@ -11,8 +11,8 @@ from .harm import (Harm, SecurityMetrics, build_harm, enumerate_attack_paths,
 from .availability import (AggregatedRates, aggregate_all, aggregate_rates,
                            build_network_srn, build_server_srn, closed_form_coa,
                            coa_reward, compute_coa)
-from .evaluate import (DesignEvaluation, evaluate_design, filter_five,
-                       filter_two, sweep)
+from .evaluate import (DesignEvaluation, accepts, evaluate_design,
+                       filter_five, filter_two, sweep)
 
 __all__ = [
     "AttackTreeNode", "Bounds", "DesignSpec", "Model", "PatchPolicy",
@@ -23,6 +23,6 @@ __all__ = [
     "AggregatedRates", "aggregate_all", "aggregate_rates",
     "build_network_srn", "build_server_srn", "closed_form_coa",
     "coa_reward", "compute_coa",
-    "DesignEvaluation", "evaluate_design", "filter_five", "filter_two",
-    "sweep",
+    "DesignEvaluation", "accepts", "evaluate_design", "filter_five",
+    "filter_two", "sweep",
 ]

@@ -30,13 +30,23 @@ def evaluate_design(model: Model, design: DesignSpec, patched: bool,
     return DesignEvaluation(design.label, patched, metrics, coa)
 
 
+def accepts(evaluation: DesignEvaluation, bounds: Bounds) -> bool:
+    """True iff the design meets every bound that is set (inclusive):
+    ASP, NoEV, NoAP and NoEP at or below their upper bounds, COA at or
+    above its lower bound.  An unset bound constrains nothing."""
+    m = evaluation.metrics
+    uppers = ((m.asp, bounds.asp_upper), (m.noev, bounds.noev_upper),
+              (m.noap, bounds.noap_upper), (m.noep, bounds.noep_upper))
+    return (all(bound is None or value <= bound for value, bound in uppers)
+            and (bounds.coa_lower is None or evaluation.coa >= bounds.coa_lower))
+
+
 def filter_two(evaluation: DesignEvaluation, bounds: Bounds) -> int:
     """1 iff ASP <= phi and COA >= psi (inclusive boundaries)."""
     if bounds.asp_upper is None or bounds.coa_lower is None:
         raise ValueError("filter_two requires phi and psi bounds")
-    ok = (evaluation.metrics.asp <= bounds.asp_upper
-          and evaluation.coa >= bounds.coa_lower)
-    return 1 if ok else 0
+    return int(accepts(evaluation, Bounds(asp_upper=bounds.asp_upper,
+                                          coa_lower=bounds.coa_lower)))
 
 
 def filter_five(evaluation: DesignEvaluation, bounds: Bounds) -> int:
@@ -46,18 +56,7 @@ def filter_five(evaluation: DesignEvaluation, bounds: Bounds) -> int:
                 bounds.noep_upper, bounds.coa_lower)
     if any(b is None for b in required):
         raise ValueError("filter_five requires phi, xi, omega, kappa and psi bounds")
-    m = evaluation.metrics
-    ok = (m.asp <= bounds.asp_upper
-          and m.noev <= bounds.noev_upper
-          and m.noap <= bounds.noap_upper
-          and m.noep <= bounds.noep_upper
-          and evaluation.coa >= bounds.coa_lower)
-    return 1 if ok else 0
-
-
-def _applicable_filter(bounds: Bounds):
-    count_bounds = (bounds.noev_upper, bounds.noap_upper, bounds.noep_upper)
-    return filter_five if all(b is not None for b in count_bounds) else filter_two
+    return int(accepts(evaluation, bounds))
 
 
 @dataclass
@@ -80,8 +79,7 @@ def sweep(model: Model, bounds_list=None, patched: bool = True,
         key=lambda e: e.label)
     regions = []
     for bounds in bounds_list or []:
-        accept = _applicable_filter(bounds)
-        accepted = [e.label for e in evaluations if accept(e, bounds)]
+        accepted = [e.label for e in evaluations if accepts(e, bounds)]
         regions.append((bounds, accepted))
     return Sweep(evaluations, regions)
 

@@ -15,11 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from .guards import TRUE, check_places
 
 DEFAULT_STATE_CAP = 1_000_000
+
+# dense entries per block of right-hand sides in _absorption
+_ABSORB_BLOCK = 1 << 20
 
 
 class SrnError(Exception):
@@ -286,6 +289,19 @@ def eliminate_vanishing(graph: ReachabilityGraph) -> sp.csr_matrix:
     """Collapse vanishing markings and return the CTMC generator Q.
 
     Q is a sparse matrix over the tangible markings with zero row sums.
+    The edges are gathered into COO triplets, one pass per edge list,
+    and split by target kind into four sparse blocks: timed rates R_TT
+    and R_TV out of tangible markings, immediate branching probabilities
+    P_VV and P_VT out of vanishing ones.  The off-diagonal part is then
+
+        R = R_TT + R_TV B,   B = (I - P_VV)^(-1) P_VT,
+
+    where row j of B holds the probabilities of being absorbed in each
+    tangible marking from vanishing marking j.  B comes from one sparse
+    LU of I - P_VV and is stored sparse.  Duplicate edges (two
+    transitions leading to the same marking) are summed, and a timed
+    self-loop cancels against its own diagonal entry.
+
     Raises TimelessTrap when some vanishing marking cannot reach any
     tangible marking.
     """
@@ -293,34 +309,58 @@ def eliminate_vanishing(graph: ReachabilityGraph) -> sp.csr_matrix:
     if nt == 0:
         raise TimelessTrap(graph.vanishing)
 
+    timed = _split_triplets(graph.timed_edges)
+    r = _block(timed["T"], (nt, nt))
     if nv:
         _check_timeless_trap(graph)
-        # absorption probabilities B = (I - Pvv)^(-1) Pvt
-        pvv = sp.dok_matrix((nv, nv))
-        pvt = sp.dok_matrix((nv, nt))
-        for i, edges in enumerate(graph.immediate_edges):
-            for prob, (kind, j) in edges:
-                if kind == "V":
-                    pvv[i, j] += prob
-                else:
-                    pvt[i, j] += prob
-        system = (sp.eye(nv) - pvv.tocsr()).tocsc()
-        absorb = spsolve(system, pvt.tocsc())
-        absorb = np.atleast_2d(np.asarray(
-            absorb.todense() if sp.issparse(absorb) else absorb))
+        immediate = _split_triplets(graph.immediate_edges)
+        p_vv = _block(immediate["V"], (nv, nv))
+        p_vt = _block(immediate["T"], (nv, nt))
+        r = r + _block(timed["V"], (nt, nv)) @ _absorption(p_vv, p_vt)
+    return (r - sp.diags(np.asarray(r.sum(axis=1)).ravel())).tocsr()
 
-    q = sp.dok_matrix((nt, nt))
-    for i, edges in enumerate(graph.timed_edges):
-        for rate, (kind, j) in edges:
-            if kind == "T":
-                q[i, j] += rate
-            else:
-                for k in np.nonzero(absorb[j])[0]:
-                    q[i, k] += rate * absorb[j, k]
-    q = q.tocsr()
-    diag = np.asarray(q.sum(axis=1)).ravel()
-    q = q - sp.diags(diag)
-    return q.tocsr()
+
+def _split_triplets(edge_lists) -> dict:
+    """COO triplets (rows, cols, values) of an edge list, keyed by the
+    kind ('T' or 'V') of the target marking."""
+    out = {"T": ([], [], []), "V": ([], [], [])}
+    for i, edges in enumerate(edge_lists):
+        for value, (kind, j) in edges:
+            rows, cols, vals = out[kind]
+            rows.append(i)
+            cols.append(j)
+            vals.append(value)
+    return out
+
+
+def _block(triplets, shape) -> sp.csr_matrix:
+    rows, cols, vals = triplets
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape, dtype=float)
+
+
+def _absorption(p_vv: sp.csr_matrix, p_vt: sp.csr_matrix) -> sp.csr_matrix:
+    """Sparse B = (I - P_VV)^(-1) P_VT.
+
+    Only the columns of P_VT with a non-zero entry are solved for, a
+    block of them at a time, so the dense work array never exceeds
+    _ABSORB_BLOCK entries whatever the number of tangible markings.
+    """
+    nv, nt = p_vt.shape
+    lu = splu((sp.eye(nv, format="csr") - p_vv).tocsc())
+    p_vt = p_vt.tocsc()
+    targets = np.flatnonzero(np.diff(p_vt.indptr))
+    step = max(1, _ABSORB_BLOCK // nv)
+    rows, cols, vals = [], [], []
+    for start in range(0, len(targets), step):
+        block = targets[start:start + step]
+        x = lu.solve(p_vt[:, block].toarray())
+        i, k = np.nonzero(x)
+        rows.append(i)
+        cols.append(block[k])
+        vals.append(x[i, k])
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nv, nt))
 
 
 def _check_timeless_trap(graph: ReachabilityGraph) -> None:
@@ -365,6 +405,20 @@ def steady_state(q: sp.spmatrix, states=None,
 
     Requires a single closed communicating class covering all states
     (checked via strong connectivity of the sparsity pattern).
+
+    The system Q^T x = 0 has rank n - 1.  Its balance equation for
+    state 0 is replaced by x_0 = 1, which keeps the matrix as sparse as
+    Q (a dense row of ones would fill the LU factors); the solution is
+    then divided by its sum.  State 0 is pinned because it is the
+    initial marking, or the first tangible marking reached from it, so
+    its probability is not negligible on the nets this package builds.
+    The last state of a network net has every tier down, with pi near
+    1e-50; pinning it leaves a numerically singular system.
+
+    The reported residual is max|pi Q| / ||Q||_inf, so the tolerance
+    does not depend on the scale of the rates.  SrnError is raised when
+    the solution is not finite, has a residual above ``tolerance`` or
+    has an entry below ``-tolerance``.
     """
     n = q.shape[0]
     if states is None:
@@ -379,15 +433,25 @@ def steady_state(q: sp.spmatrix, states=None,
             f"chain is reducible into {ncomp} strongly connected components: {groups}"
         )
 
-    a = sp.lil_matrix(q.T.tocsr())
-    a[n - 1, :] = 1.0
+    # A = Q^T with row 0 (column 0 of Q) replaced by e_0
+    coo = q.tocoo()
+    keep = coo.col != 0
+    a = sp.csc_matrix(
+        (np.append(coo.data[keep], 1.0),
+         (np.append(coo.col[keep], 0), np.append(coo.row[keep], 0))),
+        shape=(n, n))
     b = np.zeros(n)
-    b[n - 1] = 1.0
-    pi = spsolve(a.tocsc(), b)
-    pi = np.asarray(pi).ravel()
-    residual = float(np.max(np.abs(pi @ q)))
+    b[0] = 1.0
+    pi = np.asarray(spsolve(a, b)).ravel()
+    pi = pi / pi.sum()
+    q_norm = float(abs(q).sum(axis=1).max())
+    residual = float(np.max(np.abs(pi @ q))) / q_norm
+    if not (np.all(np.isfinite(pi)) and np.isfinite(residual)):
+        raise SrnError(f"steady-state solve failed at {n} tangible states: "
+                       "non-finite solution")
     if residual > tolerance or np.any(pi < -tolerance):
-        raise SrnError(f"steady-state solve failed: residual {residual:g}")
+        raise SrnError(f"steady-state solve failed at {n} tangible states: "
+                       f"relative residual {residual:g}")
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
     return SteadyStateSolution(states, pi, residual)

@@ -2,10 +2,13 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BASELINE, COMPARISON_LABELS
 from patchdesign import availability as av
 from patchdesign import srn
+from patchdesign.model import DesignSpec
 
 SUBMODEL_TOKENS = {
     ("P_hwup", "P_hwd"): 1,
@@ -184,3 +187,25 @@ def test_duplicating_slowest_recovery_tier_wins(model, rates):
     coas = {label: av.compute_coa(model.designs[label], rates)
             for label in COMPARISON_LABELS if label != BASELINE}
     assert max(coas, key=coas.get) == "1dns-1web-2app-1db"
+
+
+TIERS = ("dns", "web", "app", "db")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_compute_coa_matches_closed_form_per_replica_count(rates, n):
+    design = DesignSpec(f"{n}-per-tier", tuple((t, n) for t in TIERS))
+    assert abs(av.compute_coa(design, rates)
+               - av.closed_form_coa(design, rates)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(counts=st.tuples(*[st.integers(1, 4)] * len(TIERS)),
+       lambdas=st.tuples(*[st.floats(1e-4, 1.0)] * len(TIERS)),
+       mus=st.tuples(*[st.floats(0.05, 10.0)] * len(TIERS)))
+def test_compute_coa_matches_closed_form_on_random_designs(counts, lambdas, mus):
+    design = DesignSpec("random", tuple(zip(TIERS, counts)))
+    rates = {t: av.AggregatedRates(lambda_eq=lam, mu_eq=mu)
+             for t, lam, mu in zip(TIERS, lambdas, mus)}
+    assert abs(av.compute_coa(design, rates)
+               - av.closed_form_coa(design, rates)) <= 1e-12

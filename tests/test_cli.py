@@ -84,6 +84,20 @@ def test_compare_writes_region_files(tmp_path):
     assert (tmp_path / "radar.csv").exists()
 
 
+@pytest.mark.parametrize("xi", [7, 9])
+def test_compare_applies_a_lone_count_bound(tmp_path, xi):
+    # phi=1, psi=0 accept every design, so only xi can drop one
+    code, _, _ = run_cli("compare", "--model", MODEL, "--design", "all",
+                         "--bounds", f"phi=1,psi=0,xi={xi}", "--out", str(tmp_path))
+    assert code == 0
+    accepted = set(json.loads((tmp_path / "regions.json").read_text())[0]["accepted"])
+    radar = (tmp_path / "radar.csv").read_text().strip().splitlines()
+    rows = [dict(zip(radar[0].split(","), line.split(","))) for line in radar[1:]]
+    expected = {r["design"] for r in rows if int(r["noev"]) <= xi}
+    assert accepted == expected
+    assert 0 < len(expected) < len(rows)
+
+
 def test_compare_is_deterministic(tmp_path):
     args = ("compare", "--model", MODEL, "--bounds", "phi=0.1,psi=0.9961",
             "--out", str(tmp_path))

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from patchdesign import srn
+from patchdesign import availability, srn
 from patchdesign.guards import parse_guard
 
 
@@ -235,3 +235,73 @@ def test_product_form_of_independent_components():
     ay = 2.0 / (2.0 + 0.05)
     both_up = sol.probability(lambda m: m["x_up"] == 1 and m["y_up"] == 1)
     assert both_up == pytest.approx(ax * ay, rel=1e-12)
+
+
+def _dense_generator(graph):
+    """Dense reference Q = R_TT + R_TV (I - P_VV)^-1 P_VT, diagonal set
+    to minus the off-diagonal row sums."""
+    nt, nv = len(graph.tangible), len(graph.vanishing)
+    r = {"T": np.zeros((nt, nt)), "V": np.zeros((nt, nv))}
+    p = {"T": np.zeros((nv, nt)), "V": np.zeros((nv, nv))}
+    for i, edges in enumerate(graph.timed_edges):
+        for rate, (kind, j) in edges:
+            r[kind][i, j] += rate
+    for i, edges in enumerate(graph.immediate_edges):
+        for prob, (kind, j) in edges:
+            p[kind][i, j] += prob
+    q = r["T"] + r["V"] @ np.linalg.solve(np.eye(nv) - p["V"], p["T"])
+    np.fill_diagonal(q, 0.0)
+    return q - np.diag(q.sum(axis=1))
+
+
+def chained_immediates_net():
+    # timed edges into two vanishing markings that branch into each other
+    # (a <-> b) before escaping to a tangible one
+    net = srn.Net()
+    for place, tokens in [("tick", 1), ("a", 0), ("b", 0), ("left", 0), ("right", 0)]:
+        net.add_place(place, tokens)
+    net.add_timed("go_a", 1.0, ["tick"], ["a"])
+    net.add_timed("go_b", 0.5, ["tick"], ["b"])
+    net.add_immediate("ab", ["a"], ["b"], weight=1.0)
+    net.add_immediate("a_left", ["a"], ["left"], weight=1.0)
+    net.add_immediate("ba", ["b"], ["a"], weight=1.0)
+    net.add_immediate("b_right", ["b"], ["right"], weight=2.0)
+    net.add_timed("back_l", 5.0, ["left"], ["tick"])
+    net.add_timed("back_r", 3.0, ["right"], ["tick"])
+    return net
+
+
+@pytest.mark.parametrize("make_net", [
+    lambda model: availability.build_server_srn(model.templates["app"], model.policy),
+    lambda model: chained_immediates_net(),
+], ids=["server", "chained"])
+def test_elimination_matches_dense_reference(model, make_net):
+    graph = srn.reachability(make_net(model))
+    assert graph.vanishing
+    q = srn.eliminate_vanishing(graph).toarray()
+    ref = _dense_generator(graph)
+    assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(q.sum(axis=1))) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_non_finite_solution_rejected(monkeypatch):
+    # a singular solve comes back as NaN, which compares False with any
+    # tolerance; it must not pass as a solution
+    monkeypatch.setattr(srn, "spsolve", lambda a, b: np.full(len(b), np.nan))
+    with pytest.raises(srn.SrnError, match="steady-state.*2 tangible states"):
+        srn.solve(two_state_net())
+
+
+def test_residual_is_relative_to_generator_scale():
+    # rates of order 1e12: an absolute residual of rounding size exceeds
+    # any fixed tolerance, the residual relative to ||Q|| does not
+    net = srn.Net()
+    net.add_place("free", 4)
+    net.add_place("busy", 0)
+    net.add_timed("take", srn.RateExpr(3.1e12, "free"), ["free"], ["busy"])
+    net.add_timed("give", srn.RateExpr(7.3e12, "busy"), ["busy"], ["free"])
+    sol = srn.solve(net)
+    assert sol.residual <= 1e-10
+    p_free = 7.3 / (3.1 + 7.3)
+    all_free = sol.probability(lambda m: m["free"] == 4)
+    assert all_free == pytest.approx(p_free ** 4, rel=1e-12)

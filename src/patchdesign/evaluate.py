@@ -45,8 +45,8 @@ def filter_two(evaluation: DesignEvaluation, bounds: Bounds) -> int:
     """1 iff ASP <= phi and COA >= psi (inclusive boundaries)."""
     if bounds.asp_upper is None or bounds.coa_lower is None:
         raise ValueError("filter_two requires phi and psi bounds")
-    return int(accepts(evaluation, Bounds(asp_upper=bounds.asp_upper,
-                                          coa_lower=bounds.coa_lower)))
+    return int(evaluation.metrics.asp <= bounds.asp_upper
+               and evaluation.coa >= bounds.coa_lower)
 
 
 def filter_five(evaluation: DesignEvaluation, bounds: Bounds) -> int:

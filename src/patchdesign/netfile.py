@@ -8,6 +8,11 @@
 Reward clauses with the same name are tried in file order; the first
 matching guard supplies the reward, with 0 as the fallback.  Blank lines
 and lines starting with '#' are ignored.
+
+The initial marking is the pinned state of the steady-state solve
+(``srn.steady_state``): it may be rare, but not so rare that its
+probability underflows double precision relative to the likeliest
+marking.
 """
 
 from __future__ import annotations

@@ -21,9 +21,6 @@ from .guards import TRUE, check_places
 
 DEFAULT_STATE_CAP = 1_000_000
 
-# dense entries per block of right-hand sides in _absorption
-_ABSORB_BLOCK = 1 << 20
-
 
 class SrnError(Exception):
     pass
@@ -339,28 +336,15 @@ def _block(triplets, shape) -> sp.csr_matrix:
 
 
 def _absorption(p_vv: sp.csr_matrix, p_vt: sp.csr_matrix) -> sp.csr_matrix:
-    """Sparse B = (I - P_VV)^(-1) P_VT.
-
-    Only the columns of P_VT with a non-zero entry are solved for, a
-    block of them at a time, so the dense work array never exceeds
-    _ABSORB_BLOCK entries whatever the number of tangible markings.
-    """
+    """Sparse B = (I - P_VV)^(-1) P_VT, solved only for the columns of
+    P_VT with a non-zero entry."""
     nv, nt = p_vt.shape
     lu = splu((sp.eye(nv, format="csr") - p_vv).tocsc())
     p_vt = p_vt.tocsc()
     targets = np.flatnonzero(np.diff(p_vt.indptr))
-    step = max(1, _ABSORB_BLOCK // nv)
-    rows, cols, vals = [], [], []
-    for start in range(0, len(targets), step):
-        block = targets[start:start + step]
-        x = lu.solve(p_vt[:, block].toarray())
-        i, k = np.nonzero(x)
-        rows.append(i)
-        cols.append(block[k])
-        vals.append(x[i, k])
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nv, nt))
+    x = lu.solve(p_vt[:, targets].toarray())
+    i, k = np.nonzero(x)
+    return sp.csr_matrix((x[i, k], (i, targets[k])), shape=(nv, nt))
 
 
 def _check_timeless_trap(graph: ReachabilityGraph) -> None:
@@ -409,11 +393,13 @@ def steady_state(q: sp.spmatrix, states=None,
     The system Q^T x = 0 has rank n - 1.  Its balance equation for
     state 0 is replaced by x_0 = 1, which keeps the matrix as sparse as
     Q (a dense row of ones would fill the LU factors); the solution is
-    then divided by its sum.  State 0 is pinned because it is the
-    initial marking, or the first tangible marking reached from it, so
-    its probability is not negligible on the nets this package builds.
-    The last state of a network net has every tier down, with pi near
-    1e-50; pinning it leaves a numerically singular system.
+    then divided by its sum.  Any one state may be pinned in exact
+    arithmetic; state 0 is the initial marking, or the first tangible
+    marking reached from it.  The solve stays accurate when that marking
+    is rare (pi near 1e-48 is solved to 1e-12), but when its probability
+    lies beyond double range relative to the largest one (near 1e-600)
+    the pinned system is singular in double precision and SrnError is
+    raised.  A net should therefore not start in such a marking.
 
     The reported residual is max|pi Q| / ||Q||_inf, so the tolerance
     does not depend on the scale of the rates.  SrnError is raised when

@@ -161,11 +161,16 @@ def test_coa_approaches_one_without_patching(model, rates):
     assert av.compute_coa(model.designs["base"], slow) == pytest.approx(1.0, abs=1e-8)
 
 
+TIERS = ("dns", "web", "app", "db")
+
+
 def test_closed_form_matches_srn_for_all_designs(model, rates):
-    for design in model.designs.values():
+    per_tier = [DesignSpec(f"{n}-per-tier", tuple((t, n) for t in TIERS))
+                for n in range(1, 7)]
+    for design in [*model.designs.values(), *per_tier]:
         analytic = av.compute_coa(design, rates)
         oracle = av.closed_form_coa(design, rates)
-        assert analytic == pytest.approx(oracle, abs=1e-9)
+        assert abs(analytic - oracle) <= 1e-12, design.label
 
 
 def test_closed_form_app_redundant_value(model, rates):
@@ -187,16 +192,6 @@ def test_duplicating_slowest_recovery_tier_wins(model, rates):
     coas = {label: av.compute_coa(model.designs[label], rates)
             for label in COMPARISON_LABELS if label != BASELINE}
     assert max(coas, key=coas.get) == "1dns-1web-2app-1db"
-
-
-TIERS = ("dns", "web", "app", "db")
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_compute_coa_matches_closed_form_per_replica_count(rates, n):
-    design = DesignSpec(f"{n}-per-tier", tuple((t, n) for t in TIERS))
-    assert abs(av.compute_coa(design, rates)
-               - av.closed_form_coa(design, rates)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)

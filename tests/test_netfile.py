@@ -86,3 +86,30 @@ def test_unknown_guard_place_rejected():
     with pytest.raises(netfile.NetFileError, match="unknown place"):
         netfile.parse_net(
             'place a 1\ntimed t rate=1.0 guard="#nope == 1" in=a out=a')
+
+
+def pool_net(tokens, repair, fail):
+    """Repairable pool that starts with every unit down."""
+    return netfile.parse_net(f"""
+place down {tokens}
+place up 0
+timed repair rate={repair}*#down in=down out=up
+timed fail rate={fail}*#up in=up out=down
+reward avail "#down == 0" = 1.0
+""")
+
+
+def test_rare_initial_marking_solves_exactly():
+    # steady_state pins the initial marking; here its probability is
+    # (1e-4 / 1.0001)^12, about 1e-48
+    solution, values = netfile.solve_document(pool_net(12, 10.0, 0.001))
+    assert solution.states[0]["down"] == 12
+    assert values["avail"] == pytest.approx(1.0001 ** -12, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_initial_marking_below_float_range_fails_loudly():
+    # the initial marking has probability near 1e-600, so the system with
+    # its equation pinned is singular in double precision
+    with pytest.raises(srn.SrnError, match="steady-state solve failed"):
+        netfile.solve_document(pool_net(3, 1e100, 1e-100))

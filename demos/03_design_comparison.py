@@ -10,13 +10,15 @@ trade-off, and filters them against two candidate bound settings.
 from patchdesign import (
     Bounds,
     aggregate_all,
-    closed_form_coa,
+    build_network_srn,
+    coa_reward,
     evaluate_design,
     example_network_path,
     filter_two,
     load_model,
     sweep,
 )
+from patchdesign import srn
 from patchdesign.evaluate import scatter_csv
 
 model = load_model(example_network_path())
@@ -43,9 +45,12 @@ for label in labels:
 best = max(evaluations, key=lambda e: e.coa)
 print(f"\nhighest COA: {best.label} ({best.coa:.6f})")
 
-# The SRN result agrees with the closed-form product/binomial expression.
+# COA comes from a per-tier product form; solving the flat network SRN
+# (one token pool per tier) gives the same value.
 rates = aggregate_all(model.templates, model.policy)
-check = closed_form_coa(model.designs[best.label], rates)
+design = model.designs[best.label]
+check = srn.expected_reward(srn.solve(build_network_srn(design, rates)),
+                            coa_reward(design))
 assert abs(best.coa - check) < 1e-9
 
 # -- filter against bounds -----------------------------------------------------

@@ -9,8 +9,8 @@ from .model import (AttackTreeNode, Bounds, DesignSpec, Model, PatchPolicy,
 from .harm import (Harm, SecurityMetrics, build_harm, enumerate_attack_paths,
                    network_metrics, path_metrics, tree_impact, tree_probability)
 from .availability import (AggregatedRates, aggregate_all, aggregate_rates,
-                           build_network_srn, build_server_srn, closed_form_coa,
-                           coa_reward, compute_coa)
+                           build_network_srn, build_server_srn, coa_reward,
+                           compute_coa)
 from .evaluate import (DesignEvaluation, accepts, evaluate_design,
                        filter_five, filter_two, sweep)
 
@@ -21,8 +21,7 @@ __all__ = [
     "Harm", "SecurityMetrics", "build_harm", "enumerate_attack_paths",
     "network_metrics", "path_metrics", "tree_impact", "tree_probability",
     "AggregatedRates", "aggregate_all", "aggregate_rates",
-    "build_network_srn", "build_server_srn", "closed_form_coa",
-    "coa_reward", "compute_coa",
+    "build_network_srn", "build_server_srn", "coa_reward", "compute_coa",
     "DesignEvaluation", "accepts", "evaluate_design", "filter_five",
     "filter_two", "sweep",
 ]

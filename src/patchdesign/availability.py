@@ -1,20 +1,20 @@
 """Availability models: per-server patch/failure SRN, rate aggregation,
-and the upper-layer network SRN with its capacity-oriented reward.
+and capacity-oriented availability (COA) over replica pools.
 
 The server net composes four single-token sub-models (hardware, OS,
 service, patch clock).  A patch cycle runs: clock tick -> service ready
 to patch -> service patch -> OS patch -> merged reboot (OS, then
 service), with the clock frozen while the patch is in flight.  The
 aggregation collapses all of that into a two-state (up / down-by-patch)
-abstraction per server; the network net is one token pool per tier with
-marking-dependent patch and recovery rates.
+abstraction per server.  COA is the reward of the network SRN, one token
+pool per tier.  The pools share nothing, so ``compute_coa`` evaluates it
+in product form; the flat net is kept as the test oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
-from math import comb
 
 from . import srn
 from .guards import parse_guard
@@ -188,26 +188,26 @@ def coa_reward(design: DesignSpec):
 
 
 def compute_coa(design: DesignSpec, rates: dict) -> float:
-    """Capacity-oriented availability via the network SRN steady state."""
-    solution = srn.solve(build_network_srn(design, rates))
-    return srn.expected_reward(solution, coa_reward(design))
+    """Capacity-oriented availability of a design, in product form:
 
+        COA = (1/N) sum_i n_i a_i prod_{j != i} (1 - (1 - a_j)^n_j)
 
-def closed_form_coa(design: DesignSpec, rates: dict) -> float:
-    """Independent-server oracle for compute_coa.
-
-    Each server is a two-state alternating process with availability
-    mu/(lambda+mu); the expected reward is an exact sum over per-tier
-    binomial up-counts.
+    over N servers, with a_i = mu_i/(lambda_i+mu_i).  This is the exact
+    steady-state reward of ``build_network_srn`` under ``coa_reward``,
+    1{every tier has a server up} * sum(up_i)/N: the tier pools share
+    nothing, so the up counts are independent Binomial(n_i, a_i) and the
+    expectation factorises.  The flat SRN is kept as the test oracle.
+    Raises ValueError unless every lambda_eq and mu_eq is positive and finite.
     """
-    total = design.total
-    tiers = [t for t, _ in design.counts]
-    counts = [n for _, n in design.counts]
-    avail = [rates[t].availability for t in tiers]
-    coa = 0.0
-    for ups in product(*(range(1, n + 1) for n in counts)):
-        prob = 1.0
-        for k, n, a in zip(ups, counts, avail):
-            prob *= comb(n, k) * a ** k * (1.0 - a) ** (n - k)
-        coa += prob * sum(ups) / total
-    return coa
+    covered, weighted = 1.0, 0.0  # both over the tiers seen so far
+    for tier, count in design.counts:
+        agg = rates[tier]
+        for name in ("lambda_eq", "mu_eq"):
+            rate = getattr(agg, name)
+            if not (math.isfinite(rate) and rate > 0):
+                raise ValueError(f"tier {tier!r}: {name} must be positive "
+                                 f"and finite, got {rate!r}")
+        p_any_up = 1.0 - (agg.lambda_eq / (agg.lambda_eq + agg.mu_eq)) ** count
+        weighted = weighted * p_any_up + count * agg.availability * covered
+        covered *= p_any_up
+    return weighted / design.total

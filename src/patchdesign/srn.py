@@ -257,14 +257,13 @@ def reachability(net: Net, m0: Marking | None = None,
             tangible.append(m)
             timed_edges.append(None)
         seen[key] = ref
-        queue.append((ref, m))
+        queue.append((ref, m, imm))
         return ref
 
     initial_ref = register(m0)
     while queue:
-        (kind, idx), m = queue.popleft()
+        (kind, idx), m, imm = queue.popleft()
         if kind == "V":
-            imm = net.enabled_immediates(m)
             total_w = sum(t.weight for t in imm)
             edges = []
             for t in imm:

@@ -1,6 +1,6 @@
 import pytest
 
-from patchdesign import availability
+from patchdesign import availability, srn
 from patchdesign.model import example_network_path, load_model
 
 
@@ -24,3 +24,10 @@ COMPARISON_LABELS = [
 ]
 
 BASELINE = "1dns-1web-1app-1db"
+
+
+def flat_srn_coa(design, rates):
+    """COA as the steady-state reward of the flat network SRN: the oracle
+    for ``availability.compute_coa``."""
+    net = availability.build_network_srn(design, rates)
+    return srn.expected_reward(srn.solve(net), availability.coa_reward(design))

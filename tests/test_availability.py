@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BASELINE, COMPARISON_LABELS
+from conftest import BASELINE, COMPARISON_LABELS, flat_srn_coa
 from patchdesign import availability as av
 from patchdesign import srn
 from patchdesign.model import DesignSpec
@@ -167,14 +167,21 @@ TIERS = ("dns", "web", "app", "db")
 def test_closed_form_matches_srn_for_all_designs(model, rates):
     per_tier = [DesignSpec(f"{n}-per-tier", tuple((t, n) for t in TIERS))
                 for n in range(1, 7)]
-    for design in [*model.designs.values(), *per_tier]:
-        analytic = av.compute_coa(design, rates)
-        oracle = av.closed_form_coa(design, rates)
+    cases = [(d, rates) for d in [*model.designs.values(), *per_tier]]
+    # one tier (the product over the other tiers is empty) ...
+    cases += [(DesignSpec(f"{n}app", (("app", n),)), rates) for n in range(1, 7)]
+    # ... and six tiers, 3^6 = 729 network states
+    six = {**rates, "lb": av.AggregatedRates(lambda_eq=1 / 360, mu_eq=2.0),
+           "cache": av.AggregatedRates(lambda_eq=1 / 1000, mu_eq=0.8)}
+    cases.append((DesignSpec("six-tiers", tuple((t, 2) for t in six)), six))
+    for design, tier_rates in cases:
+        analytic = av.compute_coa(design, tier_rates)
+        oracle = flat_srn_coa(design, tier_rates)
         assert abs(analytic - oracle) <= 1e-12, design.label
 
 
 def test_closed_form_app_redundant_value(model, rates):
-    coa = av.closed_form_coa(model.designs["1dns-1web-2app-1db"], rates)
+    coa = av.compute_coa(model.designs["1dns-1web-2app-1db"], rates)
     assert coa == pytest.approx(0.99644, abs=1e-4)
 
 
@@ -203,4 +210,13 @@ def test_compute_coa_matches_closed_form_on_random_designs(counts, lambdas, mus)
     rates = {t: av.AggregatedRates(lambda_eq=lam, mu_eq=mu)
              for t, lam, mu in zip(TIERS, lambdas, mus)}
     assert abs(av.compute_coa(design, rates)
-               - av.closed_form_coa(design, rates)) <= 1e-12
+               - flat_srn_coa(design, rates)) <= 1e-12
+
+
+@pytest.mark.parametrize("field", ["lambda_eq", "mu_eq"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_compute_coa_rejects_bad_rates(model, rates, field, bad):
+    broken = dict(rates)
+    broken["web"] = dataclasses.replace(rates["web"], **{field: bad})
+    with pytest.raises(ValueError, match=f"'web': {field} must"):
+        av.compute_coa(model.designs["base"], broken)

@@ -6,7 +6,8 @@ says how many replicas of each tier are deployed.  From those pieces we
 build a two-layer attack model -- a reachability graph over server
 instances on top, attack trees per instance below -- enumerate attack
 paths from the attacker's entry point to the database, and compute five
-security metrics.
+security metrics.  The metrics are counted over tier walks, without
+listing instance paths; the listed paths must agree with that count.
 """
 
 from patchdesign import (
@@ -44,6 +45,8 @@ for path in paths[:3]:
 
 before = network_metrics(harm)
 print("\nbefore patching:", before)
+# network_metrics counts the paths without listing them
+assert before.noap == len(paths)
 
 # -- the same design after applying the patch policy --------------------------
 # The policy removes every vulnerability marked critical; AND subtrees

@@ -5,10 +5,18 @@ per-tier reachability template expanded across replicas); the lower
 layer is an AND/OR attack tree per instance.  Replicas of a tier carry
 identical trees.  Instances whose tree is empty cannot be compromised
 and block traversal entirely.
+
+Because replicas are interchangeable, an attack path's impact and
+probability depend only on its sequence of tiers.  ``network_metrics``
+therefore counts paths over tier walks, each weighted by the number of
+instance paths it stands for; ``enumerate_attack_paths`` lists the
+instance paths themselves, for inspection and as the reference the
+counting is tested against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .model import (AttackTreeNode, DesignSpec, PatchPolicy,
@@ -161,21 +169,51 @@ def path_metrics(harm: Harm, path: tuple) -> tuple[float, float]:
 def network_metrics(harm: Harm) -> SecurityMetrics:
     """Aggregate the five security metrics over all attack paths.
 
+    Paths are counted over tier walks: each tree is evaluated once per
+    tier, and one depth-first walk over exploitable tiers runs from each
+    entry tier to the target tier, using each tier at most as often as it
+    has replicas.  A walk that visits tier t for the k-th time can place
+    n_t - k + 1 unused replicas there, so the product of those factors is
+    the number of instance paths the walk stands for; the walk covers
+    cyclic tier graphs and tier self-loops alike.  All of those paths
+    share the walk's impact and probability.
+
     ASP combines path successes as a noisy-OR (paths assumed
     independent); NoEV counts vulnerability instances over exploitable
     server instances, each replica contributing its own copies.
     """
-    paths = enumerate_attack_paths(harm)
-    aim = 0.0
-    miss = 1.0
-    for p in paths:
-        impact, prob = path_metrics(harm, p)
-        aim = max(aim, impact)
-        miss *= 1.0 - prob
-    asp = 1.0 - miss if paths else 0.0
-    noev = sum(
-        len({v.id for v in harm.tree_of(inst).leaves()})
-        for inst in harm.instances if harm.exploitable(inst)
-    )
-    return SecurityMetrics(aim=aim, asp=asp, noev=noev,
-                           noap=len(paths), noep=len(harm.entry_instances))
+    replicas = Counter(inst.tier for inst in harm.instances)
+    value = {t: (tree_impact(tree), tree_probability(tree))
+             for t, tree in harm.trees.items() if tree is not None and replicas[t]}
+    succ = {}
+    for a, b in sorted({(a.tier, b.tier) for a, b in harm.upper_edges}):
+        if a in value and b in value:
+            succ.setdefault(a, []).append(b)
+    target = harm.target_instances[0].tier if harm.target_instances else None
+    used = Counter()
+    noap, aim, miss = 0, 0.0, 1.0
+
+    def walk(tier, mult, impact, prob):
+        nonlocal noap, aim, miss
+        if tier == target:
+            noap += mult
+            aim = max(aim, impact)
+            miss *= (1.0 - prob) ** mult
+            return
+        for nxt in succ.get(tier, ()):
+            free = replicas[nxt] - used[nxt]
+            if free:
+                used[nxt] += 1
+                nxt_impact, nxt_prob = value[nxt]
+                walk(nxt, mult * free, impact + nxt_impact, prob * nxt_prob)
+                used[nxt] -= 1
+
+    for tier in sorted({inst.tier for inst in harm.entry_instances}):
+        used[tier] += 1
+        walk(tier, replicas[tier], *value[tier])
+        used[tier] -= 1
+
+    noev = sum(replicas[t] * len({v.id for v in harm.trees[t].leaves()})
+               for t in value)
+    return SecurityMetrics(aim=aim, asp=1.0 - miss if noap else 0.0, noev=noev,
+                           noap=noap, noep=len(harm.entry_instances))

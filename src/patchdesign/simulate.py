@@ -48,14 +48,14 @@ def simulate_reward(net, reward, hours: float, seed: int = 0,
     now = 0.0
     while now < hours:
         enabled = net.enabled_timed(marking)
-        rates = np.array([t.rate.value(marking) for t in enabled])
+        rates = np.array([rate for _, rate in enabled])
         total = rates.sum()
         if total <= 0:  # absorbing: reward holds forever
             dwell = hours - now
             nxt = marking
         else:
             dwell = rng.exponential(1.0 / total)
-            nxt = net.fire(enabled[rng.choice(len(enabled), p=rates / total)],
+            nxt = net.fire(enabled[rng.choice(len(enabled), p=rates / total)][0],
                            marking)
             nxt = _settle_immediates(net, nxt, rng)
         r = reward(marking)

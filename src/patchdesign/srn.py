@@ -165,14 +165,12 @@ class Net:
     # -- semantics -----------------------------------------------------
 
     def enabled(self, t: Transition, m: Marking) -> bool:
+        """Input tokens and guard; a timed transition must also have a
+        positive rate, which ``enabled_timed`` checks."""
         for p, mult in t.inputs:
             if m[p] < mult:
                 return False
-        if not t.guard.evaluate(m):
-            return False
-        if t.timed and t.rate.value(m) <= 0:
-            return False
-        return True
+        return t.guard.evaluate(m)
 
     def fire(self, t: Transition, m: Marking) -> Marking:
         counts = list(m.counts)
@@ -190,8 +188,17 @@ class Net:
         top = max(t.priority for t in cands)
         return [t for t in cands if t.priority == top]
 
-    def enabled_timed(self, m: Marking) -> list[Transition]:
-        return [t for t in self.transitions if t.timed and self.enabled(t, m)]
+    def enabled_timed(self, m: Marking) -> list[tuple[Transition, float]]:
+        """(transition, rate) of each enabled timed transition, its rate
+        evaluated once; a transition whose rate is not positive is not
+        enabled."""
+        pairs = []
+        for t in self.transitions:
+            if t.timed and self.enabled(t, m):
+                rate = t.rate.value(m)
+                if rate > 0:
+                    pairs.append((t, rate))
+        return pairs
 
 
 def _arcs(spec) -> tuple:
@@ -272,9 +279,9 @@ def reachability(net: Net, m0: Marking | None = None,
             immediate_edges[idx] = edges
         else:
             edges = []
-            for t in net.enabled_timed(m):
+            for t, rate in net.enabled_timed(m):
                 ref = register(net.fire(t, m))
-                edges.append((t.rate.value(m), ref))
+                edges.append((rate, ref))
             timed_edges[idx] = edges
 
     return ReachabilityGraph(tangible, vanishing, timed_edges,

@@ -54,6 +54,39 @@ def test_security_unpatched_csv():
     assert fields["noev"] == "26"
 
 
+SECURITY_PATCHED_CSV = """\
+design,patched,aim,asp,noev,noap,noep
+1dns-1web-1app-1db,true,42.2,0.059319,7,1,1
+1dns-1web-1app-2db,true,42.2,0.115119,10,2,1
+1dns-1web-2app-1db,true,42.2,0.115119,9,2,1
+1dns-2web-1app-1db,true,42.2,0.115119,9,2,2
+2dns-1web-1app-1db,true,42.2,0.059319,7,1,1
+base,true,42.2,0.216986,11,4,2
+"""
+
+SECURITY_UNPATCHED_CSV = """\
+design,patched,aim,asp,noev,noap,noep
+1dns-1web-1app-1db,false,52.2,1,16,2,2
+1dns-1web-1app-2db,false,52.2,1,21,4,2
+1dns-1web-2app-1db,false,52.2,1,21,4,2
+1dns-2web-1app-1db,false,52.2,1,21,4,3
+2dns-1web-1app-1db,false,52.2,1,17,3,3
+base,false,52.2,1,26,8,3
+"""
+
+
+@pytest.mark.parametrize("flags,expected", [
+    ((), SECURITY_PATCHED_CSV),
+    (("--patched",), SECURITY_PATCHED_CSV),
+    (("--unpatched",), SECURITY_UNPATCHED_CSV),
+])
+def test_security_all_designs_csv_is_pinned(flags, expected):
+    code, out, _ = run_cli("security", "--model", MODEL, "--design", "all",
+                           "--format", "csv", *flags)
+    assert code == 0
+    assert out == expected
+
+
 def test_security_json_format():
     code, out, _ = run_cli("security", "--model", MODEL, "--design", "base",
                            "--format", "json")

@@ -1,13 +1,17 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import BASELINE, COMPARISON_LABELS
+from conftest import BASELINE, COMPARISON_LABELS, instance_path_metrics
 from patchdesign import harm
 from patchdesign.harm import (build_harm, enumerate_attack_paths,
                               network_metrics, path_metrics, tree_impact,
                               tree_probability)
-from patchdesign.model import Vulnerability, and_node, leaf, or_node
+from patchdesign.model import (DesignSpec, ModelError, ReachabilityTemplate,
+                               ServerTemplate, Vulnerability, and_node, leaf,
+                               or_node)
 
 
 def _harm(model, label, patched):
@@ -113,19 +117,22 @@ def test_path_metrics_worked_example(model):
     assert prob == pytest.approx(1.0)
 
 
-def test_path_metrics_single_node():
-    # degenerate reachability: entry tier is the target tier
-    from patchdesign.model import DesignSpec, ReachabilityTemplate, ServerTemplate
-    import dataclasses
-    tpl = ServerTemplate(
-        tier="db", attack_tree=or_node(leaf(_vuln(7.0, 0.5))),
+def _template(tier, tree):
+    """A server template that only the attack tree matters for."""
+    return ServerTemplate(
+        tier=tier, attack_tree=tree,
         hw_mttf=1, hw_mttr=1, os_mttf=1, os_mttr=1, os_patch_mean=1,
         os_reboot_after_patch=1, os_reboot_after_failure=1, svc_mttf=1,
         svc_mttr=1, svc_patch_mean=1, svc_reboot_after_patch=1,
         svc_reboot_after_failure=1)
+
+
+def test_path_metrics_single_node():
+    # degenerate reachability: entry tier is the target tier
     reach = ReachabilityTemplate(("db",), frozenset(), frozenset({"db"}), "db")
     design = DesignSpec("solo", (("db", 1),))
-    h = build_harm(design, {"db": tpl}, reach, patched=False)
+    h = build_harm(design, {"db": _template("db", or_node(leaf(_vuln(7.0, 0.5))))},
+                   reach, patched=False)
     paths = enumerate_attack_paths(h)
     assert len(paths) == 1 and len(paths[0]) == 1
     impact, prob = path_metrics(h, paths[0])
@@ -238,3 +245,94 @@ def _brute_force_paths(harm_obj):
 def test_path_enumeration_matches_brute_force(model, label, patched):
     h = _harm(model, label, patched)
     assert list(enumerate_attack_paths(h)) == _brute_force_paths(h)
+
+
+# -- tier-walk counting against the instance paths ---------------------------
+
+# a leaf is (impact, probability, vulnerability id); a tree is a tuple of
+# OR branches, each an AND of its leaves; None is an unexploitable tier
+_LEAF = st.tuples(st.floats(0.0, 10.0),
+                  st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+                  st.sampled_from(["CVE-A", "CVE-B", "CVE-C", "CVE-D"]))
+_TREE = st.one_of(st.none(), st.lists(st.lists(_LEAF, min_size=1, max_size=2)
+                                      .map(tuple), min_size=1, max_size=3).map(tuple))
+_MAX_INSTANCES = 8  # keeps the instance enumeration of dense cyclic graphs small
+
+
+@st.composite
+def tier_graphs(draw):
+    """(replica counts, tier edges, trees, entry tiers, target tier) over
+    tiers 0..k-1: cycles, self-loops and entry == target included."""
+    k = draw(st.integers(1, 5))
+    counts = []
+    for i in range(k):
+        spare = _MAX_INSTANCES - sum(counts) - (k - i - 1)
+        counts.append(draw(st.integers(1, min(3, spare))))
+    pair = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+    edges = draw(st.frozensets(pair, max_size=2 * k))
+    trees = draw(st.lists(_TREE, min_size=k, max_size=k))
+    entries = draw(st.frozensets(st.integers(0, k - 1), min_size=1))
+    target = draw(st.integers(0, k - 1))
+    return tuple(counts), edges, tuple(trees), entries, target
+
+
+def _tier_graph_harm(case):
+    counts, edges, trees, entries, target = case
+    tiers = tuple(f"t{i}" for i in range(len(counts)))
+    try:
+        reach = ReachabilityTemplate(
+            tiers, frozenset((tiers[a], tiers[b]) for a, b in edges),
+            frozenset(tiers[i] for i in entries), tiers[target])
+    except ModelError:
+        return None  # no tier path from an entry to the target at all
+    templates = {}
+    for tier, spec in zip(tiers, trees):
+        tree = None if spec is None else or_node(*(
+            leaf(_vuln(*branch[0])) if len(branch) == 1
+            else and_node(*(leaf(_vuln(*v)) for v in branch))
+            for branch in spec))
+        templates[tier] = _template(tier, tree)
+    design = DesignSpec("random", tuple(zip(tiers, counts)))
+    return build_harm(design, templates, reach, patched=False)
+
+
+_ONE = (((5.0, 0.5, "CVE-A"),),)
+_SURE = (((2.5, 1.0, "CVE-B"), (1.0, 1.0, "CVE-C")),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=tier_graphs())
+# a cycle 0 -> 1 -> 2 -> 1 with p = 1 leaves along it
+@example(case=((2, 2, 2, 1), frozenset({(0, 1), (1, 2), (2, 1), (2, 3)}),
+               (_SURE, _ONE, _SURE, _ONE), frozenset({0}), 3))
+# self-loops on the entry and a middle tier
+@example(case=((3, 3, 2), frozenset({(0, 0), (0, 1), (1, 1), (1, 2)}),
+               (_ONE, _SURE, _ONE), frozenset({0}), 2))
+# the only middle tier is unexploitable, so the target cannot be reached
+@example(case=((2, 2, 2), frozenset({(0, 1), (1, 2)}),
+               (_ONE, None, _ONE), frozenset({0}), 2))
+# an entry tier that is also the target, beside a longer route
+@example(case=((2, 3, 2), frozenset({(0, 1), (1, 2), (2, 2)}),
+               (_ONE, _SURE, _ONE), frozenset({0, 2}), 2))
+# the target tier itself is unexploitable
+@example(case=((1, 2), frozenset({(0, 1)}), (_ONE, None), frozenset({0}), 1))
+def test_network_metrics_match_instance_paths(case):
+    h = _tier_graph_harm(case)
+    assume(h is not None)
+    got, ref = network_metrics(h), instance_path_metrics(h)
+    assert (got.noev, got.noap, got.noep) == (ref.noev, ref.noap, ref.noep)
+    assert got.aim == pytest.approx(ref.aim, abs=1e-12)
+    assert got.asp == pytest.approx(ref.asp, abs=1e-12)
+
+
+def test_ten_replicas_per_tier(model):
+    design = DesignSpec("n10", tuple((t, 10) for t in model.reachability.tiers))
+    for patched, noap in ((True, 1000), (False, 11000)):
+        h = build_harm(design, model.templates, model.reachability, patched,
+                       model.policy)
+        got = network_metrics(h)
+        assert got.noap == noap
+        ref = instance_path_metrics(h)
+        assert (got.noev, got.noap, got.noep) == (ref.noev, ref.noap, ref.noep)
+        assert got.aim == pytest.approx(ref.aim, abs=1e-12)
+        assert got.asp == pytest.approx(ref.asp, abs=1e-12)

@@ -181,6 +181,31 @@ def test_guarded_transition_blocks_firing():
     assert len(graph.tangible) == 1
 
 
+def test_enabled_timed_pairs_each_rate_evaluated_once(monkeypatch):
+    net = srn.Net()
+    net.add_place("a", 1)
+    net.add_place("b", 0)
+    net.add_timed("by_b", srn.RateExpr(3.0, "b"), ["a"], ["b"])
+    net.add_timed("fixed", 0.5, ["a"], ["b"])
+    net.add_timed("blocked", 1.0, ["b"], ["a"])
+    calls = []
+    value = srn.RateExpr.value
+    monkeypatch.setattr(srn.RateExpr, "value",
+                        lambda self, m: calls.append(self) or value(self, m))
+    # by_b has its tokens but rate 3 * #b = 0, so it is not enabled
+    m = net.initial_marking()
+    assert [(t.name, rate) for t, rate in net.enabled_timed(m)] == [("fixed", 0.5)]
+    assert len(calls) == 2
+    m = net.marking((1, 2))
+    assert [(t.name, rate) for t, rate in net.enabled_timed(m)] == \
+        [("by_b", 6.0), ("fixed", 0.5), ("blocked", 1.0)]
+    calls.clear()
+    graph = srn.reachability(net)
+    assert graph.timed_edges == [[(0.5, ("T", 1))], [(1.0, ("T", 0))]]
+    # by_b and fixed in (1, 0), blocked in (0, 1): one evaluation each
+    assert len(calls) == 3
+
+
 def _brute_force_markings(net, token_cap):
     """Fixpoint enumeration over the full marking universe."""
     places = net.places
@@ -194,7 +219,7 @@ def _brute_force_markings(net, token_cap):
             if m.counts not in reachable:
                 continue
             transitions = (net.enabled_immediates(m)
-                           or [t for t in net.enabled_timed(m)])
+                           or [t for t, _ in net.enabled_timed(m)])
             for t in transitions:
                 counts = net.fire(t, m).counts
                 if counts not in reachable:

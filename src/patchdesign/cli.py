@@ -11,13 +11,11 @@ import tempfile
 from pathlib import Path
 
 from . import __version__, availability, evaluate, netfile, srn
-from .model import Bounds, ModelError, load_model
+from .model import Bounds, ModelError, load_model, make_bounds
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
-
-_BOUND_KEYS = {"phi": float, "psi": float, "xi": int, "omega": int, "kappa": int}
 
 
 def _parse_bounds(text: str) -> Bounds:
@@ -28,13 +26,19 @@ def _parse_bounds(text: str) -> Bounds:
         if "=" not in pair:
             raise ModelError("bounds", f"expected key=value, got {pair!r}")
         key, raw = pair.split("=", 1)
-        if key not in _BOUND_KEYS:
-            raise ModelError("bounds", f"unknown bound {key!r} "
-                             f"(expected one of {sorted(_BOUND_KEYS)})")
-        values[key] = _BOUND_KEYS[key](raw)
-    return Bounds(asp_upper=values.get("phi"), coa_lower=values.get("psi"),
-                  noev_upper=values.get("xi"), noap_upper=values.get("omega"),
-                  noep_upper=values.get("kappa"))
+        values[key] = _number(raw)
+    return make_bounds(values)
+
+
+def _number(text: str):
+    """The int or float that ``text`` spells; otherwise ``text`` itself,
+    which ``make_bounds`` rejects with the key it was given for."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _apply_rate_overrides(model, overrides):
@@ -127,7 +131,10 @@ def cmd_availability(args, out) -> int:
 def cmd_compare(args, out) -> int:
     model = _apply_rate_overrides(load_model(args.model), args.rate_override)
     designs = _select_designs(model, args.design)
-    bounds_list = [_parse_bounds(b) for b in args.bounds or []]
+    if args.bounds:
+        bounds_list = [_parse_bounds(b) for b in args.bounds]
+    else:
+        bounds_list = [] if model.bounds is None else [model.bounds]
     result = evaluate.sweep(model, bounds_list, patched=args.patched,
                             designs=designs)
     outdir = Path(args.out)
@@ -168,14 +175,17 @@ def build_parser() -> argparse.ArgumentParser:
     def add_model_args(p):
         p.add_argument("--model", required=True, help="model file (JSON)")
         p.add_argument("--design", default="all", help="design label, or 'all'")
+        p.add_argument("--rate-override", action="append", metavar="tier.param=value")
+
+    def add_patch_args(p):
         patch = p.add_mutually_exclusive_group()
         patch.add_argument("--patched", dest="patched", action="store_true",
                            default=True)
         patch.add_argument("--unpatched", dest="patched", action="store_false")
-        p.add_argument("--rate-override", action="append", metavar="tier.param=value")
 
     p = sub.add_parser("security", help="print security metric rows")
     add_model_args(p)
+    add_patch_args(p)
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
 
     p = sub.add_parser("availability", help="print aggregated rates and COA")
@@ -184,8 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="sweep designs and write comparison files")
     add_model_args(p)
+    add_patch_args(p)
     p.add_argument("--bounds", action="append",
-                   metavar="phi=..,psi=..[,xi=..,omega=..,kappa=..]")
+                   metavar="phi=..,psi=..[,xi=..,omega=..,kappa=..]",
+                   help="bound set, repeatable (default: the model file's bounds)")
     p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("solve-srn", help="solve a textual net file")

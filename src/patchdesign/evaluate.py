@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 
 from . import availability, harm
-from .model import Bounds, DesignSpec, Model
+from .model import Bounds, DesignSpec, Model, bounds_keys
 from .harm import SecurityMetrics
 
 
@@ -116,11 +116,7 @@ def radar_csv(evaluations) -> str:
 def regions_json(regions) -> str:
     out = []
     for bounds, accepted in regions:
-        entry = {"bounds": {}, "accepted": accepted}
-        for key, value in (("phi", bounds.asp_upper), ("psi", bounds.coa_lower),
-                           ("xi", bounds.noev_upper), ("omega", bounds.noap_upper),
-                           ("kappa", bounds.noep_upper)):
-            if value is not None:
-                entry["bounds"][key] = float(_fmt(value))
-        out.append(entry)
+        out.append({"bounds": {key: float(_fmt(value))
+                               for key, value in bounds_keys(bounds).items()},
+                    "accepted": accepted})
     return json.dumps(out, indent=2, sort_keys=True) + "\n"

@@ -221,6 +221,34 @@ class Bounds:
                 raise ModelError(f"bounds.{name}", f"{value} is negative")
 
 
+# bound key (model file "bounds" object, --bounds) -> (Bounds field, type)
+BOUND_KEYS = {"phi": ("asp_upper", float), "psi": ("coa_lower", float),
+              "xi": ("noev_upper", int), "omega": ("noap_upper", int),
+              "kappa": ("noep_upper", int)}
+
+
+def make_bounds(values: dict, path: str = "bounds") -> Bounds:
+    """Bounds from {key: number} over the keys of BOUND_KEYS.  A count
+    bound (xi, omega, kappa) must be an integer; phi and psi take any
+    number.  Unknown keys and other values raise ModelError."""
+    fields = {}
+    for key, value in values.items():
+        if key not in BOUND_KEYS:
+            raise ModelError(path, f"unknown bound {key!r} "
+                             f"(expected one of {sorted(BOUND_KEYS)})")
+        name, kind = BOUND_KEYS[key]
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            raise ModelError(f"{path}.{key}", f"expected {kind.__name__}, got {value!r}")
+        fields[name] = kind(value)
+    return Bounds(**fields)
+
+
+def bounds_keys(bounds: Bounds) -> dict:
+    """{key: value} of the bounds that are set; inverse of make_bounds."""
+    return {key: getattr(bounds, name) for key, (name, _) in BOUND_KEYS.items()
+            if getattr(bounds, name) is not None}
+
+
 @dataclass(frozen=True)
 class Model:
     templates: dict  # tier -> ServerTemplate
@@ -379,14 +407,7 @@ def load_model(source) -> Model:
 
     bounds = None
     if "bounds" in doc:
-        raw_bounds = doc["bounds"]
-        bounds = Bounds(
-            asp_upper=raw_bounds.get("phi"),
-            coa_lower=raw_bounds.get("psi"),
-            noev_upper=raw_bounds.get("xi"),
-            noap_upper=raw_bounds.get("omega"),
-            noep_upper=raw_bounds.get("kappa"),
-        )
+        bounds = make_bounds(_require(doc, "bounds", "$", dict), "$.bounds")
 
     return Model(templates=templates, reachability=reach, designs=designs,
                  policy=policy, bounds=bounds)
@@ -404,7 +425,7 @@ def dump_model(model: Model) -> dict:
             for v in tpl.vulnerabilities():
                 catalog[v.id] = v
         servers[tier] = raw
-    return {
+    doc = {
         "tiers": list(model.reachability.tiers),
         "reachability": {
             "edges": sorted(list(e) for e in model.reachability.edges),
@@ -421,6 +442,9 @@ def dump_model(model: Model) -> dict:
         "designs": {label: dict(d.counts) for label, d in model.designs.items()},
         "patch_policy": {"interval_hours": model.policy.interval_mean},
     }
+    if model.bounds is not None:
+        doc["bounds"] = bounds_keys(model.bounds)
+    return doc
 
 
 def _dump_tree(node: AttackTreeNode):

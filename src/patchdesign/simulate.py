@@ -2,7 +2,8 @@
 
 Cross-validates the analytic steady-state reward: simulate the net for a
 long horizon, average the reward over time, and estimate the standard
-error with batch means.
+error with batch means.  Each step comes from ``Net.branches``, the same
+rule that drives ``srn.reachability``.
 """
 
 from __future__ import annotations
@@ -22,53 +23,45 @@ class SimulationEstimate:
         return abs(self.value - reference) <= n_sigma * self.stderr
 
 
-def _settle_immediates(net, marking, rng):
-    while True:
-        enabled = net.enabled_immediates(marking)
-        if not enabled:
-            return marking
-        weights = np.array([t.weight for t in enabled])
-        t = enabled[rng.choice(len(enabled), p=weights / weights.sum())]
-        marking = net.fire(t, marking)
-
-
 def simulate_reward(net, reward, hours: float, seed: int = 0,
                     batches: int = 50) -> SimulationEstimate:
     """Time-average reward over a simulated horizon.
 
-    Immediate transitions fire in zero time (weight-proportional choice);
-    sojourn times in tangible markings are exponential with the total
-    enabled rate. Returns the batch-means estimate and standard error.
+    A vanishing marking fires one of its immediates in zero time; a
+    tangible marking dwells for an exponential time with the total
+    enabled rate and earns its reward meanwhile; an absorbing marking
+    (no enabled transition) holds its reward to the horizon.  The next
+    transition is drawn with probability proportional to its weight or
+    rate, by one uniform variate against the cumulative sum.  Returns
+    the batch-means estimate and standard error.
     """
     rng = np.random.default_rng(seed)
-    marking = _settle_immediates(net, net.initial_marking(), rng)
-
+    marking = net.initial_marking()
     batch_len = hours / batches
     batch_totals = np.zeros(batches)
     now = 0.0
     while now < hours:
-        enabled = net.enabled_timed(marking)
-        rates = np.array([rate for _, rate in enabled])
-        total = rates.sum()
-        if total <= 0:  # absorbing: reward holds forever
-            dwell = hours - now
-            nxt = marking
-        else:
-            dwell = rng.exponential(1.0 / total)
-            nxt = net.fire(enabled[rng.choice(len(enabled), p=rates / total)][0],
-                           marking)
-            nxt = _settle_immediates(net, nxt, rng)
-        r = reward(marking)
-        # spread the dwell across the batches it overlaps
-        end = min(now + dwell, hours)
-        t = now
-        while t < end:
-            b = min(int(t / batch_len), batches - 1)
-            seg = min((b + 1) * batch_len, end) - t
-            batch_totals[b] += r * seg
-            t += seg
-        now += dwell
-        marking = nxt
+        vanishing, step = net.branches(marking)
+        total = sum(w for _, w in step)
+        if not vanishing:
+            dwell = rng.exponential(1.0 / total) if step else hours - now
+            r = reward(marking)
+            # spread the dwell across the batches it overlaps; the last
+            # batch ends at the horizon whatever the rounding of its edge
+            end = min(now + dwell, hours)
+            b, at = min(int(now / batch_len), batches - 1), now
+            while at < end:
+                edge = end if b == batches - 1 else min((b + 1) * batch_len, end)
+                batch_totals[b] += r * (edge - at)
+                b, at = b + 1, edge
+            now += dwell
+        if step:
+            u = rng.random() * total
+            for t, w in step:
+                u -= w
+                if u < 0:
+                    break
+            marking = net.fire(t, marking)
 
     means = batch_totals / batch_len
     value = float(means.mean())

@@ -5,6 +5,11 @@ marking-dependent rate ``const * #place``), immediate transitions with
 weights and priorities, and boolean guards over markings.  Analysis
 follows the usual GSPN pipeline: breadth-first reachability, vanishing
 marking elimination, sparse CTMC steady-state solve, expected reward.
+
+``Net.branches`` is the one step rule: it decides whether a marking is
+vanishing or tangible and which transitions may fire from it, with what
+weight or rate.  Both the explorer here and the discrete-event simulator
+(``simulate.simulate_reward``) take their steps from it.
 """
 
 from __future__ import annotations
@@ -166,7 +171,7 @@ class Net:
 
     def enabled(self, t: Transition, m: Marking) -> bool:
         """Input tokens and guard; a timed transition must also have a
-        positive rate, which ``enabled_timed`` checks."""
+        positive rate, which ``branches`` checks."""
         for p, mult in t.inputs:
             if m[p] < mult:
                 return False
@@ -180,25 +185,28 @@ class Net:
             counts[self._index[p]] += mult
         return Marking(tuple(counts), self._index)
 
-    def enabled_immediates(self, m: Marking) -> list[Transition]:
-        """Enabled immediate transitions at the highest enabled priority."""
-        cands = [t for t in self.transitions if not t.timed and self.enabled(t, m)]
-        if not cands:
-            return []
-        top = max(t.priority for t in cands)
-        return [t for t in cands if t.priority == top]
+    def branches(self, m: Marking) -> tuple[bool, list[tuple[Transition, float]]]:
+        """The step rule: (vanishing, [(transition, weight), ...]).
 
-    def enabled_timed(self, m: Marking) -> list[tuple[Transition, float]]:
-        """(transition, rate) of each enabled timed transition, its rate
-        evaluated once; a transition whose rate is not positive is not
-        enabled."""
-        pairs = []
+        A marking is vanishing iff an immediate transition is enabled in
+        it; its branches are the enabled immediates of the highest
+        enabled priority, weighted by ``weight``.  Otherwise the
+        branches are the enabled timed transitions with their rates,
+        each rate evaluated once; a timed transition whose rate is not
+        positive is not enabled.  A tangible marking with no branches is
+        absorbing.
+        """
+        immediates = [t for t in self.transitions if not t.timed and self.enabled(t, m)]
+        if immediates:
+            top = max(t.priority for t in immediates)
+            return True, [(t, t.weight) for t in immediates if t.priority == top]
+        timed = []
         for t in self.transitions:
             if t.timed and self.enabled(t, m):
                 rate = t.rate.value(m)
                 if rate > 0:
-                    pairs.append((t, rate))
-        return pairs
+                    timed.append((t, rate))
+        return False, timed
 
 
 def _arcs(spec) -> tuple:
@@ -229,63 +237,47 @@ def reachability(net: Net, m0: Marking | None = None,
                  token_cap: int | None = None) -> ReachabilityGraph:
     """Explore the reachable markings of a net breadth-first.
 
-    A marking is vanishing iff an immediate transition is enabled in it;
-    timed transitions are never fired from vanishing markings.  The
-    per-place token count is bounded by ``token_cap`` (default: total
-    initial tokens, all bundled nets are conservative).
+    ``Net.branches`` classifies each new marking once and yields its
+    out-edges: the normalised immediate weights of a vanishing marking,
+    the rates of a tangible one.  Exploration stops with
+    StateCapExceeded after ``state_cap`` markings, which is what ends
+    it on an unbounded net; ``token_cap``, when given, also bounds the
+    tokens per place and raises UnboundedNet beyond it.
     """
     if m0 is None:
         m0 = net.initial_marking()
-    if token_cap is None:
-        token_cap = max(sum(m0.counts), 1)
 
     seen: dict[tuple, tuple] = {}  # counts -> ('T'|'V', index)
-    tangible, vanishing = [], []
-    timed_edges, immediate_edges = [], []
+    markings = {"T": [], "V": []}
+    edges = {"T": [], "V": []}
     queue = deque()
 
     def register(m: Marking):
         key = m.counts
         if key in seen:
             return seen[key]
-        if max(key) > token_cap:
+        if token_cap is not None and max(key) > token_cap:
             raise UnboundedNet(
                 f"token count exceeds cap {token_cap} in marking {m}"
             )
         if len(seen) >= state_cap:
             raise StateCapExceeded(f"more than {state_cap} markings")
-        imm = net.enabled_immediates(m)
-        if imm:
-            ref = ("V", len(vanishing))
-            vanishing.append(m)
-            immediate_edges.append(None)
-        else:
-            ref = ("T", len(tangible))
-            tangible.append(m)
-            timed_edges.append(None)
-        seen[key] = ref
-        queue.append((ref, m, imm))
+        vanishing, step = net.branches(m)
+        kind = "V" if vanishing else "T"
+        ref = seen[key] = (kind, len(markings[kind]))
+        markings[kind].append(m)
+        edges[kind].append(None)
+        queue.append((ref, m, step))
         return ref
 
     initial_ref = register(m0)
     while queue:
-        (kind, idx), m, imm = queue.popleft()
-        if kind == "V":
-            total_w = sum(t.weight for t in imm)
-            edges = []
-            for t in imm:
-                ref = register(net.fire(t, m))
-                edges.append((t.weight / total_w, ref))
-            immediate_edges[idx] = edges
-        else:
-            edges = []
-            for t, rate in net.enabled_timed(m):
-                ref = register(net.fire(t, m))
-                edges.append((rate, ref))
-            timed_edges[idx] = edges
+        (kind, idx), m, step = queue.popleft()
+        total = sum(w for _, w in step) if kind == "V" else 1.0
+        edges[kind][idx] = [(w / total, register(net.fire(t, m))) for t, w in step]
 
-    return ReachabilityGraph(tangible, vanishing, timed_edges,
-                             immediate_edges, initial_ref)
+    return ReachabilityGraph(markings["T"], markings["V"], edges["T"],
+                             edges["V"], initial_ref)
 
 
 def eliminate_vanishing(graph: ReachabilityGraph) -> sp.csr_matrix:

@@ -197,8 +197,7 @@ def _brute_force(net, token_cap):
         for m in universe:
             if m.counts not in reachable:
                 continue
-            for t in (net.enabled_immediates(m)
-                      or [t for t, _ in net.enabled_timed(m)]):
+            for t, _ in net.branches(m)[1]:
                 counts = net.fire(t, m).counts
                 if counts not in reachable:
                     reachable.add(counts)

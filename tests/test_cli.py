@@ -131,6 +131,46 @@ def test_compare_applies_a_lone_count_bound(tmp_path, xi):
     assert 0 < len(expected) < len(rows)
 
 
+def _model_with_bounds(tmp_path, bounds):
+    doc = json.loads(example_network_path().read_text())
+    doc["bounds"] = bounds
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_compare_uses_model_file_bounds(tmp_path):
+    model = _model_with_bounds(tmp_path, {"phi": 0.2, "psi": 0.9962})
+    code, out, _ = run_cli("compare", "--model", model, "--out", str(tmp_path / "file"))
+    assert code == 0
+    code, flag_out, _ = run_cli("compare", "--model", MODEL, "--bounds", "phi=0.2,psi=0.9962",
+                                "--out", str(tmp_path / "flag"))
+    assert code == 0
+    from_file = (tmp_path / "file" / "regions.json").read_text()
+    assert from_file == (tmp_path / "flag" / "regions.json").read_text()
+    assert json.loads(from_file)[0]["accepted"] == ["1dns-1web-1app-2db", "1dns-1web-2app-1db"]
+    assert out.splitlines()[1:] == flag_out.splitlines()[1:]
+    # --bounds replaces the file's bounds
+    run_cli("compare", "--model", model, "--bounds", "phi=1,psi=0", "--out", str(tmp_path))
+    regions = json.loads((tmp_path / "regions.json").read_text())
+    assert [r["bounds"] for r in regions] == [{"phi": 1.0, "psi": 0.0}]
+
+
+def test_non_numeric_model_file_bound_is_validation_error(tmp_path):
+    model = _model_with_bounds(tmp_path, {"phi": "0.2"})
+    code, _, err = run_cli("compare", "--model", model, "--out", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: $.bounds.phi")
+
+
+@pytest.mark.parametrize("flag", ["--patched", "--unpatched"])
+def test_availability_rejects_patch_flags(flag, capsys):
+    # availability does not depend on the patch state, so the flag is an error
+    code, _, _ = run_cli("availability", "--model", MODEL, flag)
+    assert code == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_compare_is_deterministic(tmp_path):
     args = ("compare", "--model", MODEL, "--bounds", "phi=0.1,psi=0.9961",
             "--out", str(tmp_path))
@@ -206,3 +246,26 @@ def test_solve_srn_syntax_error(tmp_path):
     code, _, err = run_cli("solve-srn", str(netpath))
     assert code == 1
     assert "line 1" in err
+
+
+def test_solve_srn_guard_bounded_generator(tmp_path):
+    # src -> src,buf while #buf < 3, served at rate 2: a 4-state birth-death
+    # chain with pi proportional to 1, 1/2, 1/4, 1/8, so L = 11/15
+    netpath = tmp_path / "generator.net"
+    netpath.write_text(
+        "place src 1\nplace buf 0\n"
+        'timed gen rate=1.0 guard="#buf < 3" in=src out=src,buf\n'
+        "timed serve rate=2.0 in=buf\n"
+        'reward L "#buf == 1" = 1\nreward L "#buf == 2" = 2\nreward L "#buf == 3" = 3\n')
+    code, out, _ = run_cli("solve-srn", str(netpath))
+    assert code == 0
+    assert "tangible states: 4" in out
+    assert "reward L = 0.733333" in out
+
+
+def test_solve_srn_unbounded_net_stops_at_state_cap(tmp_path):
+    netpath = tmp_path / "grow.net"
+    netpath.write_text("place a 0\ntimed grow rate=1.0 out=a\n")
+    code, _, err = run_cli("solve-srn", str(netpath), "--state-cap", "100")
+    assert code == 2
+    assert "more than 100 markings" in err

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from patchdesign.model import (ModelError, PatchPolicy, apply_patch_policy,
-                               dump_model, example_network_path, load_model,
+from patchdesign.model import (Bounds, ModelError, PatchPolicy,
+                               apply_patch_policy, dump_model,
+                               example_network_path, load_model,
                                prune_attack_tree)
 
 
@@ -82,6 +83,29 @@ def test_missing_tier_path_to_target_rejected():
 def test_round_trip(model):
     again = load_model(dump_model(model))
     assert again == model
+
+
+def test_round_trip_keeps_bounds(model):
+    doc = dump_model(model)
+    doc["bounds"] = {"phi": 0.2, "psi": 0.9962, "xi": 9, "kappa": 2}
+    loaded = load_model(doc)
+    assert loaded.bounds == Bounds(asp_upper=0.2, coa_lower=0.9962,
+                                   noev_upper=9, noep_upper=2)
+    assert dump_model(loaded)["bounds"] == doc["bounds"]
+    assert load_model(dump_model(loaded)) == loaded
+
+
+@pytest.mark.parametrize("bounds, path", [({"phi": "0.2"}, "$.bounds.phi"),
+                                          ({"omega": 2.5}, "$.bounds.omega"),
+                                          ({"psi": True}, "$.bounds.psi"),
+                                          ({"sigma": 1}, "$.bounds"),
+                                          ([0.2, 0.99], "$.bounds")])
+def test_malformed_bounds_rejected(bounds, path):
+    doc = json.loads(example_network_path().read_text())
+    doc["bounds"] = bounds
+    with pytest.raises(ModelError) as info:
+        load_model(doc)
+    assert info.value.path == path
 
 
 def test_rates_are_reciprocals(model):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from patchdesign import availability as av
@@ -41,3 +42,75 @@ def test_network_coa_simulation_cross_check(model, rates):
     est = simulate.simulate_reward(net, reward, hours=1_000_000, seed=42)
     assert est.within(analytic, n_sigma=3.0)
     assert est.value == pytest.approx(analytic, abs=5e-4)
+
+
+def _src_net(**immediates):
+    # tick --go--> src, then immediates from src to left/right, which
+    # return to tick at rate 5
+    net = srn.Net()
+    for place, tokens in (("src", 0), ("left", 0), ("right", 0), ("tick", 1)):
+        net.add_place(place, tokens)
+    net.add_timed("go", 1.0, ["tick"], ["src"])
+    for side, (weight, priority) in immediates.items():
+        net.add_immediate(side, ["src"], [side], weight=weight, priority=priority)
+    net.add_timed("back_l", 5.0, ["left"], ["tick"])
+    net.add_timed("back_r", 5.0, ["right"], ["tick"])
+    return net
+
+
+def test_simulation_priority_precedes_weight():
+    # "left" has 100 times the weight but the lower priority
+    net = _src_net(left=(100.0, 0), right=(1.0, 1))
+    lefts = []
+
+    def right_up(m):
+        lefts.append(m["left"])
+        return float(m["right"] == 1)
+
+    est = simulate.simulate_reward(net, right_up, hours=20_000, seed=11)
+    assert lefts and not any(lefts)
+    # each cycle spends 1 h in tick and 0.2 h in right
+    analytic = srn.expected_reward(srn.solve(net), lambda m: float(m["right"] == 1))
+    assert analytic == pytest.approx(0.2 / 1.2, rel=1e-12)
+    assert est.within(analytic)
+
+
+def test_simulation_immediate_weight_split():
+    net = _src_net(left=(1.0, 0), right=(3.0, 0))
+    # a 1:3 split of 0.2 h visits per 1.2 h cycle
+    analytic = 0.75 * 0.2 / 1.2
+    assert srn.expected_reward(srn.solve(net), lambda m: float(m["right"] == 1)) == \
+        pytest.approx(analytic, rel=1e-12)
+    est = simulate.simulate_reward(net, lambda m: float(m["right"] == 1),
+                                   hours=20_000, seed=12)
+    assert est.stderr > 0
+    assert est.within(analytic)
+
+
+def test_absorbing_marking_holds_reward_to_horizon():
+    net = srn.Net()
+    net.add_place("a", 1)
+    net.add_place("b", 0)
+    net.add_timed("t", 2.0, ["a"], ["b"])
+    hours, batches = 1_000.0, 50
+    est = simulate.simulate_reward(net, lambda m: float(m["b"]), hours=hours,
+                                   seed=13, batches=batches)
+    # b is reached after an Exp(2) time, inside the first 20 h batch, and
+    # then earns reward 1 in every remaining hour of the horizon
+    absorbed_at = (1.0 - est.value) * hours
+    assert 0.0 < absorbed_at < hours / batches
+    means = np.array([1.0 - absorbed_at * batches / hours] + [1.0] * (batches - 1))
+    assert est.stderr == pytest.approx(means.std(ddof=1) / np.sqrt(batches), rel=1e-9)
+
+
+def test_absorbing_initial_marking_after_immediates():
+    # the initial marking is vanishing and settles into an absorbing one
+    net = srn.Net()
+    net.add_place("a", 1)
+    net.add_place("b", 0)
+    net.add_immediate("ab", ["a"], ["b"])
+    est = simulate.simulate_reward(net, lambda m: float(m["b"]), hours=10.0)
+    # every batch earns reward 1 throughout; the horizon spans the 50
+    # batch edges, which the batch accounting must step across
+    assert est.value == pytest.approx(1.0, abs=1e-12)
+    assert est.stderr < 1e-12

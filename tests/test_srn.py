@@ -61,6 +61,15 @@ def test_unbounded_net_detected():
         srn.reachability(net, token_cap=5)
 
 
+def test_unbounded_net_without_token_cap_hits_state_cap():
+    # with no token_cap, the state cap is what stops an unbounded net
+    net = srn.Net()
+    net.add_place("a", 0)
+    net.add_timed("grow", 1.0, [], ["a"])
+    with pytest.raises(srn.StateCapExceeded):
+        srn.reachability(net, state_cap=50)
+
+
 def test_immediate_weight_split():
     # two conflicting immediates, weights 1 and 3 -> 0.25 / 0.75
     net = srn.Net()
@@ -194,10 +203,12 @@ def test_enabled_timed_pairs_each_rate_evaluated_once(monkeypatch):
                         lambda self, m: calls.append(self) or value(self, m))
     # by_b has its tokens but rate 3 * #b = 0, so it is not enabled
     m = net.initial_marking()
-    assert [(t.name, rate) for t, rate in net.enabled_timed(m)] == [("fixed", 0.5)]
+    vanishing, step = net.branches(m)
+    assert not vanishing
+    assert [(t.name, rate) for t, rate in step] == [("fixed", 0.5)]
     assert len(calls) == 2
     m = net.marking((1, 2))
-    assert [(t.name, rate) for t, rate in net.enabled_timed(m)] == \
+    assert [(t.name, rate) for t, rate in net.branches(m)[1]] == \
         [("by_b", 6.0), ("fixed", 0.5), ("blocked", 1.0)]
     calls.clear()
     graph = srn.reachability(net)
@@ -218,9 +229,7 @@ def _brute_force_markings(net, token_cap):
         for m in universe:
             if m.counts not in reachable:
                 continue
-            transitions = (net.enabled_immediates(m)
-                           or [t for t, _ in net.enabled_timed(m)])
-            for t in transitions:
+            for t, _ in net.branches(m)[1]:
                 counts = net.fire(t, m).counts
                 if counts not in reachable:
                     reachable.add(counts)

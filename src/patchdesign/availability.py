@@ -43,11 +43,13 @@ SERVER_GUARDS = {
     "T_policy": "#P_svcp == 1",
     "T_reset": "#P_osp == 1",
 }
+# parsed once: guards are immutable, so every server net shares them
+_SERVER_GUARD_EXPRS = {name: parse_guard(text) for name, text in SERVER_GUARDS.items()}
 
 
 def build_server_srn(template: ServerTemplate, policy: PatchPolicy) -> srn.Net:
     """Compose the hardware, OS, service and patch-clock sub-models."""
-    g = {name: parse_guard(text) for name, text in SERVER_GUARDS.items()}
+    g = _SERVER_GUARD_EXPRS
     r = template.rate_per_hour
     net = srn.Net()
 

@@ -8,6 +8,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 from . import __version__, availability, evaluate, netfile, srn
@@ -220,7 +221,9 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         parser.print_usage(err)
         return EXIT_VALIDATION
     try:
-        args = parser.parse_args(argv)
+        # argparse writes usage errors to sys.stderr; send them to err
+        with redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors; 2 is reserved for solver failures
         return EXIT_OK if e.code in (0, None) else EXIT_VALIDATION
@@ -239,3 +242,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -16,6 +16,7 @@ counting is tested against.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -179,8 +180,11 @@ def network_metrics(harm: Harm) -> SecurityMetrics:
     share the walk's impact and probability.
 
     ASP combines path successes as a noisy-OR (paths assumed
-    independent); NoEV counts vulnerability instances over exploitable
-    server instances, each replica contributing its own copies.
+    independent), summed in log space as log(1 - ASP) = sum of
+    log1p(-p) over paths, so a path whose p is too small to change
+    1.0 - p in floating point still counts.  NoEV counts vulnerability
+    instances over exploitable server instances, each replica
+    contributing its own copies.
     """
     replicas = Counter(inst.tier for inst in harm.instances)
     value = {t: (tree_impact(tree), tree_probability(tree))
@@ -191,14 +195,14 @@ def network_metrics(harm: Harm) -> SecurityMetrics:
             succ.setdefault(a, []).append(b)
     target = harm.target_instances[0].tier if harm.target_instances else None
     used = Counter()
-    noap, aim, miss = 0, 0.0, 1.0
+    noap, aim, log_miss = 0, 0.0, 0.0
 
     def walk(tier, mult, impact, prob):
-        nonlocal noap, aim, miss
+        nonlocal noap, aim, log_miss
         if tier == target:
             noap += mult
             aim = max(aim, impact)
-            miss *= (1.0 - prob) ** mult
+            log_miss += mult * math.log1p(-prob) if prob < 1.0 else -math.inf
             return
         for nxt in succ.get(tier, ()):
             free = replicas[nxt] - used[nxt]
@@ -215,5 +219,5 @@ def network_metrics(harm: Harm) -> SecurityMetrics:
 
     noev = sum(replicas[t] * len({v.id for v in harm.trees[t].leaves()})
                for t in value)
-    return SecurityMetrics(aim=aim, asp=1.0 - miss if noap else 0.0, noev=noev,
-                           noap=noap, noep=len(harm.entry_instances))
+    return SecurityMetrics(aim=aim, asp=-math.expm1(log_miss) if noap else 0.0,
+                           noev=noev, noap=noap, noep=len(harm.entry_instances))

@@ -3,7 +3,8 @@
 Cross-validates the analytic steady-state reward: simulate the net for a
 long horizon, average the reward over time, and estimate the standard
 error with batch means.  Each step comes from ``Net.branches``, the same
-rule that drives ``srn.reachability``.
+rule that drives ``srn.reachability``, computed once per distinct
+marking a run visits.
 """
 
 from __future__ import annotations
@@ -23,6 +24,17 @@ class SimulationEstimate:
         return abs(self.value - reference) <= n_sigma * self.stderr
 
 
+def _step(net, reward, marking):
+    """(vanishing, weights, total, successors, reward) of one marking:
+    its ``Net.branches``, each branch fired once, and the reward of a
+    tangible marking."""
+    vanishing, branches = net.branches(marking)
+    weights = [w for _, w in branches]
+    successors = [net.fire(t, marking) for t, _ in branches]
+    return (vanishing, weights, sum(weights), successors,
+            None if vanishing else reward(marking))
+
+
 def simulate_reward(net, reward, hours: float, seed: int = 0,
                     batches: int = 50) -> SimulationEstimate:
     """Time-average reward over a simulated horizon.
@@ -34,18 +46,26 @@ def simulate_reward(net, reward, hours: float, seed: int = 0,
     transition is drawn with probability proportional to its weight or
     rate, by one uniform variate against the cumulative sum.  Returns
     the batch-means estimate and standard error.
+
+    A marking's step (its branches, their successor markings and, if it
+    is tangible, its reward) is computed the first time the run visits
+    it and read from a table on later visits, so ``reward`` must be a
+    function of the marking alone.  The table grows by at most one entry
+    per event and lives for this call only.
     """
     rng = np.random.default_rng(seed)
+    steps = {}  # marking counts -> _step(net, reward, marking)
     marking = net.initial_marking()
     batch_len = hours / batches
     batch_totals = np.zeros(batches)
     now = 0.0
     while now < hours:
-        vanishing, step = net.branches(marking)
-        total = sum(w for _, w in step)
+        step = steps.get(marking.counts)
+        if step is None:
+            step = steps[marking.counts] = _step(net, reward, marking)
+        vanishing, weights, total, successors, r = step
         if not vanishing:
-            dwell = rng.exponential(1.0 / total) if step else hours - now
-            r = reward(marking)
+            dwell = rng.exponential(1.0 / total) if weights else hours - now
             # spread the dwell across the batches it overlaps; the last
             # batch ends at the horizon whatever the rounding of its edge
             end = min(now + dwell, hours)
@@ -55,13 +75,13 @@ def simulate_reward(net, reward, hours: float, seed: int = 0,
                 batch_totals[b] += r * (edge - at)
                 b, at = b + 1, edge
             now += dwell
-        if step:
+        if weights:
             u = rng.random() * total
-            for t, w in step:
+            for i, w in enumerate(weights):
                 u -= w
                 if u < 0:
                     break
-            marking = net.fire(t, marking)
+            marking = successors[i]
 
     means = batch_totals / batch_len
     value = float(means.mean())

@@ -10,19 +10,22 @@ marking elimination, sparse CTMC steady-state solve, expected reward.
 vanishing or tangible and which transitions may fire from it, with what
 weight or rate.  Both the explorer here and the discrete-event simulator
 (``simulate.simulate_reward``) take their steps from it.
+
+numpy and scipy are imported inside the functions that assemble and
+solve the CTMC, so building and exploring a net loads neither.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu, spsolve
+from typing import TYPE_CHECKING
 
 from .guards import TRUE, check_places
+
+if TYPE_CHECKING:
+    import numpy as np
+    import scipy.sparse as sp
 
 DEFAULT_STATE_CAP = 1_000_000
 
@@ -32,10 +35,6 @@ class SrnError(Exception):
 
 
 class StateCapExceeded(SrnError):
-    pass
-
-
-class UnboundedNet(SrnError):
     pass
 
 
@@ -233,16 +232,14 @@ class ReachabilityGraph:
 
 
 def reachability(net: Net, m0: Marking | None = None,
-                 state_cap: int = DEFAULT_STATE_CAP,
-                 token_cap: int | None = None) -> ReachabilityGraph:
+                 state_cap: int = DEFAULT_STATE_CAP) -> ReachabilityGraph:
     """Explore the reachable markings of a net breadth-first.
 
     ``Net.branches`` classifies each new marking once and yields its
     out-edges: the normalised immediate weights of a vanishing marking,
     the rates of a tangible one.  Exploration stops with
     StateCapExceeded after ``state_cap`` markings, which is what ends
-    it on an unbounded net; ``token_cap``, when given, also bounds the
-    tokens per place and raises UnboundedNet beyond it.
+    it on an unbounded net.
     """
     if m0 is None:
         m0 = net.initial_marking()
@@ -256,10 +253,6 @@ def reachability(net: Net, m0: Marking | None = None,
         key = m.counts
         if key in seen:
             return seen[key]
-        if token_cap is not None and max(key) > token_cap:
-            raise UnboundedNet(
-                f"token count exceeds cap {token_cap} in marking {m}"
-            )
         if len(seen) >= state_cap:
             raise StateCapExceeded(f"more than {state_cap} markings")
         vanishing, step = net.branches(m)
@@ -300,6 +293,9 @@ def eliminate_vanishing(graph: ReachabilityGraph) -> sp.csr_matrix:
     Raises TimelessTrap when some vanishing marking cannot reach any
     tangible marking.
     """
+    import numpy as np
+    import scipy.sparse as sp
+
     nt, nv = len(graph.tangible), len(graph.vanishing)
     if nt == 0:
         raise TimelessTrap(graph.vanishing)
@@ -329,6 +325,8 @@ def _split_triplets(edge_lists) -> dict:
 
 
 def _block(triplets, shape) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     rows, cols, vals = triplets
     return sp.csr_matrix((vals, (rows, cols)), shape=shape, dtype=float)
 
@@ -336,6 +334,10 @@ def _block(triplets, shape) -> sp.csr_matrix:
 def _absorption(p_vv: sp.csr_matrix, p_vt: sp.csr_matrix) -> sp.csr_matrix:
     """Sparse B = (I - P_VV)^(-1) P_VT, solved only for the columns of
     P_VT with a non-zero entry."""
+    import numpy as np
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     nv, nt = p_vt.shape
     lu = splu((sp.eye(nv, format="csr") - p_vv).tocsc())
     p_vt = p_vt.tocsc()
@@ -404,6 +406,11 @@ def steady_state(q: sp.spmatrix, states=None,
     the solution is not finite, has a residual above ``tolerance`` or
     has an entry below ``-tolerance``.
     """
+    import numpy as np
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import spsolve
+
     n = q.shape[0]
     if states is None:
         states = list(range(n))

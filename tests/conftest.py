@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from patchdesign import availability, harm, srn
@@ -37,13 +40,46 @@ def instance_path_metrics(harm_obj):
     """The five security metrics aggregated over every enumerated instance
     path: the oracle for ``harm.network_metrics``."""
     paths = harm.enumerate_attack_paths(harm_obj)
-    aim, miss = 0.0, 1.0
+    aim, log_miss = 0.0, 0.0
     for path in paths:
         impact, prob = harm.path_metrics(harm_obj, path)
         aim = max(aim, impact)
-        miss *= 1.0 - prob
+        log_miss += math.log1p(-prob) if prob < 1.0 else -math.inf
     noev = sum(len({v.id for v in harm_obj.tree_of(inst).leaves()})
                for inst in harm_obj.instances if harm_obj.exploitable(inst))
-    return harm.SecurityMetrics(aim=aim, asp=1.0 - miss if paths else 0.0,
+    return harm.SecurityMetrics(aim=aim, asp=-math.expm1(log_miss) if paths else 0.0,
                                 noev=noev, noap=len(paths),
                                 noep=len(harm_obj.entry_instances))
+
+
+def reference_simulate_reward(net, reward, hours, seed=0, batches=50):
+    """``simulate.simulate_reward`` with the step rule, the firing and
+    the reward recomputed at every event: the oracle for its step
+    table.  Returns (value, stderr)."""
+    rng = np.random.default_rng(seed)
+    marking = net.initial_marking()
+    batch_len = hours / batches
+    batch_totals = np.zeros(batches)
+    now = 0.0
+    while now < hours:
+        vanishing, step = net.branches(marking)
+        total = sum(w for _, w in step)
+        if not vanishing:
+            dwell = rng.exponential(1.0 / total) if step else hours - now
+            r = reward(marking)
+            end = min(now + dwell, hours)
+            b, at = min(int(now / batch_len), batches - 1), now
+            while at < end:
+                edge = end if b == batches - 1 else min((b + 1) * batch_len, end)
+                batch_totals[b] += r * (edge - at)
+                b, at = b + 1, edge
+            now += dwell
+        if step:
+            u = rng.random() * total
+            for t, w in step:
+                u -= w
+                if u < 0:
+                    break
+            marking = net.fire(t, marking)
+    means = batch_totals / batch_len
+    return float(means.mean()), float(means.std(ddof=1) / np.sqrt(batches))

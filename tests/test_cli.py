@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import patchdesign
 from patchdesign import cli
 from patchdesign.model import example_network_path
 
@@ -164,11 +169,11 @@ def test_non_numeric_model_file_bound_is_validation_error(tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--patched", "--unpatched"])
-def test_availability_rejects_patch_flags(flag, capsys):
+def test_availability_rejects_patch_flags(flag):
     # availability does not depend on the patch state, so the flag is an error
-    code, _, _ = run_cli("availability", "--model", MODEL, flag)
+    code, _, err = run_cli("availability", "--model", MODEL, flag)
     assert code == 1
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in err
 
 
 def test_compare_is_deterministic(tmp_path):
@@ -269,3 +274,33 @@ def test_solve_srn_unbounded_net_stops_at_state_cap(tmp_path):
     code, _, err = run_cli("solve-srn", str(netpath), "--state-cap", "100")
     assert code == 2
     assert "more than 100 markings" in err
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports this copy of patchdesign."""
+    env = dict(os.environ)
+    src = str(Path(patchdesign.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["patchdesign", "patchdesign.cli"])
+def test_module_entry_points_run_the_cli(module):
+    expected = io.StringIO()
+    cli.run(["security", "--model", MODEL, "--design", "base"], out=expected)
+    proc = _python("-m", module, "security", "--model", MODEL, "--design", "base")
+    assert (proc.returncode, proc.stdout) == (0, expected.getvalue())
+    assert _python("-m", module, "availability", "--model", MODEL,
+                   "--patched").returncode == 1
+
+
+def test_security_loads_neither_numpy_nor_scipy():
+    script = (
+        "import io, sys\n"
+        "from patchdesign import cli\n"
+        f"code = cli.run(['security', '--model', {MODEL!r}], out=io.StringIO())\n"
+        "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.stdout.split("\n")[0] == "0 []", proc.stderr

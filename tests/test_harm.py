@@ -139,6 +139,20 @@ def test_path_metrics_single_node():
     assert (impact, prob) == (7.0, 0.5)
 
 
+def test_asp_counts_paths_below_float_resolution():
+    # 4 paths of probability 1e-18: 1.0 - 1e-18 rounds to 1.0, so a
+    # product of misses loses all of them
+    reach = ReachabilityTemplate(("a", "b"), frozenset({("a", "b")}),
+                                 frozenset({"a"}), "b")
+    design = DesignSpec("tiny", (("a", 2), ("b", 2)))
+    templates = {t: _template(t, or_node(leaf(_vuln(1.0, 1e-9)))) for t in "ab"}
+    h = build_harm(design, templates, reach, patched=False)
+    m = network_metrics(h)
+    assert m.noap == 4
+    assert m.asp == pytest.approx(4e-18, rel=1e-12, abs=0)
+    assert instance_path_metrics(h).asp == pytest.approx(4e-18, rel=1e-12, abs=0)
+
+
 def test_path_metrics_patched_path_probability(model):
     h = _harm(model, "base", patched=True)
     paths = enumerate_attack_paths(h)

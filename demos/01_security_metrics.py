@@ -3,11 +3,12 @@
 The model describes a four-tier web service (dns, web, app, db).  Each
 tier has an attack tree over its catalogued vulnerabilities; a design
 says how many replicas of each tier are deployed.  From those pieces we
-build a two-layer attack model -- a reachability graph over server
-instances on top, attack trees per instance below -- enumerate attack
-paths from the attacker's entry point to the database, and compute five
-security metrics.  The metrics are counted over tier walks, without
-listing instance paths; the listed paths must agree with that count.
+build a two-layer attack model -- the tier reachability graph with a
+replica count per tier on top, one attack tree per tier below --
+enumerate attack paths over the server instances from the attacker's
+entry point to the database, and compute five security metrics.  The
+metrics are counted over tier walks, without listing instance paths;
+the listed paths must agree with that count.
 """
 
 from patchdesign import (

@@ -9,12 +9,12 @@ trade-off, and filters them against two candidate bound settings.
 
 from patchdesign import (
     Bounds,
+    accepts,
     aggregate_all,
     build_network_srn,
     coa_reward,
     evaluate_design,
     example_network_path,
-    filter_two,
     load_model,
     sweep,
 )
@@ -57,7 +57,7 @@ assert abs(best.coa - check) < 1e-9
 # Two candidate regions: a balanced one and a stricter security bound.
 for phi, psi in ((0.2, 0.9962), (0.1, 0.9961)):
     bounds = Bounds(asp_upper=phi, coa_lower=psi)
-    accepted = [e.label for e in evaluations if filter_two(e, bounds)]
+    accepted = [e.label for e in evaluations if accepts(e, bounds)]
     print(f"ASP <= {phi}, COA >= {psi}: {accepted}")
 
 # -- bulk sweep + CSV export ---------------------------------------------------

@@ -11,8 +11,7 @@ from .harm import (Harm, SecurityMetrics, build_harm, enumerate_attack_paths,
 from .availability import (AggregatedRates, aggregate_all, aggregate_rates,
                            build_network_srn, build_server_srn, coa_reward,
                            compute_coa)
-from .evaluate import (DesignEvaluation, accepts, evaluate_design,
-                       filter_five, filter_two, sweep)
+from .evaluate import DesignEvaluation, accepts, evaluate_design, sweep
 
 __all__ = [
     "AttackTreeNode", "Bounds", "DesignSpec", "Model", "PatchPolicy",
@@ -22,6 +21,5 @@ __all__ = [
     "network_metrics", "path_metrics", "tree_impact", "tree_probability",
     "AggregatedRates", "aggregate_all", "aggregate_rates",
     "build_network_srn", "build_server_srn", "coa_reward", "compute_coa",
-    "DesignEvaluation", "accepts", "evaluate_design", "filter_five",
-    "filter_two", "sweep",
+    "DesignEvaluation", "accepts", "evaluate_design", "sweep",
 ]

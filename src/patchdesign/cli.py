@@ -8,10 +8,10 @@ import json
 import os
 import sys
 import tempfile
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from . import __version__, availability, evaluate, netfile, srn
+from . import __version__, availability, evaluate, harm, netfile, srn
 from .model import Bounds, ModelError, load_model, make_bounds
 
 EXIT_OK = 0
@@ -103,7 +103,6 @@ def cmd_security(args, out) -> int:
     designs = _select_designs(model, args.design)
     rows = []
     for design in designs:
-        from . import harm
         h = harm.build_harm(design, model.templates, model.reachability,
                             args.patched, model.policy)
         m = harm.network_metrics(h)
@@ -221,8 +220,9 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         parser.print_usage(err)
         return EXIT_VALIDATION
     try:
-        # argparse writes usage errors to sys.stderr; send them to err
-        with redirect_stderr(err):
+        # argparse writes --help and --version to sys.stdout and usage
+        # errors to sys.stderr; send them to out and err
+        with redirect_stdout(out), redirect_stderr(err):
             args = parser.parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors; 2 is reserved for solver failures

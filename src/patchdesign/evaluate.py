@@ -1,4 +1,4 @@
-"""Per-design evaluation, bound filters, and comparison artifacts."""
+"""Per-design evaluation, the bound check, and comparison artifacts."""
 
 from __future__ import annotations
 
@@ -39,24 +39,6 @@ def accepts(evaluation: DesignEvaluation, bounds: Bounds) -> bool:
               (m.noap, bounds.noap_upper), (m.noep, bounds.noep_upper))
     return (all(bound is None or value <= bound for value, bound in uppers)
             and (bounds.coa_lower is None or evaluation.coa >= bounds.coa_lower))
-
-
-def filter_two(evaluation: DesignEvaluation, bounds: Bounds) -> int:
-    """1 iff ASP <= phi and COA >= psi (inclusive boundaries)."""
-    if bounds.asp_upper is None or bounds.coa_lower is None:
-        raise ValueError("filter_two requires phi and psi bounds")
-    return int(evaluation.metrics.asp <= bounds.asp_upper
-               and evaluation.coa >= bounds.coa_lower)
-
-
-def filter_five(evaluation: DesignEvaluation, bounds: Bounds) -> int:
-    """1 iff ASP, NoEV, NoAP, NoEP are within their upper bounds and COA
-    meets its lower bound."""
-    required = (bounds.asp_upper, bounds.noev_upper, bounds.noap_upper,
-                bounds.noep_upper, bounds.coa_lower)
-    if any(b is None for b in required):
-        raise ValueError("filter_five requires phi, xi, omega, kappa and psi bounds")
-    return int(accepts(evaluation, bounds))
 
 
 @dataclass

@@ -1,17 +1,19 @@
 """Two-layer hierarchical attack model and security metrics.
 
-The upper layer is a reachability graph over server instances (the
-per-tier reachability template expanded across replicas); the lower
-layer is an AND/OR attack tree per instance.  Replicas of a tier carry
-identical trees.  Instances whose tree is empty cannot be compromised
-and block traversal entirely.
+The upper layer is the reachability graph between server instances.
+Replicas of a tier are interchangeable and every edge of the tier graph
+joins all replicas of its source tier to all replicas of its
+destination, so the upper layer is held as the tier graph plus a
+replica count per tier.  The lower layer is one AND/OR attack tree per
+tier, shared by its replicas.  A tier whose tree is empty cannot be
+compromised and blocks traversal entirely.
 
 Because replicas are interchangeable, an attack path's impact and
 probability depend only on its sequence of tiers.  ``network_metrics``
 therefore counts paths over tier walks, each weighted by the number of
-instance paths it stands for; ``enumerate_attack_paths`` lists the
-instance paths themselves, for inspection and as the reference the
-counting is tested against.
+instance paths it stands for; ``enumerate_attack_paths`` expands the
+replicas and lists the instance paths themselves, for inspection and as
+the reference the counting is tested against.
 """
 
 from __future__ import annotations
@@ -39,17 +41,12 @@ class Instance:
 
 @dataclass(frozen=True)
 class Harm:
-    instances: tuple  # all Instance values, tier order then replica index
-    upper_edges: frozenset  # (Instance, Instance)
+    """The tier graph with its replica counts (upper layer) and one
+    attack tree per tier (lower layer)."""
+
+    counts: dict  # tier -> replicas
     trees: dict  # tier -> AttackTreeNode | None
-    entry_instances: tuple  # exploitable entries, sorted by id
-    target_instances: tuple  # exploitable targets, sorted by id
-
-    def tree_of(self, inst: Instance):
-        return self.trees[inst.tier]
-
-    def exploitable(self, inst: Instance) -> bool:
-        return self.trees[inst.tier] is not None
+    reachability: ReachabilityTemplate
 
 
 @dataclass(frozen=True)
@@ -64,59 +61,36 @@ class SecurityMetrics:
 def build_harm(design: DesignSpec, templates: dict,
                reachability: ReachabilityTemplate, patched: bool,
                policy: PatchPolicy | None = None) -> Harm:
-    """Expand a design into a HARM, pre- or post-patch."""
+    """The HARM of a design, pre- or post-patch: its replica count and
+    (patched if asked) attack tree per tier over the tier graph."""
     if patched:
         policy = policy or PatchPolicy()
         templates = {t: apply_patch_policy(tpl, policy) for t, tpl in templates.items()}
-    trees = {t: templates[t].attack_tree for t in reachability.tiers}
-
-    instances = tuple(
-        Instance(tier, i)
-        for tier in reachability.tiers
-        for i in range(1, design.count(tier) + 1)
-    )
-    by_tier = {}
-    for inst in instances:
-        by_tier.setdefault(inst.tier, []).append(inst)
-
-    # complete bipartite expansion of the tier-level edges
-    edges = frozenset(
-        (a, b)
-        for src, dst in reachability.edges
-        for a in by_tier[src]
-        for b in by_tier[dst]
-    )
-
-    entries = sorted(
-        (i for t in reachability.entry_tiers for i in by_tier[t]
-         if trees[t] is not None),
-        key=lambda i: i.id)
-    targets = sorted(
-        (i for i in by_tier[reachability.target_tier]
-         if trees[i.tier] is not None),
-        key=lambda i: i.id)
-    return Harm(instances, edges, trees, tuple(entries), tuple(targets))
+    return Harm(counts={t: design.count(t) for t in reachability.tiers},
+                trees={t: templates[t].attack_tree for t in reachability.tiers},
+                reachability=reachability)
 
 
 def enumerate_attack_paths(harm: Harm) -> list[tuple]:
     """All simple entry-to-target paths over exploitable instances,
-    in lexicographic order of instance ids."""
+    in lexicographic order of instance ids.  Each tier edge joins every
+    replica of its source tier to every replica of its destination."""
+    reach = harm.reachability
+    replicas = {t: [Instance(t, i) for i in range(1, harm.counts[t] + 1)]
+                for t in reach.tiers if harm.trees[t] is not None}
     succ = {}
-    for a, b in harm.upper_edges:
-        if harm.exploitable(a) and harm.exploitable(b):
-            succ.setdefault(a, []).append(b)
-    for v in succ.values():
-        v.sort(key=lambda i: i.id)
-    targets = set(harm.target_instances)
+    for a, b in reach.edges:
+        if a in replicas and b in replicas:
+            succ.setdefault(a, []).extend(replicas[b])
 
     paths = []
 
     def dfs(path, visited):
         node = path[-1]
-        if node in targets:
+        if node.tier == reach.target_tier:
             paths.append(tuple(path))
             return
-        for nxt in succ.get(node, ()):
+        for nxt in succ.get(node.tier, ()):
             if nxt not in visited:
                 visited.add(nxt)
                 path.append(nxt)
@@ -124,8 +98,9 @@ def enumerate_attack_paths(harm: Harm) -> list[tuple]:
                 path.pop()
                 visited.discard(nxt)
 
-    for entry in harm.entry_instances:
-        dfs([entry], {entry})
+    for tier in reach.entry_tiers:
+        for entry in replicas.get(tier, ()):
+            dfs([entry], {entry})
     paths.sort(key=lambda p: [i.id for i in p])
     return paths
 
@@ -162,8 +137,9 @@ def path_metrics(harm: Harm, path: tuple) -> tuple[float, float]:
     impact = 0.0
     prob = 1.0
     for inst in path:
-        impact += tree_impact(harm.tree_of(inst))
-        prob *= tree_probability(harm.tree_of(inst))
+        tree = harm.trees[inst.tier]
+        impact += tree_impact(tree)
+        prob *= tree_probability(tree)
     return impact, prob
 
 
@@ -184,16 +160,18 @@ def network_metrics(harm: Harm) -> SecurityMetrics:
     log1p(-p) over paths, so a path whose p is too small to change
     1.0 - p in floating point still counts.  NoEV counts vulnerability
     instances over exploitable server instances, each replica
-    contributing its own copies.
+    contributing its own copies; NoEP counts the replicas of the
+    exploitable entry tiers.
     """
-    replicas = Counter(inst.tier for inst in harm.instances)
+    reach, replicas = harm.reachability, harm.counts
     value = {t: (tree_impact(tree), tree_probability(tree))
              for t, tree in harm.trees.items() if tree is not None and replicas[t]}
     succ = {}
-    for a, b in sorted({(a.tier, b.tier) for a, b in harm.upper_edges}):
+    for a, b in sorted(reach.edges):
         if a in value and b in value:
             succ.setdefault(a, []).append(b)
-    target = harm.target_instances[0].tier if harm.target_instances else None
+    entries = sorted(t for t in reach.entry_tiers if t in value)
+    target = reach.target_tier
     used = Counter()
     noap, aim, log_miss = 0, 0.0, 0.0
 
@@ -212,7 +190,7 @@ def network_metrics(harm: Harm) -> SecurityMetrics:
                 walk(nxt, mult * free, impact + nxt_impact, prob * nxt_prob)
                 used[nxt] -= 1
 
-    for tier in sorted({inst.tier for inst in harm.entry_instances}):
+    for tier in entries:
         used[tier] += 1
         walk(tier, replicas[tier], *value[tier])
         used[tier] -= 1
@@ -220,4 +198,4 @@ def network_metrics(harm: Harm) -> SecurityMetrics:
     noev = sum(replicas[t] * len({v.id for v in harm.trees[t].leaves()})
                for t in value)
     return SecurityMetrics(aim=aim, asp=-math.expm1(log_miss) if noap else 0.0,
-                           noev=noev, noap=noap, noep=len(harm.entry_instances))
+                           noev=noev, noap=noap, noep=sum(replicas[t] for t in entries))

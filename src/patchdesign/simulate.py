@@ -57,7 +57,7 @@ def simulate_reward(net, reward, hours: float, seed: int = 0,
     steps = {}  # marking counts -> _step(net, reward, marking)
     marking = net.initial_marking()
     batch_len = hours / batches
-    batch_totals = np.zeros(batches)
+    batch_totals = [0.0] * batches
     now = 0.0
     while now < hours:
         step = steps.get(marking.counts)
@@ -83,7 +83,7 @@ def simulate_reward(net, reward, hours: float, seed: int = 0,
                     break
             marking = successors[i]
 
-    means = batch_totals / batch_len
+    means = np.array(batch_totals) / batch_len
     value = float(means.mean())
     stderr = float(means.std(ddof=1) / np.sqrt(batches))
     return SimulationEstimate(value=value, stderr=stderr, hours=hours)

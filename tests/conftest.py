@@ -36,20 +36,28 @@ def flat_srn_coa(design, rates):
     return srn.expected_reward(srn.solve(net), availability.coa_reward(design))
 
 
+def exploitable_instances(harm_obj):
+    """Every replica of every exploitable tier, in tier order."""
+    return [harm.Instance(tier, i) for tier in harm_obj.reachability.tiers
+            if harm_obj.trees[tier] is not None
+            for i in range(1, harm_obj.counts[tier] + 1)]
+
+
 def instance_path_metrics(harm_obj):
     """The five security metrics aggregated over every enumerated instance
     path: the oracle for ``harm.network_metrics``."""
     paths = harm.enumerate_attack_paths(harm_obj)
+    instances = exploitable_instances(harm_obj)
     aim, log_miss = 0.0, 0.0
     for path in paths:
         impact, prob = harm.path_metrics(harm_obj, path)
         aim = max(aim, impact)
         log_miss += math.log1p(-prob) if prob < 1.0 else -math.inf
-    noev = sum(len({v.id for v in harm_obj.tree_of(inst).leaves()})
-               for inst in harm_obj.instances if harm_obj.exploitable(inst))
+    noev = sum(len({v.id for v in harm_obj.trees[inst.tier].leaves()})
+               for inst in instances)
+    noep = sum(inst.tier in harm_obj.reachability.entry_tiers for inst in instances)
     return harm.SecurityMetrics(aim=aim, asp=-math.expm1(log_miss) if paths else 0.0,
-                                noev=noev, noap=len(paths),
-                                noep=len(harm_obj.entry_instances))
+                                noev=noev, noap=len(paths), noep=noep)
 
 
 def reference_simulate_reward(net, reward, hours, seed=0, batches=50):

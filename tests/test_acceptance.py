@@ -99,19 +99,17 @@ def test_criterion_5_region_memberships(model, rates):
                                              True, rates)
              for label in COMPARISON_LABELS}
 
-    def accepted(filter_fn, bounds):
-        return {l for l, e in evals.items() if filter_fn(e, bounds)}
+    def accepted(bounds):
+        return {l for l, e in evals.items() if evaluate.accepts(e, bounds)}
 
-    assert accepted(evaluate.filter_two, Bounds(asp_upper=0.2, coa_lower=0.9962)) \
+    assert accepted(Bounds(asp_upper=0.2, coa_lower=0.9962)) \
         == {"1dns-1web-2app-1db", "1dns-1web-1app-2db"}
-    assert accepted(evaluate.filter_two, Bounds(asp_upper=0.1, coa_lower=0.9961)) \
+    assert accepted(Bounds(asp_upper=0.1, coa_lower=0.9961)) \
         == {"2dns-1web-1app-1db"}
-    assert accepted(evaluate.filter_five,
-                    Bounds(asp_upper=0.2, coa_lower=0.9962, noev_upper=9,
+    assert accepted(Bounds(asp_upper=0.2, coa_lower=0.9962, noev_upper=9,
                            noap_upper=2, noep_upper=1)) \
         == {"1dns-1web-2app-1db"}
-    assert accepted(evaluate.filter_five,
-                    Bounds(asp_upper=0.1, coa_lower=0.9961, noev_upper=7,
+    assert accepted(Bounds(asp_upper=0.1, coa_lower=0.9961, noev_upper=7,
                            noap_upper=1, noep_upper=1)) \
         == {"2dns-1web-1app-1db"}
     _report(5, "all four published region memberships reproduced exactly")

@@ -26,16 +26,17 @@ def test_no_arguments_prints_usage_and_fails():
     assert "usage" in err.lower()
 
 
-def test_help_exits_zero(capsys):
-    code, _, _ = run_cli("--help")
+def test_help_exits_zero():
+    code, out, _ = run_cli("--help")
     assert code == 0
-    assert "usage" in capsys.readouterr().out.lower()
+    assert "usage" in out.lower()
 
 
-def test_version(capsys):
-    code, _, _ = run_cli("--version")
+def test_version():
+    code, out, _ = run_cli("--version")
     assert code == 0
-    assert capsys.readouterr().out.strip().count(".") == 2
+    assert out.strip() == patchdesign.__version__
+    assert out.strip().count(".") == 2
 
 
 def test_security_base_patched():

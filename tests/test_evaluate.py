@@ -42,45 +42,39 @@ def test_evaluate_design_app_redundant_noev(model, rates):
 
 def test_filter_two_region_one(patched_evals):
     accepted = {label for label, e in patched_evals.items()
-                if evaluate.filter_two(e, REGION1)}
+                if evaluate.accepts(e, REGION1)}
     assert accepted == {"1dns-1web-2app-1db", "1dns-1web-1app-2db"}
 
 
 def test_filter_two_region_two(patched_evals):
     accepted = {label for label, e in patched_evals.items()
-                if evaluate.filter_two(e, REGION2)}
+                if evaluate.accepts(e, REGION2)}
     assert accepted == {"2dns-1web-1app-1db"}
 
 
 def test_filter_two_vacuous_bounds_accept_everything(patched_evals):
     bounds = Bounds(asp_upper=1.0, coa_lower=0.0)
-    assert all(evaluate.filter_two(e, bounds) == 1
+    assert all(evaluate.accepts(e, bounds)
                for e in patched_evals.values())
-
-
-def test_filter_two_requires_both_bounds(patched_evals):
-    with pytest.raises(ValueError):
-        evaluate.filter_two(next(iter(patched_evals.values())),
-                            Bounds(asp_upper=0.5))
 
 
 def test_filter_five_case_one(patched_evals):
     accepted = {label for label, e in patched_evals.items()
-                if evaluate.filter_five(e, REGION1_FIVE)}
+                if evaluate.accepts(e, REGION1_FIVE)}
     assert accepted == {"1dns-1web-2app-1db"}
 
 
 def test_filter_five_case_two(patched_evals):
     accepted = {label for label, e in patched_evals.items()
-                if evaluate.filter_five(e, REGION2_FIVE)}
+                if evaluate.accepts(e, REGION2_FIVE)}
     assert accepted == {"2dns-1web-1app-1db"}
 
 
 def test_filter_five_zero_count_bounds(patched_evals):
     bounds = Bounds(asp_upper=1.0, coa_lower=0.0,
                     noev_upper=0, noap_upper=0, noep_upper=0)
-    assert all(evaluate.filter_five(e, bounds) == 0
-               for e in patched_evals.values())
+    assert not any(evaluate.accepts(e, bounds)
+                   for e in patched_evals.values())
 
 
 def test_filters_are_monotone_in_bounds(patched_evals):
@@ -88,16 +82,16 @@ def test_filters_are_monotone_in_bounds(patched_evals):
     loose = Bounds(asp_upper=0.3, coa_lower=0.996,
                    noev_upper=10, noap_upper=3, noep_upper=2)
     for e in patched_evals.values():
-        assert evaluate.filter_five(e, tight) <= evaluate.filter_five(e, loose)
+        assert evaluate.accepts(e, tight) <= evaluate.accepts(e, loose)
         tight_two = Bounds(asp_upper=0.1, coa_lower=0.9962)
         loose_two = Bounds(asp_upper=0.2, coa_lower=0.9961)
-        assert evaluate.filter_two(e, tight_two) <= evaluate.filter_two(e, loose_two)
+        assert evaluate.accepts(e, tight_two) <= evaluate.accepts(e, loose_two)
 
 
 def test_filter_five_implies_filter_two(patched_evals):
     for e in patched_evals.values():
-        if evaluate.filter_five(e, REGION1_FIVE):
-            assert evaluate.filter_two(e, REGION1) == 1
+        if evaluate.accepts(e, REGION1_FIVE):
+            assert evaluate.accepts(e, REGION1)
 
 
 def test_sweep_is_order_independent(model):

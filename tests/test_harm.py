@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BASELINE, COMPARISON_LABELS, instance_path_metrics
+from conftest import (BASELINE, COMPARISON_LABELS, exploitable_instances,
+                      instance_path_metrics)
 from patchdesign import harm
 from patchdesign.harm import (build_harm, enumerate_attack_paths,
                               network_metrics, path_metrics, tree_impact,
@@ -21,28 +22,21 @@ def _harm(model, label, patched):
 
 def test_base_unpatched_instances_and_entries(model):
     h = _harm(model, "base", patched=False)
-    assert len(h.instances) == 6
-    assert [i.id for i in h.entry_instances] == ["dns1", "web1", "web2"]
+    assert sum(h.counts.values()) == 6
+    assert {t: h.counts[t] for t in h.reachability.entry_tiers} == {"dns": 1, "web": 2}
+    assert network_metrics(h).noep == 3
 
 
 def test_base_patched_dns_not_an_entry(model):
     h = _harm(model, "base", patched=True)
-    assert [i.id for i in h.entry_instances] == ["web1", "web2"]
+    assert h.trees["dns"] is None
+    assert network_metrics(h).noep == 2
 
 
 def test_baseline_expansion(model):
     h = _harm(model, BASELINE, patched=False)
-    assert len(h.instances) == 4
-    assert len(h.entry_instances) == 2
-
-
-def test_upper_edges_complete_bipartite(model):
-    h = _harm(model, "base", patched=False)
-    web = [i for i in h.instances if i.tier == "web"]
-    app = [i for i in h.instances if i.tier == "app"]
-    for w in web:
-        for a in app:
-            assert (w, a) in h.upper_edges
+    assert sum(h.counts.values()) == 4
+    assert network_metrics(h).noep == 2
 
 
 def test_path_counts_before_and_after_patch(model):
@@ -237,17 +231,16 @@ def test_tree_probability_in_unit_interval(model):
 
 def _brute_force_paths(harm_obj):
     """Exhaustive check over every vertex sequence (graphs <= 8 instances)."""
-    nodes = [i for i in harm_obj.instances if harm_obj.exploitable(i)]
-    entries = set(harm_obj.entry_instances)
-    targets = set(harm_obj.target_instances)
+    reach = harm_obj.reachability
+    nodes = exploitable_instances(harm_obj)
     found = []
     for length in range(1, len(nodes) + 1):
         for seq in permutations(nodes, length):
-            if seq[0] not in entries or seq[-1] not in targets:
+            if seq[0].tier not in reach.entry_tiers or seq[-1].tier != reach.target_tier:
                 continue
-            if targets.intersection(seq[:-1]):
+            if any(i.tier == reach.target_tier for i in seq[:-1]):
                 continue  # would have stopped at the target already
-            if all((a, b) in harm_obj.upper_edges for a, b in zip(seq, seq[1:])):
+            if all((a.tier, b.tier) in reach.edges for a, b in zip(seq, seq[1:])):
                 found.append(seq)
     return sorted(found, key=lambda p: [i.id for i in p])
 
@@ -271,6 +264,7 @@ _LEAF = st.tuples(st.floats(0.0, 10.0),
 _TREE = st.one_of(st.none(), st.lists(st.lists(_LEAF, min_size=1, max_size=2)
                                       .map(tuple), min_size=1, max_size=3).map(tuple))
 _MAX_INSTANCES = 8  # keeps the instance enumeration of dense cyclic graphs small
+_MAX_BRUTE_FORCE = 6  # exploitable instances up to which every sequence is tried
 
 
 @st.composite
@@ -337,6 +331,8 @@ def test_network_metrics_match_instance_paths(case):
     assert (got.noev, got.noap, got.noep) == (ref.noev, ref.noap, ref.noep)
     assert got.aim == pytest.approx(ref.aim, abs=1e-12)
     assert got.asp == pytest.approx(ref.asp, abs=1e-12)
+    if len(exploitable_instances(h)) <= _MAX_BRUTE_FORCE:
+        assert enumerate_attack_paths(h) == _brute_force_paths(h)
 
 
 def test_ten_replicas_per_tier(model):

@@ -101,10 +101,11 @@ def _fmt6(x: float) -> str:
 def cmd_security(args, out) -> int:
     model = _apply_rate_overrides(load_model(args.model), args.rate_override)
     designs = _select_designs(model, args.design)
+    trees = harm.tier_trees(model.templates, model.reachability, args.patched, model.policy)
     rows = []
     for design in designs:
         h = harm.build_harm(design, model.templates, model.reachability,
-                            args.patched, model.policy)
+                            args.patched, model.policy, trees)
         m = harm.network_metrics(h)
         rows.append([design.label, str(args.patched).lower(), _fmt6(m.aim),
                      _fmt6(m.asp), m.noev, m.noap, m.noep])

@@ -19,12 +19,14 @@ class DesignEvaluation:
 
 
 def evaluate_design(model: Model, design: DesignSpec, patched: bool,
-                    rates: dict | None = None) -> DesignEvaluation:
-    """Security metrics plus capacity-oriented availability for a design."""
+                    rates: dict | None = None, trees: dict | None = None) -> DesignEvaluation:
+    """Security metrics plus capacity-oriented availability for a design.
+    ``rates`` and ``trees`` (``harm.tier_trees``) are computed when not
+    given; a sweep computes each once for all its designs."""
     if rates is None:
         rates = availability.aggregate_all(model.templates, model.policy)
     h = harm.build_harm(design, model.templates, model.reachability,
-                        patched, model.policy)
+                        patched, model.policy, trees)
     metrics = harm.network_metrics(h)
     coa = availability.compute_coa(design, rates)
     return DesignEvaluation(design.label, patched, metrics, coa)
@@ -56,8 +58,9 @@ def sweep(model: Model, bounds_list=None, patched: bool = True,
     if designs is None:
         designs = list(model.designs.values())
     rates = availability.aggregate_all(model.templates, model.policy)
+    trees = harm.tier_trees(model.templates, model.reachability, patched, model.policy)
     evaluations = sorted(
-        (evaluate_design(model, d, patched, rates) for d in designs),
+        (evaluate_design(model, d, patched, rates, trees) for d in designs),
         key=lambda e: e.label)
     regions = []
     for bounds in bounds_list or []:

@@ -58,17 +58,27 @@ class SecurityMetrics:
     noep: int
 
 
-def build_harm(design: DesignSpec, templates: dict,
-               reachability: ReachabilityTemplate, patched: bool,
-               policy: PatchPolicy | None = None) -> Harm:
-    """The HARM of a design, pre- or post-patch: its replica count and
-    (patched if asked) attack tree per tier over the tier graph."""
+def tier_trees(templates: dict, reachability: ReachabilityTemplate, patched: bool,
+               policy: PatchPolicy | None = None) -> dict:
+    """Each tier's attack tree, with the policy's patched leaves pruned
+    if ``patched``.  The trees do not depend on the design, so a sweep
+    computes them once and passes them to every ``build_harm``."""
     if patched:
         policy = policy or PatchPolicy()
         templates = {t: apply_patch_policy(tpl, policy) for t, tpl in templates.items()}
+    return {t: templates[t].attack_tree for t in reachability.tiers}
+
+
+def build_harm(design: DesignSpec, templates: dict,
+               reachability: ReachabilityTemplate, patched: bool,
+               policy: PatchPolicy | None = None, trees: dict | None = None) -> Harm:
+    """The HARM of a design, pre- or post-patch: its replica count and
+    (patched if asked) attack tree per tier over the tier graph.
+    ``trees``, when given, is ``tier_trees`` of the same arguments."""
+    if trees is None:
+        trees = tier_trees(templates, reachability, patched, policy)
     return Harm(counts={t: design.count(t) for t in reachability.tiers},
-                trees={t: templates[t].attack_tree for t in reachability.tiers},
-                reachability=reachability)
+                trees=trees, reachability=reachability)
 
 
 def enumerate_attack_paths(harm: Harm) -> list[tuple]:

@@ -7,7 +7,9 @@
 
 Reward clauses with the same name are tried in file order; the first
 matching guard supplies the reward, with 0 as the fallback.  Blank lines
-and lines starting with '#' are ignored.
+and lines starting with '#' are ignored.  A key that a statement does not
+take, or a key given twice, is an error.  A place listed twice in one
+arc list gets the sum of its multiplicities: ``in=a,a`` is ``in=a:2``.
 
 The initial marking is the pinned state of the steady-state solve
 (``srn.steady_state``): it may be rare, but not so rare that its
@@ -52,6 +54,8 @@ class NetDocument:
 
 
 _RATE_RE = re.compile(r"^([0-9.eE+-]+)(?:\*#(\w+))?$")
+_KEYS = {"timed": {"rate", "guard", "in", "out"},
+         "immediate": {"weight", "priority", "guard", "in", "out"}}
 
 
 def _parse_arcs(text: str, lineno: int):
@@ -70,12 +74,16 @@ def _parse_arcs(text: str, lineno: int):
     return arcs
 
 
-def _split_kv(tokens, lineno):
+def _split_kv(kind, tokens, lineno):
     opts = {}
     for tok in tokens:
         if "=" not in tok:
             raise NetFileError(lineno, f"expected key=value, got {tok!r}")
         key, value = tok.split("=", 1)
+        if key not in _KEYS[kind]:
+            raise NetFileError(lineno, f"unknown key {key!r} for a {kind} transition")
+        if key in opts:
+            raise NetFileError(lineno, f"duplicate key {key!r}")
         opts[key] = value
     return opts
 
@@ -106,7 +114,7 @@ def parse_net(text: str) -> NetDocument:
         elif kind in ("timed", "immediate"):
             if len(tokens) < 2:
                 raise NetFileError(lineno, f"{kind} statement needs a name")
-            pending.append((lineno, kind, tokens[1], _split_kv(tokens[2:], lineno)))
+            pending.append((lineno, kind, tokens[1], _split_kv(kind, tokens[2:], lineno)))
 
         elif kind == "reward":
             # reward <name> "<expr>" = <value>

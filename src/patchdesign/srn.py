@@ -134,11 +134,9 @@ class Net:
         self._index[name] = len(self._index)
 
     def _check_transition(self, t: Transition) -> None:
-        for p, mult in t.inputs + t.outputs:
+        for p, _ in t.inputs + t.outputs:
             if p not in self._places:
                 raise ValueError(f"transition {t.name!r} references unknown place {p!r}")
-            if mult <= 0:
-                raise ValueError(f"transition {t.name!r}: nonpositive arc multiplicity")
         check_places(t.guard, self._places)
         if t.rate is not None and t.rate.place is not None and t.rate.place not in self._places:
             raise ValueError(f"transition {t.name!r}: rate references unknown place")
@@ -148,14 +146,14 @@ class Net:
             rate = RateExpr(float(rate))
         if rate.constant <= 0:
             raise ValueError(f"transition {name!r}: rate constant must be positive")
-        t = Transition(name, _arcs(inputs), _arcs(outputs), guard, rate=rate)
+        t = Transition(name, _arcs(name, inputs), _arcs(name, outputs), guard, rate=rate)
         self._check_transition(t)
         self.transitions.append(t)
 
     def add_immediate(self, name, inputs, outputs, guard=TRUE, weight=1.0, priority=0):
         if weight <= 0:
             raise ValueError(f"transition {name!r}: weight must be positive")
-        t = Transition(name, _arcs(inputs), _arcs(outputs), guard,
+        t = Transition(name, _arcs(name, inputs), _arcs(name, outputs), guard,
                        weight=float(weight), priority=int(priority))
         self._check_transition(t)
         self.transitions.append(t)
@@ -208,16 +206,18 @@ class Net:
         return False, timed
 
 
-def _arcs(spec) -> tuple:
-    if isinstance(spec, dict):
-        return tuple(sorted(spec.items()))
-    out = []
-    for item in spec:
-        if isinstance(item, str):
-            out.append((item, 1))
-        else:
-            out.append(tuple(item))
-    return tuple(out)
+def _arcs(name, spec) -> tuple:
+    """((place, multiplicity), ...) sorted by place, from a dict or a list
+    of places and (place, multiplicity) pairs; a place listed more than
+    once gets the sum of its multiplicities, so ['a', 'a'] is {'a': 2}."""
+    items = spec.items() if isinstance(spec, dict) else (
+        (item, 1) if isinstance(item, str) else item for item in spec)
+    total = {}
+    for place, mult in items:
+        if mult <= 0:
+            raise ValueError(f"transition {name!r}: nonpositive arc multiplicity")
+        total[place] = total.get(place, 0) + mult
+    return tuple(sorted(total.items()))
 
 
 @dataclass
@@ -277,18 +277,21 @@ def eliminate_vanishing(graph: ReachabilityGraph) -> sp.csr_matrix:
     """Collapse vanishing markings and return the CTMC generator Q.
 
     Q is a sparse matrix over the tangible markings with zero row sums.
-    The edges are gathered into COO triplets, one pass per edge list,
-    and split by target kind into four sparse blocks: timed rates R_TT
-    and R_TV out of tangible markings, immediate branching probabilities
-    P_VV and P_VT out of vanishing ones.  The off-diagonal part is then
+    Each edge list is read once into flat (row, column, value) arrays and
+    split by target kind: timed rates R_TT and R_TV out of tangible
+    markings, branching probabilities P_VV and P_VT out of vanishing
+    ones.  The off-diagonal part of Q is
 
         R = R_TT + R_TV B,   B = (I - P_VV)^(-1) P_VT,
 
     where row j of B holds the probabilities of being absorbed in each
-    tangible marking from vanishing marking j.  B comes from one sparse
-    LU of I - P_VV and is stored sparse.  Duplicate edges (two
-    transitions leading to the same marking) are summed, and a timed
-    self-loop cancels against its own diagonal entry.
+    tangible marking from vanishing marking j.  One sparse LU of I - P_VV
+    solves for the columns of P_VT that hold an entry, and the sparse
+    R_TV multiplies B only in the rows with an edge into a vanishing
+    marking.  The triplets of R_TT, of R_TV B and of the diagonal (minus
+    each row's sum) go to one CSR constructor, which sums duplicates: two
+    transitions leading to the same marking add up, and a self-loop
+    cancels against its own diagonal entry.
 
     Raises TimelessTrap when some vanishing marking cannot reach any
     tangible marking.
@@ -300,74 +303,67 @@ def eliminate_vanishing(graph: ReachabilityGraph) -> sp.csr_matrix:
     if nt == 0:
         raise TimelessTrap(graph.vanishing)
 
-    timed = _split_triplets(graph.timed_edges)
-    r = _block(timed["T"], (nt, nt))
+    rows, cols, vals, into_v = _triplets(graph.timed_edges)
+    parts = [(rows[~into_v], cols[~into_v], vals[~into_v])]
     if nv:
         _check_timeless_trap(graph)
-        immediate = _split_triplets(graph.immediate_edges)
-        p_vv = _block(immediate["V"], (nv, nv))
-        p_vt = _block(immediate["T"], (nv, nt))
-        r = r + _block(timed["V"], (nt, nv)) @ _absorption(p_vv, p_vt)
-    return (r - sp.diags(np.asarray(r.sum(axis=1)).ravel())).tocsr()
+        parts.append(_absorbed(rows[into_v], cols[into_v], vals[into_v],
+                               graph.immediate_edges, nv))
+    rows, cols, vals = (np.concatenate(arrays) for arrays in zip(*parts))
+    diagonal = np.arange(nt)
+    q = sp.csr_matrix((np.append(vals, -np.bincount(rows, weights=vals, minlength=nt)),
+                       (np.append(rows, diagonal), np.append(cols, diagonal))),
+                      shape=(nt, nt))
+    q.eliminate_zeros()
+    return q
 
 
-def _split_triplets(edge_lists) -> dict:
-    """COO triplets (rows, cols, values) of an edge list, keyed by the
-    kind ('T' or 'V') of the target marking."""
-    out = {"T": ([], [], []), "V": ([], [], [])}
-    for i, edges in enumerate(edge_lists):
-        for value, (kind, j) in edges:
-            rows, cols, vals = out[kind]
-            rows.append(i)
-            cols.append(j)
-            vals.append(value)
-    return out
+def _triplets(edge_lists) -> tuple:
+    """(rows, cols, values, into_vanishing) arrays of an edge list."""
+    import numpy as np
+
+    rows = np.repeat(np.arange(len(edge_lists)), [len(edges) for edges in edge_lists])
+    flat = [edge for edges in edge_lists for edge in edges]
+    return (rows, np.array([j for _, (_, j) in flat], dtype=np.intp),
+            np.array([value for value, _ in flat], dtype=float),
+            np.array([kind == "V" for _, (kind, _) in flat], dtype=bool))
 
 
-def _block(triplets, shape) -> sp.csr_matrix:
-    import scipy.sparse as sp
-
-    rows, cols, vals = triplets
-    return sp.csr_matrix((vals, (rows, cols)), shape=shape, dtype=float)
-
-
-def _absorption(p_vv: sp.csr_matrix, p_vt: sp.csr_matrix) -> sp.csr_matrix:
-    """Sparse B = (I - P_VV)^(-1) P_VT, solved only for the columns of
-    P_VT with a non-zero entry."""
+def _absorbed(rows, cols, vals, immediate_edges, nv) -> tuple:
+    """Triplets of R_TV B, given the R_TV triplets."""
     import numpy as np
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
-    nv, nt = p_vt.shape
-    lu = splu((sp.eye(nv, format="csr") - p_vv).tocsc())
-    p_vt = p_vt.tocsc()
-    targets = np.flatnonzero(np.diff(p_vt.indptr))
-    x = lu.solve(p_vt[:, targets].toarray())
-    i, k = np.nonzero(x)
-    return sp.csr_matrix((x[i, k], (i, targets[k])), shape=(nv, nt))
+    v_rows, v_cols, probs, into_v = _triplets(immediate_edges)
+    diagonal = np.arange(nv)
+    lu = splu(sp.csc_matrix((np.append(np.ones(nv), -probs[into_v]),
+                             (np.append(diagonal, v_rows[into_v]),
+                              np.append(diagonal, v_cols[into_v]))), shape=(nv, nv)))
+    targets, target_of = np.unique(v_cols[~into_v], return_inverse=True)
+    p_vt = np.zeros((nv, len(targets)))
+    np.add.at(p_vt, (v_rows[~into_v], target_of), probs[~into_v])
+    sources, source_of = np.unique(rows, return_inverse=True)
+    r_tv = sp.csr_matrix((vals, (source_of, cols)), shape=(len(sources), nv))
+    rb = r_tv @ lu.solve(p_vt)
+    i, k = np.nonzero(rb)
+    return sources[i], targets[k], rb[i, k]
 
 
 def _check_timeless_trap(graph: ReachabilityGraph) -> None:
     # reverse-reachability from tangible markings over the vanishing graph
-    nv = len(graph.vanishing)
-    rev = [[] for _ in range(nv)]
-    escapes = deque()
-    can_escape = [False] * nv
+    rev = [[] for _ in graph.vanishing]
+    escapes = []
     for i, edges in enumerate(graph.immediate_edges):
         for _, (kind, j) in edges:
-            if kind == "T":
-                if not can_escape[i]:
-                    can_escape[i] = True
-                    escapes.append(i)
-            else:
-                rev[j].append(i)
+            (escapes if kind == "T" else rev[j]).append(i)
+    can_escape = set()
     while escapes:
-        j = escapes.popleft()
-        for i in rev[j]:
-            if not can_escape[i]:
-                can_escape[i] = True
-                escapes.append(i)
-    trapped = [graph.vanishing[i] for i in range(nv) if not can_escape[i]]
+        i = escapes.pop()
+        if i not in can_escape:
+            can_escape.add(i)
+            escapes.extend(rev[i])
+    trapped = [m for i, m in enumerate(graph.vanishing) if i not in can_escape]
     if trapped:
         raise TimelessTrap(trapped)
 
@@ -417,6 +413,7 @@ def steady_state(q: sp.spmatrix, states=None,
     if n == 1:
         return SteadyStateSolution(states, np.array([1.0]), 0.0)
 
+    q = q.tocsr()
     ncomp, labels = connected_components(q, directed=True, connection="strong")
     if ncomp > 1:
         groups = [np.nonzero(labels == c)[0].tolist() for c in range(ncomp)]
@@ -424,19 +421,20 @@ def steady_state(q: sp.spmatrix, states=None,
             f"chain is reducible into {ncomp} strongly connected components: {groups}"
         )
 
-    # A = Q^T with row 0 (column 0 of Q) replaced by e_0
-    coo = q.tocoo()
-    keep = coo.col != 0
-    a = sp.csc_matrix(
-        (np.append(coo.data[keep], 1.0),
-         (np.append(coo.col[keep], 0), np.append(coo.row[keep], 0))),
-        shape=(n, n))
+    # A = Q^T with row 0 replaced by e_0, in one CSC constructor: column i
+    # of A is row i of Q without its column-0 entry, and e_0 leads column 0
+    rows = np.repeat(np.arange(n), np.diff(q.indptr))
+    keep = q.indices != 0
+    a = sp.csc_matrix((np.append(1.0, q.data[keep]), np.append(0, q.indices[keep]),
+                       np.append(0, 1 + np.cumsum(np.bincount(rows[keep], minlength=n)))),
+                      shape=(n, n))
     b = np.zeros(n)
     b[0] = 1.0
     pi = np.asarray(spsolve(a, b)).ravel()
     pi = pi / pi.sum()
-    q_norm = float(abs(q).sum(axis=1).max())
-    residual = float(np.max(np.abs(pi @ q))) / q_norm
+    q_norm = float(np.bincount(rows, weights=np.abs(q.data), minlength=n).max())
+    pi_q = np.bincount(q.indices, weights=pi[rows] * q.data, minlength=n)
+    residual = float(np.max(np.abs(pi_q))) / q_norm
     if not (np.all(np.isfinite(pi)) and np.isfinite(residual)):
         raise SrnError(f"steady-state solve failed at {n} tangible states: "
                        "non-finite solution")

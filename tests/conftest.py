@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from patchdesign import availability, harm, srn
+from patchdesign.guards import parse_guard
 from patchdesign.model import example_network_path, load_model
 
 
@@ -91,3 +93,46 @@ def reference_simulate_reward(net, reward, hours, seed=0, batches=50):
             marking = net.fire(t, marking)
     means = batch_totals / batch_len
     return float(means.mean()), float(means.std(ddof=1) / np.sqrt(batches))
+
+
+_OPS = ("==", "!=", "<", "<=", ">", ">=")
+
+
+@st.composite
+def small_nets(draw):
+    """(initial tokens, transitions) of a conservative net with 2-4
+    places and at most 3 tokens.  A transition is (immediate, source,
+    target, rate or weight, marking-dependent, priority, guard).
+    Immediates only move tokens to a later place, so every run of
+    immediates ends in a tangible marking."""
+    n = draw(st.integers(2, 4))
+    tokens = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)
+                  .filter(lambda c: 1 <= sum(c) <= 3))
+    guards = st.none() | st.tuples(st.integers(0, n - 1), st.sampled_from(_OPS),
+                                   st.integers(0, 2))
+    transitions = []
+    for _ in range(draw(st.integers(1, 6))):
+        immediate = draw(st.booleans())
+        src = draw(st.integers(0, n - 2 if immediate else n - 1))
+        dst = draw(st.integers(src + 1, n - 1) if immediate else st.integers(0, n - 1))
+        transitions.append((immediate, src, dst, draw(st.floats(0.1, 5.0)),
+                            draw(st.booleans()), draw(st.integers(0, 2)),
+                            draw(guards)))
+    return tuple(tokens), tuple(transitions)
+
+
+def build_small_net(spec):
+    """The net of a ``small_nets`` example."""
+    tokens, transitions = spec
+    net = srn.Net()
+    for i, count in enumerate(tokens):
+        net.add_place(f"p{i}", count)
+    for k, (immediate, src, dst, value, by_place, priority, guard) in enumerate(transitions):
+        guard = parse_guard(f"#p{guard[0]} {guard[1]} {guard[2]}") if guard else srn.TRUE
+        if immediate:
+            net.add_immediate(f"t{k}", [f"p{src}"], [f"p{dst}"], guard=guard,
+                              weight=value, priority=priority)
+        else:
+            rate = srn.RateExpr(value, f"p{src}" if by_place else None)
+            net.add_timed(f"t{k}", rate, [f"p{src}"], [f"p{dst}"], guard=guard)
+    return net

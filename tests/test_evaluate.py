@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import BASELINE, COMPARISON_LABELS
-from patchdesign import evaluate
+from patchdesign import evaluate, harm
 from patchdesign.model import Bounds
 
 REGION1 = Bounds(asp_upper=0.2, coa_lower=0.9962)
@@ -125,6 +125,23 @@ def test_sweep_coa_ordering(model):
     assert (coa["1dns-1web-2app-1db"] > coa["1dns-1web-1app-2db"]
             > coa["2dns-1web-1app-1db"] > coa["1dns-2web-1app-1db"]
             > coa[BASELINE])
+
+
+def test_sweep_prunes_each_tree_once(model, rates, monkeypatch):
+    # the pruned trees depend on the templates and the policy only, so a
+    # sweep prunes each tier's tree once, not once per design
+    pruned = []
+    original = harm.apply_patch_policy
+
+    def counting(template, policy):
+        pruned.append(template.tier)
+        return original(template, policy)
+
+    monkeypatch.setattr(harm, "apply_patch_policy", counting)
+    result = evaluate.sweep(model, patched=True)
+    assert sorted(pruned) == sorted(model.templates)
+    for e in result.evaluations:
+        assert e == evaluate.evaluate_design(model, model.designs[e.label], True, rates)
 
 
 def test_scatter_csv_layout(model, rates):

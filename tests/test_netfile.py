@@ -68,6 +68,20 @@ timed back rate=1.0 in=b:2 out=a:2
     assert len(graph.tangible) == 2
 
 
+def test_repeated_arc_place_sums_multiplicities():
+    # in=a,a takes two tokens from a, as in=a:2 does; with one token in a
+    # the transition stays disabled rather than reaching a negative marking
+    for arcs in ("a,a", "a:2", "a:1,a"):
+        doc = netfile.parse_net(f"""
+place a 1
+place b 0
+timed t rate=1.0 in={arcs} out=b
+timed back rate=1.0 in=b out=a
+""")
+        graph = srn.reachability(doc.net)
+        assert [str(m) for m in graph.tangible] == ["{a:1}"]
+
+
 @pytest.mark.parametrize("line,fragment", [
     ("place", "usage"),
     ("place a 1\nplace a 2", "duplicate"),
@@ -76,6 +90,9 @@ timed back rate=1.0 in=b:2 out=a:2
     ("place a 1\ntimed t in=a out=a", "needs rate"),
     ('place a 1\nreward r "#a == 1" 1.0', "usage"),
     ('place a 1\ntimed t rate=1.0 guard="#a ==" in=a out=a', "offset"),
+    ("place a 1\nplace b 0\nimmediate x wieght=5 in=a out=b", "line 3: unknown key 'wieght'"),
+    ("place a 1\ntimed v rate=3 priority=4 in=a out=a", "line 2: unknown key 'priority'"),
+    ("place a 1\ntimed t rate=1 rate=2 in=a out=a", "line 2: duplicate key 'rate'"),
 ])
 def test_errors_carry_line_numbers(line, fragment):
     with pytest.raises(netfile.NetFileError, match=fragment):

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_simulate_reward
+from conftest import build_small_net, reference_simulate_reward, small_nets
 from patchdesign import availability as av
 from patchdesign import simulate, srn
-from patchdesign.guards import parse_guard
 from patchdesign.model import PatchPolicy
 
 
@@ -149,48 +148,6 @@ def test_step_table_computes_branches_once_per_marking(model):
     assert sorted(rewarded) == sorted(set(calls) & tangible)
 
 
-_OPS = ("==", "!=", "<", "<=", ">", ">=")
-
-
-@st.composite
-def small_nets(draw):
-    """(initial tokens, transitions) of a conservative net with 2-4
-    places and at most 3 tokens.  A transition is (immediate, source,
-    target, rate or weight, marking-dependent, priority, guard).
-    Immediates only move tokens to a later place, so every run of
-    immediates ends in a tangible marking."""
-    n = draw(st.integers(2, 4))
-    tokens = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)
-                  .filter(lambda c: 1 <= sum(c) <= 3))
-    guards = st.none() | st.tuples(st.integers(0, n - 1), st.sampled_from(_OPS),
-                                   st.integers(0, 2))
-    transitions = []
-    for _ in range(draw(st.integers(1, 6))):
-        immediate = draw(st.booleans())
-        src = draw(st.integers(0, n - 2 if immediate else n - 1))
-        dst = draw(st.integers(src + 1, n - 1) if immediate else st.integers(0, n - 1))
-        transitions.append((immediate, src, dst, draw(st.floats(0.1, 5.0)),
-                            draw(st.booleans()), draw(st.integers(0, 2)),
-                            draw(guards)))
-    return tuple(tokens), tuple(transitions)
-
-
-def _build(spec):
-    tokens, transitions = spec
-    net = srn.Net()
-    for i, count in enumerate(tokens):
-        net.add_place(f"p{i}", count)
-    for k, (immediate, src, dst, value, by_place, priority, guard) in enumerate(transitions):
-        guard = parse_guard(f"#p{guard[0]} {guard[1]} {guard[2]}") if guard else srn.TRUE
-        if immediate:
-            net.add_immediate(f"t{k}", [f"p{src}"], [f"p{dst}"], guard=guard,
-                              weight=value, priority=priority)
-        else:
-            rate = srn.RateExpr(value, f"p{src}" if by_place else None)
-            net.add_timed(f"t{k}", rate, [f"p{src}"], [f"p{dst}"], guard=guard)
-    return net
-
-
 @settings(max_examples=150, deadline=None)
 @given(spec=small_nets(), hours=st.floats(1.0, 60.0), seed=st.integers(0, 2**32 - 1),
        batches=st.integers(2, 50))
@@ -207,7 +164,7 @@ def test_step_table_matches_per_event_reference(spec, hours, seed, batches):
     def reward(m):
         return m.counts[0] + 0.5 * m.counts[-1]
 
-    est = simulate.simulate_reward(_build(spec), reward, hours=hours, seed=seed,
+    est = simulate.simulate_reward(build_small_net(spec), reward, hours=hours, seed=seed,
                                    batches=batches)
     assert (est.value, est.stderr) == reference_simulate_reward(
-        _build(spec), reward, hours=hours, seed=seed, batches=batches)
+        build_small_net(spec), reward, hours=hours, seed=seed, batches=batches)

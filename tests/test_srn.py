@@ -3,7 +3,9 @@ from itertools import product
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import example, given, settings
 
+from conftest import build_small_net, small_nets
 from patchdesign import availability, srn
 from patchdesign.guards import parse_guard
 
@@ -110,6 +112,55 @@ def test_timeless_trap():
     graph = srn.reachability(net)
     with pytest.raises(srn.TimelessTrap):
         srn.eliminate_vanishing(graph)
+
+
+def test_timeless_trap_names_only_trapped_markings():
+    # from tick, "a" enters a two-marking trap and "c" escapes through d
+    net = srn.Net()
+    for place, tokens in [("tick", 1), ("a", 0), ("b", 0), ("c", 0), ("d", 0)]:
+        net.add_place(place, tokens)
+    net.add_timed("go_a", 1.0, ["tick"], ["a"])
+    net.add_timed("go_c", 1.0, ["tick"], ["c"])
+    net.add_immediate("ab", ["a"], ["b"])
+    net.add_immediate("ba", ["b"], ["a"])
+    net.add_immediate("cd", ["c"], ["d"])
+    net.add_timed("back", 1.0, ["d"], ["tick"])
+    graph = srn.reachability(net)
+    assert len(graph.vanishing) == 3
+    with pytest.raises(srn.TimelessTrap) as trap:
+        srn.eliminate_vanishing(graph)
+    assert sorted(map(str, trap.value.markings)) == ["{a:1}", "{b:1}"]
+
+
+def test_repeated_input_place_sums_multiplicities():
+    # ['a', 'a'] needs two tokens in a, like {'a': 2}; with one token the
+    # transition is disabled instead of driving a to -1
+    for inputs in (["a", "a"], {"a": 2}, [("a", 1), ("a", 1)], [("a", 2)]):
+        net = srn.Net()
+        net.add_place("a", 1)
+        net.add_place("b", 0)
+        net.add_timed("t", 1.0, inputs, ["b"])
+        assert net.transitions[0].inputs == (("a", 2),)
+        graph = srn.reachability(net)
+        assert [str(m) for m in graph.tangible] == ["{a:1}"]
+
+
+def test_repeated_output_place_sums_multiplicities():
+    net = srn.Net()
+    net.add_place("a", 2)
+    net.add_place("b", 0)
+    net.add_timed("t", 1.0, ["a", "a"], ["b", ("b", 2)])
+    net.add_timed("back", 1.0, {"b": 3}, [("a", 2)])
+    graph = srn.reachability(net)
+    assert sorted(str(m) for m in graph.tangible) == ["{a:2}", "{b:3}"]
+    assert all(min(m.counts) >= 0 for m in graph.tangible)
+
+
+def test_nonpositive_repeated_arc_rejected():
+    net = srn.Net()
+    net.add_place("a", 1)
+    with pytest.raises(ValueError, match="nonpositive arc multiplicity"):
+        net.add_timed("t", 1.0, [("a", 2), ("a", 0)], [])
 
 
 def test_vanishing_marking_absent_from_tangible_set():
@@ -333,3 +384,32 @@ def test_residual_is_relative_to_generator_scale():
     p_free = 7.3 / (3.1 + 7.3)
     all_free = sol.probability(lambda m: m["free"] == 4)
     assert all_free == pytest.approx(p_free ** 4, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=small_nets())
+# p3 -> p0 enters a vanishing marking that branches to p1 (vanishing, then
+# p2) or straight back to p3; p2 has a timed self-loop
+@example(spec=((0, 0, 0, 1), ((False, 3, 0, 1.0, False, 0, None),
+                              (True, 0, 1, 1.0, False, 0, None),
+                              (True, 0, 3, 1.0, False, 0, None),
+                              (True, 1, 2, 1.0, False, 0, None),
+                              (False, 2, 2, 0.5, False, 0, None),
+                              (False, 2, 3, 1.0, False, 0, None))))
+def test_assembly_matches_dense_reference(spec):
+    # small nets with immediates, priorities, guards, timed self-loops and
+    # duplicate edges
+    graph = srn.reachability(build_small_net(spec))
+    q = srn.eliminate_vanishing(graph)
+    ref = _dense_generator(graph)
+    assert np.max(np.abs(q.toarray() - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert q.nnz == np.count_nonzero(q.toarray())
+    try:
+        sol = srn.steady_state(q)
+    except srn.ReducibleChain:
+        return
+    n = len(graph.tangible)
+    # pi Q = 0 and sum(pi) = 1, stacked and solved densely
+    system = np.vstack([ref.T, np.ones(n)])
+    pi = np.linalg.lstsq(system, np.append(np.zeros(n), 1.0), rcond=None)[0]
+    assert np.max(np.abs(sol.pi - pi)) <= 1e-10

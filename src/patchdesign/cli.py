@@ -217,9 +217,6 @@ _COMMANDS = {
 
 def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
     parser = build_parser()
-    if not argv and argv is not None or argv is None and len(sys.argv) == 1:
-        parser.print_usage(err)
-        return EXIT_VALIDATION
     try:
         # argparse writes --help and --version to sys.stdout and usage
         # errors to sys.stderr; send them to out and err

@@ -9,17 +9,17 @@ tier, shared by its replicas.  A tier whose tree is empty cannot be
 compromised and blocks traversal entirely.
 
 Because replicas are interchangeable, an attack path's impact and
-probability depend only on its sequence of tiers.  ``network_metrics``
-therefore counts paths over tier walks, each weighted by the number of
-instance paths it stands for; ``enumerate_attack_paths`` expands the
-replicas and lists the instance paths themselves, for inspection and as
-the reference the counting is tested against.
+probability depend only on how often it visits each tier.
+``network_metrics`` therefore counts instance paths per visit vector
+and never lists them; ``enumerate_attack_paths`` expands the replicas
+and lists the instance paths themselves, for inspection and as the
+reference the counting is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+import sys
 from dataclasses import dataclass
 
 from .model import (AttackTreeNode, DesignSpec, PatchPolicy,
@@ -133,19 +133,13 @@ def tree_probability(node: AttackTreeNode | None) -> float | None:
     if node.kind == "leaf":
         return node.vulnerability.attack_success_prob
     child_values = [tree_probability(c) for c in node.children]
-    if node.kind == "and":
-        prob = 1.0
-        for v in child_values:
-            prob *= v
-        return prob
-    return max(child_values)
+    return math.prod(child_values) if node.kind == "and" else max(child_values)
 
 
 def path_metrics(harm: Harm, path: tuple) -> tuple[float, float]:
     """(impact, probability) of one attack path: impacts add along the
     path, probabilities multiply."""
-    impact = 0.0
-    prob = 1.0
+    impact, prob = 0.0, 1.0
     for inst in path:
         tree = harm.trees[inst.tier]
         impact += tree_impact(tree)
@@ -153,25 +147,30 @@ def path_metrics(harm: Harm, path: tuple) -> tuple[float, float]:
     return impact, prob
 
 
+def _log_miss(count: int, prob: float) -> float:
+    """count * log1p(-prob), through log(count) past float range."""
+    if prob >= 1.0:
+        return -math.inf
+    if count <= sys.float_info.max:
+        return count * math.log1p(-prob)
+    if prob == 0.0:
+        return 0.0
+    scale = math.log(count) + math.log(-math.log1p(-prob))
+    return -math.exp(scale) if scale < math.log(sys.float_info.max) else -math.inf
+
+
 def network_metrics(harm: Harm) -> SecurityMetrics:
     """Aggregate the five security metrics over all attack paths.
 
-    Paths are counted over tier walks: each tree is evaluated once per
-    tier, and one depth-first walk over exploitable tiers runs from each
-    entry tier to the target tier, using each tier at most as often as it
-    has replicas.  A walk that visits tier t for the k-th time can place
-    n_t - k + 1 unused replicas there, so the product of those factors is
-    the number of instance paths the walk stands for; the walk covers
-    cyclic tier graphs and tier self-loops alike.  All of those paths
-    share the walk's impact and probability.
-
-    ASP combines path successes as a noisy-OR (paths assumed
-    independent), summed in log space as log(1 - ASP) = sum of
-    log1p(-p) over paths, so a path whose p is too small to change
-    1.0 - p in floating point still counts.  NoEV counts vulnerability
-    instances over exploitable server instances, each replica
-    contributing its own copies; NoEP counts the replicas of the
-    exploitable entry tiers.
+    Paths are counted by visit vector.  A state is (current tier, unused
+    replicas per tier as digits of one int); it holds the number of
+    instance paths that reach it, with their impact and probability.  A
+    step into tier t multiplies that number by t's unused replicas, and
+    walks that reach the same state merge, cycles and self-loops alike.
+    ASP is the noisy-OR of the paths (assumed independent), summed as
+    log(1 - ASP) = sum of log1p(-p) so that a p too small to change
+    1.0 - p still counts.  NoEV counts vulnerabilities per exploitable
+    replica; NoEP counts the replicas of exploitable entry tiers.
     """
     reach, replicas = harm.reachability, harm.counts
     value = {t: (tree_impact(tree), tree_probability(tree))
@@ -181,31 +180,31 @@ def network_metrics(harm: Harm) -> SecurityMetrics:
         if a in value and b in value:
             succ.setdefault(a, []).append(b)
     entries = sorted(t for t in reach.entry_tiers if t in value)
-    target = reach.target_tier
-    used = Counter()
+    radix = max(replicas.values()) + 1
+    digit = {t: radix ** i for i, t in enumerate(value)}
+    full = sum(replicas[t] * digit[t] for t in value)
+    level = {(t, full - digit[t]): [replicas[t], *value[t]] for t in entries}
     noap, aim, log_miss = 0, 0.0, 0.0
-
-    def walk(tier, mult, impact, prob):
-        nonlocal noap, aim, log_miss
-        if tier == target:
-            noap += mult
-            aim = max(aim, impact)
-            log_miss += mult * math.log1p(-prob) if prob < 1.0 else -math.inf
-            return
-        for nxt in succ.get(tier, ()):
-            free = replicas[nxt] - used[nxt]
-            if free:
-                used[nxt] += 1
-                nxt_impact, nxt_prob = value[nxt]
-                walk(nxt, mult * free, impact + nxt_impact, prob * nxt_prob)
-                used[nxt] -= 1
-
-    for tier in entries:
-        used[tier] += 1
-        walk(tier, replicas[tier], *value[tier])
-        used[tier] -= 1
+    while level:
+        following = {}
+        for (tier, unused), (count, impact, prob) in level.items():
+            if tier == reach.target_tier:
+                noap += count
+                aim = max(aim, impact)
+                log_miss += _log_miss(count, prob)
+                continue
+            for nxt in succ.get(tier, ()):
+                free = unused // digit[nxt] % radix
+                if free:
+                    key = (nxt, unused - digit[nxt])
+                    if key in following:
+                        following[key][0] += count * free
+                    else:
+                        nxt_impact, nxt_prob = value[nxt]
+                        following[key] = [count * free, impact + nxt_impact, prob * nxt_prob]
+        level = following
 
     noev = sum(replicas[t] * len({v.id for v in harm.trees[t].leaves()})
                for t in value)
-    return SecurityMetrics(aim=aim, asp=-math.expm1(log_miss) if noap else 0.0,
+    return SecurityMetrics(aim=aim, asp=-math.expm1(log_miss) if log_miss else 0.0,
                            noev=noev, noap=noap, noep=sum(replicas[t] for t in entries))

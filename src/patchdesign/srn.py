@@ -28,6 +28,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 DEFAULT_STATE_CAP = 1_000_000
+RESIDUAL_TOLERANCE = 1e-10  # steady_state's bound on its relative residual
 
 
 class SrnError(Exception):
@@ -231,8 +232,7 @@ class ReachabilityGraph:
     initial: tuple = ("T", 0)
 
 
-def reachability(net: Net, m0: Marking | None = None,
-                 state_cap: int = DEFAULT_STATE_CAP) -> ReachabilityGraph:
+def reachability(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> ReachabilityGraph:
     """Explore the reachable markings of a net breadth-first.
 
     ``Net.branches`` classifies each new marking once and yields its
@@ -241,9 +241,6 @@ def reachability(net: Net, m0: Marking | None = None,
     StateCapExceeded after ``state_cap`` markings, which is what ends
     it on an unbounded net.
     """
-    if m0 is None:
-        m0 = net.initial_marking()
-
     seen: dict[tuple, tuple] = {}  # counts -> ('T'|'V', index)
     markings = {"T": [], "V": []}
     edges = {"T": [], "V": []}
@@ -263,7 +260,7 @@ def reachability(net: Net, m0: Marking | None = None,
         queue.append((ref, m, step))
         return ref
 
-    initial_ref = register(m0)
+    initial_ref = register(net.initial_marking())
     while queue:
         (kind, idx), m, step = queue.popleft()
         total = sum(w for _, w in step) if kind == "V" else 1.0
@@ -379,8 +376,7 @@ class SteadyStateSolution:
         return float(sum(p for m, p in zip(self.states, self.pi) if predicate(m)))
 
 
-def steady_state(q: sp.spmatrix, states=None,
-                 tolerance: float = 1e-10) -> SteadyStateSolution:
+def steady_state(q: sp.spmatrix, states=None) -> SteadyStateSolution:
     """Solve pi Q = 0, sum(pi) = 1 by direct sparse elimination.
 
     Requires a single closed communicating class covering all states
@@ -399,8 +395,8 @@ def steady_state(q: sp.spmatrix, states=None,
 
     The reported residual is max|pi Q| / ||Q||_inf, so the tolerance
     does not depend on the scale of the rates.  SrnError is raised when
-    the solution is not finite, has a residual above ``tolerance`` or
-    has an entry below ``-tolerance``.
+    the solution is not finite, has a residual above ``RESIDUAL_TOLERANCE``
+    or has an entry below ``-RESIDUAL_TOLERANCE``.
     """
     import numpy as np
     import scipy.sparse as sp
@@ -438,7 +434,7 @@ def steady_state(q: sp.spmatrix, states=None,
     if not (np.all(np.isfinite(pi)) and np.isfinite(residual)):
         raise SrnError(f"steady-state solve failed at {n} tangible states: "
                        "non-finite solution")
-    if residual > tolerance or np.any(pi < -tolerance):
+    if residual > RESIDUAL_TOLERANCE or np.any(pi < -RESIDUAL_TOLERANCE):
         raise SrnError(f"steady-state solve failed at {n} tangible states: "
                        f"relative residual {residual:g}")
     pi = np.clip(pi, 0.0, None)

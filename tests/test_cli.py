@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -305,3 +306,18 @@ def test_security_loads_neither_numpy_nor_scipy():
     )
     proc = _python("-c", script)
     assert proc.stdout.split("\n")[0] == "0 []", proc.stderr
+
+
+def test_security_path_count_beyond_float_range(tmp_path):
+    # a web self-loop with 171 replicas: 171! paths pass through every web
+    # replica, more than a float can hold
+    doc = json.loads(Path(MODEL).read_text())
+    doc["reachability"]["edges"].append(["web", "web"])
+    doc["designs"] = {"loop": {"dns": 1, "web": 171, "app": 1, "db": 1}}
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("security", "--model", str(path), "--patched", "--format", "csv")
+    assert (code, err) == (0, "")
+    fields = dict(zip(*(line.split(",") for line in out.strip().splitlines())))
+    assert fields["asp"] == "1"
+    assert int(fields["noap"]) == sum(math.perm(171, k) for k in range(1, 172))

@@ -1,3 +1,5 @@
+import math
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -254,7 +256,7 @@ def test_path_enumeration_matches_brute_force(model, label, patched):
     assert list(enumerate_attack_paths(h)) == _brute_force_paths(h)
 
 
-# -- tier-walk counting against the instance paths ---------------------------
+# -- visit-vector counting against the instance paths ------------------------
 
 # a leaf is (impact, probability, vulnerability id); a tree is a tuple of
 # OR branches, each an AND of its leaves; None is an unexploitable tier
@@ -346,3 +348,62 @@ def test_ten_replicas_per_tier(model):
         assert (got.noev, got.noap, got.noep) == (ref.noev, ref.noap, ref.noep)
         assert got.aim == pytest.approx(ref.aim, abs=1e-12)
         assert got.asp == pytest.approx(ref.asp, abs=1e-12)
+
+
+# -- long cycles and path counts beyond float range ---------------------------
+
+
+@pytest.mark.parametrize("patched,entry_tiers", [(False, 2), (True, 1)])
+def test_tier_self_loop_with_1200_replicas(model, patched, entry_tiers):
+    # paths from dns (unpatched only) and from web pass through any k of the
+    # 1 200 web replicas in any order before app and db
+    reach = model.reachability
+    loop = ReachabilityTemplate(reach.tiers, reach.edges | {("web", "web")},
+                                reach.entry_tiers, reach.target_tier)
+    design = DesignSpec("web1200", (("dns", 1), ("web", 1200), ("app", 1), ("db", 1)))
+    m = network_metrics(build_harm(design, model.templates, loop, patched, model.policy))
+    assert m.noap == entry_tiers * sum(math.perm(1200, k) for k in range(1, 1201))
+    assert m.asp == 1.0
+
+
+# the bench's cyclic six-tier graph: entries t0 and t1, target t5
+_CYCLIC = frozenset({("t0", "t1"), ("t0", "t2"), ("t1", "t2"), ("t1", "t3"), ("t2", "t1"),
+                     ("t2", "t3"), ("t3", "t1"), ("t3", "t4"), ("t4", "t2"), ("t4", "t5")})
+
+
+# Reference ASP: the visit vectors reaching t5 with their exact integer
+# path counts, and -expm1 of the count-weighted sum of log1p(-p) over them,
+# in 60-digit mpmath arithmetic from the float leaf probabilities.
+@pytest.mark.parametrize("n,noap,asp", [
+    (6, 154_907_219_022_375_456, 0.05069551516806768786734431),
+    (8, 52_280_297_444_236_694_465_191_936, 0.2331294930427828493574356),
+])
+def test_cyclic_six_tiers(n, noap, asp):
+    tiers = tuple(f"t{i}" for i in range(6))
+    reach = ReachabilityTemplate(tiers, _CYCLIC, frozenset({"t0", "t1"}), "t5")
+    probs = (0.05, 0.06, 0.04, 0.07, 0.05, 0.08)
+    templates = {t: _template(t, or_node(leaf(_vuln(1.0, p)))) for t, p in zip(tiers, probs)}
+    design = DesignSpec(f"n{n}", tuple((t, n) for t in tiers))
+    m = network_metrics(build_harm(design, templates, reach, patched=False))
+    assert m.noap == noap
+    assert m.asp == pytest.approx(asp, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("replicas", [2, 171])
+@pytest.mark.parametrize("prob", [0.0, 1e-310, 0.5])
+def test_path_counts_beyond_float_range(replicas, prob):
+    # a -> a* -> b, every path of probability ``prob``; with 171 replicas of
+    # a, the two longest levels each hold 171! > 1.8e308 paths
+    reach = ReachabilityTemplate(("a", "b"), frozenset({("a", "a"), ("a", "b")}),
+                                 frozenset({"a"}), "b")
+    templates = {"a": _template("a", or_node(leaf(_vuln(1.0, 1.0)))),
+                 "b": _template("b", or_node(leaf(_vuln(1.0, prob))))}
+    design = DesignSpec("loop", (("a", replicas), ("b", 1)))
+    m = network_metrics(build_harm(design, templates, reach, patched=False))
+    noap = sum(math.perm(replicas, k) for k in range(1, replicas + 1))
+    assert m.noap == noap
+    # noisy-OR of equal paths: 1 - exp(noap * log1p(-p)), the product
+    # taken exactly; exp(-1000) is 0.0
+    expected = -math.expm1(-float(min(noap * Fraction(-math.log1p(-prob)), 1000)))
+    assert m.asp == pytest.approx(expected, rel=1e-12, abs=0)
+    assert math.copysign(1.0, m.asp) == 1.0  # never -0.0

@@ -9,6 +9,15 @@ aggregation collapses all of that into a two-state (up / down-by-patch)
 abstraction per server.  COA is the reward of the network SRN, one token
 pool per tier.  The pools share nothing, so ``compute_coa`` evaluates it
 in product form; the flat net is kept as the test oracle.
+
+Server nets differ only in their rate constants, apart from the failure
+arcs that an infinite MTTF leaves out.  ``aggregate_rates`` therefore
+keeps one explored reachability graph per set of left-out failure arcs,
+at most 2^3 = 8 for the life of the process, and re-rates it with each
+new net's constants (``srn.rerate``).  This is sound because the places,
+arcs, guards, priorities and rate places are otherwise fixed, and
+exploration depends on constants only through their being positive,
+which ``srn.Net`` enforces.
 """
 
 from __future__ import annotations
@@ -112,8 +121,23 @@ def build_server_srn(template: ServerTemplate, policy: PatchPolicy) -> srn.Net:
     return net
 
 
-# places meaning "service is down because of the patch cycle"
-_PATCH_DOWN_PLACES = ("P_svcrtp", "P_svcp", "P_svcrrb")
+# failure arcs that build_server_srn leaves out at an infinite MTTF
+_FAILURE_ARCS = frozenset({"T_hwd", "T_osfd", "T_svcfd"})
+
+
+def _patch_down(m) -> bool:
+    """The service is down because of the patch cycle."""
+    return m["P_svcrtp"] == 1 or m["P_svcp"] == 1 or m["P_svcrrb"] == 1
+
+
+def _reboot_ready(m) -> bool:
+    """The final service reboot is enabled."""
+    return m["P_svcrrb"] == 1 and m["P_hwup"] == 1 and m["P_osup"] == 1
+
+
+# failure arcs left out -> (explored graph, indices of the tangible
+# markings where _patch_down and _reboot_ready hold)
+_EXPLORED: dict = {}
 
 
 @dataclass(frozen=True)
@@ -141,14 +165,26 @@ def aggregate_rates(template: ServerTemplate, policy: PatchPolicy) -> Aggregated
     service reboot rate scaled by the odds of being in the final reboot
     stage (reboot transition enabled) versus anywhere in the patch
     pipeline.
+
+    Every call builds the net, so the template is validated, and solves
+    it afresh; only the exploration is shared between nets of the same
+    variant, with the tangible markings each probability sums over.
     """
     net = build_server_srn(template, policy)
-    solution = srn.solve(net)
-
-    p_patch_down = solution.probability(
-        lambda m: any(m[p] == 1 for p in _PATCH_DOWN_PLACES))
-    p_reboot_ready = solution.probability(
-        lambda m: m["P_svcrrb"] == 1 and m["P_hwup"] == 1 and m["P_osup"] == 1)
+    variant = _FAILURE_ARCS.difference(t.name for t in net.transitions)
+    explored = _EXPLORED.get(variant)
+    if explored is None:
+        graph = srn.reachability(net)
+        explored = _EXPLORED[variant] = (
+            graph, [i for i, m in enumerate(graph.tangible) if _patch_down(m)],
+            [i for i, m in enumerate(graph.tangible) if _reboot_ready(m)])
+    else:
+        graph = srn.rerate(explored[0], net)
+    _, patch_down, reboot_ready = explored
+    pi = srn.steady_state(srn.eliminate_vanishing(graph), graph.tangible).pi
+    # summed in marking order, as SteadyStateSolution.probability sums
+    p_patch_down = sum(pi[patch_down].tolist())
+    p_reboot_ready = sum(pi[reboot_ready].tolist())
     beta_svc = template.rate_per_hour("svc_reboot_after_patch")
     return AggregatedRates(
         lambda_eq=1.0 / policy.interval_mean,

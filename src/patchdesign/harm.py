@@ -39,14 +39,33 @@ class Instance:
         return self.id
 
 
+class TierTrees(dict):
+    """tier -> attack tree, None for a tier that cannot be compromised.
+
+    Each tree is evaluated once, here: ``scores`` maps every exploitable
+    tier to its tree's impact, probability and number of distinct
+    vulnerabilities, which ``network_metrics`` reads for every design.
+    """
+
+    def __init__(self, trees: dict):
+        super().__init__(trees)
+        self.scores = {t: (tree_impact(tree), tree_probability(tree),
+                           len({v.id for v in tree.leaves()}))
+                       for t, tree in self.items() if tree is not None}
+
+
 @dataclass(frozen=True)
 class Harm:
     """The tier graph with its replica counts (upper layer) and one
     attack tree per tier (lower layer)."""
 
     counts: dict  # tier -> replicas
-    trees: dict  # tier -> AttackTreeNode | None
+    trees: TierTrees  # a plain dict is evaluated into one
     reachability: ReachabilityTemplate
+
+    def __post_init__(self):
+        if not isinstance(self.trees, TierTrees):
+            object.__setattr__(self, "trees", TierTrees(self.trees))
 
 
 @dataclass(frozen=True)
@@ -59,14 +78,15 @@ class SecurityMetrics:
 
 
 def tier_trees(templates: dict, reachability: ReachabilityTemplate, patched: bool,
-               policy: PatchPolicy | None = None) -> dict:
+               policy: PatchPolicy | None = None) -> TierTrees:
     """Each tier's attack tree, with the policy's patched leaves pruned
     if ``patched``.  The trees do not depend on the design, so a sweep
-    computes them once and passes them to every ``build_harm``."""
+    prunes and evaluates them once and passes them to every
+    ``build_harm``."""
     if patched:
         policy = policy or PatchPolicy()
         templates = {t: apply_patch_policy(tpl, policy) for t, tpl in templates.items()}
-    return {t: templates[t].attack_tree for t in reachability.tiers}
+    return TierTrees({t: templates[t].attack_tree for t in reachability.tiers})
 
 
 def build_harm(design: DesignSpec, templates: dict,
@@ -170,11 +190,12 @@ def network_metrics(harm: Harm) -> SecurityMetrics:
     ASP is the noisy-OR of the paths (assumed independent), summed as
     log(1 - ASP) = sum of log1p(-p) so that a p too small to change
     1.0 - p still counts.  NoEV counts vulnerabilities per exploitable
-    replica; NoEP counts the replicas of exploitable entry tiers.
+    replica; NoEP counts the replicas of exploitable entry tiers.  The
+    per-tier values are ``harm.trees.scores``, evaluated once per
+    ``tier_trees`` result rather than once per design.
     """
     reach, replicas = harm.reachability, harm.counts
-    value = {t: (tree_impact(tree), tree_probability(tree))
-             for t, tree in harm.trees.items() if tree is not None and replicas[t]}
+    value = {t: score for t, score in harm.trees.scores.items() if replicas[t]}
     succ = {}
     for a, b in sorted(reach.edges):
         if a in value and b in value:
@@ -183,7 +204,7 @@ def network_metrics(harm: Harm) -> SecurityMetrics:
     radix = max(replicas.values()) + 1
     digit = {t: radix ** i for i, t in enumerate(value)}
     full = sum(replicas[t] * digit[t] for t in value)
-    level = {(t, full - digit[t]): [replicas[t], *value[t]] for t in entries}
+    level = {(t, full - digit[t]): [replicas[t], *value[t][:2]] for t in entries}
     noap, aim, log_miss = 0, 0.0, 0.0
     while level:
         following = {}
@@ -200,11 +221,10 @@ def network_metrics(harm: Harm) -> SecurityMetrics:
                     if key in following:
                         following[key][0] += count * free
                     else:
-                        nxt_impact, nxt_prob = value[nxt]
+                        nxt_impact, nxt_prob, _ = value[nxt]
                         following[key] = [count * free, impact + nxt_impact, prob * nxt_prob]
         level = following
 
-    noev = sum(replicas[t] * len({v.id for v in harm.trees[t].leaves()})
-               for t in value)
+    noev = sum(replicas[t] * distinct for t, (_, _, distinct) in value.items())
     return SecurityMetrics(aim=aim, asp=-math.expm1(log_miss) if log_miss else 0.0,
                            noev=noev, noap=noap, noep=sum(replicas[t] for t in entries))

@@ -11,15 +11,25 @@ vanishing or tangible and which transitions may fire from it, with what
 weight or rate.  Both the explorer here and the discrete-event simulator
 (``simulate.simulate_reward``) take their steps from it.
 
-numpy and scipy are imported inside the functions that assemble and
-solve the CTMC, so building and exploring a net loads neither.
+Exploration is structural; values come from the net's constants.  The
+reachability graph keeps each edge as indices (source, target, firing
+transition) and a rate factor, and ``rerate`` turns a net's rate
+constants and weights into edge rates and probabilities.  Exploration
+sees the constants only through their being positive, so one graph
+serves every net that differs from its own only in them.  The sparsity
+patterns that vanishing elimination fills (``Assembly``) are structural
+too, derived once per exploration.
+
+numpy and scipy are imported inside the functions that explore, assemble
+and solve, so building a net loads neither.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, NamedTuple
 
 from .guards import TRUE, check_places
 
@@ -145,17 +155,20 @@ class Net:
     def add_timed(self, name, rate, inputs, outputs, guard=TRUE):
         if not isinstance(rate, RateExpr):
             rate = RateExpr(float(rate))
-        if rate.constant <= 0:
-            raise ValueError(f"transition {name!r}: rate constant must be positive")
+        if not 0 < rate.constant < math.inf:
+            raise ValueError(f"transition {name!r}: rate constant must be positive "
+                             f"and finite, got {rate.constant!r}")
         t = Transition(name, _arcs(name, inputs), _arcs(name, outputs), guard, rate=rate)
         self._check_transition(t)
         self.transitions.append(t)
 
     def add_immediate(self, name, inputs, outputs, guard=TRUE, weight=1.0, priority=0):
-        if weight <= 0:
-            raise ValueError(f"transition {name!r}: weight must be positive")
+        weight = float(weight)
+        if not 0 < weight < math.inf:
+            raise ValueError(f"transition {name!r}: weight must be positive "
+                             f"and finite, got {weight!r}")
         t = Transition(name, _arcs(name, inputs), _arcs(name, outputs), guard,
-                       weight=float(weight), priority=int(priority))
+                       weight=weight, priority=int(priority))
         self._check_transition(t)
         self.transitions.append(t)
 
@@ -221,29 +234,107 @@ def _arcs(name, spec) -> tuple:
     return tuple(sorted(total.items()))
 
 
+class Edges(NamedTuple):
+    """The out-edges of one kind of marking as flat arrays, in order of
+    source marking and, within a source, in branch order."""
+
+    source: np.ndarray          # index of the source marking
+    target: np.ndarray          # index of the target among the markings of its kind
+    into_vanishing: np.ndarray  # whether the target is vanishing
+    transition: np.ndarray      # index of the firing transition in Net.transitions
+    factor: np.ndarray          # tokens in the rate place, or 1 for a constant rate or weight
+    value: np.ndarray | None = None  # rate of a timed edge, probability of an immediate one
+
+
+class Pattern(NamedTuple):
+    """A compressed sparse pattern (CSR by rows or CSC by columns) and
+    the data slot of each triplet that fills it."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+
+    @classmethod
+    def of(cls, major, minor, n_major: int, n_minor: int) -> Pattern:
+        """The pattern of triplets at (major, minor): row and column for
+        CSR, column and row for CSC."""
+        import numpy as np
+
+        keys, slot = np.unique(major * n_minor + minor, return_inverse=True)
+        indptr = np.zeros(n_major + 1, dtype=np.intp)
+        np.cumsum(np.bincount(keys // n_minor, minlength=n_major), out=indptr[1:])
+        return cls(indptr, keys % n_minor, slot)
+
+    def fill(self, matrix, values, shape):
+        """``matrix`` (a scipy CSR or CSC class) over this pattern, with
+        duplicate triplets summed in triplet order."""
+        import numpy as np
+
+        data = np.bincount(self.slot, weights=values, minlength=len(self.indices))
+        return matrix((data, self.indices.copy(), self.indptr.copy()), shape=shape)
+
+
+class Assembly(NamedTuple):
+    """Where ``eliminate_vanishing`` puts each edge value.  It depends
+    on the graph's structure only, so every re-rated copy shares it."""
+
+    trapped: list          # vanishing markings with no path to a tangible one
+    sources: np.ndarray    # tangible markings with an edge into a vanishing one
+    targets: np.ndarray    # tangible markings entered from a vanishing one
+    i_minus_p_vv: Pattern  # CSC; the diagonal, then the P_VV edges
+    p_vt_cells: np.ndarray  # flat cell of each P_VT edge in the (nv, targets) block
+    r_tv: Pattern          # CSR over sources; the R_TV edges
+    q: Pattern             # CSR; R_TT edges, the (sources, targets) block, the diagonal
+    q_rows: np.ndarray     # the rows of those triplets before the diagonal
+
+    @classmethod
+    def of(cls, vanishing: list, timed: Edges, immediate: Edges, nt: int) -> Assembly:
+        import numpy as np
+
+        nv = len(vanishing)
+        into_v, v_into_v = timed.into_vanishing, immediate.into_vanishing
+        sources, source_of = np.unique(timed.source[into_v], return_inverse=True)
+        targets, target_of = np.unique(immediate.target[~v_into_v], return_inverse=True)
+        diagonal = np.arange(nv)
+        rows = np.concatenate([timed.source[~into_v], np.repeat(sources, len(targets))])
+        cols = np.concatenate([timed.target[~into_v], np.tile(targets, len(sources))])
+        return cls(
+            trapped=_trapped(vanishing, immediate),
+            sources=sources, targets=targets,
+            i_minus_p_vv=Pattern.of(np.append(diagonal, immediate.target[v_into_v]),
+                                    np.append(diagonal, immediate.source[v_into_v]), nv, nv),
+            p_vt_cells=immediate.source[~v_into_v] * len(targets) + target_of,
+            r_tv=Pattern.of(source_of, timed.target[into_v], len(sources), nv),
+            q=Pattern.of(np.append(rows, np.arange(nt)), np.append(cols, np.arange(nt)),
+                         nt, nt),
+            q_rows=rows)
+
+
 @dataclass
 class ReachabilityGraph:
-    tangible: list
+    tangible: list   # markings
     vanishing: list
-    # tangible i -> [(rate, ('T'|'V', index)), ...]
-    timed_edges: list = field(default_factory=list)
-    # vanishing i -> [(prob, ('T'|'V', index)), ...]
-    immediate_edges: list = field(default_factory=list)
-    initial: tuple = ("T", 0)
+    timed: Edges      # out of tangible markings
+    immediate: Edges  # out of vanishing markings
+    assembly: Assembly = field(repr=False, compare=False)
 
 
 def reachability(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> ReachabilityGraph:
     """Explore the reachable markings of a net breadth-first.
 
     ``Net.branches`` classifies each new marking once and yields its
-    out-edges: the normalised immediate weights of a vanishing marking,
-    the rates of a tangible one.  Exploration stops with
-    StateCapExceeded after ``state_cap`` markings, which is what ends
-    it on an unbounded net.
+    out-edges.  Each edge keeps the index of the transition that fires
+    and its rate factor; ``rerate`` then derives the edge values from
+    the net's constants.  Exploration stops with StateCapExceeded after
+    ``state_cap`` markings, which is what ends it on an unbounded net.
     """
-    seen: dict[tuple, tuple] = {}  # counts -> ('T'|'V', index)
-    markings = {"T": [], "V": []}
-    edges = {"T": [], "V": []}
+    # transition -> (its index, the index of its rate place or None)
+    info = {id(t): (k, net._index[t.rate.place] if t.timed and t.rate.place is not None
+                    else None) for k, t in enumerate(net.transitions)}
+    seen: dict[tuple, tuple] = {}  # counts -> (vanishing, index)
+    markings = {False: [], True: []}
+    # per kind: (source, target, into vanishing, transition, factor) per edge
+    edges = {False: [], True: []}
     queue = deque()
 
     def register(m: Marking):
@@ -253,31 +344,65 @@ def reachability(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> ReachabilityGr
         if len(seen) >= state_cap:
             raise StateCapExceeded(f"more than {state_cap} markings")
         vanishing, step = net.branches(m)
-        kind = "V" if vanishing else "T"
-        ref = seen[key] = (kind, len(markings[kind]))
-        markings[kind].append(m)
-        edges[kind].append(None)
+        ref = seen[key] = (vanishing, len(markings[vanishing]))
+        markings[vanishing].append(m)
         queue.append((ref, m, step))
         return ref
 
-    initial_ref = register(net.initial_marking())
+    register(net.initial_marking())
     while queue:
-        (kind, idx), m, step = queue.popleft()
-        total = sum(w for _, w in step) if kind == "V" else 1.0
-        edges[kind][idx] = [(w / total, register(net.fire(t, m))) for t, w in step]
+        (vanishing, i), m, step = queue.popleft()
+        out = edges[vanishing]
+        for t, _ in step:
+            into_v, j = register(net.fire(t, m))
+            k, place = info[id(t)]
+            out.append((i, j, into_v, k, 1 if place is None else m.counts[place]))
 
-    return ReachabilityGraph(markings["T"], markings["V"], edges["T"],
-                             edges["V"], initial_ref)
+    timed, immediate = _edges(edges[False]), _edges(edges[True])
+    assembly = Assembly.of(markings[True], timed, immediate, len(markings[False]))
+    graph = ReachabilityGraph(markings[False], markings[True], timed, immediate, assembly)
+    return rerate(graph, net)
+
+
+def _edges(edges: list) -> Edges:
+    import numpy as np
+
+    columns = np.array(edges, dtype=np.intp).reshape(len(edges), 5).T.copy()
+    source, target, into_v, transition, factor = columns
+    return Edges(source, target, into_v.astype(bool), transition, factor.astype(float))
+
+
+def rerate(graph: ReachabilityGraph, net: Net) -> ReachabilityGraph:
+    """``graph`` with its edge values taken from ``net``'s constants.
+
+    A timed edge's rate is its transition's rate constant times the
+    edge's factor; an immediate edge's probability is its transition's
+    weight over the sum of the weights out of its source, summed in
+    branch order.  ``graph`` may have been explored from any net with
+    the same places, arcs, guards, priorities and rate places as
+    ``net``: exploration depends on rate constants and weights only
+    through their being positive, which ``Net.add_timed`` and
+    ``Net.add_immediate`` enforce.
+    """
+    import numpy as np
+
+    constants = np.array([t.rate.constant if t.timed else t.weight
+                          for t in net.transitions])
+    timed, immediate = graph.timed, graph.immediate
+    weights = constants[immediate.transition] * immediate.factor
+    totals = np.bincount(immediate.source, weights=weights, minlength=len(graph.vanishing))
+    return replace(graph,
+                   timed=timed._replace(value=constants[timed.transition] * timed.factor),
+                   immediate=immediate._replace(value=weights / totals[immediate.source]))
 
 
 def eliminate_vanishing(graph: ReachabilityGraph) -> sp.csr_matrix:
     """Collapse vanishing markings and return the CTMC generator Q.
 
     Q is a sparse matrix over the tangible markings with zero row sums.
-    Each edge list is read once into flat (row, column, value) arrays and
-    split by target kind: timed rates R_TT and R_TV out of tangible
-    markings, branching probabilities P_VV and P_VT out of vanishing
-    ones.  The off-diagonal part of Q is
+    The edge arrays split by target kind into timed rates R_TT and R_TV
+    out of tangible markings and branching probabilities P_VV and P_VT
+    out of vanishing ones.  The off-diagonal part of Q is
 
         R = R_TT + R_TV B,   B = (I - P_VV)^(-1) P_VT,
 
@@ -285,84 +410,68 @@ def eliminate_vanishing(graph: ReachabilityGraph) -> sp.csr_matrix:
     tangible marking from vanishing marking j.  One sparse LU of I - P_VV
     solves for the columns of P_VT that hold an entry, and the sparse
     R_TV multiplies B only in the rows with an edge into a vanishing
-    marking.  The triplets of R_TT, of R_TV B and of the diagonal (minus
-    each row's sum) go to one CSR constructor, which sums duplicates: two
-    transitions leading to the same marking add up, and a self-loop
-    cancels against its own diagonal entry.
+    marking.  R_TT, the dense (sources, targets) block of R_TV B and the
+    diagonal (minus each row's sum) fill Q's pattern, which sums
+    duplicates in that order: two transitions leading to the same
+    marking add up, and a self-loop cancels against its own diagonal
+    entry.  Entries that come out zero are dropped.  The patterns come
+    from ``graph.assembly``, so only the values are computed here.
 
     Raises TimelessTrap when some vanishing marking cannot reach any
-    tangible marking.
+    tangible marking; ``graph.assembly`` holds those markings, as the
+    test depends on the structure only.
     """
     import numpy as np
     import scipy.sparse as sp
 
+    assembly = graph.assembly
+    if assembly.trapped:
+        raise TimelessTrap(assembly.trapped)
     nt, nv = len(graph.tangible), len(graph.vanishing)
-    if nt == 0:
-        raise TimelessTrap(graph.vanishing)
 
-    rows, cols, vals, into_v = _triplets(graph.timed_edges)
-    parts = [(rows[~into_v], cols[~into_v], vals[~into_v])]
+    timed = graph.timed
+    vals = timed.value[~timed.into_vanishing]
     if nv:
-        _check_timeless_trap(graph)
-        parts.append(_absorbed(rows[into_v], cols[into_v], vals[into_v],
-                               graph.immediate_edges, nv))
-    rows, cols, vals = (np.concatenate(arrays) for arrays in zip(*parts))
-    diagonal = np.arange(nt)
-    q = sp.csr_matrix((np.append(vals, -np.bincount(rows, weights=vals, minlength=nt)),
-                       (np.append(rows, diagonal), np.append(cols, diagonal))),
-                      shape=(nt, nt))
+        vals = np.append(vals, _absorbed(graph))
+    diagonal = -np.bincount(assembly.q_rows, weights=vals, minlength=nt)
+    q = assembly.q.fill(sp.csr_matrix, np.append(vals, diagonal), (nt, nt))
     q.eliminate_zeros()
     return q
 
 
-def _triplets(edge_lists) -> tuple:
-    """(rows, cols, values, into_vanishing) arrays of an edge list."""
-    import numpy as np
-
-    rows = np.repeat(np.arange(len(edge_lists)), [len(edges) for edges in edge_lists])
-    flat = [edge for edges in edge_lists for edge in edges]
-    return (rows, np.array([j for _, (_, j) in flat], dtype=np.intp),
-            np.array([value for value, _ in flat], dtype=float),
-            np.array([kind == "V" for _, (kind, _) in flat], dtype=bool))
-
-
-def _absorbed(rows, cols, vals, immediate_edges, nv) -> tuple:
-    """Triplets of R_TV B, given the R_TV triplets."""
+def _absorbed(graph: ReachabilityGraph):
+    """The (sources, targets) block of R_TV B, flattened by rows."""
     import numpy as np
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
-    v_rows, v_cols, probs, into_v = _triplets(immediate_edges)
-    diagonal = np.arange(nv)
-    lu = splu(sp.csc_matrix((np.append(np.ones(nv), -probs[into_v]),
-                             (np.append(diagonal, v_rows[into_v]),
-                              np.append(diagonal, v_cols[into_v]))), shape=(nv, nv)))
-    targets, target_of = np.unique(v_cols[~into_v], return_inverse=True)
-    p_vt = np.zeros((nv, len(targets)))
-    np.add.at(p_vt, (v_rows[~into_v], target_of), probs[~into_v])
-    sources, source_of = np.unique(rows, return_inverse=True)
-    r_tv = sp.csr_matrix((vals, (source_of, cols)), shape=(len(sources), nv))
-    rb = r_tv @ lu.solve(p_vt)
-    i, k = np.nonzero(rb)
-    return sources[i], targets[k], rb[i, k]
+    assembly, timed, immediate = graph.assembly, graph.timed, graph.immediate
+    nv, into_v = len(graph.vanishing), immediate.into_vanishing
+    lu = splu(assembly.i_minus_p_vv.fill(
+        sp.csc_matrix, np.append(np.ones(nv), -immediate.value[into_v]), (nv, nv)))
+    k = len(assembly.targets)
+    p_vt = np.bincount(assembly.p_vt_cells, weights=immediate.value[~into_v],
+                       minlength=nv * k).reshape(nv, k)
+    r_tv = assembly.r_tv.fill(sp.csr_matrix, timed.value[timed.into_vanishing],
+                              (len(assembly.sources), nv))
+    return (r_tv @ lu.solve(p_vt)).ravel()
 
 
-def _check_timeless_trap(graph: ReachabilityGraph) -> None:
-    # reverse-reachability from tangible markings over the vanishing graph
-    rev = [[] for _ in graph.vanishing]
-    escapes = []
-    for i, edges in enumerate(graph.immediate_edges):
-        for _, (kind, j) in edges:
-            (escapes if kind == "T" else rev[j]).append(i)
+def _trapped(vanishing: list, immediate: Edges) -> list:
+    """The vanishing markings with no path to a tangible one: those that
+    reverse reachability from the edges into tangible markings misses."""
+    into_v = immediate.into_vanishing
+    rev = [[] for _ in vanishing]
+    for i, j in zip(immediate.source[into_v].tolist(), immediate.target[into_v].tolist()):
+        rev[j].append(i)
+    escapes = immediate.source[~into_v].tolist()
     can_escape = set()
     while escapes:
         i = escapes.pop()
         if i not in can_escape:
             can_escape.add(i)
             escapes.extend(rev[i])
-    trapped = [m for i, m in enumerate(graph.vanishing) if i not in can_escape]
-    if trapped:
-        raise TimelessTrap(trapped)
+    return [m for i, m in enumerate(vanishing) if i not in can_escape]
 
 
 @dataclass

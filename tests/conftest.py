@@ -104,14 +104,30 @@ def small_nets(draw):
     places and at most 3 tokens.  A transition is (immediate, source,
     target, rate or weight, marking-dependent, priority, guard).
     Immediates only move tokens to a later place, so every run of
-    immediates ends in a tangible marking."""
-    n = draw(st.integers(2, 4))
+    immediates ends in a tangible marking.
+
+    About half the nets start with a branching chain of immediates:
+    p2 -> p0 and p3 -> p0 are timed, and p0 branches to p2 directly or
+    to p3 through the vanishing p1, with unequal weights.  A token
+    leaving p2 or p3 thus reaches the other place with a probability
+    that runs through P_VV, so a wrong P_VV changes Q.
+    """
+    chain = draw(st.booleans())
+    n = draw(st.integers(4 if chain else 2, 4))
     tokens = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)
                   .filter(lambda c: 1 <= sum(c) <= 3))
     guards = st.none() | st.tuples(st.integers(0, n - 1), st.sampled_from(_OPS),
                                    st.integers(0, 2))
     transitions = []
-    for _ in range(draw(st.integers(1, 6))):
+    if chain:
+        to_p1 = draw(st.floats(0.1, 5.0))
+        to_p2 = to_p1 * draw(st.floats(1.5, 4.0) | st.floats(0.25, 0.67))
+        transitions += [(False, 2, 0, draw(st.floats(0.1, 5.0)), draw(st.booleans()), 0, None),
+                        (False, 3, 0, draw(st.floats(0.1, 5.0)), draw(st.booleans()), 0, None),
+                        (True, 0, 1, to_p1, False, 0, None),
+                        (True, 0, 2, to_p2, False, 0, None),
+                        (True, 1, 3, draw(st.floats(0.1, 5.0)), False, 0, None)]
+    for _ in range(draw(st.integers(0 if chain else 1, 6))):
         immediate = draw(st.booleans())
         src = draw(st.integers(0, n - 2 if immediate else n - 1))
         dst = draw(st.integers(src + 1, n - 1) if immediate else st.integers(0, n - 1))

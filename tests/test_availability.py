@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import BASELINE, COMPARISON_LABELS, flat_srn_coa
 from patchdesign import availability as av
 from patchdesign import srn
-from patchdesign.model import DesignSpec
+from patchdesign.model import DesignSpec, PatchPolicy
 
 SUBMODEL_TOKENS = {
     ("P_hwup", "P_hwd"): 1,
@@ -88,6 +89,65 @@ def test_series_stage_identity_without_failures(model):
                            tpl.svc_reboot_after_patch) / 60.0
         assert agg.mttr == pytest.approx(stage_sum_hours, rel=1e-12)
         assert agg.lambda_eq == pytest.approx(1 / 720)
+
+
+FAILURE_FIELDS = ("hw_mttf", "os_mttf", "svc_mttf")
+
+
+def override_grid(model, infinite=((), FAILURE_FIELDS)):
+    """(template, policy) pairs over every tier with patch-stage means,
+    failure means and the patch interval varied; each entry of
+    ``infinite`` lists the failure means set to infinity."""
+    grid = []
+    for tpl, scale, interval, fields in itertools.product(
+            model.templates.values(), (0.5, 1.0, 3.0), (168.0, 720.0), infinite):
+        varied = dataclasses.replace(
+            tpl, svc_patch_mean=tpl.svc_patch_mean * scale,
+            os_reboot_after_patch=tpl.os_reboot_after_patch / scale,
+            hw_mttf=tpl.hw_mttf * scale, svc_mttf=tpl.svc_mttf / scale)
+        varied = dataclasses.replace(varied, **{field: math.inf for field in fields})
+        grid.append((varied, PatchPolicy(interval_mean=interval)))
+    return grid
+
+
+def fresh_rates(template, policy):
+    """``aggregate_rates`` through one ``srn.solve`` of the server net."""
+    sol = srn.solve(av.build_server_srn(template, policy))
+    p_pd = sol.probability(
+        lambda m: any(m[p] == 1 for p in ("P_svcrtp", "P_svcp", "P_svcrrb")))
+    p_prrb = sol.probability(
+        lambda m: m["P_svcrrb"] == 1 and m["P_hwup"] == 1 and m["P_osup"] == 1)
+    return av.AggregatedRates(
+        lambda_eq=1.0 / policy.interval_mean,
+        mu_eq=template.rate_per_hour("svc_reboot_after_patch") * p_prrb / p_pd)
+
+
+def test_rate_override_grid_explores_each_variant_once(model, monkeypatch):
+    # the grid's nets differ only in their rates, apart from the failure
+    # arcs: one exploration with them and one without
+    monkeypatch.setattr(av, "_EXPLORED", {})
+    explored = []
+    reachability = srn.reachability
+    monkeypatch.setattr(srn, "reachability",
+                        lambda net, **kw: explored.append(net) or reachability(net, **kw))
+    grid = override_grid(model)
+    for template, policy in grid:
+        av.aggregate_rates(template, policy)
+    assert len(grid) == 48
+    assert sorted(len(net.transitions) for net in explored) == [21, 24]
+    assert len(av._EXPLORED) == 2
+
+
+def test_rerated_rates_equal_a_fresh_solve(model, monkeypatch):
+    # every one of the 8 variants, each re-rated for most of its entries:
+    # the same floats, to the last bit, as solving each net from scratch
+    monkeypatch.setattr(av, "_EXPLORED", {})
+    infinite = [fields for k in range(4) for fields in itertools.combinations(FAILURE_FIELDS, k)]
+    for template, policy in override_grid(model, infinite):
+        stored, fresh = av.aggregate_rates(template, policy), fresh_rates(template, policy)
+        assert (stored.lambda_eq.hex(), stored.mu_eq.hex()) == \
+            (fresh.lambda_eq.hex(), fresh.mu_eq.hex())
+    assert len(av._EXPLORED) == 8
 
 
 def test_failure_perturbation_below_one_percent(model, rates):

@@ -255,6 +255,19 @@ def test_solve_srn_syntax_error(tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("statement", ["immediate i weight=nan in=a out=b",
+                                       "immediate i weight=inf in=a out=b",
+                                       "timed t rate=1e999 in=a out=b"])
+def test_solve_srn_non_finite_constant_is_validation_error(tmp_path, statement):
+    # weight=nan used to exit 2 with a leaked MatrixRankWarning, and
+    # weight=inf exit 2 as a reducible chain
+    netpath = tmp_path / "bad.txt"
+    netpath.write_text(f"place a 1\nplace b 0\n{statement}\ntimed back rate=1 in=b out=a\n")
+    code, out, err = run_cli("solve-srn", str(netpath))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 3: ") and "positive and finite" in err
+
+
 def test_solve_srn_guard_bounded_generator(tmp_path):
     # src -> src,buf while #buf < 3, served at rate 2: a 4-state birth-death
     # chain with pi proportional to 1, 1/2, 1/4, 1/8, so L = 11/15

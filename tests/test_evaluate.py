@@ -144,6 +144,32 @@ def test_sweep_prunes_each_tree_once(model, rates, monkeypatch):
         assert e == evaluate.evaluate_design(model, model.designs[e.label], True, rates)
 
 
+@pytest.mark.parametrize("patched", [True, False])
+def test_sweep_evaluates_each_tree_once(model, monkeypatch, patched):
+    # tree values depend on the pruned trees only, so a sweep evaluates
+    # each exploitable tier's tree once, not once per design
+    trees = harm.tier_trees(model.templates, model.reachability, patched, model.policy)
+    exploitable = sum(tree is not None for tree in trees.values())
+    calls, depth = [], [0]
+
+    def outermost(fn):
+        def counted(tree):
+            if not depth[0]:
+                calls.append(fn.__name__)
+            depth[0] += 1
+            try:
+                return fn(tree)
+            finally:
+                depth[0] -= 1
+        return counted
+
+    for name in ("tree_impact", "tree_probability"):
+        monkeypatch.setattr(harm, name, outermost(getattr(harm, name)))
+    result = evaluate.sweep(model, patched=patched)
+    assert len(result.evaluations) == 6
+    assert sorted(calls) == sorted(["tree_impact", "tree_probability"] * exploitable)
+
+
 def test_scatter_csv_layout(model, rates):
     e = evaluate.evaluate_design(model, model.designs[BASELINE], True, rates)
     csv = evaluate.scatter_csv([e])

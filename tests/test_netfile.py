@@ -99,6 +99,18 @@ def test_errors_carry_line_numbers(line, fragment):
         netfile.parse_net(line)
 
 
+@pytest.mark.parametrize("statement,fragment", [
+    ("timed t rate=1e999 in=a out=b", "rate constant must be positive and finite, got inf"),
+    ("timed t rate=1e999*#a in=a out=b", "rate constant must be positive and finite, got inf"),
+    ("timed t rate=nan in=a out=b", "bad rate"),
+    ("immediate i weight=nan in=a out=b", "weight must be positive and finite, got nan"),
+    ("immediate i weight=inf in=a out=b", "weight must be positive and finite, got inf"),
+])
+def test_non_finite_rate_or_weight_rejected(statement, fragment):
+    with pytest.raises(netfile.NetFileError, match=f"line 3: .*{fragment}"):
+        netfile.parse_net(f"place a 1\nplace b 0\n{statement}\n")
+
+
 def test_unknown_guard_place_rejected():
     with pytest.raises(netfile.NetFileError, match="unknown place"):
         netfile.parse_net(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import build_small_net, small_nets
 from patchdesign import availability, srn
@@ -79,8 +80,8 @@ def test_immediate_weight_split():
     net.add_timed("back_r", 5.0, ["right"], ["tick"])
     graph = srn.reachability(net)
     assert len(graph.vanishing) == 1
-    probs = sorted(p for p, _ in graph.immediate_edges[0])
-    assert probs == [0.25, 0.75]
+    assert graph.immediate.source.tolist() == [0, 0]
+    assert sorted(graph.immediate.value.tolist()) == [0.25, 0.75]
     # occupancy of left vs right reflects the split
     sol = srn.steady_state(srn.eliminate_vanishing(graph), graph.tangible)
     p_left = sol.probability(lambda m: m["left"] == 1)
@@ -154,6 +155,27 @@ def test_repeated_output_place_sums_multiplicities():
     graph = srn.reachability(net)
     assert sorted(str(m) for m in graph.tangible) == ["{a:2}", "{b:3}"]
     assert all(min(m.counts) >= 0 for m in graph.tangible)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_rate_constant_must_be_positive_and_finite(bad):
+    # a NaN rate used to be accepted and silently disable the transition
+    net = srn.Net()
+    net.add_place("a", 1)
+    for rate in (bad, srn.RateExpr(bad), srn.RateExpr(bad, "a")):
+        with pytest.raises(ValueError, match="'t': rate constant must be positive and finite"):
+            net.add_timed("t", rate, ["a"], [])
+    assert net.transitions == []
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_weight_must_be_positive_and_finite(bad):
+    # a NaN weight used to give NaN branching probabilities
+    net = srn.Net()
+    net.add_place("a", 1)
+    with pytest.raises(ValueError, match="'i': weight must be positive and finite"):
+        net.add_immediate("i", ["a"], [], weight=bad)
+    assert net.transitions == []
 
 
 def test_nonpositive_repeated_arc_rejected():
@@ -256,7 +278,12 @@ def test_enabled_timed_pairs_each_rate_evaluated_once(monkeypatch):
         [("by_b", 6.0), ("fixed", 0.5), ("blocked", 1.0)]
     calls.clear()
     graph = srn.reachability(net)
-    assert graph.timed_edges == [[(0.5, ("T", 1))], [(1.0, ("T", 0))]]
+    timed = graph.timed
+    # fixed from (1, 0) to (0, 1), blocked back
+    assert timed.source.tolist() == [0, 1]
+    assert timed.target.tolist() == [1, 0]
+    assert timed.into_vanishing.tolist() == [False, False]
+    assert timed.value.tolist() == [0.5, 1.0]
     # by_b and fixed in (1, 0), blocked in (0, 1): one evaluation each
     assert len(calls) == 3
 
@@ -321,12 +348,10 @@ def _dense_generator(graph):
     nt, nv = len(graph.tangible), len(graph.vanishing)
     r = {"T": np.zeros((nt, nt)), "V": np.zeros((nt, nv))}
     p = {"T": np.zeros((nv, nt)), "V": np.zeros((nv, nv))}
-    for i, edges in enumerate(graph.timed_edges):
-        for rate, (kind, j) in edges:
-            r[kind][i, j] += rate
-    for i, edges in enumerate(graph.immediate_edges):
-        for prob, (kind, j) in edges:
-            p[kind][i, j] += prob
+    for blocks, edges in ((r, graph.timed), (p, graph.immediate)):
+        for i, j, into_v, value in zip(edges.source, edges.target,
+                                       edges.into_vanishing, edges.value):
+            blocks["V" if into_v else "T"][i, j] += value
     q = r["T"] + r["V"] @ np.linalg.solve(np.eye(nv) - p["V"], p["T"])
     np.fill_diagonal(q, 0.0)
     return q - np.diag(q.sum(axis=1))
@@ -413,3 +438,50 @@ def test_assembly_matches_dense_reference(spec):
     system = np.vstack([ref.T, np.ones(n)])
     pi = np.linalg.lstsq(system, np.append(np.zeros(n), 1.0), rcond=None)[0]
     assert np.max(np.abs(sol.pi - pi)) <= 1e-10
+
+
+def _branch_values(net, graph):
+    """Every edge value read off ``Net.branches``: the rate of a timed
+    branch, the weight over its marking's weight sum for an immediate one."""
+    values = {}
+    for name, markings in (("timed", graph.tangible), ("immediate", graph.vanishing)):
+        values[name] = []
+        for m in markings:
+            vanishing, step = net.branches(m)
+            total = sum(w for _, w in step) if vanishing else 1.0
+            values[name] += [w / total for _, w in step]
+    return values
+
+
+_EDGE_FIELDS = ("source", "target", "into_vanishing", "transition", "factor", "value")
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=small_nets(), data=st.data())
+def test_rerate_matches_fresh_exploration(spec, data):
+    # the graph of one net re-rated with another net's constants and
+    # weights equals the graph explored from the other net
+    tokens, transitions = spec
+    constants = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(transitions),
+                                   max_size=len(transitions)))
+    other = build_small_net((tokens, tuple(t[:3] + (c,) + t[4:]
+                                           for t, c in zip(transitions, constants))))
+    rerated = srn.rerate(srn.reachability(build_small_net(spec)), other)
+    fresh = srn.reachability(other)
+    assert rerated.tangible == fresh.tangible
+    assert rerated.vanishing == fresh.vanishing
+    expected = _branch_values(other, fresh)
+    for name in ("timed", "immediate"):
+        a, b = getattr(rerated, name), getattr(fresh, name)
+        for field in _EDGE_FIELDS:
+            assert getattr(a, field).tolist() == getattr(b, field).tolist(), (name, field)
+        assert a.value.tolist() == expected[name]
+    try:
+        q = srn.eliminate_vanishing(rerated)
+    except srn.TimelessTrap:
+        with pytest.raises(srn.TimelessTrap):
+            srn.eliminate_vanishing(fresh)
+        return
+    q_fresh = srn.eliminate_vanishing(fresh)
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(q, attr).tolist() == getattr(q_fresh, attr).tolist()

@@ -13,11 +13,15 @@ in product form; the flat net is kept as the test oracle.
 Server nets differ only in their rate constants, apart from the failure
 arcs that an infinite MTTF leaves out.  ``aggregate_rates`` therefore
 keeps one explored reachability graph per set of left-out failure arcs,
-at most 2^3 = 8 for the life of the process, and re-rates it with each
-new net's constants (``srn.rerate``).  This is sound because the places,
-arcs, guards, priorities and rate places are otherwise fixed, and
-exploration depends on constants only through their being positive,
-which ``srn.Net`` enforces.
+at most 2^3 = 8 for the life of the process.  On a later call it builds
+no net: it reads the rate constants from the template and the policy
+through the table that ``build_server_srn`` builds from
+(``_SERVER_TRANSITIONS``) and re-rates the stored graph with them
+(``srn.rerate``).  This is sound because the places, arcs, guards,
+priorities and rate places are otherwise fixed, and exploration depends
+on constants only through their being positive and finite, which
+``ServerTemplate`` and ``PatchPolicy`` enforce for every rate the net
+would check.
 """
 
 from __future__ import annotations
@@ -56,12 +60,65 @@ SERVER_GUARDS = {
 _SERVER_GUARD_EXPRS = {name: parse_guard(text) for name, text in SERVER_GUARDS.items()}
 
 
+# The server net's transitions, one row each: (name, rate, inputs,
+# outputs).  ``rate`` names the ServerTemplate mean whose reciprocal is the
+# rate, "interval" for the patch clock, or is None for an immediate
+# transition (weight 1).  Guards are in SERVER_GUARDS.  The order is the
+# order of Net.transitions, which the stored graphs index.
+_SERVER_TRANSITIONS = (
+    # hardware: single up/down cycle
+    ("T_hwd", "hw_mttf", ["P_hwup"], ["P_hwd"]),
+    ("T_hwup", "hw_mttr", ["P_hwd"], ["P_hwup"]),
+    # OS: up, down (by hw), failed, ready-to-patch, patched
+    ("T_osd", None, ["P_osup"], ["P_osd"]),
+    ("T_osdrb", "os_reboot_after_failure", ["P_osd"], ["P_osup"]),
+    ("T_osfd", "os_mttf", ["P_osup"], ["P_osfd"]),
+    ("T_osfup", "os_mttr", ["P_osfd"], ["P_osup"]),
+    ("T_osptrig", None, ["P_osup"], ["P_osrtp"]),
+    ("T_osp", "os_patch_mean", ["P_osrtp"], ["P_osp"]),
+    ("T_osrpd", None, ["P_osrtp"], ["P_osd"]),
+    ("T_ospd", None, ["P_osp"], ["P_osd"]),
+    ("T_osprb", "os_reboot_after_patch", ["P_osp"], ["P_osup"]),
+    # service: up, down, failed, ready-to-patch, patched, ready-to-reboot
+    ("T_svcd", None, ["P_svcup"], ["P_svcd"]),
+    ("T_svcdrb", "svc_reboot_after_failure", ["P_svcd"], ["P_svcup"]),
+    ("T_svcfd", "svc_mttf", ["P_svcup"], ["P_svcfd"]),
+    ("T_svcfup", "svc_mttr", ["P_svcfd"], ["P_svcup"]),
+    ("T_svcptrig", None, ["P_svcup"], ["P_svcrtp"]),
+    ("T_svcp", "svc_patch_mean", ["P_svcrtp"], ["P_svcp"]),
+    ("T_svcrpd", None, ["P_svcrtp"], ["P_svcd"]),
+    ("T_svcrrb", None, ["P_svcp"], ["P_svcrrb"]),
+    ("T_svcrrbd", None, ["P_svcrrb"], ["P_svcd"]),
+    ("T_svcprb", "svc_reboot_after_patch", ["P_svcrrb"], ["P_svcup"]),
+    # patch clock: armed, triggered, waiting for the cycle to finish
+    ("T_interval", "interval", ["P_clock"], ["P_trigger"]),
+    ("T_policy", None, ["P_trigger"], ["P_wait"]),
+    ("T_reset", None, ["P_wait"], ["P_clock"]),
+)
+
+
+def _server_transitions(template: ServerTemplate, policy: PatchPolicy) -> list:
+    """The rows of the server net's transitions, each with its rate, or
+    None for an immediate one.  An infinite MTTF means the failure arc
+    never fires; it is left out, so the net degenerates to the pure
+    patch cycle.  ``ServerTemplate`` and ``PatchPolicy`` keep every other
+    rate positive and finite."""
+    rows = []
+    for name, mean, inputs, outputs in _SERVER_TRANSITIONS:
+        rate = None
+        if mean == "interval":
+            rate = 1.0 / policy.interval_mean
+        elif mean is not None:
+            rate = template.rate_per_hour(mean)
+            if rate == 0:
+                continue
+        rows.append((name, rate, inputs, outputs))
+    return rows
+
+
 def build_server_srn(template: ServerTemplate, policy: PatchPolicy) -> srn.Net:
     """Compose the hardware, OS, service and patch-clock sub-models."""
-    g = _SERVER_GUARD_EXPRS
-    r = template.rate_per_hour
     net = srn.Net()
-
     # one token per sub-model; guards cross sub-model boundaries, so all
     # places are declared before any transition
     for p in ("P_hwup", "P_osup", "P_svcup", "P_clock"):
@@ -70,54 +127,12 @@ def build_server_srn(template: ServerTemplate, policy: PatchPolicy) -> srn.Net:
               "P_svcd", "P_svcfd", "P_svcrtp", "P_svcp", "P_svcrrb",
               "P_trigger", "P_wait"):
         net.add_place(p, 0)
-
-    def add_failure(name, mean_field, inputs, outputs, **kw):
-        # infinite MTTF means the failure arc never fires; omit it so the
-        # net degenerates to the pure patch cycle
-        rate = r(mean_field)
-        if rate > 0:
-            net.add_timed(name, rate, inputs, outputs, **kw)
-
-    # hardware: single up/down cycle
-    add_failure("T_hwd", "hw_mttf", ["P_hwup"], ["P_hwd"])
-    net.add_timed("T_hwup", r("hw_mttr"), ["P_hwd"], ["P_hwup"])
-
-    # OS: up, down (by hw), failed, ready-to-patch, patched
-    net.add_immediate("T_osd", ["P_osup"], ["P_osd"], guard=g["T_osd"])
-    net.add_timed("T_osdrb", r("os_reboot_after_failure"), ["P_osd"], ["P_osup"],
-                  guard=g["T_osdrb"])
-    add_failure("T_osfd", "os_mttf", ["P_osup"], ["P_osfd"])
-    net.add_timed("T_osfup", r("os_mttr"), ["P_osfd"], ["P_osup"],
-                  guard=g["T_osfup"])
-    net.add_immediate("T_osptrig", ["P_osup"], ["P_osrtp"], guard=g["T_osptrig"])
-    net.add_timed("T_osp", r("os_patch_mean"), ["P_osrtp"], ["P_osp"],
-                  guard=g["T_osp"])
-    net.add_immediate("T_osrpd", ["P_osrtp"], ["P_osd"], guard=g["T_osrpd"])
-    net.add_immediate("T_ospd", ["P_osp"], ["P_osd"], guard=g["T_ospd"])
-    net.add_timed("T_osprb", r("os_reboot_after_patch"), ["P_osp"], ["P_osup"],
-                  guard=g["T_osprb"])
-
-    # service: up, down, failed, ready-to-patch, patched, ready-to-reboot
-    net.add_immediate("T_svcd", ["P_svcup"], ["P_svcd"], guard=g["T_svcd"])
-    net.add_timed("T_svcdrb", r("svc_reboot_after_failure"), ["P_svcd"], ["P_svcup"],
-                  guard=g["T_svcdrb"])
-    add_failure("T_svcfd", "svc_mttf", ["P_svcup"], ["P_svcfd"])
-    net.add_timed("T_svcfup", r("svc_mttr"), ["P_svcfd"], ["P_svcup"],
-                  guard=g["T_svcfup"])
-    net.add_immediate("T_svcptrig", ["P_svcup"], ["P_svcrtp"], guard=g["T_svcptrig"])
-    net.add_timed("T_svcp", r("svc_patch_mean"), ["P_svcrtp"], ["P_svcp"],
-                  guard=g["T_svcp"])
-    net.add_immediate("T_svcrpd", ["P_svcrtp"], ["P_svcd"], guard=g["T_svcrpd"])
-    net.add_immediate("T_svcrrb", ["P_svcp"], ["P_svcrrb"], guard=g["T_svcrrb"])
-    net.add_immediate("T_svcrrbd", ["P_svcrrb"], ["P_svcd"], guard=g["T_svcrrbd"])
-    net.add_timed("T_svcprb", r("svc_reboot_after_patch"), ["P_svcrrb"], ["P_svcup"],
-                  guard=g["T_svcprb"])
-
-    # patch clock: armed, triggered, waiting for the cycle to finish
-    net.add_timed("T_interval", 1.0 / policy.interval_mean,
-                  ["P_clock"], ["P_trigger"], guard=g["T_interval"])
-    net.add_immediate("T_policy", ["P_trigger"], ["P_wait"], guard=g["T_policy"])
-    net.add_immediate("T_reset", ["P_wait"], ["P_clock"], guard=g["T_reset"])
+    for name, rate, inputs, outputs in _server_transitions(template, policy):
+        guard = _SERVER_GUARD_EXPRS.get(name, srn.TRUE)
+        if rate is None:
+            net.add_immediate(name, inputs, outputs, guard=guard)
+        else:
+            net.add_timed(name, rate, inputs, outputs, guard=guard)
     return net
 
 
@@ -166,22 +181,28 @@ def aggregate_rates(template: ServerTemplate, policy: PatchPolicy) -> Aggregated
     stage (reboot transition enabled) versus anywhere in the patch
     pipeline.
 
-    Every call builds the net, so the template is validated, and solves
-    it afresh; only the exploration is shared between nets of the same
-    variant, with the tangible markings each probability sums over.
+    The net's structure is fixed apart from the failure arcs that an
+    infinite MTTF leaves out, so one explored graph per such variant is
+    kept for the life of the process.  A call that finds its variant
+    builds no net: it reads the rate constants from the template and the
+    policy through the same transition table as ``build_server_srn``,
+    re-rates the stored graph with them and solves it afresh.  That is
+    sound because ``ServerTemplate`` and ``PatchPolicy`` keep every rate
+    the net would check positive and finite.
     """
-    net = build_server_srn(template, policy)
-    variant = _FAILURE_ARCS.difference(t.name for t in net.transitions)
+    rows = _server_transitions(template, policy)
+    variant = _FAILURE_ARCS.difference(name for name, *_ in rows)
     explored = _EXPLORED.get(variant)
     if explored is None:
-        graph = srn.reachability(net)
+        graph = srn.reachability(build_server_srn(template, policy))
         explored = _EXPLORED[variant] = (
             graph, [i for i, m in enumerate(graph.tangible) if _patch_down(m)],
             [i for i, m in enumerate(graph.tangible) if _reboot_ready(m)])
     else:
-        graph = srn.rerate(explored[0], net)
+        graph = srn.rerate(explored[0], [1.0 if rate is None else rate
+                                         for _, rate, _, _ in rows])
     _, patch_down, reboot_ready = explored
-    pi = srn.steady_state(srn.eliminate_vanishing(graph), graph.tangible).pi
+    pi = srn.solve_graph(graph).pi
     # summed in marking order, as SteadyStateSolution.probability sums
     p_patch_down = sum(pi[patch_down].tolist())
     p_reboot_ready = sum(pi[reboot_ready].tolist())

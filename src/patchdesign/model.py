@@ -8,6 +8,7 @@ read-only across concurrent evaluators.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -86,6 +87,7 @@ def or_node(*children) -> AttackTreeNode:
 # Duration fields and their units; downstream rates are reciprocals
 # (exponential assumption).
 _HOUR_FIELDS = ("hw_mttf", "hw_mttr", "os_mttf", "os_mttr", "svc_mttf")
+_FAILURE_FIELDS = ("hw_mttf", "os_mttf", "svc_mttf")
 _MINUTE_FIELDS = (
     "os_patch_mean", "os_reboot_after_patch", "os_reboot_after_failure",
     "svc_mttr", "svc_patch_mean", "svc_reboot_after_patch",
@@ -111,11 +113,17 @@ class ServerTemplate:
     svc_reboot_after_failure: float  # minutes
 
     def __post_init__(self):
+        # every rate the server net uses is positive and finite, except a
+        # failure rate, which an infinite MTTF makes 0
         for name in _HOUR_FIELDS + _MINUTE_FIELDS:
-            value = getattr(self, name)
+            value, path = getattr(self, name), f"servers.{self.tier}.{name}"
             if not value > 0:
-                raise ModelError(f"servers.{self.tier}.{name}",
-                                 f"duration must be strictly positive, got {value}")
+                raise ModelError(path, f"duration must be strictly positive, got {value}")
+            if value == math.inf and name not in _FAILURE_FIELDS:
+                raise ModelError(path, "duration must be finite; only hw_mttf, os_mttf "
+                                       "and svc_mttf may be infinite")
+            if self.rate_per_hour(name) == math.inf:
+                raise ModelError(path, f"duration {value} is too short: its rate overflows")
 
     def rate_per_hour(self, name: str) -> float:
         """Reciprocal of a mean duration, converted to events per hour."""
@@ -195,6 +203,13 @@ class PatchPolicy:
         if not self.interval_mean > 0:
             raise ModelError("patch_policy.interval_hours",
                              "patch interval must be positive")
+        if self.interval_mean == math.inf:
+            raise ModelError("patch_policy.interval_hours",
+                             "patch interval must be finite")
+        if 1.0 / self.interval_mean == math.inf:
+            raise ModelError("patch_policy.interval_hours",
+                             f"patch interval {self.interval_mean} is too short: "
+                             "its rate overflows")
 
     def matches(self, v: Vulnerability) -> bool:
         if self.selector is None:

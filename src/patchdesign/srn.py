@@ -3,8 +3,8 @@
 Nets have exponentially timed transitions (optionally with a
 marking-dependent rate ``const * #place``), immediate transitions with
 weights and priorities, and boolean guards over markings.  Analysis
-follows the usual GSPN pipeline: breadth-first reachability, vanishing
-marking elimination, sparse CTMC steady-state solve, expected reward.
+follows the usual GSPN pipeline: breadth-first reachability, a sparse
+steady-state solve, expected reward.
 
 ``Net.branches`` is the one step rule: it decides whether a marking is
 vanishing or tangible and which transitions may fire from it, with what
@@ -16,9 +16,21 @@ reachability graph keeps each edge as indices (source, target, firing
 transition) and a rate factor, and ``rerate`` turns a net's rate
 constants and weights into edge rates and probabilities.  Exploration
 sees the constants only through their being positive, so one graph
-serves every net that differs from its own only in them.  The sparsity
-patterns that vanishing elimination fills (``Assembly``) are structural
-too, derived once per exploration.
+serves every net that differs from its own only in them.
+
+The steady state keeps the vanishing markings in the chain rather than
+eliminating them (Ciardo, Muppala and Trivedi, "On the solution of GSPN
+reward models", Performance Evaluation 12(4), 1991).  Each vanishing
+marking that a tangible one reaches becomes a state whose exit rate is
+the largest total timed rate out of any tangible marking, split by its
+branching probabilities.  The time spent in those states is a fiction,
+but censoring the chain on the tangible markings gives back the reduced
+CTMC exactly, so the tangible part of its stationary vector, renormalised,
+is the net's steady state.  One pinned sparse LU solves it.  The state
+numbering, the sparsity patterns and the strong-connectivity verdict
+(``Chain``) are structural, derived once per exploration, so every
+re-rated copy of a graph only fills in values.  ``eliminate_vanishing``
+keeps the reduced generator as the plain reference.
 
 numpy and scipy are imported inside the functions that explore, assemble
 and solve, so building a net loads neither.
@@ -38,7 +50,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 DEFAULT_STATE_CAP = 1_000_000
-RESIDUAL_TOLERANCE = 1e-10  # steady_state's bound on its relative residual
+RESIDUAL_TOLERANCE = 1e-10  # the steady-state solve's bound on its relative residual
 
 
 class SrnError(Exception):
@@ -178,6 +190,11 @@ class Net:
     def marking(self, counts) -> Marking:
         return Marking(tuple(counts), self._index)
 
+    def constants(self) -> list:
+        """The rate constant of each timed transition and the weight of
+        each immediate one, in the order of ``transitions``."""
+        return [t.rate.constant if t.timed else t.weight for t in self.transitions]
+
     # -- semantics -----------------------------------------------------
 
     def enabled(self, t: Transition, m: Marking) -> bool:
@@ -265,49 +282,120 @@ class Pattern(NamedTuple):
         np.cumsum(np.bincount(keys // n_minor, minlength=n_major), out=indptr[1:])
         return cls(indptr, keys % n_minor, slot)
 
-    def fill(self, matrix, values, shape):
-        """``matrix`` (a scipy CSR or CSC class) over this pattern, with
-        duplicate triplets summed in triplet order."""
+    def data(self, values):
+        """The data array of this pattern for the triplets' ``values``,
+        with duplicate triplets summed in triplet order."""
         import numpy as np
 
-        data = np.bincount(self.slot, weights=values, minlength=len(self.indices))
-        return matrix((data, self.indices.copy(), self.indptr.copy()), shape=shape)
+        return np.bincount(self.slot, weights=values, minlength=len(self.indices))
 
 
-class Assembly(NamedTuple):
-    """Where ``eliminate_vanishing`` puts each edge value.  It depends
-    on the graph's structure only, so every re-rated copy shares it."""
+class Pinned(NamedTuple):
+    """The structure of a steady-state solve for a generator G over n
+    states, from G's CSR pattern.
 
-    trapped: list          # vanishing markings with no path to a tangible one
-    sources: np.ndarray    # tangible markings with an edge into a vanishing one
-    targets: np.ndarray    # tangible markings entered from a vanishing one
-    i_minus_p_vv: Pattern  # CSC; the diagonal, then the P_VV edges
-    p_vt_cells: np.ndarray  # flat cell of each P_VT edge in the (nv, targets) block
-    r_tv: Pattern          # CSR over sources; the R_TV edges
-    q: Pattern             # CSR; R_TT edges, the (sources, targets) block, the diagonal
-    q_rows: np.ndarray     # the rows of those triplets before the diagonal
+    pi G = 0 has rank n - 1.  The pinned system A x = e_0 takes A = G^T
+    with its row 0 replaced by e_0: column i of A is row i of G without
+    its column-0 entry, and e_0 leads column 0.  This keeps A as sparse as
+    G (a dense row of ones would fill the LU factors).
+    """
+
+    rows: np.ndarray     # the row of each entry of G
+    cols: np.ndarray     # the column of each entry of G
+    keep: np.ndarray     # the entries of G that A takes, off column 0
+    indptr: np.ndarray   # CSC of A
+    indices: np.ndarray
+    # if G's pattern is not strongly connected, the tangible states (the
+    # first nt) of each strongly connected component that has any
+    components: list
 
     @classmethod
-    def of(cls, vanishing: list, timed: Edges, immediate: Edges, nt: int) -> Assembly:
+    def of(cls, indptr, indices, nt: int) -> Pinned:
+        import numpy as np
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+
+        n = len(indptr) - 1
+        ncomp, labels = connected_components(
+            sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n)),
+            directed=True, connection="strong")
+        components = []
+        if ncomp > 1:
+            groups = (np.nonzero(labels[:nt] == c)[0].tolist() for c in range(ncomp))
+            components = [group for group in groups if group]
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        keep = indices != 0
+        # built once through scipy, so that every solve reuses the index
+        # dtype scipy picks instead of checking the indices again
+        a = sp.csc_matrix((np.ones(1 + np.count_nonzero(keep)), np.append(0, indices[keep]),
+                           np.append(0, 1 + np.cumsum(np.bincount(rows[keep], minlength=n)))),
+                          shape=(n, n))
+        return cls(rows, indices, keep, a.indptr, a.indices, components)
+
+
+class Chain(NamedTuple):
+    """The continuous-time chain of a reachability graph, with its
+    vanishing markings kept as states.  It depends on the graph's
+    structure only, so every re-rated copy shares it.
+
+    The states are the tangible markings, in the order of
+    ``graph.tangible``, then the vanishing markings that a tangible one
+    reaches, in their order.  Any other vanishing marking is only passed
+    on the way from the initial marking, and holds no steady-state
+    probability.
+    The generator G holds each timed edge out of a tangible marking at
+    its rate and each immediate edge out of a kept vanishing marking at
+    its probability times one exit rate s; its diagonal is minus each
+    row's sum, so a self-loop cancels against its own diagonal entry.
+    """
+
+    trapped: list       # vanishing markings with no path to a tangible one
+    kept: np.ndarray    # the immediate edges out of kept vanishing markings
+    rows: np.ndarray    # the row of each edge of G, timed then kept immediate
+    g: Pattern          # CSR of G; those edges, then the diagonal
+    pinned: Pinned
+
+    @classmethod
+    def of(cls, vanishing: list, timed: Edges, immediate: Edges, nt: int) -> Chain:
         import numpy as np
 
-        nv = len(vanishing)
-        into_v, v_into_v = timed.into_vanishing, immediate.into_vanishing
-        sources, source_of = np.unique(timed.source[into_v], return_inverse=True)
-        targets, target_of = np.unique(immediate.target[~v_into_v], return_inverse=True)
-        diagonal = np.arange(nv)
-        rows = np.concatenate([timed.source[~into_v], np.repeat(sources, len(targets))])
-        cols = np.concatenate([timed.target[~into_v], np.tile(targets, len(sources))])
-        return cls(
-            trapped=_trapped(vanishing, immediate),
-            sources=sources, targets=targets,
-            i_minus_p_vv=Pattern.of(np.append(diagonal, immediate.target[v_into_v]),
-                                    np.append(diagonal, immediate.source[v_into_v]), nv, nv),
-            p_vt_cells=immediate.source[~v_into_v] * len(targets) + target_of,
-            r_tv=Pattern.of(source_of, timed.target[into_v], len(sources), nv),
-            q=Pattern.of(np.append(rows, np.arange(nt)), np.append(cols, np.arange(nt)),
-                         nt, nt),
-            q_rows=rows)
+        nv, into_v = len(vanishing), immediate.into_vanishing
+        v_source, v_target = immediate.source[into_v], immediate.target[into_v]
+        escapes = _closure(nv, v_target, v_source, immediate.source[~into_v])
+        reached = np.array(_closure(nv, v_source, v_target,
+                                    timed.target[timed.into_vanishing]), dtype=bool)
+        n = nt + np.count_nonzero(reached)
+        state = np.full(nv, -1)
+        state[reached] = np.arange(nt, n)
+
+        def columns(edges):
+            cols = edges.target.copy()
+            cols[edges.into_vanishing] = state[edges.target[edges.into_vanishing]]
+            return cols
+
+        kept = reached[immediate.source]
+        rows = np.append(timed.source, state[immediate.source[kept]])
+        cols = np.append(columns(timed), columns(immediate)[kept])
+        diagonal = np.arange(n)
+        g = Pattern.of(np.append(rows, diagonal), np.append(cols, diagonal), n, n)
+        return cls(trapped=[m for m, ok in zip(vanishing, escapes) if not ok],
+                   kept=kept, rows=rows, g=g, pinned=Pinned.of(g.indptr, g.indices, nt))
+
+
+def _closure(n: int, heads, tails, start) -> list:
+    """Which of n nodes a walk from ``start`` along the edges
+    heads[k] -> tails[k] reaches."""
+    succ = [[] for _ in range(n)]
+    for i, j in zip(heads.tolist(), tails.tolist()):
+        succ[i].append(j)
+    reached = [False] * n
+    stack = start.tolist()
+    while stack:
+        i = stack.pop()
+        if not reached[i]:
+            reached[i] = True
+            stack.extend(succ[i])
+    return reached
 
 
 @dataclass
@@ -316,7 +404,7 @@ class ReachabilityGraph:
     vanishing: list
     timed: Edges      # out of tangible markings
     immediate: Edges  # out of vanishing markings
-    assembly: Assembly = field(repr=False, compare=False)
+    chain: Chain = field(repr=False, compare=False)
 
 
 def reachability(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> ReachabilityGraph:
@@ -359,9 +447,9 @@ def reachability(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> ReachabilityGr
             out.append((i, j, into_v, k, 1 if place is None else m.counts[place]))
 
     timed, immediate = _edges(edges[False]), _edges(edges[True])
-    assembly = Assembly.of(markings[True], timed, immediate, len(markings[False]))
-    graph = ReachabilityGraph(markings[False], markings[True], timed, immediate, assembly)
-    return rerate(graph, net)
+    chain = Chain.of(markings[True], timed, immediate, len(markings[False]))
+    graph = ReachabilityGraph(markings[False], markings[True], timed, immediate, chain)
+    return rerate(graph, net.constants())
 
 
 def _edges(edges: list) -> Edges:
@@ -372,22 +460,24 @@ def _edges(edges: list) -> Edges:
     return Edges(source, target, into_v.astype(bool), transition, factor.astype(float))
 
 
-def rerate(graph: ReachabilityGraph, net: Net) -> ReachabilityGraph:
-    """``graph`` with its edge values taken from ``net``'s constants.
+def rerate(graph: ReachabilityGraph, constants) -> ReachabilityGraph:
+    """``graph`` with its edge values taken from ``constants``, the rate
+    constant of each timed transition and the weight of each immediate
+    one in the order of ``Net.transitions`` (``Net.constants``).
 
     A timed edge's rate is its transition's rate constant times the
     edge's factor; an immediate edge's probability is its transition's
     weight over the sum of the weights out of its source, summed in
     branch order.  ``graph`` may have been explored from any net with
-    the same places, arcs, guards, priorities and rate places as
-    ``net``: exploration depends on rate constants and weights only
-    through their being positive, which ``Net.add_timed`` and
-    ``Net.add_immediate`` enforce.
+    the same places, arcs, guards, priorities and rate places as the
+    one the constants belong to: exploration depends on rate constants
+    and weights only through their being positive and finite, which
+    ``Net.add_timed`` and ``Net.add_immediate`` enforce.  A caller that
+    passes constants without building a net must check that itself.
     """
     import numpy as np
 
-    constants = np.array([t.rate.constant if t.timed else t.weight
-                          for t in net.transitions])
+    constants = np.asarray(constants, dtype=float)
     timed, immediate = graph.timed, graph.immediate
     weights = constants[immediate.transition] * immediate.factor
     totals = np.bincount(immediate.source, weights=weights, minlength=len(graph.vanishing))
@@ -397,81 +487,48 @@ def rerate(graph: ReachabilityGraph, net: Net) -> ReachabilityGraph:
 
 
 def eliminate_vanishing(graph: ReachabilityGraph) -> sp.csr_matrix:
-    """Collapse vanishing markings and return the CTMC generator Q.
+    """The CTMC generator Q over the tangible markings, with the
+    vanishing markings eliminated.
 
-    Q is a sparse matrix over the tangible markings with zero row sums.
-    The edge arrays split by target kind into timed rates R_TT and R_TV
-    out of tangible markings and branching probabilities P_VV and P_VT
-    out of vanishing ones.  The off-diagonal part of Q is
+    Q is a sparse matrix with zero row sums.  The edge arrays split by
+    target kind into timed rates R_TT and R_TV out of tangible markings
+    and branching probabilities P_VV and P_VT out of vanishing ones.  The
+    off-diagonal part of Q is
 
         R = R_TT + R_TV B,   B = (I - P_VV)^(-1) P_VT,
 
     where row j of B holds the probabilities of being absorbed in each
-    tangible marking from vanishing marking j.  One sparse LU of I - P_VV
-    solves for the columns of P_VT that hold an entry, and the sparse
-    R_TV multiplies B only in the rows with an edge into a vanishing
-    marking.  R_TT, the dense (sources, targets) block of R_TV B and the
-    diagonal (minus each row's sum) fill Q's pattern, which sums
-    duplicates in that order: two transitions leading to the same
-    marking add up, and a self-loop cancels against its own diagonal
-    entry.  Entries that come out zero are dropped.  The patterns come
-    from ``graph.assembly``, so only the values are computed here.
+    tangible marking from vanishing marking j.  Its diagonal is minus
+    each row's sum, so a self-loop cancels against its own diagonal
+    entry; entries that come out zero are dropped.  The solve does not
+    go through Q (see ``solve_graph``); this is the plain reference for
+    the chain the solve keeps.
 
     Raises TimelessTrap when some vanishing marking cannot reach any
-    tangible marking; ``graph.assembly`` holds those markings, as the
-    test depends on the structure only.
+    tangible marking.
     """
-    import numpy as np
-    import scipy.sparse as sp
-
-    assembly = graph.assembly
-    if assembly.trapped:
-        raise TimelessTrap(assembly.trapped)
-    nt, nv = len(graph.tangible), len(graph.vanishing)
-
-    timed = graph.timed
-    vals = timed.value[~timed.into_vanishing]
-    if nv:
-        vals = np.append(vals, _absorbed(graph))
-    diagonal = -np.bincount(assembly.q_rows, weights=vals, minlength=nt)
-    q = assembly.q.fill(sp.csr_matrix, np.append(vals, diagonal), (nt, nt))
-    q.eliminate_zeros()
-    return q
-
-
-def _absorbed(graph: ReachabilityGraph):
-    """The (sources, targets) block of R_TV B, flattened by rows."""
     import numpy as np
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
-    assembly, timed, immediate = graph.assembly, graph.timed, graph.immediate
-    nv, into_v = len(graph.vanishing), immediate.into_vanishing
-    lu = splu(assembly.i_minus_p_vv.fill(
-        sp.csc_matrix, np.append(np.ones(nv), -immediate.value[into_v]), (nv, nv)))
-    k = len(assembly.targets)
-    p_vt = np.bincount(assembly.p_vt_cells, weights=immediate.value[~into_v],
-                       minlength=nv * k).reshape(nv, k)
-    r_tv = assembly.r_tv.fill(sp.csr_matrix, timed.value[timed.into_vanishing],
-                              (len(assembly.sources), nv))
-    return (r_tv @ lu.solve(p_vt)).ravel()
+    if graph.chain.trapped:
+        raise TimelessTrap(graph.chain.trapped)
+    nt, nv = len(graph.tangible), len(graph.vanishing)
 
+    def block(edges, into_vanishing, shape):
+        pick = edges.into_vanishing == into_vanishing
+        return sp.csr_matrix((edges.value[pick], (edges.source[pick], edges.target[pick])),
+                             shape=shape)
 
-def _trapped(vanishing: list, immediate: Edges) -> list:
-    """The vanishing markings with no path to a tangible one: those that
-    reverse reachability from the edges into tangible markings misses."""
-    into_v = immediate.into_vanishing
-    rev = [[] for _ in vanishing]
-    for i, j in zip(immediate.source[into_v].tolist(), immediate.target[into_v].tolist()):
-        rev[j].append(i)
-    escapes = immediate.source[~into_v].tolist()
-    can_escape = set()
-    while escapes:
-        i = escapes.pop()
-        if i not in can_escape:
-            can_escape.add(i)
-            escapes.extend(rev[i])
-    return [m for i, m in enumerate(vanishing) if i not in can_escape]
+    r = block(graph.timed, False, (nt, nt))
+    if nv:
+        i_minus_p_vv = sp.identity(nv, format="csc") - block(graph.immediate, True, (nv, nv))
+        b = splu(sp.csc_matrix(i_minus_p_vv)).solve(
+            block(graph.immediate, False, (nv, nt)).toarray())
+        r = r + block(graph.timed, True, (nt, nv)) @ sp.csr_matrix(b)
+    q = sp.csr_matrix(r - sp.diags(np.asarray(r.sum(axis=1)).ravel()))
+    q.eliminate_zeros()
+    return q
 
 
 @dataclass
@@ -486,76 +543,111 @@ class SteadyStateSolution:
 
 
 def steady_state(q: sp.spmatrix, states=None) -> SteadyStateSolution:
-    """Solve pi Q = 0, sum(pi) = 1 by direct sparse elimination.
+    """Solve pi Q = 0, sum(pi) = 1 for a CTMC generator Q by direct
+    sparse elimination (see ``Pinned`` and ``_solve_pinned``).
 
     Requires a single closed communicating class covering all states
     (checked via strong connectivity of the sparsity pattern).
-
-    The system Q^T x = 0 has rank n - 1.  Its balance equation for
-    state 0 is replaced by x_0 = 1, which keeps the matrix as sparse as
-    Q (a dense row of ones would fill the LU factors); the solution is
-    then divided by its sum.  Any one state may be pinned in exact
-    arithmetic; state 0 is the initial marking, or the first tangible
-    marking reached from it.  The solve stays accurate when that marking
-    is rare (pi near 1e-48 is solved to 1e-12), but when its probability
-    lies beyond double range relative to the largest one (near 1e-600)
-    the pinned system is singular in double precision and SrnError is
-    raised.  A net should therefore not start in such a marking.
-
-    The reported residual is max|pi Q| / ||Q||_inf, so the tolerance
-    does not depend on the scale of the rates.  SrnError is raised when
-    the solution is not finite, has a residual above ``RESIDUAL_TOLERANCE``
-    or has an entry below ``-RESIDUAL_TOLERANCE``.
     """
     import numpy as np
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-    from scipy.sparse.linalg import spsolve
 
     n = q.shape[0]
     if states is None:
         states = list(range(n))
     if n == 1:
         return SteadyStateSolution(states, np.array([1.0]), 0.0)
-
     q = q.tocsr()
-    ncomp, labels = connected_components(q, directed=True, connection="strong")
-    if ncomp > 1:
-        groups = [np.nonzero(labels == c)[0].tolist() for c in range(ncomp)]
-        raise ReducibleChain(
-            f"chain is reducible into {ncomp} strongly connected components: {groups}"
-        )
+    return _solve_pinned(Pinned.of(q.indptr, q.indices, n), q.data, states)
 
-    # A = Q^T with row 0 replaced by e_0, in one CSC constructor: column i
-    # of A is row i of Q without its column-0 entry, and e_0 leads column 0
-    rows = np.repeat(np.arange(n), np.diff(q.indptr))
-    keep = q.indices != 0
-    a = sp.csc_matrix((np.append(1.0, q.data[keep]), np.append(0, q.indices[keep]),
-                       np.append(0, 1 + np.cumsum(np.bincount(rows[keep], minlength=n)))),
-                      shape=(n, n))
+
+def solve_graph(graph: ReachabilityGraph) -> SteadyStateSolution:
+    """The steady state over ``graph.tangible``, from the chain that keeps
+    the vanishing markings (``Chain``) and one pinned solve.
+
+    The exit rate s of every kept vanishing marking is the largest total
+    timed rate out of any tangible marking, so every row of G has the
+    scale of the timed rates and the relative residual keeps its
+    meaning.  Raises TimelessTrap when some vanishing marking cannot
+    reach any tangible marking, ReducibleChain when the tangible
+    markings do not form one closed communicating class.
+    """
+    import numpy as np
+
+    chain, timed = graph.chain, graph.timed
+    if chain.trapped:
+        raise TimelessTrap(chain.trapped)
+    nt = len(graph.tangible)
+    if nt == 1:
+        return SteadyStateSolution(graph.tangible, np.array([1.0]), 0.0)
+    exit_rate = np.bincount(timed.source, weights=timed.value, minlength=nt).max()
+    off = np.append(timed.value, exit_rate * graph.immediate.value[chain.kept])
+    diagonal = -np.bincount(chain.rows, weights=off, minlength=len(chain.g.indptr) - 1)
+    return _solve_pinned(chain.pinned, chain.g.data(np.append(off, diagonal)), graph.tangible)
+
+
+def _solve_pinned(pinned: Pinned, data, states: list) -> SteadyStateSolution:
+    """pi over the states of a generator G with CSR ``data`` over
+    ``pinned``; the returned pi is its part over the first len(states)
+    (tangible) states, renormalised.
+
+    Any one state may be pinned in exact arithmetic; state 0 is the
+    initial marking, or the first tangible marking reached from it.  The
+    solve stays accurate when that marking is rare (pi near 1e-48 is
+    solved to 1e-12), but when its probability lies beyond double range
+    relative to the largest one (near 1e-600) the pinned system is
+    singular in double precision and SrnError is raised.  A net should
+    therefore not start in such a marking.
+
+    The reported residual is max|pi G| / ||G||_inf, so the tolerance
+    does not depend on the scale of the rates.  SrnError, naming the
+    stage and the state count, is raised when the pinned system is
+    singular or the solution is not finite, has a residual above
+    ``RESIDUAL_TOLERANCE`` or has an entry below ``-RESIDUAL_TOLERANCE``;
+    ReducibleChain when G's pattern is not strongly connected.
+    """
+    import warnings
+
+    import numpy as np
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import MatrixRankWarning, spsolve
+
+    nt, n = len(states), len(pinned.indptr) - 1
+    if pinned.components:
+        groups = pinned.components
+        raise ReducibleChain(
+            f"chain is reducible into {len(groups)} strongly connected components: {groups}"
+        )
+    where = f"{nt} tangible states" if n == nt else \
+        f"{nt} tangible and {n - nt} vanishing states"
+    a = sp.csc_matrix((np.append(1.0, data[pinned.keep]), pinned.indices.copy(),
+                       pinned.indptr.copy()), shape=(n, n))
     b = np.zeros(n)
     b[0] = 1.0
-    pi = np.asarray(spsolve(a, b)).ravel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MatrixRankWarning)
+        try:
+            pi = np.asarray(spsolve(a, b)).ravel()
+        except MatrixRankWarning:
+            raise SrnError(f"steady-state solve failed at {where}: "
+                           "the pinned system is singular") from None
     pi = pi / pi.sum()
-    q_norm = float(np.bincount(rows, weights=np.abs(q.data), minlength=n).max())
-    pi_q = np.bincount(q.indices, weights=pi[rows] * q.data, minlength=n)
-    residual = float(np.max(np.abs(pi_q))) / q_norm
+    rows = pinned.rows
+    g_norm = float(np.bincount(rows, weights=np.abs(data), minlength=n).max())
+    pi_g = np.bincount(pinned.cols, weights=pi[rows] * data, minlength=n)
+    residual = float(np.max(np.abs(pi_g))) / g_norm
     if not (np.all(np.isfinite(pi)) and np.isfinite(residual)):
-        raise SrnError(f"steady-state solve failed at {n} tangible states: "
-                       "non-finite solution")
+        raise SrnError(f"steady-state solve failed at {where}: non-finite solution")
     if residual > RESIDUAL_TOLERANCE or np.any(pi < -RESIDUAL_TOLERANCE):
-        raise SrnError(f"steady-state solve failed at {n} tangible states: "
+        raise SrnError(f"steady-state solve failed at {where}: "
                        f"relative residual {residual:g}")
-    pi = np.clip(pi, 0.0, None)
+    pi = np.clip(pi, 0.0, None)[:nt]
     pi /= pi.sum()
     return SteadyStateSolution(states, pi, residual)
 
 
 def solve(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> SteadyStateSolution:
-    """Reachability + vanishing elimination + steady state, in one call."""
-    graph = reachability(net, state_cap=state_cap)
-    q = eliminate_vanishing(graph)
-    return steady_state(q, states=graph.tangible)
+    """Reachability and the steady state of its chain, in one call."""
+    return solve_graph(reachability(net, state_cap=state_cap))
 
 
 def expected_reward(solution: SteadyStateSolution, reward) -> float:

@@ -150,6 +150,18 @@ def test_rerated_rates_equal_a_fresh_solve(model, monkeypatch):
     assert len(av._EXPLORED) == 8
 
 
+def test_store_hit_builds_no_net(model, monkeypatch):
+    # a call whose variant is stored reads its rates through the transition
+    # table: over the grid, one net is built per variant
+    monkeypatch.setattr(av, "_EXPLORED", {})
+    built = []
+    init = srn.Net.__init__
+    monkeypatch.setattr(srn.Net, "__init__", lambda net: built.append(net) or init(net))
+    for template, policy in override_grid(model):
+        av.aggregate_rates(template, policy)
+    assert len(built) == len(av._EXPLORED) == 2
+
+
 def test_failure_perturbation_below_one_percent(model, rates):
     for tier, tpl in model.templates.items():
         series = av.aggregate_rates(no_failures(tpl), model.policy)

@@ -224,6 +224,20 @@ def test_rate_override_rejects_unknown_param():
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("override,field", [
+    ("dns.hw_mttr=inf", "servers.dns.hw_mttr"),
+    ("web.svc_patch_mean=inf", "servers.web.svc_patch_mean"),
+    ("app.svc_patch_mean=1e-320", "servers.app.svc_patch_mean"),
+])
+def test_rate_override_names_the_field_it_breaks(override, field):
+    # an infinite mean other than a failure MTTF, or one whose rate
+    # overflows, used to reach the server net and name its transition
+    code, out, err = run_cli("availability", "--model", MODEL, "--rate-override", override)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {field}: ")
+    assert err.count("\n") == 1
+
+
 def test_solve_srn_subcommand(tmp_path):
     netpath = tmp_path / "net.txt"
     netpath.write_text(
@@ -298,6 +312,20 @@ def _python(*args):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def test_solve_srn_singular_system_prints_only_the_solver_error(tmp_path):
+    # the initial marking has probability near 1e-600, so the pinned system
+    # is singular in double precision; scipy's MatrixRankWarning used to be
+    # printed to stderr before the solver error
+    netpath = tmp_path / "singular.net"
+    netpath.write_text("place down 3\nplace up 0\n"
+                       "timed repair rate=1e100*#down in=down out=up\n"
+                       "timed fail rate=1e-100*#up in=up out=down\n")
+    proc = _python("-m", "patchdesign", "solve-srn", str(netpath))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("solver error: steady-state solve failed at 4 tangible states: "
+                           "the pinned system is singular\n")
 
 
 @pytest.mark.parametrize("module", ["patchdesign", "patchdesign.cli"])

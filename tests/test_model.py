@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -120,6 +121,33 @@ def test_infinite_mttf_allowed():
     doc = load_model(example_network_path())
     tpl = dataclasses.replace(doc.templates["dns"], hw_mttf=math.inf)
     assert tpl.rate_per_hour("hw_mttf") == 0.0
+
+
+_FAILURE_FIELDS = ("hw_mttf", "os_mttf", "svc_mttf")
+_OTHER_FIELDS = ("hw_mttr", "os_mttr", "os_patch_mean", "os_reboot_after_patch",
+                 "os_reboot_after_failure", "svc_mttr", "svc_patch_mean",
+                 "svc_reboot_after_patch", "svc_reboot_after_failure")
+
+
+@pytest.mark.parametrize("name", _OTHER_FIELDS)
+def test_infinite_mean_other_than_mttf_rejected(model, name):
+    # its rate would be 0, which the server net cannot take
+    with pytest.raises(ModelError, match=f"^servers.dns.{name}: duration must be finite"):
+        dataclasses.replace(model.templates["dns"], **{name: math.inf})
+
+
+@pytest.mark.parametrize("name", _FAILURE_FIELDS + _OTHER_FIELDS)
+def test_mean_whose_rate_overflows_rejected(model, name):
+    with pytest.raises(ModelError, match=f"^servers.dns.{name}: .*its rate overflows"):
+        dataclasses.replace(model.templates["dns"], **{name: 1e-320})
+
+
+@pytest.mark.parametrize("interval,message", [
+    (math.inf, "must be finite"), (math.nan, "must be positive"), (0.0, "must be positive"),
+    (1e-320, "its rate overflows")])
+def test_patch_interval_must_give_a_positive_finite_rate(interval, message):
+    with pytest.raises(ModelError, match=f"^patch_policy.interval_hours: .*{message}"):
+        PatchPolicy(interval_mean=interval)
 
 
 # -- patching ------------------------------------------------------------

@@ -549,15 +549,10 @@ def steady_state(q: sp.spmatrix, states=None) -> SteadyStateSolution:
     Requires a single closed communicating class covering all states
     (checked via strong connectivity of the sparsity pattern).
     """
-    import numpy as np
-
     n = q.shape[0]
-    if states is None:
-        states = list(range(n))
-    if n == 1:
-        return SteadyStateSolution(states, np.array([1.0]), 0.0)
     q = q.tocsr()
-    return _solve_pinned(Pinned.of(q.indptr, q.indices, n), q.data, states)
+    return _solve_pinned(Pinned.of(q.indptr, q.indices, n), q.data,
+                         list(range(n)) if states is None else states)
 
 
 def solve_graph(graph: ReachabilityGraph) -> SteadyStateSolution:
@@ -568,18 +563,15 @@ def solve_graph(graph: ReachabilityGraph) -> SteadyStateSolution:
     timed rate out of any tangible marking, so every row of G has the
     scale of the timed rates and the relative residual keeps its
     meaning.  Raises TimelessTrap when some vanishing marking cannot
-    reach any tangible marking, ReducibleChain when the tangible
-    markings do not form one closed communicating class.
+    reach any tangible marking.
     """
     import numpy as np
 
     chain, timed = graph.chain, graph.timed
     if chain.trapped:
         raise TimelessTrap(chain.trapped)
-    nt = len(graph.tangible)
-    if nt == 1:
-        return SteadyStateSolution(graph.tangible, np.array([1.0]), 0.0)
-    exit_rate = np.bincount(timed.source, weights=timed.value, minlength=nt).max()
+    exit_rate = np.bincount(timed.source, weights=timed.value,
+                            minlength=len(graph.tangible)).max()
     off = np.append(timed.value, exit_rate * graph.immediate.value[chain.kept])
     diagonal = -np.bincount(chain.rows, weights=off, minlength=len(chain.g.indptr) - 1)
     return _solve_pinned(chain.pinned, chain.g.data(np.append(off, diagonal)), graph.tangible)
@@ -612,6 +604,8 @@ def _solve_pinned(pinned: Pinned, data, states: list) -> SteadyStateSolution:
     from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
     nt, n = len(states), len(pinned.indptr) - 1
+    if nt == 1:
+        return SteadyStateSolution(states, np.array([1.0]), 0.0)
     if pinned.components:
         groups = pinned.components
         raise ReducibleChain(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from patchdesign import availability, harm, srn
+from patchdesign import availability, harm, simulate, srn
 from patchdesign.guards import parse_guard
 from patchdesign.model import example_network_path, load_model
 
@@ -64,9 +64,13 @@ def instance_path_metrics(harm_obj):
 
 def reference_simulate_reward(net, reward, hours, seed=0, batches=50):
     """``simulate.simulate_reward`` with the step rule, the firing and
-    the reward recomputed at every event: the oracle for its step
-    table.  Returns (value, stderr)."""
+    the reward recomputed at every event and the batch of each dwell
+    found from its start time: the oracle for its step table and batch
+    accounting.  Draws from the same two variate streams.  Returns
+    (value, stderr)."""
     rng = np.random.default_rng(seed)
+    exponentials = simulate._stream(rng.standard_exponential)
+    uniforms = simulate._stream(rng.random)
     marking = net.initial_marking()
     batch_len = hours / batches
     batch_totals = np.zeros(batches)
@@ -75,7 +79,7 @@ def reference_simulate_reward(net, reward, hours, seed=0, batches=50):
         vanishing, step = net.branches(marking)
         total = sum(w for _, w in step)
         if not vanishing:
-            dwell = rng.exponential(1.0 / total) if step else hours - now
+            dwell = next(exponentials) / total if step else hours - now
             r = reward(marking)
             end = min(now + dwell, hours)
             b, at = min(int(now / batch_len), batches - 1), now
@@ -85,7 +89,7 @@ def reference_simulate_reward(net, reward, hours, seed=0, batches=50):
                 b, at = b + 1, edge
             now += dwell
         if step:
-            u = rng.random() * total
+            u = next(uniforms) * total
             for t, w in step:
                 u -= w
                 if u < 0:

@@ -1,8 +1,9 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_small_net, reference_simulate_reward, small_nets
@@ -168,3 +169,50 @@ def test_step_table_matches_per_event_reference(spec, hours, seed, batches):
                                    batches=batches)
     assert (est.value, est.stderr) == reference_simulate_reward(
         build_small_net(spec), reward, hours=hours, seed=seed, batches=batches)
+
+
+def _flip_flop():
+    net = srn.Net()
+    net.add_place("up", 1)
+    net.add_place("down", 0)
+    net.add_timed("fail", 1.0, ["up"], ["down"])
+    net.add_timed("repair", 2.0, ["down"], ["up"])
+    return net
+
+
+def _up(m):
+    return float(m["up"])
+
+
+@pytest.mark.parametrize("hours", [math.inf, -math.inf, math.nan, -5.0, 0.0, 0])
+def test_rejects_bad_horizon(hours):
+    with pytest.raises(ValueError, match="hours"):
+        simulate.simulate_reward(_flip_flop(), _up, hours=hours)
+
+
+@pytest.mark.parametrize("batches", [1, 0, -3, 2.0, 50.0, True])
+def test_rejects_bad_batch_count(batches):
+    with pytest.raises(ValueError, match="batches"):
+        simulate.simulate_reward(_flip_flop(), _up, hours=100.0, batches=batches)
+
+
+def test_same_seed_same_estimate():
+    first = simulate.simulate_reward(_flip_flop(), _up, hours=5_000.0, seed=21)
+    second = simulate.simulate_reward(_flip_flop(), _up, hours=5_000.0, seed=21)
+    assert (first.value, first.stderr) == (second.value, second.stderr)
+    other = simulate.simulate_reward(_flip_flop(), _up, hours=5_000.0, seed=22)
+    assert other.value != first.value
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=small_nets(), seed=st.integers(0, 2**32 - 1))
+def test_simulation_matches_analytic_reward(spec, seed):
+    def reward(m):
+        return m.counts[0] + 0.5 * m.counts[-1]
+
+    try:
+        analytic = srn.expected_reward(srn.solve(build_small_net(spec)), reward)
+    except srn.SrnError:
+        assume(False)
+    est = simulate.simulate_reward(build_small_net(spec), reward, hours=2_000.0, seed=seed)
+    assert est.within(analytic, n_sigma=5)

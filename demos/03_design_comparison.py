@@ -9,11 +9,10 @@ trade-off, and filters them against two candidate bound settings.
 
 from patchdesign import (
     Bounds,
+    Evaluator,
     accepts,
-    aggregate_all,
     build_network_srn,
     coa_reward,
-    evaluate_design,
     example_network_path,
     load_model,
     sweep,
@@ -31,10 +30,13 @@ labels = [
 ]
 
 # -- evaluate after patching ---------------------------------------------------
+# One evaluator per model and patch mode: it aggregates the server rates and
+# prunes the attack trees once, then evaluates any number of designs.
+evaluator = Evaluator(model, patched=True)
 print(f"{'design':>20} {'ASP':>9} {'COA':>9} {'NoEV':>5} {'NoAP':>5} {'NoEP':>5}")
 evaluations = []
 for label in labels:
-    e = evaluate_design(model, model.designs[label], patched=True)
+    e = evaluator.evaluate(model.designs[label])
     evaluations.append(e)
     m = e.metrics
     print(f"{label:>20} {m.asp:9.6f} {e.coa:9.6f} "
@@ -47,9 +49,8 @@ print(f"\nhighest COA: {best.label} ({best.coa:.6f})")
 
 # COA comes from a per-tier product form; solving the flat network SRN
 # (one token pool per tier) gives the same value.
-rates = aggregate_all(model.templates, model.policy)
 design = model.designs[best.label]
-check = srn.expected_reward(srn.solve(build_network_srn(design, rates)),
+check = srn.expected_reward(srn.solve(build_network_srn(design, evaluator.rates)),
                             coa_reward(design))
 assert abs(best.coa - check) < 1e-9
 

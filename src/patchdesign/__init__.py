@@ -11,7 +11,7 @@ from .harm import (Harm, SecurityMetrics, build_harm, enumerate_attack_paths,
 from .availability import (AggregatedRates, aggregate_all, aggregate_rates,
                            build_network_srn, build_server_srn, coa_reward,
                            compute_coa)
-from .evaluate import DesignEvaluation, accepts, evaluate_design, sweep
+from .evaluate import DesignEvaluation, Evaluator, accepts, evaluate_design, sweep
 
 __all__ = [
     "AttackTreeNode", "Bounds", "DesignSpec", "Model", "PatchPolicy",
@@ -21,5 +21,5 @@ __all__ = [
     "network_metrics", "path_metrics", "tree_impact", "tree_probability",
     "AggregatedRates", "aggregate_all", "aggregate_rates",
     "build_network_srn", "build_server_srn", "coa_reward", "compute_coa",
-    "DesignEvaluation", "accepts", "evaluate_design", "sweep",
+    "DesignEvaluation", "Evaluator", "accepts", "evaluate_design", "sweep",
 ]

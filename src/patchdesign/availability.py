@@ -33,68 +33,46 @@ from . import srn
 from .guards import parse_guard
 from .model import DesignSpec, PatchPolicy, ServerTemplate
 
-# Guards attached verbatim to the server sub-model transitions.
-SERVER_GUARDS = {
-    "T_osd": "#P_hwd == 1",
-    "T_osdrb": "#P_hwup == 1",
-    "T_osfup": "#P_hwup == 1",
-    "T_osptrig": "#P_svcp == 1",
-    "T_osp": "#P_hwup == 1",
-    "T_osrpd": "#P_hwd == 1",
-    "T_ospd": "#P_hwd == 1",
-    "T_osprb": "#P_hwup == 1",
-    "T_svcd": "#P_hwd == 1 || #P_osfd == 1",
-    "T_svcdrb": "#P_hwup == 1 && #P_osup == 1",
-    "T_svcfup": "#P_hwup == 1 && #P_osup == 1",
-    "T_svcptrig": "#P_trigger == 1",
-    "T_svcp": "#P_hwup == 1 && #P_osup == 1",
-    "T_svcrpd": "#P_hwd == 1 || #P_osfd == 1",
-    "T_svcrrb": "#P_osp == 1",
-    "T_svcrrbd": "#P_hwd == 1 || #P_osfd == 1",
-    "T_svcprb": "#P_hwup == 1 && #P_osup == 1",
-    "T_interval": "#P_svcup == 1 || #P_svcd == 1 || #P_svcfd == 1",
-    "T_policy": "#P_svcp == 1",
-    "T_reset": "#P_osp == 1",
-}
-# parsed once: guards are immutable, so every server net shares them
-_SERVER_GUARD_EXPRS = {name: parse_guard(text) for name, text in SERVER_GUARDS.items()}
-
-
 # The server net's transitions, one row each: (name, rate, inputs,
-# outputs).  ``rate`` names the ServerTemplate mean whose reciprocal is the
-# rate, "interval" for the patch clock, or is None for an immediate
-# transition (weight 1).  Guards are in SERVER_GUARDS.  The order is the
-# order of Net.transitions, which the stored graphs index.
+# outputs, guard).  ``rate`` names the ServerTemplate mean whose reciprocal
+# is the rate, "interval" for the patch clock, or is None for an immediate
+# transition (weight 1).  ``guard`` is the guard text, or None for none.
+# The order is the order of Net.transitions, which the stored graphs index.
 _SERVER_TRANSITIONS = (
     # hardware: single up/down cycle
-    ("T_hwd", "hw_mttf", ["P_hwup"], ["P_hwd"]),
-    ("T_hwup", "hw_mttr", ["P_hwd"], ["P_hwup"]),
+    ("T_hwd", "hw_mttf", ["P_hwup"], ["P_hwd"], None),
+    ("T_hwup", "hw_mttr", ["P_hwd"], ["P_hwup"], None),
     # OS: up, down (by hw), failed, ready-to-patch, patched
-    ("T_osd", None, ["P_osup"], ["P_osd"]),
-    ("T_osdrb", "os_reboot_after_failure", ["P_osd"], ["P_osup"]),
-    ("T_osfd", "os_mttf", ["P_osup"], ["P_osfd"]),
-    ("T_osfup", "os_mttr", ["P_osfd"], ["P_osup"]),
-    ("T_osptrig", None, ["P_osup"], ["P_osrtp"]),
-    ("T_osp", "os_patch_mean", ["P_osrtp"], ["P_osp"]),
-    ("T_osrpd", None, ["P_osrtp"], ["P_osd"]),
-    ("T_ospd", None, ["P_osp"], ["P_osd"]),
-    ("T_osprb", "os_reboot_after_patch", ["P_osp"], ["P_osup"]),
+    ("T_osd", None, ["P_osup"], ["P_osd"], "#P_hwd == 1"),
+    ("T_osdrb", "os_reboot_after_failure", ["P_osd"], ["P_osup"], "#P_hwup == 1"),
+    ("T_osfd", "os_mttf", ["P_osup"], ["P_osfd"], None),
+    ("T_osfup", "os_mttr", ["P_osfd"], ["P_osup"], "#P_hwup == 1"),
+    ("T_osptrig", None, ["P_osup"], ["P_osrtp"], "#P_svcp == 1"),
+    ("T_osp", "os_patch_mean", ["P_osrtp"], ["P_osp"], "#P_hwup == 1"),
+    ("T_osrpd", None, ["P_osrtp"], ["P_osd"], "#P_hwd == 1"),
+    ("T_ospd", None, ["P_osp"], ["P_osd"], "#P_hwd == 1"),
+    ("T_osprb", "os_reboot_after_patch", ["P_osp"], ["P_osup"], "#P_hwup == 1"),
     # service: up, down, failed, ready-to-patch, patched, ready-to-reboot
-    ("T_svcd", None, ["P_svcup"], ["P_svcd"]),
-    ("T_svcdrb", "svc_reboot_after_failure", ["P_svcd"], ["P_svcup"]),
-    ("T_svcfd", "svc_mttf", ["P_svcup"], ["P_svcfd"]),
-    ("T_svcfup", "svc_mttr", ["P_svcfd"], ["P_svcup"]),
-    ("T_svcptrig", None, ["P_svcup"], ["P_svcrtp"]),
-    ("T_svcp", "svc_patch_mean", ["P_svcrtp"], ["P_svcp"]),
-    ("T_svcrpd", None, ["P_svcrtp"], ["P_svcd"]),
-    ("T_svcrrb", None, ["P_svcp"], ["P_svcrrb"]),
-    ("T_svcrrbd", None, ["P_svcrrb"], ["P_svcd"]),
-    ("T_svcprb", "svc_reboot_after_patch", ["P_svcrrb"], ["P_svcup"]),
+    ("T_svcd", None, ["P_svcup"], ["P_svcd"], "#P_hwd == 1 || #P_osfd == 1"),
+    ("T_svcdrb", "svc_reboot_after_failure", ["P_svcd"], ["P_svcup"],
+     "#P_hwup == 1 && #P_osup == 1"),
+    ("T_svcfd", "svc_mttf", ["P_svcup"], ["P_svcfd"], None),
+    ("T_svcfup", "svc_mttr", ["P_svcfd"], ["P_svcup"], "#P_hwup == 1 && #P_osup == 1"),
+    ("T_svcptrig", None, ["P_svcup"], ["P_svcrtp"], "#P_trigger == 1"),
+    ("T_svcp", "svc_patch_mean", ["P_svcrtp"], ["P_svcp"], "#P_hwup == 1 && #P_osup == 1"),
+    ("T_svcrpd", None, ["P_svcrtp"], ["P_svcd"], "#P_hwd == 1 || #P_osfd == 1"),
+    ("T_svcrrb", None, ["P_svcp"], ["P_svcrrb"], "#P_osp == 1"),
+    ("T_svcrrbd", None, ["P_svcrrb"], ["P_svcd"], "#P_hwd == 1 || #P_osfd == 1"),
+    ("T_svcprb", "svc_reboot_after_patch", ["P_svcrrb"], ["P_svcup"],
+     "#P_hwup == 1 && #P_osup == 1"),
     # patch clock: armed, triggered, waiting for the cycle to finish
-    ("T_interval", "interval", ["P_clock"], ["P_trigger"]),
-    ("T_policy", None, ["P_trigger"], ["P_wait"]),
-    ("T_reset", None, ["P_wait"], ["P_clock"]),
+    ("T_interval", "interval", ["P_clock"], ["P_trigger"],
+     "#P_svcup == 1 || #P_svcd == 1 || #P_svcfd == 1"),
+    ("T_policy", None, ["P_trigger"], ["P_wait"], "#P_svcp == 1"),
+    ("T_reset", None, ["P_wait"], ["P_clock"], "#P_osp == 1"),
 )
+# guard text -> guard, parsed once: every server net shares the immutable guards
+_GUARDS = {guard: parse_guard(guard) for *_, guard in _SERVER_TRANSITIONS if guard}
 
 
 def _server_transitions(template: ServerTemplate, policy: PatchPolicy) -> list:
@@ -104,7 +82,7 @@ def _server_transitions(template: ServerTemplate, policy: PatchPolicy) -> list:
     patch cycle.  ``ServerTemplate`` and ``PatchPolicy`` keep every other
     rate positive and finite."""
     rows = []
-    for name, mean, inputs, outputs in _SERVER_TRANSITIONS:
+    for name, mean, inputs, outputs, guard in _SERVER_TRANSITIONS:
         rate = None
         if mean == "interval":
             rate = 1.0 / policy.interval_mean
@@ -112,7 +90,7 @@ def _server_transitions(template: ServerTemplate, policy: PatchPolicy) -> list:
             rate = template.rate_per_hour(mean)
             if rate == 0:
                 continue
-        rows.append((name, rate, inputs, outputs))
+        rows.append((name, rate, inputs, outputs, guard))
     return rows
 
 
@@ -127,8 +105,8 @@ def build_server_srn(template: ServerTemplate, policy: PatchPolicy) -> srn.Net:
               "P_svcd", "P_svcfd", "P_svcrtp", "P_svcp", "P_svcrrb",
               "P_trigger", "P_wait"):
         net.add_place(p, 0)
-    for name, rate, inputs, outputs in _server_transitions(template, policy):
-        guard = _SERVER_GUARD_EXPRS.get(name, srn.TRUE)
+    for name, rate, inputs, outputs, text in _server_transitions(template, policy):
+        guard = _GUARDS.get(text, srn.TRUE)
         if rate is None:
             net.add_immediate(name, inputs, outputs, guard=guard)
         else:
@@ -200,7 +178,7 @@ def aggregate_rates(template: ServerTemplate, policy: PatchPolicy) -> Aggregated
             [i for i, m in enumerate(graph.tangible) if _reboot_ready(m)])
     else:
         graph = srn.rerate(explored[0], [1.0 if rate is None else rate
-                                         for _, rate, _, _ in rows])
+                                         for _, rate, *_ in rows])
     _, patch_down, reboot_ready = explored
     pi = srn.solve_graph(graph).pi
     # summed in marking order, as SteadyStateSolution.probability sums

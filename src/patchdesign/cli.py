@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -11,8 +12,8 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from . import __version__, availability, evaluate, harm, netfile, srn
-from .model import Bounds, ModelError, load_model, make_bounds
+from . import __version__, evaluate, netfile, srn
+from .model import _SERVER_FIELD_KEYS, Bounds, ModelError, load_model, make_bounds
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -24,9 +25,11 @@ def _parse_bounds(text: str) -> Bounds:
     for pair in text.split(","):
         if not pair:
             continue
-        if "=" not in pair:
+        key, eq, raw = pair.partition("=")
+        if not eq:
             raise ModelError("bounds", f"expected key=value, got {pair!r}")
-        key, raw = pair.split("=", 1)
+        if key in values:
+            raise ModelError("bounds", f"bound {key!r} given twice")
         values[key] = _number(raw)
     return make_bounds(values)
 
@@ -45,15 +48,20 @@ def _number(text: str):
 def _apply_rate_overrides(model, overrides):
     templates = dict(model.templates)
     for item in overrides or []:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
+        target, eq, raw = item.partition("=")
+        tier, dot, param = target.partition(".")
+        if not (eq and dot):
             raise ModelError("rate-override", f"expected tier.param=value, got {item!r}")
-        target, raw = item.split("=", 1)
-        tier, param = target.split(".", 1)
         if tier not in templates:
-            raise ModelError("rate-override", f"unknown tier {tier!r}")
-        if not hasattr(templates[tier], param) or param in ("tier", "attack_tree"):
-            raise ModelError("rate-override", f"unknown rate parameter {param!r}")
-        templates[tier] = dataclasses.replace(templates[tier], **{param: float(raw)})
+            raise ModelError("rate-override", f"{item!r}: unknown tier {tier!r}")
+        if param not in _SERVER_FIELD_KEYS:
+            raise ModelError("rate-override", f"{item!r}: unknown rate parameter {param!r} "
+                             f"(expected one of {sorted(_SERVER_FIELD_KEYS)})")
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ModelError("rate-override", f"{item!r}: {raw!r} is not a number") from None
+        templates[tier] = dataclasses.replace(templates[tier], **{param: value})
     return dataclasses.replace(model, templates=templates)
 
 
@@ -100,13 +108,10 @@ def _fmt6(x: float) -> str:
 
 def cmd_security(args, out) -> int:
     model = _apply_rate_overrides(load_model(args.model), args.rate_override)
-    designs = _select_designs(model, args.design)
-    trees = harm.tier_trees(model.templates, model.reachability, args.patched, model.policy)
+    evaluator = evaluate.Evaluator(model, args.patched)
     rows = []
-    for design in designs:
-        h = harm.build_harm(design, model.templates, model.reachability,
-                            args.patched, model.policy, trees)
-        m = harm.network_metrics(h)
+    for design in _select_designs(model, args.design):
+        m = evaluator.security(design)
         rows.append([design.label, str(args.patched).lower(), _fmt6(m.aim),
                      _fmt6(m.asp), m.noev, m.noap, m.noep])
     _emit_rows(["design", "patched", "aim", "asp", "noev", "noap", "noep"],
@@ -117,15 +122,14 @@ def cmd_security(args, out) -> int:
 def cmd_availability(args, out) -> int:
     model = _apply_rate_overrides(load_model(args.model), args.rate_override)
     designs = _select_designs(model, args.design)
-    rates = availability.aggregate_all(model.templates, model.policy)
+    evaluator = evaluate.Evaluator(model)
     rows = [[tier, _fmt6(agg.mttp), _fmt6(agg.lambda_eq),
              _fmt6(agg.mttr), _fmt6(agg.mu_eq)]
-            for tier, agg in rates.items()]
+            for tier, agg in evaluator.rates.items()]
     _emit_rows(["service", "mttp_hours", "patch_rate", "mttr_hours", "recovery_rate"],
                rows, args.format, out)
     for design in designs:
-        coa = availability.compute_coa(design, rates)
-        print(f"COA[{design.label}] = {coa:.6g}", file=out)
+        print(f"COA[{design.label}] = {evaluator.coa(design):.6g}", file=out)
     return EXIT_OK
 
 
@@ -164,7 +168,9 @@ def cmd_solve_srn(args, out) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="patchdesign",
         description="Evaluate server-redundancy designs under security "

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import availability, harm
 from .model import Bounds, DesignSpec, Model, bounds_keys
@@ -18,18 +19,45 @@ class DesignEvaluation:
     coa: float
 
 
-def evaluate_design(model: Model, design: DesignSpec, patched: bool,
-                    rates: dict | None = None, trees: dict | None = None) -> DesignEvaluation:
-    """Security metrics plus capacity-oriented availability for a design.
-    ``rates`` and ``trees`` (``harm.tier_trees``) are computed when not
-    given; a sweep computes each once for all its designs."""
-    if rates is None:
-        rates = availability.aggregate_all(model.templates, model.policy)
-    h = harm.build_harm(design, model.templates, model.reachability,
-                        patched, model.policy, trees)
-    metrics = harm.network_metrics(h)
-    coa = availability.compute_coa(design, rates)
-    return DesignEvaluation(design.label, patched, metrics, coa)
+class Evaluator:
+    """Evaluates the designs of one model, pre- or post-patch.
+
+    The aggregated rates and the pruned, scored tier trees do not depend
+    on the design, so each is computed on first use and kept for every
+    later design.  ``security`` never reads the rates, so it solves no
+    server net and loads neither numpy nor scipy."""
+
+    def __init__(self, model: Model, patched: bool = True):
+        self.model = model
+        self.patched = patched
+
+    @cached_property
+    def rates(self) -> dict:
+        """tier -> ``availability.AggregatedRates``."""
+        return availability.aggregate_all(self.model.templates, self.model.policy)
+
+    @cached_property
+    def trees(self) -> harm.TierTrees:
+        m = self.model
+        return harm.tier_trees(m.templates, m.reachability, self.patched, m.policy)
+
+    def security(self, design: DesignSpec) -> SecurityMetrics:
+        reach = self.model.reachability
+        return harm.network_metrics(harm.Harm(
+            {t: design.count(t) for t in reach.tiers}, self.trees, reach))
+
+    def coa(self, design: DesignSpec) -> float:
+        return availability.compute_coa(design, self.rates)
+
+    def evaluate(self, design: DesignSpec) -> DesignEvaluation:
+        """Security metrics plus capacity-oriented availability."""
+        return DesignEvaluation(design.label, self.patched,
+                                self.security(design), self.coa(design))
+
+
+def evaluate_design(model: Model, design: DesignSpec, patched: bool) -> DesignEvaluation:
+    """Security metrics plus capacity-oriented availability for a design."""
+    return Evaluator(model, patched).evaluate(design)
 
 
 def accepts(evaluation: DesignEvaluation, bounds: Bounds) -> bool:
@@ -57,11 +85,8 @@ def sweep(model: Model, bounds_list=None, patched: bool = True,
     """
     if designs is None:
         designs = list(model.designs.values())
-    rates = availability.aggregate_all(model.templates, model.policy)
-    trees = harm.tier_trees(model.templates, model.reachability, patched, model.policy)
-    evaluations = sorted(
-        (evaluate_design(model, d, patched, rates, trees) for d in designs),
-        key=lambda e: e.label)
+    evaluator = Evaluator(model, patched)
+    evaluations = sorted(map(evaluator.evaluate, designs), key=lambda e: e.label)
     regions = []
     for bounds in bounds_list or []:
         accepted = [e.label for e in evaluations if accepts(e, bounds)]

@@ -60,12 +60,8 @@ class Harm:
     attack tree per tier (lower layer)."""
 
     counts: dict  # tier -> replicas
-    trees: TierTrees  # a plain dict is evaluated into one
+    trees: TierTrees
     reachability: ReachabilityTemplate
-
-    def __post_init__(self):
-        if not isinstance(self.trees, TierTrees):
-            object.__setattr__(self, "trees", TierTrees(self.trees))
 
 
 @dataclass(frozen=True)
@@ -80,9 +76,9 @@ class SecurityMetrics:
 def tier_trees(templates: dict, reachability: ReachabilityTemplate, patched: bool,
                policy: PatchPolicy | None = None) -> TierTrees:
     """Each tier's attack tree, with the policy's patched leaves pruned
-    if ``patched``.  The trees do not depend on the design, so a sweep
-    prunes and evaluates them once and passes them to every
-    ``build_harm``."""
+    if ``patched``.  The trees do not depend on the design, so an
+    ``evaluate.Evaluator`` prunes and evaluates them once for all its
+    designs."""
     if patched:
         policy = policy or PatchPolicy()
         templates = {t: apply_patch_policy(tpl, policy) for t, tpl in templates.items()}
@@ -91,14 +87,12 @@ def tier_trees(templates: dict, reachability: ReachabilityTemplate, patched: boo
 
 def build_harm(design: DesignSpec, templates: dict,
                reachability: ReachabilityTemplate, patched: bool,
-               policy: PatchPolicy | None = None, trees: dict | None = None) -> Harm:
+               policy: PatchPolicy | None = None) -> Harm:
     """The HARM of a design, pre- or post-patch: its replica count and
-    (patched if asked) attack tree per tier over the tier graph.
-    ``trees``, when given, is ``tier_trees`` of the same arguments."""
-    if trees is None:
-        trees = tier_trees(templates, reachability, patched, policy)
+    (patched if asked) attack tree per tier over the tier graph."""
     return Harm(counts={t: design.count(t) for t in reachability.tiers},
-                trees=trees, reachability=reachability)
+                trees=tier_trees(templates, reachability, patched, policy),
+                reachability=reachability)
 
 
 def enumerate_attack_paths(harm: Harm) -> list[tuple]:
@@ -192,7 +186,7 @@ def network_metrics(harm: Harm) -> SecurityMetrics:
     1.0 - p still counts.  NoEV counts vulnerabilities per exploitable
     replica; NoEP counts the replicas of exploitable entry tiers.  The
     per-tier values are ``harm.trees.scores``, evaluated once per
-    ``tier_trees`` result rather than once per design.
+    ``tier_trees`` result, which designs can share.
     """
     reach, replicas = harm.reachability, harm.counts
     value = {t: score for t, score in harm.trees.scores.items() if replicas[t]}

@@ -84,15 +84,25 @@ def or_node(*children) -> AttackTreeNode:
     return AttackTreeNode("or", children=tuple(children))
 
 
-# Duration fields and their units; downstream rates are reciprocals
-# (exponential assumption).
-_HOUR_FIELDS = ("hw_mttf", "hw_mttr", "os_mttf", "os_mttr", "svc_mttf")
+# ServerTemplate duration field -> model-file key, whose suffix is the
+# field's unit.  Downstream rates are reciprocals (exponential assumption).
+_SERVER_FIELD_KEYS = {
+    "hw_mttf": "hw_mttf_hours",
+    "hw_mttr": "hw_mttr_hours",
+    "os_mttf": "os_mttf_hours",
+    "os_mttr": "os_mttr_hours",
+    "os_patch_mean": "os_patch_minutes",
+    "os_reboot_after_patch": "os_reboot_after_patch_minutes",
+    "os_reboot_after_failure": "os_reboot_after_failure_minutes",
+    "svc_mttf": "svc_mttf_hours",
+    "svc_mttr": "svc_mttr_minutes",
+    "svc_patch_mean": "svc_patch_minutes",
+    "svc_reboot_after_patch": "svc_reboot_after_patch_minutes",
+    "svc_reboot_after_failure": "svc_reboot_after_failure_minutes",
+}
+_MINUTE_FIELDS = frozenset(f for f, key in _SERVER_FIELD_KEYS.items()
+                           if key.endswith("_minutes"))
 _FAILURE_FIELDS = ("hw_mttf", "os_mttf", "svc_mttf")
-_MINUTE_FIELDS = (
-    "os_patch_mean", "os_reboot_after_patch", "os_reboot_after_failure",
-    "svc_mttr", "svc_patch_mean", "svc_reboot_after_patch",
-    "svc_reboot_after_failure",
-)
 
 
 @dataclass(frozen=True)
@@ -115,7 +125,7 @@ class ServerTemplate:
     def __post_init__(self):
         # every rate the server net uses is positive and finite, except a
         # failure rate, which an infinite MTTF makes 0
-        for name in _HOUR_FIELDS + _MINUTE_FIELDS:
+        for name in _SERVER_FIELD_KEYS:
             value, path = getattr(self, name), f"servers.{self.tier}.{name}"
             if not value > 0:
                 raise ModelError(path, f"duration must be strictly positive, got {value}")
@@ -309,6 +319,13 @@ def _require(mapping, key, path, kind=None):
     return value
 
 
+def _reject_unknown(mapping, known, path):
+    for key in mapping:
+        if key not in known:
+            raise ModelError(f"{path}.{key}",
+                             f"unknown key {key!r} (expected one of {sorted(known)})")
+
+
 def _parse_tree(node, catalog, path):
     if not isinstance(node, dict) or len(node) != 1:
         raise ModelError(path, "attack tree node must be a single-key object")
@@ -324,22 +341,6 @@ def _parse_tree(node, catalog, path):
                     for i, c in enumerate(value)]
         return AttackTreeNode(key, children=tuple(children))
     raise ModelError(path, f"unknown attack tree key {key!r}")
-
-
-_SERVER_FIELD_KEYS = {
-    "hw_mttf": "hw_mttf_hours",
-    "hw_mttr": "hw_mttr_hours",
-    "os_mttf": "os_mttf_hours",
-    "os_mttr": "os_mttr_hours",
-    "os_patch_mean": "os_patch_minutes",
-    "os_reboot_after_patch": "os_reboot_after_patch_minutes",
-    "os_reboot_after_failure": "os_reboot_after_failure_minutes",
-    "svc_mttf": "svc_mttf_hours",
-    "svc_mttr": "svc_mttr_minutes",
-    "svc_patch_mean": "svc_patch_minutes",
-    "svc_reboot_after_patch": "svc_reboot_after_patch_minutes",
-    "svc_reboot_after_failure": "svc_reboot_after_failure_minutes",
-}
 
 
 def load_model(source) -> Model:
@@ -360,6 +361,8 @@ def load_model(source) -> Model:
         doc = source
     if not isinstance(doc, dict):
         raise ModelError("$", "top level must be an object")
+    _reject_unknown(doc, ("tiers", "vulnerabilities", "servers", "reachability",
+                          "designs", "patch_policy", "bounds"), "$")
 
     tiers = _require(doc, "tiers", "$", list)
     if not tiers:
@@ -393,9 +396,7 @@ def load_model(source) -> Model:
         tree = raw.get("attack_tree")
         parsed = _parse_tree(tree, catalog, f"{path}.attack_tree") if tree else None
         templates[tier] = ServerTemplate(tier=tier, attack_tree=parsed, **fields)
-    for tier in servers:
-        if tier not in tiers:
-            raise ModelError(f"$.servers.{tier}", f"unknown tier {tier!r}")
+    _reject_unknown(servers, tiers, "$.servers")
 
     raw_reach = _require(doc, "reachability", "$", dict)
     reach = ReachabilityTemplate(
@@ -412,12 +413,11 @@ def load_model(source) -> Model:
             n = counts.get(tier)
             if not isinstance(n, int) or n < 1:
                 raise ModelError(f"{path}.{tier}", "replica count must be an integer >= 1")
-        for tier in counts:
-            if tier not in tiers:
-                raise ModelError(f"{path}.{tier}", f"unknown tier {tier!r}")
+        _reject_unknown(counts, tiers, path)
         designs[label] = DesignSpec(label, tuple((t, counts[t]) for t in tiers))
 
-    raw_policy = doc.get("patch_policy", {})
+    raw_policy = _require(doc, "patch_policy", "$", dict) if "patch_policy" in doc else {}
+    _reject_unknown(raw_policy, ("interval_hours",), "$.patch_policy")
     policy = PatchPolicy(interval_mean=float(raw_policy.get("interval_hours", 720.0)))
 
     bounds = None

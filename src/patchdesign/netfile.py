@@ -12,7 +12,7 @@ take, or a key given twice, is an error.  A place listed twice in one
 arc list gets the sum of its multiplicities: ``in=a,a`` is ``in=a:2``.
 
 The initial marking is the pinned state of the steady-state solve
-(``srn.steady_state``): it may be rare, but not so rare that its
+(``srn.solve_graph``): it may be rare, but not so rare that its
 probability underflows double precision relative to the likeliest
 marking.
 """

@@ -40,6 +40,20 @@ def test_version():
     assert out.strip().count(".") == 2
 
 
+def test_parser_is_built_once_and_reused():
+    first, second = io.StringIO(), io.StringIO()
+    assert cli.run(["--help"], out=first) == 0
+    assert cli.run(["--help"], out=second) == 0
+    assert "usage" in first.getvalue().lower()
+    assert second.getvalue() == first.getvalue()
+    assert cli.build_parser() is cli.build_parser()
+    # a usage error after a good run still goes to err and exits 1
+    assert run_cli("security", "--model", MODEL, "--design", "base")[0] == 0
+    code, out, err = run_cli("security", "--model", MODEL, "--no-such-flag")
+    assert (code, out) == (1, "")
+    assert "usage" in err.lower() and "--no-such-flag" in err
+
+
 def test_security_base_patched():
     code, out, _ = run_cli("security", "--model", MODEL,
                            "--design", "base", "--patched")
@@ -108,6 +122,90 @@ def test_availability_reports_coa():
     coa_line = next(l for l in out.splitlines() if l.startswith("COA[base]"))
     assert float(coa_line.split("=")[1]) == pytest.approx(0.99707, abs=1e-4)
     assert "720" in out  # aggregate table present
+
+
+# rows are padded to their column widths, trailing spaces included
+AVAILABILITY_TABLE = """\
+service  mttp_hours  patch_rate  mttr_hours  recovery_rate
+dns      720         0.00138889  0.666706    1.49991      
+web      720         0.00138889  0.583366    1.71419      
+app      720         0.00138889  1.00006     0.99994      
+db       720         0.00138889  0.916724    1.09084      
+COA[1dns-1web-1app-1db] = 0.995614
+COA[1dns-1web-1app-2db] = 0.996373
+COA[1dns-1web-2app-1db] = 0.996442
+COA[1dns-2web-1app-1db] = 0.996097
+COA[2dns-1web-1app-1db] = 0.996166
+COA[base] = 0.997072
+"""
+
+
+def test_availability_all_designs_table_is_pinned():
+    code, out, err = run_cli("availability", "--model", MODEL, "--design", "all")
+    assert (code, err) == (0, "")
+    assert out == AVAILABILITY_TABLE
+
+
+COMPARE_BOUNDS = ("phi=0.2,psi=0.9962", "phi=0.1,psi=0.9961,xi=7")
+
+COMPARE_STDOUT = """\
+wrote scatter.csv, radar.csv, regions.json to {out}
+accepted: 1dns-1web-1app-2db, 1dns-1web-2app-1db
+accepted: 2dns-1web-1app-1db
+"""
+
+COMPARE_FILES = {
+    "scatter.csv": """\
+design,patched,asp,coa
+1dns-1web-1app-1db,true,0.059319,0.995614
+1dns-1web-1app-2db,true,0.115119,0.996373
+1dns-1web-2app-1db,true,0.115119,0.996442
+1dns-2web-1app-1db,true,0.115119,0.996097
+2dns-1web-1app-1db,true,0.059319,0.996166
+base,true,0.216986,0.997072
+""",
+    "radar.csv": """\
+design,patched,aim,asp,noev,noap,noep,coa
+1dns-1web-1app-1db,true,42.2,0.059319,7,1,1,0.995614
+1dns-1web-1app-2db,true,42.2,0.115119,10,2,1,0.996373
+1dns-1web-2app-1db,true,42.2,0.115119,9,2,1,0.996442
+1dns-2web-1app-1db,true,42.2,0.115119,9,2,2,0.996097
+2dns-1web-1app-1db,true,42.2,0.059319,7,1,1,0.996166
+base,true,42.2,0.216986,11,4,2,0.997072
+""",
+    "regions.json": """\
+[
+  {
+    "accepted": [
+      "1dns-1web-1app-2db",
+      "1dns-1web-2app-1db"
+    ],
+    "bounds": {
+      "phi": 0.2,
+      "psi": 0.9962
+    }
+  },
+  {
+    "accepted": [
+      "2dns-1web-1app-1db"
+    ],
+    "bounds": {
+      "phi": 0.1,
+      "psi": 0.9961,
+      "xi": 7.0
+    }
+  }
+]
+""",
+}
+
+
+def test_compare_output_and_files_are_pinned(tmp_path):
+    code, out, err = run_cli("compare", "--model", MODEL, "--out", str(tmp_path),
+                             *(arg for b in COMPARE_BOUNDS for arg in ("--bounds", b)))
+    assert (code, err) == (0, "")
+    assert out == COMPARE_STDOUT.format(out=tmp_path)
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == COMPARE_FILES
 
 
 def test_compare_writes_region_files(tmp_path):
@@ -205,6 +303,11 @@ def test_invalid_bounds_key():
                            "--bounds", "zeta=1", "--out", "/tmp")
     assert code == 1
     assert "zeta" in err
+    # a repeated key must not silently keep its last value
+    code, out, err = run_cli("compare", "--model", MODEL,
+                             "--bounds", "phi=0.2,phi=0.9", "--out", "/tmp")
+    assert (code, out) == (1, "")
+    assert err == "error: bounds: bound 'phi' given twice\n"
 
 
 def test_rate_override_changes_aggregates():
@@ -218,10 +321,16 @@ def test_rate_override_changes_aggregates():
 
 
 def test_rate_override_rejects_unknown_param():
-    code, _, err = run_cli("availability", "--model", MODEL,
-                           "--rate-override", "dns.bogus=1")
-    assert code == 1
-    assert "bogus" in err
+    # only a rate field may be overridden, and only with a number; the one
+    # error line names the override, never a traceback
+    for override in ("dns.bogus=1", "dns.rate_per_hour=1", "dns.exploitable=1",
+                     "dns.__class__=1", "dns.tier=1", "dns.attack_tree=1",
+                     "dns.hw_mttf=abc"):
+        code, out, err = run_cli("availability", "--model", MODEL,
+                                 "--rate-override", override)
+        assert (code, out) == (1, ""), override
+        assert err.startswith(f"error: rate-override: {override!r}: "), err
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("override,field", [

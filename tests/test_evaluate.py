@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import BASELINE, COMPARISON_LABELS
-from patchdesign import evaluate, harm
+from patchdesign import availability, evaluate, harm
 from patchdesign.model import Bounds
 
 REGION1 = Bounds(asp_upper=0.2, coa_lower=0.9962)
@@ -15,27 +15,25 @@ REGION2_FIVE = Bounds(asp_upper=0.1, coa_lower=0.9961,
 
 
 @pytest.fixture(scope="module")
-def patched_evals(model, rates):
-    return {label: evaluate.evaluate_design(model, model.designs[label],
-                                            True, rates)
+def patched_evals(model):
+    return {label: evaluate.evaluate_design(model, model.designs[label], True)
             for label in COMPARISON_LABELS}
 
 
-def test_evaluate_design_base_unpatched(model, rates):
-    e = evaluate.evaluate_design(model, model.designs["base"], False, rates)
+def test_evaluate_design_base_unpatched(model):
+    e = evaluate.evaluate_design(model, model.designs["base"], False)
     assert e.metrics.asp == pytest.approx(1.0)
     assert e.coa == pytest.approx(0.99707, abs=1e-4)
 
 
-def test_evaluate_design_baseline_patched(model, rates):
-    e = evaluate.evaluate_design(model, model.designs[BASELINE], True, rates)
+def test_evaluate_design_baseline_patched(model):
+    e = evaluate.evaluate_design(model, model.designs[BASELINE], True)
     assert e.metrics.noap == 1
     assert e.metrics.noep == 1
 
 
-def test_evaluate_design_app_redundant_noev(model, rates):
-    e = evaluate.evaluate_design(
-        model, model.designs["1dns-1web-2app-1db"], True, rates)
+def test_evaluate_design_app_redundant_noev(model):
+    e = evaluate.evaluate_design(model, model.designs["1dns-1web-2app-1db"], True)
     # web 2 + app 2x2 + db 3 vulnerability instances
     assert e.metrics.noev == 9
 
@@ -127,7 +125,25 @@ def test_sweep_coa_ordering(model):
             > coa[BASELINE])
 
 
-def test_sweep_prunes_each_tree_once(model, rates, monkeypatch):
+def test_evaluator_aggregates_rates_once_and_only_for_coa(model, monkeypatch):
+    calls = []
+    original = availability.aggregate_all
+
+    def counting(templates, policy):
+        calls.append(policy)
+        return original(templates, policy)
+
+    monkeypatch.setattr(availability, "aggregate_all", counting)
+    evaluator = evaluate.Evaluator(model, patched=True)
+    security = [evaluator.security(d) for d in model.designs.values()]
+    assert calls == []
+    evaluations = [evaluator.evaluate(d) for d in model.designs.values()]
+    assert len(calls) == 1
+    assert [e.metrics for e in evaluations] == security
+    assert all(e.patched for e in evaluations)
+
+
+def test_sweep_prunes_each_tree_once(model, monkeypatch):
     # the pruned trees depend on the templates and the policy only, so a
     # sweep prunes each tier's tree once, not once per design
     pruned = []
@@ -141,7 +157,7 @@ def test_sweep_prunes_each_tree_once(model, rates, monkeypatch):
     result = evaluate.sweep(model, patched=True)
     assert sorted(pruned) == sorted(model.templates)
     for e in result.evaluations:
-        assert e == evaluate.evaluate_design(model, model.designs[e.label], True, rates)
+        assert e == evaluate.evaluate_design(model, model.designs[e.label], True)
 
 
 @pytest.mark.parametrize("patched", [True, False])
@@ -170,8 +186,8 @@ def test_sweep_evaluates_each_tree_once(model, monkeypatch, patched):
     assert sorted(calls) == sorted(["tree_impact", "tree_probability"] * exploitable)
 
 
-def test_scatter_csv_layout(model, rates):
-    e = evaluate.evaluate_design(model, model.designs[BASELINE], True, rates)
+def test_scatter_csv_layout(model):
+    e = evaluate.evaluate_design(model, model.designs[BASELINE], True)
     csv = evaluate.scatter_csv([e])
     header, row = csv.strip().splitlines()
     assert header == "design,patched,asp,coa"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import (BASELINE, COMPARISON_LABELS, exploitable_instances,
                       instance_path_metrics)
-from patchdesign import harm
 from patchdesign.harm import (build_harm, enumerate_attack_paths,
                               network_metrics, path_metrics, tree_impact,
                               tree_probability)
@@ -33,18 +32,6 @@ def test_base_patched_dns_not_an_entry(model):
     h = _harm(model, "base", patched=True)
     assert h.trees["dns"] is None
     assert network_metrics(h).noep == 2
-
-
-@pytest.mark.parametrize("patched", [True, False])
-def test_harm_of_plain_tree_dict(model, patched):
-    # a Harm built from a plain dict evaluates its trees itself
-    trees = harm.tier_trees(model.templates, model.reachability, patched, model.policy)
-    design = model.designs["base"]
-    plain = harm.Harm(counts={t: design.count(t) for t in model.reachability.tiers},
-                      trees=dict(trees), reachability=model.reachability)
-    assert isinstance(plain.trees, harm.TierTrees)
-    assert plain.trees.scores == trees.scores
-    assert network_metrics(plain) == network_metrics(_harm(model, "base", patched))
 
 
 def test_baseline_expansion(model):

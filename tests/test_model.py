@@ -81,6 +81,20 @@ def test_missing_tier_path_to_target_rejected():
         load_model(doc)
 
 
+@pytest.mark.parametrize("key, value, path", [
+    ("bound", {"phi": 0.2}, "$.bound"),
+    ("patch_policy", {"interval_hour": 100}, "$.patch_policy.interval_hour"),
+    ("patch_policy", [720], "$.patch_policy"),
+])
+def test_unknown_key_rejected(key, value, path):
+    # a misspelt key must not load silently as its default
+    doc = json.loads(example_network_path().read_text())
+    doc[key] = value
+    with pytest.raises(ModelError) as info:
+        load_model(doc)
+    assert info.value.path == path
+
+
 def test_round_trip(model):
     again = load_model(dump_model(model))
     assert again == model

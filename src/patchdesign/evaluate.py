@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import availability, harm
-from .model import Bounds, DesignSpec, Model, bounds_keys
+from .model import BOUND_KEYS, Bounds, DesignSpec, Model, bounds_keys
 from .harm import SecurityMetrics
 
 
@@ -126,7 +126,8 @@ def radar_csv(evaluations) -> str:
 def regions_json(regions) -> str:
     out = []
     for bounds, accepted in regions:
-        out.append({"bounds": {key: float(_fmt(value))
-                               for key, value in bounds_keys(bounds).items()},
+        # phi and psi as printed; the count bounds xi, omega and kappa as ints
+        out.append({"bounds": {key: float(_fmt(value)) if BOUND_KEYS[key][1] is float
+                               else value for key, value in bounds_keys(bounds).items()},
                     "accepted": accepted})
     return json.dumps(out, indent=2, sort_keys=True) + "\n"

@@ -313,9 +313,12 @@ def apply_patch_policy(template: ServerTemplate, policy: PatchPolicy) -> ServerT
 def _require(mapping, key, path, kind=None):
     if key not in mapping:
         raise ModelError(f"{path}.{key}", "missing required field")
-    value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ModelError(f"{path}.{key}", f"expected {kind.__name__}")
+    return mapping[key] if kind is None else _of_kind(mapping[key], kind, f"{path}.{key}")
+
+
+def _of_kind(value, kind, path):
+    if not isinstance(value, kind):
+        raise ModelError(path, f"expected {kind.__name__}")
     return value
 
 
@@ -371,6 +374,7 @@ def load_model(source) -> Model:
     catalog = {}
     for i, row in enumerate(_require(doc, "vulnerabilities", "$", list)):
         path = f"$.vulnerabilities[{i}]"
+        _of_kind(row, dict, path)
         v = Vulnerability(
             id=_require(row, "id", path),
             attack_impact=float(_require(row, "impact", path)),
@@ -388,8 +392,8 @@ def load_model(source) -> Model:
     for tier in tiers:
         if tier not in servers:
             raise ModelError(f"$.servers.{tier}", "missing server template")
-        raw = servers[tier]
         path = f"$.servers.{tier}"
+        raw = _of_kind(servers[tier], dict, path)
         fields = {}
         for field_name, key in _SERVER_FIELD_KEYS.items():
             fields[field_name] = float(_require(raw, key, path))
@@ -409,6 +413,7 @@ def load_model(source) -> Model:
     designs = {}
     for label, counts in _require(doc, "designs", "$", dict).items():
         path = f"$.designs.{label}"
+        _of_kind(counts, dict, path)
         for tier in tiers:
             n = counts.get(tier)
             if not isinstance(n, int) or n < 1:

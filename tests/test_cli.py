@@ -192,7 +192,7 @@ base,true,42.2,0.216986,11,4,2,0.997072
     "bounds": {
       "phi": 0.1,
       "psi": 0.9961,
-      "xi": 7.0
+      "xi": 7
     }
   }
 ]
@@ -296,6 +296,19 @@ def test_missing_model_file():
     code, _, err = run_cli("security", "--model", "/does/not/exist.json")
     assert code == 1
     assert err
+
+
+@pytest.mark.parametrize("section, key, value", [("designs", "base", [1]),
+                                                ("servers", "dns", 5)])
+def test_model_entry_that_is_not_an_object_is_one_error_line(tmp_path, section, key, value):
+    # these used to end in an AttributeError or TypeError traceback
+    doc = json.loads(Path(MODEL).read_text())
+    doc[section][key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("security", "--model", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: $.{section}.{key}: expected dict\n"
 
 
 def test_invalid_bounds_key():

@@ -95,6 +95,18 @@ def test_unknown_key_rejected(key, value, path):
     assert info.value.path == path
 
 
+@pytest.mark.parametrize("section, key, path", [("designs", "base", "$.designs.base"),
+                                               ("servers", "dns", "$.servers.dns"),
+                                               ("vulnerabilities", 0, "$.vulnerabilities[0]")])
+@pytest.mark.parametrize("value", [[1], 5, "dns"])
+def test_entry_that_is_not_an_object_rejected(section, key, path, value):
+    doc = json.loads(example_network_path().read_text())
+    doc[section][key] = value
+    with pytest.raises(ModelError) as info:
+        load_model(doc)
+    assert info.value.path == path
+
+
 def test_round_trip(model):
     again = load_model(dump_model(model))
     assert again == model

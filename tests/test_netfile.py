@@ -141,3 +141,10 @@ def test_initial_marking_below_float_range_fails_loudly():
     # its equation pinned is singular in double precision
     with pytest.raises(srn.SrnError, match="steady-state solve failed.*singular"):
         netfile.solve_document(pool_net(3, 1e100, 1e-100))
+
+
+def test_initial_marking_below_float_range_is_singular_to_the_sparse_kernel():
+    # the same verdict from the kernel that solves chains above DENSE_STATES
+    graph = srn.reachability(pool_net(3, 1e100, 1e-100).net)
+    with pytest.raises(srn.SrnError, match="failed at 4 tangible states: .*singular"):
+        srn._sparse_pi(graph.chain.pinned, srn._chain_data(graph), "4 tangible states")

@@ -1,9 +1,11 @@
+import math
 from itertools import product
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_small_net, small_nets
@@ -387,13 +389,47 @@ def test_elimination_matches_dense_reference(model, make_net):
     assert np.max(np.abs(q.sum(axis=1))) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_non_finite_solution_rejected(monkeypatch):
+def pool_net(units, fail=0.5, repair=2.0):
+    """``units`` independent repairable units, all up at the start: a
+    birth-death chain over units + 1 markings."""
+    net = srn.Net()
+    net.add_place("up", units)
+    net.add_place("down", 0)
+    net.add_timed("fail", srn.RateExpr(fail, "up"), ["up"], ["down"])
+    net.add_timed("repair", srn.RateExpr(repair, "down"), ["down"], ["up"])
+    return net
+
+
+def _nan_solution(a, b, **_):
+    return np.full(len(b), np.nan)
+
+
+@pytest.mark.parametrize("units, module, name, fake", [
+    (1, scipy.linalg.lapack, "dgesv", lambda a, b, **kw: (a, None, _nan_solution(a, b), 0)),
+    (srn.DENSE_STATES, scipy.sparse.linalg, "spsolve", _nan_solution),
+], ids=["dense", "sparse"])
+def test_non_finite_solution_rejected(monkeypatch, units, module, name, fake):
     # a singular solve comes back as NaN, which compares False with any
-    # tolerance; it must not pass as a solution
-    monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
-                        lambda a, b: np.full(len(b), np.nan))
-    with pytest.raises(srn.SrnError, match="steady-state.*2 tangible states"):
-        srn.solve(two_state_net())
+    # tolerance; it must not pass as a solution from either kernel
+    monkeypatch.setattr(module, name, fake)
+    with pytest.raises(srn.SrnError, match=f"steady-state.*{units + 1} tangible states"):
+        srn.solve(pool_net(units))
+
+
+@pytest.mark.parametrize("states", [srn.DENSE_STATES, srn.DENSE_STATES + 1])
+def test_pool_solves_on_both_sides_of_the_dense_threshold(monkeypatch, states):
+    # the units are independent, so the number up is binomial; the kernel
+    # that the size rule does not pick must not run
+    units, fail, repair = states - 1, 0.5, 2.0
+    unused = "_sparse_pi" if states <= srn.DENSE_STATES else "_dense_pi"
+    monkeypatch.setattr(srn, unused, None)
+    sol = srn.solve(pool_net(units, fail, repair))
+    assert len(sol.states) == states
+    p_up = repair / (fail + repair)
+    for m, p in zip(sol.states, sol.pi):
+        k = m["up"]
+        assert abs(p - math.comb(units, k) * p_up ** k * (1 - p_up) ** (units - k)) <= 1e-12
+    assert sol.residual <= srn.RESIDUAL_TOLERANCE
 
 
 def test_residual_is_relative_to_generator_scale():
@@ -467,6 +503,21 @@ def test_solve_matches_dense_reference(spec):
     pi = np.linalg.lstsq(system, np.append(np.zeros(n), 1.0), rcond=None)[0]
     assert sol.states == graph.tangible
     assert np.max(np.abs(sol.pi - pi)) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=small_nets())
+def test_dense_and_sparse_kernels_agree(spec):
+    # each kernel called directly on the same chain, whatever its size;
+    # _solve_pinned calls neither on a single tangible state
+    graph = srn.reachability(build_small_net(spec))
+    pinned = graph.chain.pinned
+    assume(len(graph.tangible) > 1 and not graph.chain.trapped and not pinned.components)
+    data = srn._chain_data(graph)
+    dense, dense_residual = srn._dense_pi(pinned, data, "test")
+    sparse, sparse_residual = srn._sparse_pi(pinned, data, "test")
+    assert np.max(np.abs(dense - sparse)) <= 1e-12
+    assert max(dense_residual, sparse_residual) <= srn.RESIDUAL_TOLERANCE
 
 
 def _branch_values(net, graph):

@@ -13,11 +13,10 @@ in product form; the flat net is kept as the test oracle.
 Server nets differ only in their rate constants, apart from the failure
 arcs that an infinite MTTF leaves out.  ``aggregate_rates`` therefore
 keeps one explored reachability graph per set of left-out failure arcs,
-at most 2^3 = 8 for the life of the process.  On a later call it builds
-no net: it reads the rate constants from the template and the policy
-through the table that ``build_server_srn`` builds from
-(``_SERVER_TRANSITIONS``) and re-rates the stored graph with them
-(``srn.rerate``).  This is sound because the places, arcs, guards,
+at most 2^3 = 8 for the life of the process.  Every call re-rates the
+stored graph (``srn.rerate``) with the rate constants it reads from the
+template and the policy through ``_SERVER_TRANSITIONS``, the table that
+``build_server_srn`` builds from.  This is sound because the places, arcs, guards,
 priorities and rate places are otherwise fixed, and exploration depends
 on constants only through their being positive and finite, which
 ``ServerTemplate`` and ``PatchPolicy`` enforce for every rate the net
@@ -161,25 +160,23 @@ def aggregate_rates(template: ServerTemplate, policy: PatchPolicy) -> Aggregated
 
     The net's structure is fixed apart from the failure arcs that an
     infinite MTTF leaves out, so one explored graph per such variant is
-    kept for the life of the process.  A call that finds its variant
-    builds no net: it reads the rate constants from the template and the
-    policy through the same transition table as ``build_server_srn``,
-    re-rates the stored graph with them and solves it afresh.  That is
-    sound because ``ServerTemplate`` and ``PatchPolicy`` keep every rate
-    the net would check positive and finite.
+    kept for the life of the process; only a call that misses its variant
+    builds and explores a net.  Every call reads the rate constants from
+    the template and the policy through the same transition table as
+    ``build_server_srn``, re-rates the stored graph with them and solves
+    it afresh.  That is sound because ``ServerTemplate`` and
+    ``PatchPolicy`` keep every rate the net would check positive and
+    finite.
     """
     rows = _server_transitions(template, policy)
     variant = _FAILURE_ARCS.difference(name for name, *_ in rows)
-    explored = _EXPLORED.get(variant)
-    if explored is None:
+    if variant not in _EXPLORED:
         graph = srn.reachability(build_server_srn(template, policy))
-        explored = _EXPLORED[variant] = (
+        _EXPLORED[variant] = (
             graph, [i for i, m in enumerate(graph.tangible) if _patch_down(m)],
             [i for i, m in enumerate(graph.tangible) if _reboot_ready(m)])
-    else:
-        graph = srn.rerate(explored[0], [1.0 if rate is None else rate
-                                         for _, rate, *_ in rows])
-    _, patch_down, reboot_ready = explored
+    graph, patch_down, reboot_ready = _EXPLORED[variant]
+    graph = srn.rerate(graph, [1.0 if rate is None else rate for _, rate, *_ in rows])
     pi = srn.solve_graph(graph).pi
     # summed in marking order, as SteadyStateSolution.probability sums
     p_patch_down = sum(pi[patch_down].tolist())

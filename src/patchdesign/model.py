@@ -310,15 +310,46 @@ def apply_patch_policy(template: ServerTemplate, policy: PatchPolicy) -> ServerT
 # -- loading -----------------------------------------------------------
 
 
-def _require(mapping, key, path, kind=None):
+# JSON type -> the Python types json.loads gives for it: a number is an
+# int or a float, and a bool, though an int subclass, is neither
+_JSON_TYPES = {dict: (dict,), list: (list,), str: (str,), bool: (bool,), float: (int, float)}
+
+
+def _require(mapping, key, path, kind):
     if key not in mapping:
         raise ModelError(f"{path}.{key}", "missing required field")
-    return mapping[key] if kind is None else _of_kind(mapping[key], kind, f"{path}.{key}")
+    value = mapping[key]
+    if type(value) is kind:  # most fields: returned without a further call
+        return value
+    return _of_kind(value, kind, path, key)
 
 
-def _of_kind(value, kind, path):
-    if not isinstance(value, kind):
+def _of_kind(value, kind, path, key=None):
+    """``value`` if it has the JSON type ``kind``: ``dict``, ``list``,
+    ``str``, ``bool``, or ``float`` for a number, returned as a float.
+    The error names ``path``, and ``key`` under it if given; it is
+    joined only on failure, since every field of a model passes here."""
+    if type(value) in _JSON_TYPES[kind]:
+        if kind is not float:
+            return value
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond float range
+            pass
+    if key is not None:
+        path = f"{path}.{key}"
+    if kind is not float:
         raise ModelError(path, f"expected {kind.__name__}")
+    raise ModelError(path, "number out of float range" if type(value) is int
+                     else "expected number")
+
+
+def _strings(mapping, key, path):
+    """``mapping[key]``, which must be a list of strings."""
+    value = _require(mapping, key, path, list)
+    for i, item in enumerate(value):
+        if type(item) is not str:
+            raise ModelError(f"{path}.{key}[{i}]", "expected str")
     return value
 
 
@@ -334,7 +365,7 @@ def _parse_tree(node, catalog, path):
         raise ModelError(path, "attack tree node must be a single-key object")
     (key, value), = node.items()
     if key == "vuln":
-        if value not in catalog:
+        if _of_kind(value, str, path, "vuln") not in catalog:
             raise ModelError(path, f"unknown vulnerability {value!r}")
         return leaf(catalog[value])
     if key in ("and", "or"):
@@ -349,7 +380,8 @@ def _parse_tree(node, catalog, path):
 def load_model(source) -> Model:
     """Load and validate a model document.
 
-    ``source`` may be a path, a JSON string, or an already-parsed dict.
+    ``source`` may be a path, a JSON string, or an already-parsed dict
+    whose values have the types that json.loads gives.
     """
     if isinstance(source, (str, Path)):
         if isinstance(source, Path) or not str(source).lstrip().startswith("{"):
@@ -367,7 +399,7 @@ def load_model(source) -> Model:
     _reject_unknown(doc, ("tiers", "vulnerabilities", "servers", "reachability",
                           "designs", "patch_policy", "bounds"), "$")
 
-    tiers = _require(doc, "tiers", "$", list)
+    tiers = _strings(doc, "tiers", "$")
     if not tiers:
         raise ModelError("$.tiers", "no tiers")
 
@@ -376,11 +408,11 @@ def load_model(source) -> Model:
         path = f"$.vulnerabilities[{i}]"
         _of_kind(row, dict, path)
         v = Vulnerability(
-            id=_require(row, "id", path),
-            attack_impact=float(_require(row, "impact", path)),
-            attack_success_prob=float(_require(row, "probability", path)),
-            critical=bool(_require(row, "critical", path)),
-            component=_require(row, "component", path),
+            id=_require(row, "id", path, str),
+            attack_impact=_require(row, "impact", path, float),
+            attack_success_prob=_require(row, "probability", path, float),
+            critical=_require(row, "critical", path, bool),
+            component=_require(row, "component", path, str),
         )
         if v.id in catalog and catalog[v.id] != v:
             raise ModelError(f"{path}.id",
@@ -396,18 +428,22 @@ def load_model(source) -> Model:
         raw = _of_kind(servers[tier], dict, path)
         fields = {}
         for field_name, key in _SERVER_FIELD_KEYS.items():
-            fields[field_name] = float(_require(raw, key, path))
+            fields[field_name] = _require(raw, key, path, float)
         tree = raw.get("attack_tree")
         parsed = _parse_tree(tree, catalog, f"{path}.attack_tree") if tree else None
         templates[tier] = ServerTemplate(tier=tier, attack_tree=parsed, **fields)
     _reject_unknown(servers, tiers, "$.servers")
 
     raw_reach = _require(doc, "reachability", "$", dict)
+    edges = _require(raw_reach, "edges", "$.reachability", list)
+    for i, edge in enumerate(edges):
+        if type(edge) is not list or [type(tier) for tier in edge] != [str, str]:
+            raise ModelError(f"$.reachability.edges[{i}]", "expected [from tier, to tier]")
     reach = ReachabilityTemplate(
         tiers=tuple(tiers),
-        edges=frozenset(tuple(e) for e in _require(raw_reach, "edges", "$.reachability", list)),
-        entry_tiers=frozenset(_require(raw_reach, "entry_tiers", "$.reachability", list)),
-        target_tier=_require(raw_reach, "target_tier", "$.reachability"),
+        edges=frozenset(map(tuple, edges)),
+        entry_tiers=frozenset(_strings(raw_reach, "entry_tiers", "$.reachability")),
+        target_tier=_require(raw_reach, "target_tier", "$.reachability", str),
     )
 
     designs = {}
@@ -416,14 +452,17 @@ def load_model(source) -> Model:
         _of_kind(counts, dict, path)
         for tier in tiers:
             n = counts.get(tier)
-            if not isinstance(n, int) or n < 1:
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
                 raise ModelError(f"{path}.{tier}", "replica count must be an integer >= 1")
         _reject_unknown(counts, tiers, path)
         designs[label] = DesignSpec(label, tuple((t, counts[t]) for t in tiers))
 
     raw_policy = _require(doc, "patch_policy", "$", dict) if "patch_policy" in doc else {}
     _reject_unknown(raw_policy, ("interval_hours",), "$.patch_policy")
-    policy = PatchPolicy(interval_mean=float(raw_policy.get("interval_hours", 720.0)))
+    interval = 720.0
+    if "interval_hours" in raw_policy:
+        interval = _require(raw_policy, "interval_hours", "$.patch_policy", float)
+    policy = PatchPolicy(interval_mean=interval)
 
     bounds = None
     if "bounds" in doc:

@@ -29,11 +29,12 @@ CTMC exactly, so the tangible part of its stationary vector, renormalised,
 is the net's steady state.  One pinned LU solves it: a dense LAPACK LU
 for a chain of at most ``DENSE_STATES`` states, where building and
 calling the sparse solver costs more than the arithmetic, and a sparse
-LU above that (``_solve_pinned`` gives the measured crossover).  The
-state numbering, the sparsity patterns and the strong-connectivity
-verdict (``Chain``) are structural, derived once per exploration, so
-every re-rated copy of a graph only fills in values.
-``eliminate_vanishing`` keeps the reduced generator as the plain
+LU above that (``_solve_pinned`` gives the measured crossover).
+Exploration fixes what is structural (``Chain``): the state numbering,
+the generator's (row, column) triplets and the strong-connectivity
+verdict, which every re-rated copy of a graph shares.  A solve gives
+each triplet its value, and its kernel assembles its own matrix from
+them.  ``eliminate_vanishing`` keeps the reduced generator as the plain
 reference.
 
 numpy and scipy are imported inside the functions that explore, assemble
@@ -268,76 +269,40 @@ class Edges(NamedTuple):
     value: np.ndarray | None = None  # rate of a timed edge, probability of an immediate one
 
 
-class Pattern(NamedTuple):
-    """A compressed sparse pattern (CSR by rows or CSC by columns) and
-    the data slot of each triplet that fills it."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    slot: np.ndarray
-
-    @classmethod
-    def of(cls, major, minor, n_major: int, n_minor: int) -> Pattern:
-        """The pattern of triplets at (major, minor): row and column for
-        CSR, column and row for CSC."""
-        import numpy as np
-
-        keys, slot = np.unique(major * n_minor + minor, return_inverse=True)
-        indptr = np.zeros(n_major + 1, dtype=np.intp)
-        np.cumsum(np.bincount(keys // n_minor, minlength=n_major), out=indptr[1:])
-        return cls(indptr, keys % n_minor, slot)
-
-    def data(self, values):
-        """The data array of this pattern for the triplets' ``values``,
-        with duplicate triplets summed in triplet order."""
-        import numpy as np
-
-        return np.bincount(self.slot, weights=values, minlength=len(self.indices))
-
-
 class Pinned(NamedTuple):
-    """The structure of a steady-state solve for a generator G over n
-    states, from G's CSR pattern.
+    """The triplets of a generator G over n states and whether G is
+    strongly connected: the structure of a steady-state solve.
 
     pi G = 0 has rank n - 1.  The pinned system A x = e_0 takes A = G^T
-    with its row 0 replaced by e_0: column i of A is row i of G without
-    its column-0 entry, and e_0 leads column 0.  This keeps A as sparse as
-    G (a dense row of ones would fill the LU factors).  A chain of at most
-    ``DENSE_STATES`` states is instead scattered from ``rows`` and
-    ``cols``, which are unique, into a dense A (``_dense_pi``).
+    with its row 0 replaced by e_0.  Each kernel assembles G and A from
+    the triplets and their values and sums duplicate triplets:
+    ``_dense_pi`` into dense arrays, in triplet order, and ``_sparse_pi``
+    into sparse matrices, where A takes the triplets off column 0 and e_0
+    leads column 0, so A stays as sparse as G (a dense row of ones would
+    fill the LU factors).
     """
 
-    rows: np.ndarray     # the row of each entry of G
-    cols: np.ndarray     # the column of each entry of G
-    keep: np.ndarray     # the entries of G that A takes, off column 0
-    indptr: np.ndarray   # CSC of A
-    indices: np.ndarray
+    rows: np.ndarray  # the row of each triplet of G, the diagonal last
+    cols: np.ndarray  # the column of each triplet of G
+    n: int
     # if G's pattern is not strongly connected, the tangible states (the
     # first nt) of each strongly connected component that has any
     components: list
 
     @classmethod
-    def of(cls, indptr, indices, nt: int) -> Pinned:
+    def of(cls, rows, cols, n: int, nt: int) -> Pinned:
         import numpy as np
         import scipy.sparse as sp
         from scipy.sparse.csgraph import connected_components
 
-        n = len(indptr) - 1
         ncomp, labels = connected_components(
-            sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n)),
+            sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)),
             directed=True, connection="strong")
         components = []
         if ncomp > 1:
             groups = (np.nonzero(labels[:nt] == c)[0].tolist() for c in range(ncomp))
             components = [group for group in groups if group]
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        keep = indices != 0
-        # built once through scipy, so that every solve reuses the index
-        # dtype scipy picks instead of checking the indices again
-        a = sp.csc_matrix((np.ones(1 + np.count_nonzero(keep)), np.append(0, indices[keep]),
-                           np.append(0, 1 + np.cumsum(np.bincount(rows[keep], minlength=n)))),
-                          shape=(n, n))
-        return cls(rows, indices, keep, a.indptr, a.indices, components)
+        return cls(rows, cols, n, components)
 
 
 class Chain(NamedTuple):
@@ -354,12 +319,11 @@ class Chain(NamedTuple):
     its rate and each immediate edge out of a kept vanishing marking at
     its probability times one exit rate s; its diagonal is minus each
     row's sum, so a self-loop cancels against its own diagonal entry.
+    ``pinned`` holds G's triplets in that order, the diagonal last.
     """
 
     trapped: list       # vanishing markings with no path to a tangible one
     kept: np.ndarray    # the immediate edges out of kept vanishing markings
-    rows: np.ndarray    # the row of each edge of G, timed then kept immediate
-    g: Pattern          # CSR of G; those edges, then the diagonal
     pinned: Pinned
 
     @classmethod
@@ -381,12 +345,11 @@ class Chain(NamedTuple):
             return cols
 
         kept = reached[immediate.source]
-        rows = np.append(timed.source, state[immediate.source[kept]])
-        cols = np.append(columns(timed), columns(immediate)[kept])
         diagonal = np.arange(n)
-        g = Pattern.of(np.append(rows, diagonal), np.append(cols, diagonal), n, n)
+        rows = np.concatenate([timed.source, state[immediate.source[kept]], diagonal])
+        cols = np.concatenate([columns(timed), columns(immediate)[kept], diagonal])
         return cls(trapped=[m for m, ok in zip(vanishing, escapes) if not ok],
-                   kept=kept, rows=rows, g=g, pinned=Pinned.of(g.indptr, g.indices, nt))
+                   kept=kept, pinned=Pinned.of(rows, cols, n, nt))
 
 
 def _closure(n: int, heads, tails, start) -> list:
@@ -558,9 +521,8 @@ def steady_state(q: sp.spmatrix, states=None) -> SteadyStateSolution:
     (checked via strong connectivity of the sparsity pattern).
     """
     n = q.shape[0]
-    q = q.tocsr(copy=True)
-    q.sum_duplicates()
-    return _solve_pinned(Pinned.of(q.indptr, q.indices, n), q.data,
+    q = q.tocoo()
+    return _solve_pinned(Pinned.of(q.row, q.col, n, n), q.data,
                          list(range(n)) if states is None else states)
 
 
@@ -580,21 +542,23 @@ def solve_graph(graph: ReachabilityGraph) -> SteadyStateSolution:
 
 
 def _chain_data(graph: ReachabilityGraph):
-    """The CSR data of G over ``graph.chain.g``, in ``solve_graph``'s terms."""
+    """The value of each triplet of G (``graph.chain.pinned``), in
+    ``solve_graph``'s terms."""
     import numpy as np
 
     chain, timed = graph.chain, graph.timed
     exit_rate = np.bincount(timed.source, weights=timed.value,
                             minlength=len(graph.tangible)).max()
     off = np.append(timed.value, exit_rate * graph.immediate.value[chain.kept])
-    diagonal = -np.bincount(chain.rows, weights=off, minlength=len(chain.g.indptr) - 1)
-    return chain.g.data(np.append(off, diagonal))
+    pinned = chain.pinned
+    return np.append(off, -np.bincount(pinned.rows[:len(off)], weights=off,
+                                       minlength=pinned.n))
 
 
 def _solve_pinned(pinned: Pinned, data, states: list) -> SteadyStateSolution:
-    """pi over the states of a generator G with CSR ``data`` over
-    ``pinned``; the returned pi is its part over the first len(states)
-    (tangible) states, renormalised.
+    """pi over the states of a generator G whose triplets ``pinned`` holds
+    and ``data`` gives values; the returned pi is its part over the first
+    len(states) (tangible) states, renormalised.
 
     A chain of at most ``DENSE_STATES`` states is solved by one dense
     LAPACK LU (``_dense_pi``), a larger one by one sparse LU
@@ -624,7 +588,7 @@ def _solve_pinned(pinned: Pinned, data, states: list) -> SteadyStateSolution:
     """
     import numpy as np
 
-    nt, n = len(states), len(pinned.indptr) - 1
+    nt, n = len(states), pinned.n
     if nt == 1:
         return SteadyStateSolution(states, np.array([1.0]), 0.0)
     if pinned.components:
@@ -649,6 +613,12 @@ def _singular(where: str) -> SrnError:
     return SrnError(f"steady-state solve failed at {where}: the pinned system is singular")
 
 
+def _normalised(x, g):
+    """(pi = x / sum(x), max|pi G| / ||G||_inf) for a dense or sparse G."""
+    pi = x / x.sum()
+    return pi, float(abs(pi @ g).max() / abs(g).sum(axis=1).max())
+
+
 def _dense_pi(pinned: Pinned, data, where: str):
     """(pi over all n states summing to 1, its relative residual) from one
     dense LAPACK LU with partial pivoting of the pinned system.
@@ -663,9 +633,9 @@ def _dense_pi(pinned: Pinned, data, where: str):
     import numpy as np
     from scipy.linalg.lapack import dgesv
 
-    n = len(pinned.indptr) - 1
-    g = np.zeros((n, n))
-    g[pinned.rows, pinned.cols] = data
+    n = pinned.n
+    g = np.bincount(pinned.rows * n + pinned.cols, weights=data,
+                    minlength=n * n).reshape(n, n)
     a = g.T.copy(order="F")
     a[0] = 0.0
     a[0, 0] = 1.0
@@ -675,8 +645,7 @@ def _dense_pi(pinned: Pinned, data, where: str):
     lu, _, x, _ = dgesv(a, b, overwrite_a=True, overwrite_b=True)
     if np.abs(lu.diagonal()).min() < smallest:
         raise _singular(where)
-    pi = x / x.sum()
-    return pi, float(np.abs(pi @ g).max() / np.abs(g).sum(axis=1).max())
+    return _normalised(x, g)
 
 
 def _sparse_pi(pinned: Pinned, data, where: str):
@@ -689,22 +658,19 @@ def _sparse_pi(pinned: Pinned, data, where: str):
     import scipy.sparse as sp
     from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-    n = len(pinned.indptr) - 1
-    a = sp.csc_matrix((np.append(1.0, data[pinned.keep]), pinned.indices.copy(),
-                       pinned.indptr.copy()), shape=(n, n))
+    rows, cols, n = pinned.rows, pinned.cols, pinned.n
+    keep = cols != 0
+    a = sp.csc_matrix((np.append(1.0, data[keep]),
+                       (np.append(0, cols[keep]), np.append(0, rows[keep]))), shape=(n, n))
     b = np.zeros(n)
     b[0] = 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
-            pi = np.asarray(spsolve(a, b)).ravel()
+            x = np.asarray(spsolve(a, b)).ravel()
         except MatrixRankWarning:
             raise _singular(where) from None
-    pi = pi / pi.sum()
-    rows = pinned.rows
-    g_norm = float(np.bincount(rows, weights=np.abs(data), minlength=n).max())
-    pi_g = np.bincount(pinned.cols, weights=pi[rows] * data, minlength=n)
-    return pi, float(np.max(np.abs(pi_g))) / g_norm
+    return _normalised(x, sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
 
 
 def solve(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> SteadyStateSolution:

@@ -311,6 +311,63 @@ def test_model_entry_that_is_not_an_object_is_one_error_line(tmp_path, section, 
     assert err == f"error: $.{section}.{key}: expected dict\n"
 
 
+def _set(*keys_and_value):
+    """A mutation of a model document: the value at the path of keys."""
+    *keys, value = keys_and_value
+
+    def mutate(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set("servers", "dns", "hw_mttf_hours", None),
+     "$.servers.dns.hw_mttf_hours: expected number"),
+    (_set("servers", "dns", "hw_mttf_hours", 10 ** 400),
+     "$.servers.dns.hw_mttf_hours: number out of float range"),
+    (lambda doc: doc["reachability"]["edges"].append(5),
+     "$.reachability.edges[3]: expected [from tier, to tier]"),
+    (_set("reachability", "edges", [["dns", 5]]),
+     "$.reachability.edges[0]: expected [from tier, to tier]"),
+    (_set("tiers", 0, ["x"]), "$.tiers[0]: expected str"),
+    (_set("vulnerabilities", 0, "id", ["CVE-2016-3227"]),
+     "$.vulnerabilities[0].id: expected str"),
+    (_set("reachability", "target_tier", ["db"]),
+     "$.reachability.target_tier: expected str"),
+    (_set("reachability", "entry_tiers", ["dns", 1]),
+     "$.reachability.entry_tiers[1]: expected str"),
+    (_set("vulnerabilities", 0, "impact", "abc"),
+     "$.vulnerabilities[0].impact: expected number"),
+    (_set("reachability", "edges", [["dns"]]),
+     "$.reachability.edges[0]: expected [from tier, to tier]"),
+    (_set("patch_policy", {"interval_hours": "x"}),
+     "$.patch_policy.interval_hours: expected number"),
+    (_set("vulnerabilities", 0, "critical", "no"),
+     "$.vulnerabilities[0].critical: expected bool"),
+    (_set("vulnerabilities", 0, "impact", True),
+     "$.vulnerabilities[0].impact: expected number"),
+    (_set("vulnerabilities", 0, "component", ["os"]),
+     "$.vulnerabilities[0].component: expected str"),
+    (_set("servers", "dns", "attack_tree", {"or": [{"vuln": ["CVE-2016-3227"]}]}),
+     "$.servers.dns.attack_tree.or[0].vuln: expected str"),
+    (_set("designs", "base", "dns", True),
+     "$.designs.base.dns: replica count must be an integer >= 1"),
+], ids=["null-mttf", "huge-int-mttf", "edge-not-list", "edge-tier-not-str", "tier-not-str", "id-list", "target-list",
+        "entry-not-str", "impact-str", "edge-one-tier", "interval-str", "critical-str",
+        "impact-bool", "component-list", "tree-vuln-list", "count-bool"])
+def test_model_field_of_the_wrong_type_is_one_error_line(tmp_path, mutate, message):
+    # each used to end in a traceback, an error naming no path, or a
+    # silent misreading ("no" as True, true as impact 1.0 or 1 replica)
+    doc = json.loads(Path(MODEL).read_text())
+    mutate(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("security", "--model", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_invalid_bounds_key():
     code, _, err = run_cli("compare", "--model", MODEL,
                            "--bounds", "zeta=1", "--out", "/tmp")
@@ -381,6 +438,16 @@ def test_solve_srn_timeless_trap_is_solver_error(tmp_path):
     code, _, err = run_cli("solve-srn", str(netpath))
     assert code == 2
     assert "timeless" in err.lower()
+
+
+def test_solve_srn_reducible_chain_message(tmp_path):
+    # the one transition empties a: each marking is its own component
+    netpath = tmp_path / "reducible.net"
+    netpath.write_text("place a 1\nplace b 0\ntimed t rate=1 in=a out=b\n")
+    code, out, err = run_cli("solve-srn", str(netpath))
+    assert (code, out) == (2, "")
+    assert err == ("solver error: chain is reducible into 2 strongly connected "
+                   "components: [[1], [0]]\n")
 
 
 def test_solve_srn_syntax_error(tmp_path):

@@ -149,6 +149,13 @@ def test_infinite_mttf_allowed():
     assert tpl.rate_per_hour("hw_mttf") == 0.0
 
 
+def test_infinite_mttf_loads_from_json():
+    # a JSON number is an int or a float, Infinity included
+    text = example_network_path().read_text().replace(
+        '"hw_mttf_hours": 87600', '"hw_mttf_hours": Infinity', 1)
+    assert load_model(text).templates["dns"].rate_per_hour("hw_mttf") == 0.0
+
+
 _FAILURE_FIELDS = ("hw_mttf", "os_mttf", "svc_mttf")
 _OTHER_FIELDS = ("hw_mttr", "os_mttr", "os_patch_mean", "os_reboot_after_patch",
                  "os_reboot_after_failure", "svc_mttr", "svc_patch_mean",

@@ -432,6 +432,36 @@ def test_pool_solves_on_both_sides_of_the_dense_threshold(monkeypatch, states):
     assert sol.residual <= srn.RESIDUAL_TOLERANCE
 
 
+@pytest.mark.parametrize("states", [srn.DENSE_STATES, srn.DENSE_STATES + 1])
+def test_both_kernels_sum_duplicate_triplets(monkeypatch, states):
+    # the generator of pool_net(states - 1) as COO triplets, with every
+    # other off-diagonal entry and every third diagonal one given in two
+    # parts; each kernel must add the parts up
+    units, fail, repair = states - 1, 0.5, 2.0
+    triplets = []
+
+    def add(i, j, value, split):
+        parts = (0.25 * value, 0.75 * value) if split else (value,)
+        triplets.extend((i, j, part) for part in parts)
+
+    for k in range(states):  # k units up
+        add(k, k, -(fail * k + repair * (units - k)), k % 3 == 0)
+        if k:
+            add(k, k - 1, fail * k, k % 2 == 0)
+        if k < units:
+            add(k, k + 1, repair * (units - k), k % 2 == 1)
+    rows, cols, values = zip(*triplets)
+    q = scipy.sparse.coo_matrix((values, (rows, cols)), shape=(states, states))
+    assert q.nnz > 3 * states - 2
+    unused = "_sparse_pi" if states <= srn.DENSE_STATES else "_dense_pi"
+    monkeypatch.setattr(srn, unused, None)
+    sol = srn.steady_state(q)
+    p_up = repair / (fail + repair)
+    for k, p in enumerate(sol.pi):
+        assert abs(p - math.comb(units, k) * p_up ** k * (1 - p_up) ** (units - k)) <= 1e-12
+    assert sol.residual <= srn.RESIDUAL_TOLERANCE
+
+
 def test_residual_is_relative_to_generator_scale():
     # rates of order 1e12: an absolute residual of rounding size exceeds
     # any fixed tolerance, the residual relative to ||Q|| does not

@@ -402,6 +402,9 @@ def load_model(source) -> Model:
     tiers = _strings(doc, "tiers", "$")
     if not tiers:
         raise ModelError("$.tiers", "no tiers")
+    if len(set(tiers)) < len(tiers):
+        i = next(i for i, tier in enumerate(tiers) if tier in tiers[:i])
+        raise ModelError(f"$.tiers[{i}]", f"duplicate tier {tiers[i]!r}")
 
     catalog = {}
     for i, row in enumerate(_require(doc, "vulnerabilities", "$", list)):
@@ -429,8 +432,8 @@ def load_model(source) -> Model:
         fields = {}
         for field_name, key in _SERVER_FIELD_KEYS.items():
             fields[field_name] = _require(raw, key, path, float)
-        tree = raw.get("attack_tree")
-        parsed = _parse_tree(tree, catalog, f"{path}.attack_tree") if tree else None
+        tree = raw.get("attack_tree")  # absent or null: no attack tree
+        parsed = None if tree is None else _parse_tree(tree, catalog, f"{path}.attack_tree")
         templates[tier] = ServerTemplate(tier=tier, attack_tree=parsed, **fields)
     _reject_unknown(servers, tiers, "$.servers")
 

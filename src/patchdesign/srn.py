@@ -26,26 +26,38 @@ the largest total timed rate out of any tangible marking, split by its
 branching probabilities.  The time spent in those states is a fiction,
 but censoring the chain on the tangible markings gives back the reduced
 CTMC exactly, so the tangible part of its stationary vector, renormalised,
-is the net's steady state.  One pinned LU solves it: a dense LAPACK LU
-for a chain of at most ``DENSE_STATES`` states, where building and
-calling the sparse solver costs more than the arithmetic, and a sparse
-LU above that (``_solve_pinned`` gives the measured crossover).
+is the net's steady state.  A pinned LU solves it (W. J. Stewart,
+"Introduction to the Numerical Solution of Markov Chains", 1994, ch. 2):
+numpy's dense LU for a chain of at most ``DENSE_STATES`` states, where
+building and calling the sparse solver costs more than the arithmetic,
+and scipy's sparse LU above that (``_solve_pinned`` gives the measured
+crossover).  The dense solve pins state 0 and, if another state is more
+probable, pins that one and solves again, so even the rarest states come
+out to a small relative error; the system counts as singular when state
+0's probability is below tiny (the smallest normal double, 2.2e-308)
+times the largest one.
 Exploration fixes what is structural (``Chain``): the state numbering,
-the generator's (row, column) triplets and the strong-connectivity
-verdict, which every re-rated copy of a graph shares.  A solve gives
-each triplet its value, and its kernel assembles its own matrix from
-them.  ``eliminate_vanishing`` keeps the reduced generator as the plain
-reference.
+the generator's (row, column) triplets, their flat index into a dense
+matrix, which immediate edges stay in the chain, and the
+strong-connectivity verdict, which every re-rated copy of a graph
+shares.  A solve gives each triplet its value, and its kernel assembles
+its own matrix from them.  ``eliminate_vanishing`` keeps the reduced
+generator as the plain reference.
 
-numpy and scipy are imported inside the functions that explore, assemble
-and solve, so building a net loads neither.
+numpy is imported inside the functions that explore, assemble and solve,
+so building a net does not load it.  scipy is imported only for a chain
+above ``DENSE_STATES`` states, for the components of a reducible chain,
+and by the reference functions ``eliminate_vanishing`` and
+``steady_state``, so the server nets and every chain of at most
+``DENSE_STATES`` states solve without it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 from .guards import TRUE, check_places
@@ -273,13 +285,13 @@ class Pinned(NamedTuple):
     """The triplets of a generator G over n states and whether G is
     strongly connected: the structure of a steady-state solve.
 
-    pi G = 0 has rank n - 1.  The pinned system A x = e_0 takes A = G^T
-    with its row 0 replaced by e_0.  Each kernel assembles G and A from
-    the triplets and their values and sums duplicate triplets:
-    ``_dense_pi`` into dense arrays, in triplet order, and ``_sparse_pi``
-    into sparse matrices, where A takes the triplets off column 0 and e_0
-    leads column 0, so A stays as sparse as G (a dense row of ones would
-    fill the LU factors).
+    pi G = 0 has rank n - 1.  A pinned system replaces one equation by
+    pi_k = 1.  Each kernel assembles G from the triplets and their values
+    and sums duplicate triplets: ``_dense_pi`` into a dense array through
+    ``flat``, in triplet order, and ``_sparse_pi`` into sparse matrices,
+    where A = G^T takes the triplets off column 0 and e_0 leads column 0,
+    so A stays as sparse as G (a dense row of ones would fill the LU
+    factors).
     """
 
     rows: np.ndarray  # the row of each triplet of G, the diagonal last
@@ -288,21 +300,40 @@ class Pinned(NamedTuple):
     # if G's pattern is not strongly connected, the tangible states (the
     # first nt) of each strongly connected component that has any
     components: list
+    flat: np.ndarray  # rows * n + cols: each triplet's index in G flattened
 
     @classmethod
     def of(cls, rows, cols, n: int, nt: int) -> Pinned:
+        """A chain of at most ``DENSE_STATES`` states is strongly connected
+        when state 0 reaches every state and every state reaches state 0
+        (``_closure`` forward and backward), which needs no scipy.  Only
+        a chain found reducible, or a larger one, goes to scipy's
+        ``connected_components`` for its components."""
         import numpy as np
-        import scipy.sparse as sp
-        from scipy.sparse.csgraph import connected_components
 
-        ncomp, labels = connected_components(
-            sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)),
-            directed=True, connection="strong")
-        components = []
-        if ncomp > 1:
-            groups = (np.nonzero(labels[:nt] == c)[0].tolist() for c in range(ncomp))
-            components = [group for group in groups if group]
-        return cls(rows, cols, n, components)
+        flat = rows.astype(np.intp, copy=False) * n + cols  # scipy's rows may be int32
+        if n <= DENSE_STATES:
+            origin = np.zeros(min(n, 1), dtype=np.intp)  # none in an empty chain
+            if all(_closure(n, rows, cols, origin)) and all(_closure(n, cols, rows, origin)):
+                return cls(rows, cols, n, [], flat)
+        return cls(rows, cols, n, _components(rows, cols, n, nt), flat)
+
+
+def _components(rows, cols, n: int, nt: int) -> list:
+    """The tangible states (the first nt) of each strongly connected
+    component of the pattern (rows, cols) that has any, or [] when there
+    is one component."""
+    import numpy as np
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    ncomp, labels = connected_components(
+        sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)),
+        directed=True, connection="strong")
+    if ncomp == 1:
+        return []
+    groups = (np.nonzero(labels[:nt] == c)[0].tolist() for c in range(ncomp))
+    return [group for group in groups if group]
 
 
 class Chain(NamedTuple):
@@ -323,7 +354,7 @@ class Chain(NamedTuple):
     """
 
     trapped: list       # vanishing markings with no path to a tangible one
-    kept: np.ndarray    # the immediate edges out of kept vanishing markings
+    kept: np.ndarray    # indices of the immediate edges out of kept vanishing markings
     pinned: Pinned
 
     @classmethod
@@ -344,7 +375,7 @@ class Chain(NamedTuple):
             cols[edges.into_vanishing] = state[edges.target[edges.into_vanishing]]
             return cols
 
-        kept = reached[immediate.source]
+        kept = np.flatnonzero(reached[immediate.source])
         diagonal = np.arange(n)
         rows = np.concatenate([timed.source, state[immediate.source[kept]], diagonal])
         cols = np.concatenate([columns(timed), columns(immediate)[kept], diagonal])
@@ -451,9 +482,10 @@ def rerate(graph: ReachabilityGraph, constants) -> ReachabilityGraph:
     timed, immediate = graph.timed, graph.immediate
     weights = constants[immediate.transition] * immediate.factor
     totals = np.bincount(immediate.source, weights=weights, minlength=len(graph.vanishing))
-    return replace(graph,
-                   timed=timed._replace(value=constants[timed.transition] * timed.factor),
-                   immediate=immediate._replace(value=weights / totals[immediate.source]))
+    return ReachabilityGraph(
+        graph.tangible, graph.vanishing,
+        timed._replace(value=constants[timed.transition] * timed.factor),
+        immediate._replace(value=weights / totals[immediate.source]), graph.chain)
 
 
 def eliminate_vanishing(graph: ReachabilityGraph) -> sp.csr_matrix:
@@ -543,16 +575,19 @@ def solve_graph(graph: ReachabilityGraph) -> SteadyStateSolution:
 
 def _chain_data(graph: ReachabilityGraph):
     """The value of each triplet of G (``graph.chain.pinned``), in
-    ``solve_graph``'s terms."""
+    ``solve_graph``'s terms, written in place into one array."""
     import numpy as np
 
     chain, timed = graph.chain, graph.timed
+    rows, n = chain.pinned.rows, chain.pinned.n
+    nt_edges, off = len(timed.value), len(rows) - n  # timed, all off-diagonal triplets
+    data = np.empty(len(rows))
+    data[:nt_edges] = timed.value
     exit_rate = np.bincount(timed.source, weights=timed.value,
                             minlength=len(graph.tangible)).max()
-    off = np.append(timed.value, exit_rate * graph.immediate.value[chain.kept])
-    pinned = chain.pinned
-    return np.append(off, -np.bincount(pinned.rows[:len(off)], weights=off,
-                                       minlength=pinned.n))
+    np.multiply(exit_rate, graph.immediate.value[chain.kept], out=data[nt_edges:off])
+    np.negative(np.bincount(rows[:off], weights=data[:off], minlength=n), out=data[off:])
+    return data
 
 
 def _solve_pinned(pinned: Pinned, data, states: list) -> SteadyStateSolution:
@@ -560,24 +595,28 @@ def _solve_pinned(pinned: Pinned, data, states: list) -> SteadyStateSolution:
     and ``data`` gives values; the returned pi is its part over the first
     len(states) (tangible) states, renormalised.
 
-    A chain of at most ``DENSE_STATES`` states is solved by one dense
-    LAPACK LU (``_dense_pi``), a larger one by one sparse LU
-    (``_sparse_pi``).  The dense solve costs O(n^3) whatever the
-    pattern, the sparse one a fixed overhead of about 0.15 ms plus what
-    its fill needs.  Measured single-threaded on a 2-vCPU VM, the two
-    break even between 96 and 128 states on a birth-death chain
-    (tridiagonal, so the least fill) and between 225 and 320 states on
-    the flat network SRN of the bundled model, where the dense solve is
-    3-4 times faster up to 162 states.  The constant is the lower
-    crossover.
+    A chain of at most ``DENSE_STATES`` states is solved by numpy's dense
+    LU (``_dense_pi``), a larger one by scipy's sparse LU
+    (``_sparse_pi``).  The dense solve costs O(n^3) whatever the pattern,
+    the sparse one a fixed overhead of about 0.15 ms plus what its fill
+    needs.  Measured single-threaded on a 2-vCPU VM, the two break even
+    between 96 and 128 states on a birth-death chain (tridiagonal, so the
+    least fill) and between 225 and 320 states on the flat network SRN of
+    the bundled model, where the dense solve is 3-4 times faster up to 162
+    states.  The constant is the lower crossover.
 
     Any one state may be pinned in exact arithmetic; state 0 is the
     initial marking, or the first tangible marking reached from it.  The
-    solve stays accurate when that marking is rare (pi near 1e-48 is
-    solved to 1e-12), but when its probability lies beyond double range
-    relative to the largest one (near 1e-600) the pinned system is
-    singular in double precision and SrnError is raised.  A net should
-    therefore not start in such a marking.
+    dense solve pins it first and, if another state comes out more
+    probable, pins the most probable state and solves again, so every
+    probability is found relative to the largest one: on a pool whose
+    initial marking has pi near 1e-48, every entry is within 1e-11 of its
+    exact value, relatively.  When state 0's probability lies beyond
+    double range relative to the largest one, pi[0] < tiny * max(pi)
+    (near 1e-600 on such a pool), the pinned system is singular in double
+    precision and SrnError is raised.  A net should therefore not start
+    in such a marking.  The sparse solve pins state 0 only and reports
+    such a system singular from its LU.
 
     The reported residual is max|pi G| / ||G||_inf, so the tolerance
     does not depend on the scale of the rates.  SrnError, naming the
@@ -599,12 +638,12 @@ def _solve_pinned(pinned: Pinned, data, states: list) -> SteadyStateSolution:
     where = f"{nt} tangible states" if n == nt else \
         f"{nt} tangible and {n - nt} vanishing states"
     pi, residual = (_dense_pi if n <= DENSE_STATES else _sparse_pi)(pinned, data, where)
-    if not (np.all(np.isfinite(pi)) and np.isfinite(residual)):
+    if not (np.isfinite(pi).all() and math.isfinite(residual)):
         raise SrnError(f"steady-state solve failed at {where}: non-finite solution")
-    if residual > RESIDUAL_TOLERANCE or np.any(pi < -RESIDUAL_TOLERANCE):
+    if residual > RESIDUAL_TOLERANCE or pi.min() < -RESIDUAL_TOLERANCE:
         raise SrnError(f"steady-state solve failed at {where}: "
                        f"relative residual {residual:g}")
-    pi = np.clip(pi, 0.0, None)[:nt]
+    pi = np.maximum(pi[:nt], 0.0)
     pi /= pi.sum()
     return SteadyStateSolution(states, pi, residual)
 
@@ -620,32 +659,45 @@ def _normalised(x, g):
 
 
 def _dense_pi(pinned: Pinned, data, where: str):
-    """(pi over all n states summing to 1, its relative residual) from one
-    dense LAPACK LU with partial pivoting of the pinned system.
+    """(pi over all n states summing to 1, its relative residual) from
+    numpy's dense LU with partial pivoting of the pinned system.
 
-    Partial pivoting solves systems that sparse LU reports singular, such
-    as a pinned marking near 1e-600, to a tiny residual.  So a pivot
-    below ``tiny * max|A|`` counts as zero, and SrnError naming ``where``
-    is raised: the smallest pivot relative to max|A| is near 1e-317 on
-    that net, 1e-23 on one pinned near 1e-48, and 0.08 on the bundled
-    server nets.
+    State 0 is pinned first.  If another state comes out more probable,
+    that state is pinned and the system solved once more, so the largest
+    entry is the pinned one and every other is found relative to it.  The
+    system counts as singular, and SrnError naming ``where`` is raised,
+    when LAPACK meets an exactly zero pivot or pi[0] < tiny * max(pi):
+    state 0's probability is then beyond double range relative to the
+    largest one.
     """
     import numpy as np
-    from scipy.linalg.lapack import dgesv
 
     n = pinned.n
-    g = np.bincount(pinned.rows * n + pinned.cols, weights=data,
-                    minlength=n * n).reshape(n, n)
-    a = g.T.copy(order="F")
-    a[0] = 0.0
-    a[0, 0] = 1.0
-    b = np.zeros(n)
-    b[0] = 1.0
-    smallest = np.finfo(float).tiny * np.abs(a).max()
-    lu, _, x, _ = dgesv(a, b, overwrite_a=True, overwrite_b=True)
-    if np.abs(lu.diagonal()).min() < smallest:
+    g = np.bincount(pinned.flat, weights=data, minlength=n * n).reshape(n, n)
+    x = _pinned_solve(g, 0, where)
+    # when state 0 is rare, x is pi times any factor, even a negative one
+    top = int(abs(x).argmax())
+    if top:
+        x = _pinned_solve(g, top, where)
+    if x[0] < sys.float_info.min * x.max():  # the smallest normal double
         raise _singular(where)
     return _normalised(x, g)
+
+
+def _pinned_solve(g, k: int, where: str):
+    """x with x[k] = 1 and (x G)_j = 0 for every j != k: the solve of G^T
+    with its row k replaced by e_k."""
+    import numpy as np
+
+    a = g.T.copy(order="F")
+    a[k] = 0.0
+    a[k, k] = 1.0
+    b = np.zeros(len(a))
+    b[k] = 1.0
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        raise _singular(where) from None
 
 
 def _sparse_pi(pinned: Pinned, data, where: str):

@@ -10,7 +10,7 @@ import pytest
 
 import patchdesign
 from patchdesign import cli
-from patchdesign.model import example_network_path
+from patchdesign.model import example_network_path, load_model
 
 MODEL = str(example_network_path())
 
@@ -368,6 +368,45 @@ def test_model_field_of_the_wrong_type_is_one_error_line(tmp_path, mutate, messa
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def _mutated_model(tmp_path, mutate):
+    doc = json.loads(Path(MODEL).read_text())
+    mutate(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_duplicate_tier_is_one_error_line(tmp_path):
+    # a tier listed twice used to count its replicas twice: COA[base]
+    # came out 0.996254 instead of 0.997072
+    path = _mutated_model(tmp_path, lambda doc: doc["tiers"].append("dns"))
+    code, out, err = run_cli("availability", "--model", path, "--design", "base")
+    assert (code, out, err) == (1, "", "error: $.tiers[4]: duplicate tier 'dns'\n")
+
+
+@pytest.mark.parametrize("tree", [[], 0, "", {}, False],
+                         ids=["list", "zero", "str", "dict", "false"])
+def test_falsy_attack_tree_is_one_error_line(tmp_path, tree):
+    # only an absent key or null means no attack tree; each of these used
+    # to read as none and exit 0
+    path = _mutated_model(tmp_path, _set("servers", "dns", "attack_tree", tree))
+    code, out, err = run_cli("security", "--model", path, "--unpatched")
+    assert (code, out, err) == (1, "", "error: $.servers.dns.attack_tree: "
+                                       "attack tree node must be a single-key object\n")
+
+
+@pytest.mark.parametrize("mutate", [
+    _set("servers", "dns", "attack_tree", None),
+    lambda doc: doc["servers"]["dns"].pop("attack_tree"),
+], ids=["null", "absent"])
+def test_null_or_absent_attack_tree_is_no_tree(tmp_path, mutate):
+    path = _mutated_model(tmp_path, mutate)
+    code, out, err = run_cli("security", "--model", path, "--unpatched", "--design", "base",
+                             "--format", "csv")
+    assert (code, err) == (0, "")
+    assert load_model(path).templates["dns"].attack_tree is None
+
+
 def test_invalid_bounds_key():
     code, _, err = run_cli("compare", "--model", MODEL,
                            "--bounds", "zeta=1", "--out", "/tmp")
@@ -536,6 +575,22 @@ def test_security_loads_neither_numpy_nor_scipy():
     )
     proc = _python("-c", script)
     assert proc.stdout.split("\n")[0] == "0 []", proc.stderr
+
+
+@pytest.mark.parametrize("command", ["availability", "compare"])
+def test_bundled_model_loads_no_scipy(tmp_path, command):
+    # the four server nets have 50 states each, at most srn.DENSE_STATES:
+    # connectivity and the solve need numpy only
+    argv = [command, "--model", MODEL] + (["--out", str(tmp_path)] if command == "compare" else [])
+    script = (
+        "import io, sys\n"
+        "from patchdesign import cli\n"
+        f"code = cli.run({argv!r}, out=io.StringIO())\n"
+        "print(code, 'numpy' in sys.modules,\n"
+        "      sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.stdout.split("\n")[0] == "0 True []", proc.stderr
 
 
 def test_security_path_count_beyond_float_range(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from patchdesign import netfile, srn
@@ -134,6 +136,19 @@ def test_rare_initial_marking_solves_exactly():
     solution, values = netfile.solve_document(pool_net(12, 10.0, 0.001))
     assert solution.states[0]["down"] == 12
     assert values["avail"] == pytest.approx(1.0001 ** -12, rel=1e-12)
+
+
+def test_rare_states_solve_to_a_small_relative_error():
+    # re-pinned at the most probable marking, the solve finds even the
+    # rarest marking (pi near 1e-48) to a small relative error; pinned at
+    # the initial marking only, the seven rarest came out as exactly 0
+    solution, _ = netfile.solve_document(pool_net(12, 10.0, 0.001))
+    up, down = 10.0 / 10.001, 0.001 / 10.001
+    assert len(solution.states) == 13
+    for m, p in zip(solution.states, solution.pi):
+        k = m["down"]
+        exact = math.comb(12, k) * down ** k * up ** (12 - k)
+        assert abs(p - exact) <= 1e-9 * exact, (k, p, exact)
 
 
 def test_initial_marking_below_float_range_fails_loudly():

@@ -3,7 +3,6 @@ from itertools import product
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 import scipy.sparse.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -405,7 +404,7 @@ def _nan_solution(a, b, **_):
 
 
 @pytest.mark.parametrize("units, module, name, fake", [
-    (1, scipy.linalg.lapack, "dgesv", lambda a, b, **kw: (a, None, _nan_solution(a, b), 0)),
+    (1, np.linalg, "solve", _nan_solution),
     (srn.DENSE_STATES, scipy.sparse.linalg, "spsolve", _nan_solution),
 ], ids=["dense", "sparse"])
 def test_non_finite_solution_rejected(monkeypatch, units, module, name, fake):
@@ -548,6 +547,18 @@ def test_dense_and_sparse_kernels_agree(spec):
     sparse, sparse_residual = srn._sparse_pi(pinned, data, "test")
     assert np.max(np.abs(dense - sparse)) <= 1e-12
     assert max(dense_residual, sparse_residual) <= srn.RESIDUAL_TOLERANCE
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=small_nets())
+def test_connectivity_walk_matches_scipy_components(spec):
+    # a chain of at most DENSE_STATES states is judged strongly connected
+    # by walks from state 0; scipy's components are the reference
+    graph = srn.reachability(build_small_net(spec))
+    pinned = graph.chain.pinned
+    assert pinned.n <= srn.DENSE_STATES
+    assert pinned.components == srn._components(pinned.rows, pinned.cols, pinned.n,
+                                                len(graph.tangible))
 
 
 def _branch_values(net, graph):

@@ -37,10 +37,9 @@ out to a small relative error; the system counts as singular when state
 0's probability is below tiny (the smallest normal double, 2.2e-308)
 times the largest one.
 Exploration fixes what is structural (``Chain``): the state numbering,
-the generator's (row, column) triplets, their flat index into a dense
-matrix, which immediate edges stay in the chain, and the
-strong-connectivity verdict, which every re-rated copy of a graph
-shares.  A solve gives each triplet its value, and its kernel assembles
+the generator's (row, column) triplets, which immediate edges stay in
+the chain, and the strong-connectivity verdict, from walks forward and
+backward from state 0, which every re-rated copy of a graph shares.  A solve gives each triplet its value, and its kernel assembles
 its own matrix from them.  ``eliminate_vanishing`` keeps the reduced
 generator as the plain reference.
 
@@ -287,8 +286,8 @@ class Pinned(NamedTuple):
 
     pi G = 0 has rank n - 1.  A pinned system replaces one equation by
     pi_k = 1.  Each kernel assembles G from the triplets and their values
-    and sums duplicate triplets: ``_dense_pi`` into a dense array through
-    ``flat``, in triplet order, and ``_sparse_pi`` into sparse matrices,
+    and sums duplicate triplets: ``_dense_pi`` into a dense array, in
+    triplet order, and ``_sparse_pi`` into sparse matrices,
     where A = G^T takes the triplets off column 0 and e_0 leads column 0,
     so A stays as sparse as G (a dense row of ones would fill the LU
     factors).
@@ -300,23 +299,19 @@ class Pinned(NamedTuple):
     # if G's pattern is not strongly connected, the tangible states (the
     # first nt) of each strongly connected component that has any
     components: list
-    flat: np.ndarray  # rows * n + cols: each triplet's index in G flattened
 
     @classmethod
     def of(cls, rows, cols, n: int, nt: int) -> Pinned:
-        """A chain of at most ``DENSE_STATES`` states is strongly connected
-        when state 0 reaches every state and every state reaches state 0
-        (``_closure`` forward and backward), which needs no scipy.  Only
-        a chain found reducible, or a larger one, goes to scipy's
-        ``connected_components`` for its components."""
+        """G is strongly connected when state 0 reaches every state and
+        every state reaches state 0 (``_closure`` forward and backward),
+        which needs no scipy.  Only a chain found reducible goes to
+        scipy's ``connected_components`` for its components."""
         import numpy as np
 
-        flat = rows.astype(np.intp, copy=False) * n + cols  # scipy's rows may be int32
-        if n <= DENSE_STATES:
-            origin = np.zeros(min(n, 1), dtype=np.intp)  # none in an empty chain
-            if all(_closure(n, rows, cols, origin)) and all(_closure(n, cols, rows, origin)):
-                return cls(rows, cols, n, [], flat)
-        return cls(rows, cols, n, _components(rows, cols, n, nt), flat)
+        origin = np.zeros(min(n, 1), dtype=np.intp)  # none in an empty chain
+        if all(_closure(n, rows, cols, origin)) and all(_closure(n, cols, rows, origin)):
+            return cls(rows, cols, n, [])
+        return cls(rows, cols, n, _components(rows, cols, n, nt))
 
 
 def _components(rows, cols, n: int, nt: int) -> list:
@@ -545,9 +540,9 @@ class SteadyStateSolution:
 
 
 def steady_state(q: sp.spmatrix, states=None) -> SteadyStateSolution:
-    """Solve pi Q = 0, sum(pi) = 1 for a CTMC generator Q by one pinned
-    LU, dense for at most ``DENSE_STATES`` states and sparse above (see
-    ``Pinned`` and ``_solve_pinned``).
+    """Solve pi Q = 0, sum(pi) = 1 for a CTMC generator Q by a pinned LU,
+    dense for at most ``DENSE_STATES`` states and re-pinned at the most
+    probable state, sparse above (see ``_solve_pinned``).
 
     Requires a single closed communicating class covering all states
     (checked via strong connectivity of the sparsity pattern).
@@ -672,8 +667,9 @@ def _dense_pi(pinned: Pinned, data, where: str):
     """
     import numpy as np
 
-    n = pinned.n
-    g = np.bincount(pinned.flat, weights=data, minlength=n * n).reshape(n, n)
+    rows, cols, n = pinned.rows, pinned.cols, pinned.n
+    flat = rows.astype(np.intp, copy=False) * n + cols  # scipy's rows may be int32
+    g = np.bincount(flat, weights=data, minlength=n * n).reshape(n, n)
     x = _pinned_solve(g, 0, where)
     # when state 0 is rare, x is pi times any factor, even a negative one
     top = int(abs(x).argmax())

@@ -31,17 +31,19 @@ is the net's steady state.  A pinned LU solves it (W. J. Stewart,
 numpy's dense LU for a chain of at most ``DENSE_STATES`` states, where
 building and calling the sparse solver costs more than the arithmetic,
 and scipy's sparse LU above that (``_solve_pinned`` gives the measured
-crossover).  The dense solve pins state 0 and, if another state is more
-probable, pins that one and solves again, so even the rarest states come
-out to a small relative error; the system counts as singular when state
-0's probability is below tiny (the smallest normal double, 2.2e-308)
-times the largest one.
+crossover).  One rule pins for both: state 0 first and, if another
+state is more probable, that one, so even the rarest states come out to
+a small relative error; the system counts as singular when state 0's
+probability is below tiny (the smallest normal double, 2.2e-308) times
+the largest one.
+
 Exploration fixes what is structural (``Chain``): the state numbering,
 the generator's (row, column) triplets, which immediate edges stay in
 the chain, and the strong-connectivity verdict, from walks forward and
-backward from state 0, which every re-rated copy of a graph shares.  A solve gives each triplet its value, and its kernel assembles
-its own matrix from them.  ``eliminate_vanishing`` keeps the reduced
-generator as the plain reference.
+backward from state 0, which every re-rated copy of a graph shares.  A
+solve gives each triplet its value, and its kernel assembles its own
+matrix from them.  ``eliminate_vanishing`` keeps the reduced generator
+as the plain reference.
 
 numpy is imported inside the functions that explore, assemble and solve,
 so building a net does not load it.  scipy is imported only for a chain
@@ -286,11 +288,8 @@ class Pinned(NamedTuple):
 
     pi G = 0 has rank n - 1.  A pinned system replaces one equation by
     pi_k = 1.  Each kernel assembles G from the triplets and their values
-    and sums duplicate triplets: ``_dense_pi`` into a dense array, in
-    triplet order, and ``_sparse_pi`` into sparse matrices,
-    where A = G^T takes the triplets off column 0 and e_0 leads column 0,
-    so A stays as sparse as G (a dense row of ones would fill the LU
-    factors).
+    and sums duplicate triplets: ``_dense_kernel`` into a dense array, in
+    triplet order, and ``_sparse_kernel`` into sparse matrices.
     """
 
     rows: np.ndarray  # the row of each triplet of G, the diagonal last
@@ -541,8 +540,8 @@ class SteadyStateSolution:
 
 def steady_state(q: sp.spmatrix, states=None) -> SteadyStateSolution:
     """Solve pi Q = 0, sum(pi) = 1 for a CTMC generator Q by a pinned LU,
-    dense for at most ``DENSE_STATES`` states and re-pinned at the most
-    probable state, sparse above (see ``_solve_pinned``).
+    dense for at most ``DENSE_STATES`` states and sparse above, re-pinned
+    at the most probable state either way (see ``_solve_pinned``).
 
     Requires a single closed communicating class covering all states
     (checked via strong connectivity of the sparsity pattern).
@@ -591,27 +590,28 @@ def _solve_pinned(pinned: Pinned, data, states: list) -> SteadyStateSolution:
     len(states) (tangible) states, renormalised.
 
     A chain of at most ``DENSE_STATES`` states is solved by numpy's dense
-    LU (``_dense_pi``), a larger one by scipy's sparse LU
-    (``_sparse_pi``).  The dense solve costs O(n^3) whatever the pattern,
-    the sparse one a fixed overhead of about 0.15 ms plus what its fill
-    needs.  Measured single-threaded on a 2-vCPU VM, the two break even
-    between 96 and 128 states on a birth-death chain (tridiagonal, so the
-    least fill) and between 225 and 320 states on the flat network SRN of
-    the bundled model, where the dense solve is 3-4 times faster up to 162
-    states.  The constant is the lower crossover.
+    LU (``_dense_kernel``), a larger one by scipy's sparse LU
+    (``_sparse_kernel``).  The dense solve costs O(n^3) whatever the
+    pattern, the sparse one a fixed overhead of about 0.15 ms plus what
+    its fill needs.  Measured single-threaded on a 2-vCPU VM, the two
+    break even between 96 and 128 states on a birth-death chain
+    (tridiagonal, so the least fill) and between 225 and 320 states on
+    the flat network SRN of the bundled model, where the dense solve is
+    3-4 times faster up to 162 states.  The constant is the lower
+    crossover.
 
-    Any one state may be pinned in exact arithmetic; state 0 is the
-    initial marking, or the first tangible marking reached from it.  The
-    dense solve pins it first and, if another state comes out more
-    probable, pins the most probable state and solves again, so every
-    probability is found relative to the largest one: on a pool whose
-    initial marking has pi near 1e-48, every entry is within 1e-11 of its
-    exact value, relatively.  When state 0's probability lies beyond
-    double range relative to the largest one, pi[0] < tiny * max(pi)
-    (near 1e-600 on such a pool), the pinned system is singular in double
-    precision and SrnError is raised.  A net should therefore not start
-    in such a marking.  The sparse solve pins state 0 only and reports
-    such a system singular from its LU.
+    Whichever kernel solves, the pin rule is this one.  Any one state may
+    be pinned in exact arithmetic; state 0 is the initial marking, or the
+    first tangible marking reached from it.  It is pinned first and, if
+    another state's entry comes out larger in magnitude, that state is
+    pinned and the system solved again, so every probability is found
+    relative to the largest one: on a pool whose initial marking has pi near 1e-48, every entry is
+    within 1e-11 of its exact value, relatively.  When state 0's
+    probability lies beyond double range relative to the largest one,
+    pi[0] < tiny * max(pi) (near 1e-600 on such a pool), the pinned
+    system is singular in double precision and SrnError is raised, as it
+    is when a kernel's LU meets an exactly singular matrix.  A net should
+    therefore not start in such a marking.
 
     The reported residual is max|pi G| / ||G||_inf, so the tolerance
     does not depend on the scale of the rates.  SrnError, naming the
@@ -632,7 +632,16 @@ def _solve_pinned(pinned: Pinned, data, states: list) -> SteadyStateSolution:
         )
     where = f"{nt} tangible states" if n == nt else \
         f"{nt} tangible and {n - nt} vanishing states"
-    pi, residual = (_dense_pi if n <= DENSE_STATES else _sparse_pi)(pinned, data, where)
+    g, solve = (_dense_kernel if n <= DENSE_STATES else _sparse_kernel)(pinned, data, where)
+    x = solve(0)
+    # when state 0 is rare, x is pi times any factor, even a negative one
+    top = int(abs(x).argmax())
+    if top:
+        x = solve(top)
+    if x[0] < sys.float_info.min * x.max():  # the smallest normal double
+        raise _singular(where)
+    pi = x / x.sum()
+    residual = float(abs(pi @ g).max() / abs(g).sum(axis=1).max())
     if not (np.isfinite(pi).all() and math.isfinite(residual)):
         raise SrnError(f"steady-state solve failed at {where}: non-finite solution")
     if residual > RESIDUAL_TOLERANCE or pi.min() < -RESIDUAL_TOLERANCE:
@@ -647,59 +656,36 @@ def _singular(where: str) -> SrnError:
     return SrnError(f"steady-state solve failed at {where}: the pinned system is singular")
 
 
-def _normalised(x, g):
-    """(pi = x / sum(x), max|pi G| / ||G||_inf) for a dense or sparse G."""
-    pi = x / x.sum()
-    return pi, float(abs(pi @ g).max() / abs(g).sum(axis=1).max())
-
-
-def _dense_pi(pinned: Pinned, data, where: str):
-    """(pi over all n states summing to 1, its relative residual) from
-    numpy's dense LU with partial pivoting of the pinned system.
-
-    State 0 is pinned first.  If another state comes out more probable,
-    that state is pinned and the system solved once more, so the largest
-    entry is the pinned one and every other is found relative to it.  The
-    system counts as singular, and SrnError naming ``where`` is raised,
-    when LAPACK meets an exactly zero pivot or pi[0] < tiny * max(pi):
-    state 0's probability is then beyond double range relative to the
-    largest one.
-    """
+def _dense_kernel(pinned: Pinned, data, where: str):
+    """(G as a dense array, solve) where solve(k) is x with x[k] = 1 and
+    (x G)_j = 0 for every j != k, from numpy's dense LU with partial
+    pivoting of G^T with its row k replaced by e_k."""
     import numpy as np
 
     rows, cols, n = pinned.rows, pinned.cols, pinned.n
     flat = rows.astype(np.intp, copy=False) * n + cols  # scipy's rows may be int32
     g = np.bincount(flat, weights=data, minlength=n * n).reshape(n, n)
-    x = _pinned_solve(g, 0, where)
-    # when state 0 is rare, x is pi times any factor, even a negative one
-    top = int(abs(x).argmax())
-    if top:
-        x = _pinned_solve(g, top, where)
-    if x[0] < sys.float_info.min * x.max():  # the smallest normal double
-        raise _singular(where)
-    return _normalised(x, g)
+
+    def solve(k: int):
+        a = g.T.copy(order="F")
+        a[k] = 0.0
+        a[k, k] = 1.0
+        b = np.zeros(n)
+        b[k] = 1.0
+        try:
+            return np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:  # an exactly zero pivot
+            raise _singular(where) from None
+
+    return g, solve
 
 
-def _pinned_solve(g, k: int, where: str):
-    """x with x[k] = 1 and (x G)_j = 0 for every j != k: the solve of G^T
-    with its row k replaced by e_k."""
-    import numpy as np
-
-    a = g.T.copy(order="F")
-    a[k] = 0.0
-    a[k, k] = 1.0
-    b = np.zeros(len(a))
-    b[k] = 1.0
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:  # an exactly zero pivot
-        raise _singular(where) from None
-
-
-def _sparse_pi(pinned: Pinned, data, where: str):
-    """(pi over all n states summing to 1, its relative residual) from one
-    sparse LU of the pinned system; SrnError naming ``where`` when it is
-    singular."""
+def _sparse_kernel(pinned: Pinned, data, where: str):
+    """(G as a CSR matrix, solve) where solve(k) is x with x[k] = 1 and
+    (x G)_j = 0 for every j != k, from scipy's sparse LU of A = G^T with
+    G's column k (A's row k) replaced by e_k: the triplets of that column
+    are left out and one for e_k leads them, so A stays as sparse as G (a
+    dense row of ones would fill the LU factors)."""
     import warnings
 
     import numpy as np
@@ -707,18 +693,22 @@ def _sparse_pi(pinned: Pinned, data, where: str):
     from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
     rows, cols, n = pinned.rows, pinned.cols, pinned.n
-    keep = cols != 0
-    a = sp.csc_matrix((np.append(1.0, data[keep]),
-                       (np.append(0, cols[keep]), np.append(0, rows[keep]))), shape=(n, n))
-    b = np.zeros(n)
-    b[0] = 1.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            x = np.asarray(spsolve(a, b)).ravel()
-        except MatrixRankWarning:
-            raise _singular(where) from None
-    return _normalised(x, sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
+
+    def solve(k: int):
+        keep = cols != k
+        a = sp.csc_matrix((np.append(1.0, data[keep]),
+                           (np.append(k, cols[keep]), np.append(k, rows[keep]))),
+                          shape=(n, n))
+        b = np.zeros(n)
+        b[k] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MatrixRankWarning)
+            try:
+                return np.asarray(spsolve(a, b)).ravel()
+            except MatrixRankWarning:
+                raise _singular(where) from None
+
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n)), solve
 
 
 def solve(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> SteadyStateSolution:

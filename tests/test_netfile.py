@@ -131,7 +131,8 @@ reward avail "#down == 0" = 1.0
 
 
 def test_rare_initial_marking_solves_exactly():
-    # steady_state pins the initial marking; here its probability is
+    # the solve pins the initial marking first, then re-pins at the most
+    # probable one; the initial marking's probability is
     # (1e-4 / 1.0001)^12, about 1e-48
     solution, values = netfile.solve_document(pool_net(12, 10.0, 0.001))
     assert solution.states[0]["down"] == 12
@@ -158,8 +159,9 @@ def test_initial_marking_below_float_range_fails_loudly():
         netfile.solve_document(pool_net(3, 1e100, 1e-100))
 
 
-def test_initial_marking_below_float_range_is_singular_to_the_sparse_kernel():
+def test_initial_marking_below_float_range_is_singular_to_the_sparse_kernel(monkeypatch):
     # the same verdict from the kernel that solves chains above DENSE_STATES
-    graph = srn.reachability(pool_net(3, 1e100, 1e-100).net)
+    monkeypatch.setattr(srn, "DENSE_STATES", 3)
+    monkeypatch.setattr(srn, "_dense_kernel", None)
     with pytest.raises(srn.SrnError, match="failed at 4 tangible states: .*singular"):
-        srn._sparse_pi(graph.chain.pinned, srn._chain_data(graph), "4 tangible states")
+        srn.solve(pool_net(3, 1e100, 1e-100).net)

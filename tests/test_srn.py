@@ -1,10 +1,11 @@
 import math
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_small_net, small_nets
@@ -415,19 +416,24 @@ def test_non_finite_solution_rejected(monkeypatch, units, module, name, fake):
         srn.solve(pool_net(units))
 
 
-@pytest.mark.parametrize("states", [srn.DENSE_STATES, srn.DENSE_STATES + 1])
+@pytest.mark.parametrize("states", [srn.DENSE_STATES, srn.DENSE_STATES + 1, 201])
 def test_pool_solves_on_both_sides_of_the_dense_threshold(monkeypatch, states):
     # the units are independent, so the number up is binomial; the kernel
-    # that the size rule does not pick must not run
+    # that the size rule does not pick must not run.  Every unit starts
+    # up, a marking of probability 0.8^units (near 4e-20 at 201 states),
+    # so each kernel must re-pin to find every state to a small relative
+    # error
     units, fail, repair = states - 1, 0.5, 2.0
-    unused = "_sparse_pi" if states <= srn.DENSE_STATES else "_dense_pi"
+    unused = "_sparse_kernel" if states <= srn.DENSE_STATES else "_dense_kernel"
     monkeypatch.setattr(srn, unused, None)
     sol = srn.solve(pool_net(units, fail, repair))
     assert len(sol.states) == states
     p_up = repair / (fail + repair)
     for m, p in zip(sol.states, sol.pi):
         k = m["up"]
-        assert abs(p - math.comb(units, k) * p_up ** k * (1 - p_up) ** (units - k)) <= 1e-12
+        exact = math.comb(units, k) * p_up ** k * (1 - p_up) ** (units - k)
+        assert abs(p - exact) <= 1e-12
+        assert abs(p - exact) <= 1e-9 * exact, (k, p, exact)
     assert sol.residual <= srn.RESIDUAL_TOLERANCE
 
 
@@ -452,7 +458,7 @@ def test_both_kernels_sum_duplicate_triplets(monkeypatch, states):
     rows, cols, values = zip(*triplets)
     q = scipy.sparse.coo_matrix((values, (rows, cols)), shape=(states, states))
     assert q.nnz > 3 * states - 2
-    unused = "_sparse_pi" if states <= srn.DENSE_STATES else "_dense_pi"
+    unused = "_sparse_kernel" if states <= srn.DENSE_STATES else "_dense_kernel"
     monkeypatch.setattr(srn, unused, None)
     sol = srn.steady_state(q)
     p_up = repair / (fail + repair)
@@ -534,17 +540,27 @@ def test_solve_matches_dense_reference(spec):
     assert np.max(np.abs(sol.pi - pi)) <= 1e-10
 
 
-@settings(max_examples=200, deadline=None)
+# about 7 in 10 small nets are reducible or have one tangible state, so
+# Hypothesis's early check that few inputs are filtered out would fail
+# about one run in 50 (seed 46 does) although no assertion fails
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
 @given(spec=small_nets())
 def test_dense_and_sparse_kernels_agree(spec):
-    # each kernel called directly on the same chain, whatever its size;
-    # _solve_pinned calls neither on a single tangible state
+    # each kernel on the same chain, whatever its size: the size rule is
+    # moved to either side of the chain's state count; _solve_pinned calls
+    # neither on a single tangible state
     graph = srn.reachability(build_small_net(spec))
     pinned = graph.chain.pinned
     assume(len(graph.tangible) > 1 and not graph.chain.trapped and not pinned.components)
     data = srn._chain_data(graph)
-    dense, dense_residual = srn._dense_pi(pinned, data, "test")
-    sparse, sparse_residual = srn._sparse_pi(pinned, data, "test")
+    solutions = []
+    for threshold, unused in ((pinned.n, "_sparse_kernel"), (0, "_dense_kernel")):
+        with mock.patch.object(srn, "DENSE_STATES", threshold), \
+                mock.patch.object(srn, unused, None):
+            solutions.append(srn._solve_pinned(pinned, data, graph.tangible))
+    dense, sparse = (sol.pi for sol in solutions)
+    dense_residual, sparse_residual = (sol.residual for sol in solutions)
     assert np.max(np.abs(dense - sparse)) <= 1e-12
     assert max(dense_residual, sparse_residual) <= srn.RESIDUAL_TOLERANCE
 

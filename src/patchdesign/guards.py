@@ -68,49 +68,42 @@ class Literal:
 
 
 @dataclass(frozen=True)
-class AllOf:
+class _Junction:
+    """Two or more terms joined by one connective; ``AllOf`` and
+    ``AnyOf`` share its places and its unparsing, and compare unequal
+    to each other over the same terms."""
+
     terms: tuple
+
+    def places(self):
+        return set().union(*(t.places() for t in self.terms))
+
+    def _join(self, connective: str, nested: type) -> str:
+        """The terms' text joined by ``connective``, each term of type
+        ``nested`` in parentheses."""
+        return connective.join(f"({t.unparse()})" if isinstance(t, nested) else t.unparse()
+                               for t in self.terms)
+
+
+class AllOf(_Junction):
+    """Conjunction; a junction term is parenthesised, since '&&' binds
+    tighter than '||'."""
 
     def evaluate(self, marking) -> bool:
         return all(t.evaluate(marking) for t in self.terms)
 
-    def places(self):
-        out = set()
-        for t in self.terms:
-            out |= t.places()
-        return out
-
     def unparse(self) -> str:
-        parts = []
-        for t in self.terms:
-            s = t.unparse()
-            if isinstance(t, (AnyOf, AllOf)):
-                s = f"({s})"
-            parts.append(s)
-        return " && ".join(parts)
+        return self._join(" && ", _Junction)
 
 
-@dataclass(frozen=True)
-class AnyOf:
-    terms: tuple
+class AnyOf(_Junction):
+    """Disjunction; only a nested disjunction is parenthesised."""
 
     def evaluate(self, marking) -> bool:
         return any(t.evaluate(marking) for t in self.terms)
 
-    def places(self):
-        out = set()
-        for t in self.terms:
-            out |= t.places()
-        return out
-
     def unparse(self) -> str:
-        parts = []
-        for t in self.terms:
-            s = t.unparse()
-            if isinstance(t, AnyOf):
-                s = f"({s})"
-            parts.append(s)
-        return " || ".join(parts)
+        return self._join(" || ", AnyOf)
 
 
 TRUE = Literal(True)
@@ -118,32 +111,25 @@ TRUE = Literal(True)
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<hash>#)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)"
     r"|(?P<cmp>==|!=|<=|>=|<|>)|(?P<and>&&)|(?P<or>\|\|)"
-    r"|(?P<lpar>\()|(?P<rpar>\)))"
+    r"|(?P<lpar>\()|(?P<rpar>\))|(?P<bad>\S))"
 )
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens = []
         self._tokenize()
         self.i = 0
 
     def _tokenize(self):
-        pos = 0
-        text = self.text
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                # skip pure whitespace tails
-                if text[pos:].strip() == "":
-                    break
-                bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-                raise GuardSyntaxError(f"unexpected character {text[bad]!r}", bad)
+        """(kind, text, offset) of each token; trailing whitespace matches
+        nothing, and the first character no token starts with raises."""
+        for m in _TOKEN_RE.finditer(self.text):
             kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
+            if kind == "bad":
+                raise GuardSyntaxError(f"unexpected character {m[kind]!r}", m.start(kind))
+            self.tokens.append((kind, m[kind], m.start(kind)))
 
     def _eof_offset(self) -> int:
         stripped = self.text.rstrip()

@@ -380,16 +380,13 @@ def _parse_tree(node, catalog, path):
 def load_model(source) -> Model:
     """Load and validate a model document.
 
-    ``source`` may be a path, a JSON string, or an already-parsed dict
-    whose values have the types that json.loads gives.
+    ``source`` is the path of a JSON file, as a ``str`` or a ``Path``
+    (whatever its name looks like), or an already-parsed dict whose
+    values have the types that json.loads gives.
     """
     if isinstance(source, (str, Path)):
-        if isinstance(source, Path) or not str(source).lstrip().startswith("{"):
-            text = Path(source).read_text()
-        else:
-            text = str(source)
         try:
-            doc = json.loads(text)
+            doc = json.loads(Path(source).read_text())
         except json.JSONDecodeError as e:
             raise ModelError("$", f"invalid JSON: {e}") from e
     else:

@@ -31,19 +31,22 @@ is the net's steady state.  A pinned LU solves it (W. J. Stewart,
 numpy's dense LU for a chain of at most ``DENSE_STATES`` states, where
 building and calling the sparse solver costs more than the arithmetic,
 and scipy's sparse LU above that (``_solve_pinned`` gives the measured
-crossover).  One rule pins for both: state 0 first and, if another
-state is more probable, that one, so even the rarest states come out to
-a small relative error; the system counts as singular when state 0's
-probability is below tiny (the smallest normal double, 2.2e-308) times
-the largest one.
+crossover).  ``_solve_pinned`` pins for both: state 0 first and, if
+another state is more probable, that one, so even the rarest states
+come out to a small relative error.  It alone rules the system
+singular: when a kernel's LU meets an exactly singular matrix, or when
+state 0's probability is below tiny (the smallest normal double,
+2.2e-308) times the largest one.
 
-Exploration fixes what is structural (``Chain``): the state numbering,
-the generator's (row, column) triplets, which immediate edges stay in
-the chain, and the strong-connectivity verdict, from walks forward and
-backward from state 0, which every re-rated copy of a graph shares.  A
-solve gives each triplet its value, and its kernel assembles its own
-matrix from them.  ``eliminate_vanishing`` keeps the reduced generator
-as the plain reference.
+Exploration fixes what is structural in one record, ``Chain``: the
+state numbering, the generator's (row, column) triplets, which
+immediate edges stay in the chain, and the strong-connectivity verdict
+of ``_components``, from walks forward and backward from state 0, which
+every re-rated copy of a graph shares.  A solve gives each triplet its
+value, and its kernel assembles its own matrix from them.
+``eliminate_vanishing`` keeps the reduced generator as the plain
+reference, and ``steady_state`` solves it as a chain with no vanishing
+states.
 
 numpy is imported inside the functions that explore, assemble and solve,
 so building a net does not load it.  scipy is imported only for a chain
@@ -282,58 +285,11 @@ class Edges(NamedTuple):
     value: np.ndarray | None = None  # rate of a timed edge, probability of an immediate one
 
 
-class Pinned(NamedTuple):
-    """The triplets of a generator G over n states and whether G is
-    strongly connected: the structure of a steady-state solve.
-
-    pi G = 0 has rank n - 1.  A pinned system replaces one equation by
-    pi_k = 1.  Each kernel assembles G from the triplets and their values
-    and sums duplicate triplets: ``_dense_kernel`` into a dense array, in
-    triplet order, and ``_sparse_kernel`` into sparse matrices.
-    """
-
-    rows: np.ndarray  # the row of each triplet of G, the diagonal last
-    cols: np.ndarray  # the column of each triplet of G
-    n: int
-    # if G's pattern is not strongly connected, the tangible states (the
-    # first nt) of each strongly connected component that has any
-    components: list
-
-    @classmethod
-    def of(cls, rows, cols, n: int, nt: int) -> Pinned:
-        """G is strongly connected when state 0 reaches every state and
-        every state reaches state 0 (``_closure`` forward and backward),
-        which needs no scipy.  Only a chain found reducible goes to
-        scipy's ``connected_components`` for its components."""
-        import numpy as np
-
-        origin = np.zeros(min(n, 1), dtype=np.intp)  # none in an empty chain
-        if all(_closure(n, rows, cols, origin)) and all(_closure(n, cols, rows, origin)):
-            return cls(rows, cols, n, [])
-        return cls(rows, cols, n, _components(rows, cols, n, nt))
-
-
-def _components(rows, cols, n: int, nt: int) -> list:
-    """The tangible states (the first nt) of each strongly connected
-    component of the pattern (rows, cols) that has any, or [] when there
-    is one component."""
-    import numpy as np
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    ncomp, labels = connected_components(
-        sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)),
-        directed=True, connection="strong")
-    if ncomp == 1:
-        return []
-    groups = (np.nonzero(labels[:nt] == c)[0].tolist() for c in range(ncomp))
-    return [group for group in groups if group]
-
-
 class Chain(NamedTuple):
     """The continuous-time chain of a reachability graph, with its
-    vanishing markings kept as states.  It depends on the graph's
-    structure only, so every re-rated copy shares it.
+    vanishing markings kept as states: the one structure a steady-state
+    solve takes.  It depends on the graph's structure only, so every
+    re-rated copy shares it.
 
     The states are the tangible markings, in the order of
     ``graph.tangible``, then the vanishing markings that a tangible one
@@ -344,12 +300,20 @@ class Chain(NamedTuple):
     its rate and each immediate edge out of a kept vanishing marking at
     its probability times one exit rate s; its diagonal is minus each
     row's sum, so a self-loop cancels against its own diagonal entry.
-    ``pinned`` holds G's triplets in that order, the diagonal last.
+    ``rows`` and ``cols`` hold G's triplets in that order, the diagonal
+    last.  pi G = 0 has rank n - 1; a pinned system replaces one
+    equation by pi_k = 1.  Each kernel assembles G from the triplets and
+    their values and sums duplicate triplets: ``_dense_kernel`` into a
+    dense array, in triplet order, and ``_sparse_kernel`` into sparse
+    matrices.
     """
 
     trapped: list       # vanishing markings with no path to a tangible one
     kept: np.ndarray    # indices of the immediate edges out of kept vanishing markings
-    pinned: Pinned
+    rows: np.ndarray    # the row of each triplet of G, the diagonal last
+    cols: np.ndarray    # the column of each triplet of G
+    n: int
+    components: list    # ``_components`` of G's pattern
 
     @classmethod
     def of(cls, vanishing: list, timed: Edges, immediate: Edges, nt: int) -> Chain:
@@ -373,8 +337,32 @@ class Chain(NamedTuple):
         diagonal = np.arange(n)
         rows = np.concatenate([timed.source, state[immediate.source[kept]], diagonal])
         cols = np.concatenate([columns(timed), columns(immediate)[kept], diagonal])
-        return cls(trapped=[m for m, ok in zip(vanishing, escapes) if not ok],
-                   kept=kept, pinned=Pinned.of(rows, cols, n, nt))
+        return cls(trapped=[m for m, ok in zip(vanishing, escapes) if not ok], kept=kept,
+                   rows=rows, cols=cols, n=n, components=_components(rows, cols, n, nt))
+
+
+def _components(rows, cols, n: int, nt: int) -> list:
+    """[] when the pattern (rows, cols) over n states is strongly
+    connected, else the tangible states (the first nt) of each strongly
+    connected component that has any.
+
+    The pattern is strongly connected when state 0 reaches every state
+    and every state reaches state 0 (``_closure`` forward and backward),
+    which needs no scipy.  Only a chain found reducible goes to scipy's
+    ``connected_components`` for its components."""
+    import numpy as np
+
+    origin = np.zeros(min(n, 1), dtype=np.intp)  # none in an empty chain
+    if all(_closure(n, rows, cols, origin)) and all(_closure(n, cols, rows, origin)):
+        return []
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    ncomp, labels = connected_components(
+        sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)),
+        directed=True, connection="strong")
+    groups = (np.nonzero(labels[:nt] == c)[0].tolist() for c in range(ncomp))
+    return [group for group in groups if group]
 
 
 def _closure(n: int, heads, tails, start) -> list:
@@ -539,17 +527,18 @@ class SteadyStateSolution:
 
 
 def steady_state(q: sp.spmatrix, states=None) -> SteadyStateSolution:
-    """Solve pi Q = 0, sum(pi) = 1 for a CTMC generator Q by a pinned LU,
-    dense for at most ``DENSE_STATES`` states and sparse above, re-pinned
-    at the most probable state either way (see ``_solve_pinned``).
+    """Solve pi Q = 0, sum(pi) = 1 for a CTMC generator Q: the triplets of
+    Q as a ``Chain`` with no vanishing states, and one pinned solve
+    (``_solve_pinned``).
 
     Requires a single closed communicating class covering all states
     (checked via strong connectivity of the sparsity pattern).
     """
     n = q.shape[0]
     q = q.tocoo()
-    return _solve_pinned(Pinned.of(q.row, q.col, n, n), q.data,
-                         list(range(n)) if states is None else states)
+    chain = Chain(trapped=[], kept=None, rows=q.row, cols=q.col, n=n,
+                  components=_components(q.row, q.col, n, n))
+    return _solve_pinned(chain, q.data, list(range(n)) if states is None else states)
 
 
 def solve_graph(graph: ReachabilityGraph) -> SteadyStateSolution:
@@ -564,16 +553,16 @@ def solve_graph(graph: ReachabilityGraph) -> SteadyStateSolution:
     """
     if graph.chain.trapped:
         raise TimelessTrap(graph.chain.trapped)
-    return _solve_pinned(graph.chain.pinned, _chain_data(graph), graph.tangible)
+    return _solve_pinned(graph.chain, _chain_data(graph), graph.tangible)
 
 
 def _chain_data(graph: ReachabilityGraph):
-    """The value of each triplet of G (``graph.chain.pinned``), in
+    """The value of each triplet of G (``graph.chain``), in
     ``solve_graph``'s terms, written in place into one array."""
     import numpy as np
 
     chain, timed = graph.chain, graph.timed
-    rows, n = chain.pinned.rows, chain.pinned.n
+    rows, n = chain.rows, chain.n
     nt_edges, off = len(timed.value), len(rows) - n  # timed, all off-diagonal triplets
     data = np.empty(len(rows))
     data[:nt_edges] = timed.value
@@ -584,8 +573,8 @@ def _chain_data(graph: ReachabilityGraph):
     return data
 
 
-def _solve_pinned(pinned: Pinned, data, states: list) -> SteadyStateSolution:
-    """pi over the states of a generator G whose triplets ``pinned`` holds
+def _solve_pinned(chain: Chain, data, states: list) -> SteadyStateSolution:
+    """pi over the states of a generator G whose triplets ``chain`` holds
     and ``data`` gives values; the returned pi is its part over the first
     len(states) (tangible) states, renormalised.
 
@@ -600,18 +589,18 @@ def _solve_pinned(pinned: Pinned, data, states: list) -> SteadyStateSolution:
     3-4 times faster up to 162 states.  The constant is the lower
     crossover.
 
-    Whichever kernel solves, the pin rule is this one.  Any one state may
-    be pinned in exact arithmetic; state 0 is the initial marking, or the
-    first tangible marking reached from it.  It is pinned first and, if
-    another state's entry comes out larger in magnitude, that state is
-    pinned and the system solved again, so every probability is found
-    relative to the largest one: on a pool whose initial marking has pi near 1e-48, every entry is
-    within 1e-11 of its exact value, relatively.  When state 0's
-    probability lies beyond double range relative to the largest one,
-    pi[0] < tiny * max(pi) (near 1e-600 on such a pool), the pinned
-    system is singular in double precision and SrnError is raised, as it
-    is when a kernel's LU meets an exactly singular matrix.  A net should
-    therefore not start in such a marking.
+    Whichever kernel solves, the pin rule and the singular verdict are
+    these ones.  Any one state may be pinned in exact arithmetic; state
+    0 is the initial marking, or the first tangible marking reached from
+    it.  It is pinned first and, if another state's entry comes out
+    larger in magnitude, that state is pinned and the system solved
+    again, so every probability is found relative to the largest one: on
+    a pool whose initial marking has pi near 1e-48, every entry is
+    within 1e-11 of its exact value, relatively.  The pinned system is
+    singular when a kernel's LU meets an exactly singular matrix (its
+    LinAlgError) or when state 0's probability lies beyond double range
+    relative to the largest one, pi[0] < tiny * max(pi) (near 1e-600 on
+    such a pool); a net should therefore not start in such a marking.
 
     The reported residual is max|pi G| / ||G||_inf, so the tolerance
     does not depend on the scale of the rates.  SrnError, naming the
@@ -622,24 +611,27 @@ def _solve_pinned(pinned: Pinned, data, states: list) -> SteadyStateSolution:
     """
     import numpy as np
 
-    nt, n = len(states), pinned.n
+    nt, n = len(states), chain.n
     if nt == 1:
         return SteadyStateSolution(states, np.array([1.0]), 0.0)
-    if pinned.components:
-        groups = pinned.components
+    if chain.components:
+        groups = chain.components
         raise ReducibleChain(
             f"chain is reducible into {len(groups)} strongly connected components: {groups}"
         )
     where = f"{nt} tangible states" if n == nt else \
         f"{nt} tangible and {n - nt} vanishing states"
-    g, solve = (_dense_kernel if n <= DENSE_STATES else _sparse_kernel)(pinned, data, where)
-    x = solve(0)
-    # when state 0 is rare, x is pi times any factor, even a negative one
-    top = int(abs(x).argmax())
-    if top:
-        x = solve(top)
-    if x[0] < sys.float_info.min * x.max():  # the smallest normal double
-        raise _singular(where)
+    g, solve = (_dense_kernel if n <= DENSE_STATES else _sparse_kernel)(chain, data)
+    try:
+        x = solve(0)
+        # when state 0 is rare, x is pi times any factor, even a negative one
+        top = int(abs(x).argmax())
+        if top:
+            x = solve(top)
+    except np.linalg.LinAlgError:
+        x = None
+    if x is None or x[0] < sys.float_info.min * x.max():  # the smallest normal double
+        raise SrnError(f"steady-state solve failed at {where}: the pinned system is singular")
     pi = x / x.sum()
     residual = float(abs(pi @ g).max() / abs(g).sum(axis=1).max())
     if not (np.isfinite(pi).all() and math.isfinite(residual)):
@@ -652,17 +644,14 @@ def _solve_pinned(pinned: Pinned, data, states: list) -> SteadyStateSolution:
     return SteadyStateSolution(states, pi, residual)
 
 
-def _singular(where: str) -> SrnError:
-    return SrnError(f"steady-state solve failed at {where}: the pinned system is singular")
-
-
-def _dense_kernel(pinned: Pinned, data, where: str):
+def _dense_kernel(chain: Chain, data):
     """(G as a dense array, solve) where solve(k) is x with x[k] = 1 and
     (x G)_j = 0 for every j != k, from numpy's dense LU with partial
-    pivoting of G^T with its row k replaced by e_k."""
+    pivoting of G^T with its row k replaced by e_k; an exactly zero
+    pivot raises numpy's LinAlgError."""
     import numpy as np
 
-    rows, cols, n = pinned.rows, pinned.cols, pinned.n
+    rows, cols, n = chain.rows, chain.cols, chain.n
     flat = rows.astype(np.intp, copy=False) * n + cols  # scipy's rows may be int32
     g = np.bincount(flat, weights=data, minlength=n * n).reshape(n, n)
 
@@ -672,27 +661,25 @@ def _dense_kernel(pinned: Pinned, data, where: str):
         a[k, k] = 1.0
         b = np.zeros(n)
         b[k] = 1.0
-        try:
-            return np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:  # an exactly zero pivot
-            raise _singular(where) from None
+        return np.linalg.solve(a, b)
 
     return g, solve
 
 
-def _sparse_kernel(pinned: Pinned, data, where: str):
+def _sparse_kernel(chain: Chain, data):
     """(G as a CSR matrix, solve) where solve(k) is x with x[k] = 1 and
     (x G)_j = 0 for every j != k, from scipy's sparse LU of A = G^T with
     G's column k (A's row k) replaced by e_k: the triplets of that column
     are left out and one for e_k leads them, so A stays as sparse as G (a
-    dense row of ones would fill the LU factors)."""
+    dense row of ones would fill the LU factors).  An exactly singular A
+    raises numpy's LinAlgError, as in ``_dense_kernel``."""
     import warnings
 
     import numpy as np
     import scipy.sparse as sp
     from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-    rows, cols, n = pinned.rows, pinned.cols, pinned.n
+    rows, cols, n = chain.rows, chain.cols, chain.n
 
     def solve(k: int):
         keep = cols != k
@@ -705,8 +692,8 @@ def _sparse_kernel(pinned: Pinned, data, where: str):
             warnings.simplefilter("error", MatrixRankWarning)
             try:
                 return np.asarray(spsolve(a, b)).ravel()
-            except MatrixRankWarning:
-                raise _singular(where) from None
+            except MatrixRankWarning as e:
+                raise np.linalg.LinAlgError(str(e)) from None
 
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n)), solve
 

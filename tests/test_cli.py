@@ -298,6 +298,15 @@ def test_missing_model_file():
     assert err
 
 
+def test_model_path_starting_with_a_brace_is_read_as_a_path(tmp_path, monkeypatch):
+    # a path is never taken for JSON text, whatever its first character
+    (tmp_path / "{m}.json").write_bytes(Path(MODEL).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    expected = run_cli("security", "--model", MODEL, "--design", "base")
+    assert expected[0] == 0
+    assert run_cli("security", "--model", "{m}.json", "--design", "base") == expected
+
+
 @pytest.mark.parametrize("section, key, value", [("designs", "base", [1]),
                                                 ("servers", "dns", 5)])
 def test_model_entry_that_is_not_an_object_is_one_error_line(tmp_path, section, key, value):

@@ -65,9 +65,18 @@ def test_malformed_missing_comparison():
 
 
 def test_malformed_bad_character():
-    with pytest.raises(GuardSyntaxError) as exc:
-        parse_guard("#P_x == 1 @")
-    assert exc.value.offset == 10
+    # the last input also has a later parse error, which is not reported
+    for text, offset in [("#P_x == 1 @", 10), ("#a == 1 &", 8), ("#a = 1", 3),
+                         ("  @", 2), ("#a == 1 ! (#b", 8)]:
+        with pytest.raises(GuardSyntaxError, match="^unexpected character") as exc:
+            parse_guard(text)
+        assert exc.value.offset == offset, text
+
+
+def test_conjunction_and_disjunction_of_the_same_terms_differ():
+    terms = (Comparison("a", "==", 1), Comparison("b", "==", 1))
+    assert AllOf(terms) != AnyOf(terms)
+    assert AllOf(terms) == AllOf(terms)
 
 
 def test_unbalanced_paren():

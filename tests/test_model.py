@@ -149,11 +149,13 @@ def test_infinite_mttf_allowed():
     assert tpl.rate_per_hour("hw_mttf") == 0.0
 
 
-def test_infinite_mttf_loads_from_json():
+def test_infinite_mttf_loads_from_json(tmp_path):
     # a JSON number is an int or a float, Infinity included
     text = example_network_path().read_text().replace(
         '"hw_mttf_hours": 87600', '"hw_mttf_hours": Infinity', 1)
-    assert load_model(text).templates["dns"].rate_per_hour("hw_mttf") == 0.0
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert load_model(path).templates["dns"].rate_per_hour("hw_mttf") == 0.0
 
 
 _FAILURE_FIELDS = ("hw_mttf", "os_mttf", "svc_mttf")

@@ -1,10 +1,12 @@
 import math
+import warnings
 from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import connected_components
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -416,6 +418,28 @@ def test_non_finite_solution_rejected(monkeypatch, units, module, name, fake):
         srn.solve(pool_net(units))
 
 
+def _singular_solve(a, b, **_):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _rank_deficient_solve(a, b, **_):
+    warnings.warn("Matrix is exactly singular", scipy.sparse.linalg.MatrixRankWarning)
+    return np.full(len(b), np.nan)
+
+
+@pytest.mark.parametrize("units, module, name, fake", [
+    (1, np.linalg, "solve", _singular_solve),
+    (srn.DENSE_STATES, scipy.sparse.linalg, "spsolve", _rank_deficient_solve),
+], ids=["dense", "sparse"])
+def test_exactly_singular_solve_rejected(monkeypatch, units, module, name, fake):
+    # each kernel's signal of an exactly singular LU ends in the one
+    # singular verdict, naming the stage and the state count
+    monkeypatch.setattr(module, name, fake)
+    with pytest.raises(srn.SrnError, match=f"failed at {units + 1} tangible states: "
+                                           "the pinned system is singular"):
+        srn.solve(pool_net(units))
+
+
 @pytest.mark.parametrize("states", [srn.DENSE_STATES, srn.DENSE_STATES + 1, 201])
 def test_pool_solves_on_both_sides_of_the_dense_threshold(monkeypatch, states):
     # the units are independent, so the number up is binomial; the kernel
@@ -551,14 +575,14 @@ def test_dense_and_sparse_kernels_agree(spec):
     # moved to either side of the chain's state count; _solve_pinned calls
     # neither on a single tangible state
     graph = srn.reachability(build_small_net(spec))
-    pinned = graph.chain.pinned
-    assume(len(graph.tangible) > 1 and not graph.chain.trapped and not pinned.components)
+    chain = graph.chain
+    assume(len(graph.tangible) > 1 and not chain.trapped and not chain.components)
     data = srn._chain_data(graph)
     solutions = []
-    for threshold, unused in ((pinned.n, "_sparse_kernel"), (0, "_dense_kernel")):
+    for threshold, unused in ((chain.n, "_sparse_kernel"), (0, "_dense_kernel")):
         with mock.patch.object(srn, "DENSE_STATES", threshold), \
                 mock.patch.object(srn, unused, None):
-            solutions.append(srn._solve_pinned(pinned, data, graph.tangible))
+            solutions.append(srn._solve_pinned(chain, data, graph.tangible))
     dense, sparse = (sol.pi for sol in solutions)
     dense_residual, sparse_residual = (sol.residual for sol in solutions)
     assert np.max(np.abs(dense - sparse)) <= 1e-12
@@ -571,9 +595,14 @@ def test_connectivity_walk_matches_scipy_components(spec):
     # a chain is judged strongly connected by walks from state 0;
     # scipy's components are the reference
     graph = srn.reachability(build_small_net(spec))
-    pinned = graph.chain.pinned
-    assert pinned.components == srn._components(pinned.rows, pinned.cols, pinned.n,
-                                                len(graph.tangible))
+    chain = graph.chain
+    ncomp, labels = connected_components(
+        scipy.sparse.csr_matrix((np.ones(len(chain.rows)), (chain.rows, chain.cols)),
+                                shape=(chain.n, chain.n)),
+        directed=True, connection="strong")
+    groups = (np.nonzero(labels[:len(graph.tangible)] == c)[0].tolist()
+              for c in range(ncomp))
+    assert chain.components == ([] if ncomp == 1 else [g for g in groups if g])
 
 
 def _branch_values(net, graph):

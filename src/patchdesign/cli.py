@@ -31,6 +31,8 @@ def _parse_bounds(text: str) -> Bounds:
         if key in values:
             raise ModelError("bounds", f"bound {key!r} given twice")
         values[key] = _number(raw)
+    if not values:
+        raise ModelError("bounds", f"no key=value pair in {text!r}")
     return make_bounds(values)
 
 

@@ -111,7 +111,8 @@ TRUE = Literal(True)
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<hash>#)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)"
     r"|(?P<cmp>==|!=|<=|>=|<|>)|(?P<and>&&)|(?P<or>\|\|)"
-    r"|(?P<lpar>\()|(?P<rpar>\))|(?P<bad>\S))"
+    r"|(?P<lpar>\()|(?P<rpar>\))|(?P<bad>\S))",
+    re.ASCII,  # no other script's digits or whitespace
 )
 
 

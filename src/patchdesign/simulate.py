@@ -6,23 +6,23 @@ error with batch means.  Each step comes from ``Net.branches``, the same
 rule that drives ``srn.reachability``, computed once per distinct
 marking a run visits.
 
-The per-event loop is kept cheap in three ways.  Variates are drawn from
-the seeded generator ``BLOCK`` at a time and handed out one by one
-(``_stream``).  Markings are numbered on first sight and a step row holds
-its successors' numbers, so an event hashes no marking.  The current
-batch and its right edge are carried from one dwell to the next, so a
-dwell that stays inside its batch costs one comparison.
+Every variate comes from one seeded Mersenne Twister stream
+(``random.Random``), so the simulator imports no numpy.  The per-event
+loop is kept cheap in three ways.  Markings are numbered on first sight
+and a step row holds its successors' numbers and its cumulative branch
+thresholds, so an event hashes no marking, and a step with one branch
+draws nothing.  The current batch and its right edge are carried from
+one dwell to the next, so a dwell that stays inside its batch costs one
+comparison.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import random
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
-
-BLOCK = 1024  # variates per generator call
 
 
 @dataclass
@@ -35,20 +35,21 @@ class SimulationEstimate:
         return abs(self.value - reference) <= n_sigma * self.stderr
 
 
-def _stream(draw):
-    """The variates of ``draw(BLOCK)``, one at a time, a block per call."""
-    while True:
-        yield from draw(BLOCK).tolist()
-
-
 def _step(net, reward, marking, number):
-    """(vanishing, weights, total, successor ids, reward) of one marking:
-    its ``Net.branches``, each branch fired once and its successor
-    numbered by ``number``, and the reward of a tangible marking."""
+    """(vanishing, total, thresholds, successor ids, sole successor or
+    None, reward) of one marking: its ``Net.branches``, each branch fired
+    once and its successor numbered by ``number``, and the reward of a
+    tangible marking.  ``thresholds`` are the running sums of the
+    weights over their total; ``total`` is the last running sum, so the
+    last threshold is exactly 1.0."""
     vanishing, branches = net.branches(marking)
-    weights = [w for _, w in branches]
     successors = [number(net.fire(t, marking)) for t, _ in branches]
-    return (vanishing, weights, sum(weights), successors,
+    acc, sums = 0.0, []
+    for _, w in branches:
+        acc += w
+        sums.append(acc)
+    return (vanishing, acc, [s / acc for s in sums], successors,
+            successors[0] if len(successors) == 1 else None,
             None if vanishing else reward(marking))
 
 
@@ -58,15 +59,15 @@ def simulate_reward(net, reward, hours: float, seed: int = 0,
 
     A vanishing marking fires one of its immediates in zero time; a
     tangible marking dwells for an exponential time with the total
-    enabled rate (a standard exponential variate over that rate) and
-    earns its reward meanwhile; an absorbing marking (no enabled
-    transition) holds its reward to the horizon.  The next transition is
-    drawn with probability proportional to its weight or rate, by one
-    uniform variate against the cumulative sum.  Both kinds of variate
-    come from one generator seeded with ``seed``, each drawn in blocks of
-    ``BLOCK``.  Returns the batch-means estimate and standard error over
-    ``batches`` equal slices of the horizon; the last slice ends exactly
-    at ``hours``.
+    enabled rate, ``-log(1 - u) / total`` for a uniform ``u``, and earns
+    its reward meanwhile; an absorbing marking (no enabled transition)
+    holds its reward to the horizon.  A marking with one branch fires it
+    without a draw; with more, one uniform ``u`` picks the first branch
+    whose cumulative threshold exceeds it, so each branch is taken with
+    probability proportional to its weight or rate.  All uniforms come
+    from one ``random.Random(seed)`` stream.  Returns the batch-means
+    estimate and standard error over ``batches`` equal slices of the
+    horizon; the last slice ends exactly at ``hours``.
 
     Each marking gets an integer id when it is first reached.  Its step
     (its branches, their successors' ids and, if it is tangible, its
@@ -75,16 +76,18 @@ def simulate_reward(net, reward, hours: float, seed: int = 0,
     marking alone.  The table grows by at most one step per event and
     lives for this call only.
 
-    Raises ``ValueError`` if ``hours`` is not a finite positive number
-    or ``batches`` is not an integer of at least 2.
+    Raises ``ValueError`` if ``hours`` is not a finite positive number,
+    ``seed`` is not an integer of at least 0 or ``batches`` is not an
+    integer of at least 2.
     """
     if not (math.isfinite(hours) and hours > 0):
         raise ValueError(f"hours must be finite and positive, got {hours!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if not isinstance(batches, numbers.Integral) or batches < 2:
         raise ValueError(f"batches must be an integer >= 2, got {batches!r}")
-    rng = np.random.default_rng(seed)
-    exponentials = _stream(rng.standard_exponential)
-    uniforms = _stream(rng.random)
+    uniform = random.Random(int(seed)).random
+    log = math.log
     ids = {}        # marking counts -> id
     markings = []   # id -> marking
     steps = []      # id -> _step row, None until the marking is visited
@@ -107,26 +110,27 @@ def simulate_reward(net, reward, hours: float, seed: int = 0,
         step = steps[current]
         if step is None:
             step = steps[current] = _step(net, reward, markings[current], number)
-        vanishing, weights, total, successors, r = step
+        vanishing, total, thresholds, successors, sole, r = step
         if not vanishing:
-            dwell = next(exponentials) / total if weights else hours - now
+            dwell = -log(1.0 - uniform()) / total if successors else hours - now
             # spread the dwell across the batches it overlaps
-            end, at = min(now + dwell, hours), now
+            end, at = now + dwell, now
+            if end > hours:
+                end = hours
             while edge < end:
                 batch_totals[b] += r * (edge - at)
                 b, at = b + 1, edge
                 edge = hours if b == last else (b + 1) * batch_len
             batch_totals[b] += r * (end - at)
             now += dwell
-        if weights:
-            u = next(uniforms) * total
-            for i, w in enumerate(weights):
-                u -= w
-                if u < 0:
-                    break
-            current = successors[i]
+        if sole is not None:
+            current = sole
+        elif successors:
+            current = successors[bisect_right(thresholds, uniform())]
 
-    means = np.array(batch_totals) / batch_len
-    value = float(means.mean())
-    stderr = float(means.std(ddof=1) / np.sqrt(batches))
-    return SimulationEstimate(value=value, stderr=stderr, hours=hours)
+    # batch means: the mean, then a two-pass sample variance, both by fsum
+    means = [t / batch_len for t in batch_totals]
+    value = math.fsum(means) / batches
+    variance = math.fsum((m - value) ** 2 for m in means) / (batches - 1)
+    return SimulationEstimate(value=value, stderr=math.sqrt(variance / batches),
+                              hours=hours)

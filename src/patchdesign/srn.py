@@ -397,8 +397,11 @@ def reachability(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> ReachabilityGr
     out-edges.  Each edge keeps the index of the transition that fires
     and its rate factor; ``rerate`` then derives the edge values from
     the net's constants.  Exploration stops with StateCapExceeded after
-    ``state_cap`` markings, which is what ends it on an unbounded net.
+    ``state_cap`` markings, which is what ends it on an unbounded net;
+    a ``state_cap`` below 1 raises ValueError.
     """
+    if state_cap < 1:
+        raise ValueError(f"state cap must be at least 1, got {state_cap!r}")
     # transition -> (its index, the index of its rate place or None)
     info = {id(t): (k, net._index[t.rate.place] if t.timed and t.rate.place is not None
                     else None) for k, t in enumerate(net.transitions)}

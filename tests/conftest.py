@@ -1,10 +1,11 @@
+import itertools
 import math
+import random
 
-import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from patchdesign import availability, harm, simulate, srn
+from patchdesign import availability, harm, srn
 from patchdesign.guards import parse_guard
 from patchdesign.model import example_network_path, load_model
 
@@ -66,20 +67,20 @@ def reference_simulate_reward(net, reward, hours, seed=0, batches=50):
     """``simulate.simulate_reward`` with the step rule, the firing and
     the reward recomputed at every event and the batch of each dwell
     found from its start time: the oracle for its step table and batch
-    accounting.  Draws from the same two variate streams.  Returns
-    (value, stderr)."""
-    rng = np.random.default_rng(seed)
-    exponentials = simulate._stream(rng.standard_exponential)
-    uniforms = simulate._stream(rng.random)
+    accounting.  Draws from the same uniform stream by the same rule: a
+    tangible dwell takes one variate, a step of two or more branches
+    takes one and walks the cumulative thresholds.  Returns (value,
+    stderr)."""
+    uniform = random.Random(seed).random
     marking = net.initial_marking()
     batch_len = hours / batches
-    batch_totals = np.zeros(batches)
+    batch_totals = [0.0] * batches
     now = 0.0
     while now < hours:
         vanishing, step = net.branches(marking)
-        total = sum(w for _, w in step)
+        sums = list(itertools.accumulate(w for _, w in step))
         if not vanishing:
-            dwell = next(exponentials) / total if step else hours - now
+            dwell = -math.log(1.0 - uniform()) / sums[-1] if step else hours - now
             r = reward(marking)
             end = min(now + dwell, hours)
             b, at = min(int(now / batch_len), batches - 1), now
@@ -88,15 +89,18 @@ def reference_simulate_reward(net, reward, hours, seed=0, batches=50):
                 batch_totals[b] += r * (edge - at)
                 b, at = b + 1, edge
             now += dwell
-        if step:
-            u = next(uniforms) * total
-            for t, w in step:
-                u -= w
-                if u < 0:
+        if len(step) == 1:
+            marking = net.fire(step[0][0], marking)
+        elif step:
+            u = uniform()
+            for (t, _), acc in zip(step, sums):
+                if u < acc / sums[-1]:
                     break
             marking = net.fire(t, marking)
-    means = batch_totals / batch_len
-    return float(means.mean()), float(means.std(ddof=1) / np.sqrt(batches))
+    means = [t / batch_len for t in batch_totals]
+    mean = math.fsum(means) / batches
+    variance = math.fsum((m - mean) ** 2 for m in means) / (batches - 1)
+    return mean, math.sqrt(variance / batches)
 
 
 _OPS = ("==", "!=", "<", "<=", ">", ">=")

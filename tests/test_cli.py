@@ -428,6 +428,16 @@ def test_invalid_bounds_key():
     assert err == "error: bounds: bound 'phi' given twice\n"
 
 
+@pytest.mark.parametrize("bounds", [",", ""])
+def test_bounds_without_a_pair_are_rejected(tmp_path, bounds):
+    # an empty bound set would accept every design
+    code, out, err = run_cli("compare", "--model", MODEL, "--bounds", bounds,
+                             "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: bounds: no key=value pair in {bounds!r}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_rate_override_changes_aggregates():
     code, out, _ = run_cli("availability", "--model", MODEL,
                            "--design", "base", "--format", "csv",
@@ -542,6 +552,16 @@ def test_solve_srn_unbounded_net_stops_at_state_cap(tmp_path):
     assert "more than 100 markings" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_solve_srn_rejects_state_cap_below_one(tmp_path, cap):
+    netpath = tmp_path / "flip.net"
+    netpath.write_text("place a 1\nplace b 0\ntimed t rate=1 in=a out=b\n"
+                       "timed u rate=1 in=b out=a\n")
+    code, out, err = run_cli("solve-srn", str(netpath), "--state-cap", cap)
+    assert (code, out) == (1, "")
+    assert err == f"error: state cap must be at least 1, got {cap}\n"
+
+
 def _python(*args):
     """Run a fresh interpreter that imports this copy of patchdesign."""
     env = dict(os.environ)
@@ -584,6 +604,26 @@ def test_security_loads_neither_numpy_nor_scipy():
     )
     proc = _python("-c", script)
     assert proc.stdout.split("\n")[0] == "0 []", proc.stderr
+
+
+def test_netfile_simulation_loads_no_numpy(tmp_path):
+    path = tmp_path / "flip.net"
+    path.write_text("place up 1\nplace down 0\n"
+                    "timed fail rate=1 in=up out=down\n"
+                    "timed repair rate=2 in=down out=up\n"
+                    'reward u "#up == 1" = 1\n')
+    script = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from patchdesign.netfile import parse_net\n"
+        "from patchdesign.simulate import simulate_reward\n"
+        f"doc = parse_net(Path({str(path)!r}).read_text())\n"
+        "est = simulate_reward(doc.net, doc.rewards['u'], hours=100.0, seed=1)\n"
+        "print(0 < est.value < 1, sorted(m for m in sys.modules\n"
+        "                               if m.partition('.')[0] == 'numpy'))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.stdout.split("\n")[0] == "True []", proc.stderr
 
 
 @pytest.mark.parametrize("command", ["availability", "compare"])

@@ -73,6 +73,17 @@ def test_malformed_bad_character():
         assert exc.value.offset == offset, text
 
 
+@pytest.mark.parametrize("text, offset", [
+    ("#a == \u0663", 6),    # ARABIC-INDIC DIGIT THREE
+    ("\x1c#a == 1", 0),     # a separator str.isspace() accepts
+    ("#a == 1\u2028", 7),   # LINE SEPARATOR
+])
+def test_non_ascii_digit_or_whitespace_is_unexpected(text, offset):
+    with pytest.raises(GuardSyntaxError, match="^unexpected character") as exc:
+        parse_guard(text)
+    assert exc.value.offset == offset
+
+
 def test_conjunction_and_disjunction_of_the_same_terms_differ():
     terms = (Comparison("a", "==", 1), Comparison("b", "==", 1))
     assert AllOf(terms) != AnyOf(terms)

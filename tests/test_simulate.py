@@ -94,6 +94,28 @@ def test_simulation_immediate_weight_split():
     assert est.within(analytic)
 
 
+def test_three_way_split_follows_weights():
+    # every go firing reaches the vanishing src, which splits 1:2:5 back to
+    # tick and adds a token to the chosen branch's counter, so each
+    # tangible marking is new and its counters count the visits so far
+    net = srn.Net()
+    for place, tokens in (("tick", 1), ("src", 0), ("na", 0), ("nb", 0), ("nc", 0)):
+        net.add_place(place, tokens)
+    net.add_timed("go", 1.0, ["tick"], ["src"])
+    weights = {"a": 1.0, "b": 2.0, "c": 5.0}
+    for side, weight in weights.items():
+        net.add_immediate(side, ["src"], ["tick", "n" + side], weight=weight)
+    seen = []
+    simulate.simulate_reward(net, lambda m: seen.append(m.counts) or 0.0,
+                             hours=102_000, seed=3)
+    visits = seen[-1][2:]
+    n = sum(visits)
+    assert n >= 100_000
+    for count, weight in zip(visits, weights.values()):
+        p = weight / sum(weights.values())
+        assert abs(count - n * p) <= 5 * math.sqrt(n * p * (1 - p))
+
+
 def test_absorbing_marking_holds_reward_to_horizon():
     net = srn.Net()
     net.add_place("a", 1)
@@ -188,6 +210,12 @@ def _up(m):
 def test_rejects_bad_horizon(hours):
     with pytest.raises(ValueError, match="hours"):
         simulate.simulate_reward(_flip_flop(), _up, hours=hours)
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, None])
+def test_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed"):
+        simulate.simulate_reward(_flip_flop(), _up, hours=100.0, seed=seed)
 
 
 @pytest.mark.parametrize("batches", [1, 0, -3, 2.0, 50.0, True])

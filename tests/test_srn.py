@@ -61,6 +61,14 @@ def test_state_cap():
         srn.reachability(net, state_cap=2)
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_state_cap_below_one_is_rejected(cap):
+    net = srn.Net()
+    net.add_place("a", 1)
+    with pytest.raises(ValueError, match="state cap"):
+        srn.reachability(net, state_cap=cap)
+
+
 def test_unbounded_net_without_token_cap_hits_state_cap():
     # the state cap is what stops an unbounded net
     net = srn.Net()

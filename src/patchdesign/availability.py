@@ -179,8 +179,8 @@ def aggregate_rates(template: ServerTemplate, policy: PatchPolicy) -> Aggregated
     graph = srn.rerate(graph, [1.0 if rate is None else rate for _, rate, *_ in rows])
     pi = srn.solve_graph(graph).pi
     # summed in marking order, as SteadyStateSolution.probability sums
-    p_patch_down = sum(pi[patch_down].tolist())
-    p_reboot_ready = sum(pi[reboot_ready].tolist())
+    p_patch_down = sum([pi[i] for i in patch_down])
+    p_reboot_ready = sum([pi[i] for i in reboot_ready])
     beta_svc = template.rate_per_hour("svc_reboot_after_patch")
     return AggregatedRates(
         lambda_eq=1.0 / policy.interval_mean,

@@ -1,4 +1,8 @@
-"""Command-line front end: load -> build -> solve -> emit pipelines."""
+"""Command-line front end: load -> build -> solve -> emit pipelines.
+
+Each command imports the modules it runs, so ``security`` never loads
+the SRN engine; the errors that ``run`` maps to exit codes live in
+``model``."""
 
 from __future__ import annotations
 
@@ -12,8 +16,9 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from . import __version__, evaluate, netfile, srn
-from .model import _SERVER_FIELD_KEYS, Bounds, ModelError, load_model, make_bounds
+from . import __version__
+from .model import (_SERVER_FIELD_KEYS, Bounds, ModelError, NetFileError, SrnError,
+                    load_model, make_bounds)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -109,6 +114,8 @@ def _fmt6(x: float) -> str:
 
 
 def cmd_security(args, out) -> int:
+    from . import evaluate
+
     model = _apply_rate_overrides(load_model(args.model), args.rate_override)
     evaluator = evaluate.Evaluator(model, args.patched)
     rows = []
@@ -122,6 +129,8 @@ def cmd_security(args, out) -> int:
 
 
 def cmd_availability(args, out) -> int:
+    from . import evaluate
+
     model = _apply_rate_overrides(load_model(args.model), args.rate_override)
     designs = _select_designs(model, args.design)
     evaluator = evaluate.Evaluator(model)
@@ -136,6 +145,8 @@ def cmd_availability(args, out) -> int:
 
 
 def cmd_compare(args, out) -> int:
+    from . import evaluate
+
     model = _apply_rate_overrides(load_model(args.model), args.rate_override)
     designs = _select_designs(model, args.design)
     if args.bounds:
@@ -156,8 +167,11 @@ def cmd_compare(args, out) -> int:
 
 
 def cmd_solve_srn(args, out) -> int:
+    from . import netfile, srn
+
     doc = netfile.parse_net(Path(args.netfile).read_text())
-    solution, rewards = netfile.solve_document(doc, state_cap=args.state_cap)
+    state_cap = srn.DEFAULT_STATE_CAP if args.state_cap is None else args.state_cap
+    solution, rewards = netfile.solve_document(doc, state_cap=state_cap)
     print(f"tangible states: {len(solution.states)}", file=out)
     print(f"residual: {solution.residual:.3g}", file=out)
     order = sorted(range(len(solution.states)), key=lambda i: -solution.pi[i])
@@ -211,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-srn", help="solve a textual net file")
     p.add_argument("netfile")
-    p.add_argument("--state-cap", type=int, default=srn.DEFAULT_STATE_CAP)
+    p.add_argument("--state-cap", type=int)  # default: srn.DEFAULT_STATE_CAP
     return parser
 
 
@@ -238,10 +252,10 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         return EXIT_VALIDATION
     try:
         return _COMMANDS[args.command](args, out)
-    except (ModelError, netfile.NetFileError, FileNotFoundError, ValueError) as e:
+    except (ModelError, NetFileError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=err)
         return EXIT_VALIDATION
-    except srn.SrnError as e:
+    except SrnError as e:
         print(f"solver error: {e}", file=err)
         return EXIT_SOLVER
 

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import availability, harm
+from . import harm
 from .model import BOUND_KEYS, Bounds, DesignSpec, Model, bounds_keys
 from .harm import SecurityMetrics
 
@@ -25,7 +25,9 @@ class Evaluator:
     The aggregated rates and the pruned, scored tier trees do not depend
     on the design, so each is computed on first use and kept for every
     later design.  ``security`` never reads the rates, so it solves no
-    server net and loads neither numpy nor scipy."""
+    server net and does not even import the SRN engine: ``rates`` and
+    ``coa`` import ``availability`` when they run.  The server nets
+    solve in plain Python (``srn``), so no method loads numpy or scipy."""
 
     def __init__(self, model: Model, patched: bool = True):
         self.model = model
@@ -34,6 +36,8 @@ class Evaluator:
     @cached_property
     def rates(self) -> dict:
         """tier -> ``availability.AggregatedRates``."""
+        from . import availability
+
         return availability.aggregate_all(self.model.templates, self.model.policy)
 
     @cached_property
@@ -47,7 +51,9 @@ class Evaluator:
             {t: design.count(t) for t in reach.tiers}, self.trees, reach))
 
     def coa(self, design: DesignSpec) -> float:
-        return availability.compute_coa(design, self.rates)
+        from .availability import compute_coa
+
+        return compute_coa(design, self.rates)
 
     def evaluate(self, design: DesignSpec) -> DesignEvaluation:
         """Security metrics plus capacity-oriented availability."""

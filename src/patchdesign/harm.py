@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from .model import (AttackTreeNode, DesignSpec, PatchPolicy,
-                    ReachabilityTemplate, apply_patch_policy)
+                    ReachabilityTemplate, prune_attack_tree)
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,11 @@ def tier_trees(templates: dict, reachability: ReachabilityTemplate, patched: boo
     if ``patched``.  The trees do not depend on the design, so an
     ``evaluate.Evaluator`` prunes and evaluates them once for all its
     designs."""
+    trees = {t: templates[t].attack_tree for t in reachability.tiers}
     if patched:
-        policy = policy or PatchPolicy()
-        templates = {t: apply_patch_policy(tpl, policy) for t, tpl in templates.items()}
-    return TierTrees({t: templates[t].attack_tree for t in reachability.tiers})
+        matches = (policy or PatchPolicy()).matches
+        trees = {t: prune_attack_tree(tree, matches) for t, tree in trees.items()}
+    return TierTrees(trees)
 
 
 def build_harm(design: DesignSpec, templates: dict,

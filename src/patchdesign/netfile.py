@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 
 from . import srn
 from .guards import parse_guard
-
-
-class NetFileError(ValueError):
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
+from .model import NetFileError
 
 
 @dataclass

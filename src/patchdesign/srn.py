@@ -3,7 +3,7 @@
 Nets have exponentially timed transitions (optionally with a
 marking-dependent rate ``const * #place``), immediate transitions with
 weights and priorities, and boolean guards over markings.  Analysis
-follows the usual GSPN pipeline: breadth-first reachability, a sparse
+follows the usual GSPN pipeline: breadth-first reachability, a
 steady-state solve, expected reward.
 
 ``Net.branches`` is the one step rule: it decides whether a marking is
@@ -26,38 +26,41 @@ the largest total timed rate out of any tangible marking, split by its
 branching probabilities.  The time spent in those states is a fiction,
 but censoring the chain on the tangible markings gives back the reduced
 CTMC exactly, so the tangible part of its stationary vector, renormalised,
-is the net's steady state.  A pinned LU solves it (W. J. Stewart,
-"Introduction to the Numerical Solution of Markov Chains", 1994, ch. 2):
-numpy's dense LU for a chain of at most ``DENSE_STATES`` states, where
-building and calling the sparse solver costs more than the arithmetic,
-and scipy's sparse LU above that (``_solve_pinned`` gives the measured
-crossover).  ``_solve_pinned`` pins for both: state 0 first and, if
-another state is more probable, that one, so even the rarest states
-come out to a small relative error.  It alone rules the system
-singular: when a kernel's LU meets an exactly singular matrix, or when
-state 0's probability is below tiny (the smallest normal double,
-2.2e-308) times the largest one.
+is the net's steady state.
+
+Two kernels solve the chain.  Grassmann, Taksar and Heyman's state
+reduction (GTH, ``_gth_kernel``) removes one state at a time with no
+subtraction, so every probability, however rare, comes out to a small
+relative error; it runs in plain Python.  Its symbolic phase
+(``_plan``) picks the elimination order and the slot of every update
+once per chain; every re-rated copy pays only the numeric phase.  A
+chain whose symbolic phase would pass ``GTH_UPDATES`` updates goes to
+scipy's sparse LU instead (``_sparse_kernel``, W. J. Stewart,
+"Introduction to the Numerical Solution of Markov Chains", 1994, ch. 2),
+which pins state 0 and, if another state is more probable, that one.
+``_solve_pinned`` gives the measured crossover, and it alone rules the
+system singular and checks the residual, for both kernels.
 
 Exploration fixes what is structural in one record, ``Chain``: the
-state numbering, the generator's (row, column) triplets, which
-immediate edges stay in the chain, and the strong-connectivity verdict
-of ``_components``, from walks forward and backward from state 0, which
-every re-rated copy of a graph shares.  A solve gives each triplet its
-value, and its kernel assembles its own matrix from them.
+state numbering, the generator's (row, column) triplets and distinct
+entries, which immediate edges stay in the chain, the strong-connectivity
+verdict of ``_components``, from walks forward and backward from state
+0, and the state reduction's plan, which every re-rated copy of a graph
+shares.  A solve gives each triplet its value.
 ``eliminate_vanishing`` keeps the reduced generator as the plain
 reference, and ``steady_state`` solves it as a chain with no vanishing
 states.
 
-numpy is imported inside the functions that explore, assemble and solve,
-so building a net does not load it.  scipy is imported only for a chain
-above ``DENSE_STATES`` states, for the components of a reducible chain,
-and by the reference functions ``eliminate_vanishing`` and
-``steady_state``, so the server nets and every chain of at most
-``DENSE_STATES`` states solve without it.
+The graph, the chain and the steady state are plain lists, so a chain
+the state reduction solves, every server net among them, needs neither
+numpy nor scipy.  Both are imported only by the sparse kernel, for the
+components of a reducible chain, and by the reference functions
+``eliminate_vanishing`` and ``steady_state``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from collections import deque
@@ -65,18 +68,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 from .guards import TRUE, check_places
+from .model import SrnError
 
 if TYPE_CHECKING:
-    import numpy as np
     import scipy.sparse as sp
 
 DEFAULT_STATE_CAP = 1_000_000
 RESIDUAL_TOLERANCE = 1e-10  # the steady-state solve's bound on its relative residual
-DENSE_STATES = 128  # the largest chain the steady-state solve factors densely
-
-
-class SrnError(Exception):
-    pass
+GTH_UPDATES = 5_000  # the most updates of a chain the state reduction solves
 
 
 class StateCapExceeded(SrnError):
@@ -274,15 +273,30 @@ def _arcs(name, spec) -> tuple:
 
 
 class Edges(NamedTuple):
-    """The out-edges of one kind of marking as flat arrays, in order of
+    """The out-edges of one kind of marking as flat lists, in order of
     source marking and, within a source, in branch order."""
 
-    source: np.ndarray          # index of the source marking
-    target: np.ndarray          # index of the target among the markings of its kind
-    into_vanishing: np.ndarray  # whether the target is vanishing
-    transition: np.ndarray      # index of the firing transition in Net.transitions
-    factor: np.ndarray          # tokens in the rate place, or 1 for a constant rate or weight
-    value: np.ndarray | None = None  # rate of a timed edge, probability of an immediate one
+    source: list          # index of the source marking
+    target: list          # index of the target among the markings of its kind
+    into_vanishing: list  # whether the target is vanishing
+    transition: list      # index of the firing transition in Net.transitions
+    factor: list          # tokens in the rate place, or 1 for a constant rate or weight
+    value: list | None = None  # rate of a timed edge, probability of an immediate one
+
+
+class Plan(NamedTuple):
+    """The symbolic phase of the state reduction (``_plan``): what its
+    numeric phase (``_gth_kernel``) does, slot by slot.  Slots below
+    ``len(Chain.pairs)`` hold G's entries, in that order, and ``fill``
+    more hold the entries that elimination creates."""
+
+    # per eliminated state k, in order: (the slots of a_kj for the states
+    # j that remain, [(slot of a_ik, [(slot of a_ij, slot of a_kj), ...])
+    # for each predecessor i that remains])
+    steps: list
+    back: list     # (k, i, slot of a_ik) in back-substitution order
+    fill: int
+    updates: int   # (predecessor, successor) pairs over the eliminated states
 
 
 class Chain(NamedTuple):
@@ -301,44 +315,57 @@ class Chain(NamedTuple):
     its probability times one exit rate s; its diagonal is minus each
     row's sum, so a self-loop cancels against its own diagonal entry.
     ``rows`` and ``cols`` hold G's triplets in that order, the diagonal
-    last.  pi G = 0 has rank n - 1; a pinned system replaces one
-    equation by pi_k = 1.  Each kernel assembles G from the triplets and
-    their values and sums duplicate triplets: ``_dense_kernel`` into a
-    dense array, in triplet order, and ``_sparse_kernel`` into sparse
-    matrices.
+    last; ``pairs`` holds G's distinct (row, column) entries, and
+    ``entry`` the entry of each triplet, so a solve sums duplicate
+    triplets in triplet order.  ``plan`` is the state reduction's
+    symbolic phase, or None when it would take more than ``GTH_UPDATES``
+    updates, and then the sparse LU solves the chain.
     """
 
-    trapped: list       # vanishing markings with no path to a tangible one
-    kept: np.ndarray    # indices of the immediate edges out of kept vanishing markings
-    rows: np.ndarray    # the row of each triplet of G, the diagonal last
-    cols: np.ndarray    # the column of each triplet of G
+    trapped: list     # vanishing markings with no path to a tangible one
+    kept: list        # indices of the immediate edges out of kept vanishing markings
+    rows: list        # the row of each triplet of G, the diagonal last
+    cols: list        # the column of each triplet of G
     n: int
-    components: list    # ``_components`` of G's pattern
+    components: list  # ``_components`` of G's pattern
+    pairs: list       # G's distinct (row, column) entries
+    entry: list       # the index in ``pairs`` of each triplet
+    plan: Plan | None
 
     @classmethod
     def of(cls, vanishing: list, timed: Edges, immediate: Edges, nt: int) -> Chain:
-        import numpy as np
-
         nv, into_v = len(vanishing), immediate.into_vanishing
-        v_source, v_target = immediate.source[into_v], immediate.target[into_v]
-        escapes = _closure(nv, v_target, v_source, immediate.source[~into_v])
-        reached = np.array(_closure(nv, v_source, v_target,
-                                    timed.target[timed.into_vanishing]), dtype=bool)
-        n = nt + np.count_nonzero(reached)
-        state = np.full(nv, -1)
-        state[reached] = np.arange(nt, n)
+        inner = [(i, j) for i, j, v in zip(immediate.source, immediate.target, into_v) if v]
+        v_source, v_target = [i for i, _ in inner], [j for _, j in inner]
+        escapes = _closure(nv, v_target, v_source,
+                           [i for i, v in zip(immediate.source, into_v) if not v])
+        reached = _closure(nv, v_source, v_target,
+                           [j for j, v in zip(timed.target, timed.into_vanishing) if v])
+        state, n = [-1] * nv, nt
+        for v in range(nv):
+            if reached[v]:
+                state[v], n = n, n + 1
 
         def columns(edges):
-            cols = edges.target.copy()
-            cols[edges.into_vanishing] = state[edges.target[edges.into_vanishing]]
-            return cols
+            return [state[j] if v else j for j, v in zip(edges.target, edges.into_vanishing)]
 
-        kept = np.flatnonzero(reached[immediate.source])
-        diagonal = np.arange(n)
-        rows = np.concatenate([timed.source, state[immediate.source[kept]], diagonal])
-        cols = np.concatenate([columns(timed), columns(immediate)[kept], diagonal])
-        return cls(trapped=[m for m, ok in zip(vanishing, escapes) if not ok], kept=kept,
-                   rows=rows, cols=cols, n=n, components=_components(rows, cols, n, nt))
+        kept = [e for e, i in enumerate(immediate.source) if reached[i]]
+        into = columns(immediate)
+        diagonal = list(range(n))
+        rows = timed.source + [state[immediate.source[e]] for e in kept] + diagonal
+        cols = columns(timed) + [into[e] for e in kept] + diagonal
+        return cls.over(rows, cols, n, nt, kept=kept,
+                        trapped=[m for m, ok in zip(vanishing, escapes) if not ok])
+
+    @classmethod
+    def over(cls, rows: list, cols: list, n: int, nt: int, kept=(), trapped=()) -> Chain:
+        """The chain of G's triplets (rows, cols) over n states, the first
+        nt of them tangible."""
+        index = {}
+        entry = [index.setdefault(pair, len(index)) for pair in zip(rows, cols)]
+        pairs = list(index)
+        return cls(list(trapped), list(kept), rows, cols, n,
+                   _components(rows, cols, n, nt), pairs, entry, _plan(pairs, n))
 
 
 def _components(rows, cols, n: int, nt: int) -> list:
@@ -348,13 +375,12 @@ def _components(rows, cols, n: int, nt: int) -> list:
 
     The pattern is strongly connected when state 0 reaches every state
     and every state reaches state 0 (``_closure`` forward and backward),
-    which needs no scipy.  Only a chain found reducible goes to scipy's
-    ``connected_components`` for its components."""
-    import numpy as np
-
-    origin = np.zeros(min(n, 1), dtype=np.intp)  # none in an empty chain
+    which needs neither numpy nor scipy.  Only a chain found reducible
+    goes to scipy's ``connected_components`` for its components."""
+    origin = [0] if n else []  # none in an empty chain
     if all(_closure(n, rows, cols, origin)) and all(_closure(n, cols, rows, origin)):
         return []
+    import numpy as np
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
@@ -369,16 +395,72 @@ def _closure(n: int, heads, tails, start) -> list:
     """Which of n nodes a walk from ``start`` along the edges
     heads[k] -> tails[k] reaches."""
     succ = [[] for _ in range(n)]
-    for i, j in zip(heads.tolist(), tails.tolist()):
+    for i, j in zip(heads, tails):
         succ[i].append(j)
     reached = [False] * n
-    stack = start.tolist()
+    stack = list(start)
     while stack:
         i = stack.pop()
         if not reached[i]:
             reached[i] = True
             stack.extend(succ[i])
     return reached
+
+
+def _plan(pairs: list, n: int) -> Plan | None:
+    """The symbolic phase of the state reduction of a chain over n states
+    whose generator has the entries ``pairs``: an elimination order with
+    state 0 last and the slot of every update, or None once the updates
+    pass ``GTH_UPDATES``.
+
+    Eliminating k joins each predecessor i of k to each successor j, one
+    update per pair (i, j); a new pair gets a fill slot, and i == j, a
+    self-loop, which the reduction never reads, gets none.  The next
+    state to eliminate is one of least Markowitz cost, its predecessors
+    times its successors among the states that remain, taken from a heap
+    whose stale entries are skipped when popped.  So the phase costs
+    O(log n) per update beyond reading the pattern, and it stops within
+    ``GTH_UPDATES`` updates on a chain of any size."""
+    if n - 1 > GTH_UPDATES:  # each state but 0 leaves with at least one update
+        return None
+    succ = [{} for _ in range(n)]  # i -> {j: slot of a_ij} over the states that remain
+    pred = [{} for _ in range(n)]  # j -> {i: slot of a_ij}
+    for slot, (i, j) in enumerate(pairs):
+        if i != j:
+            succ[i][j] = pred[j][i] = slot
+    heap = [(len(pred[k]) * len(succ[k]), k) for k in range(1, n)]
+    heapq.heapify(heap)
+    gone = [False] * n
+    steps, back, size, updates = [], [], len(pairs), 0
+    while heap:
+        cost, k = heapq.heappop(heap)
+        if gone[k] or cost != len(pred[k]) * len(succ[k]):
+            continue
+        updates += cost
+        if updates > GTH_UPDATES:
+            return None
+        gone[k] = True
+        out, preds = succ[k], []
+        for i, p in pred[k].items():
+            row = succ[i]
+            del row[k]
+            pairs_i = []
+            for j, q in out.items():
+                if j != i:
+                    if j not in row:
+                        row[j] = pred[j][i] = size
+                        size += 1
+                    pairs_i.append((row[j], q))
+            preds.append((p, pairs_i))
+            back.append((k, i, p))
+        for j in out:
+            del pred[j][k]
+        steps.append((list(out.values()), preds))
+        for i in {*pred[k], *out}:
+            if i:
+                heapq.heappush(heap, (len(pred[i]) * len(succ[i]), i))
+    back.reverse()
+    return Plan(steps, back, size - len(pairs), updates)
 
 
 @dataclass
@@ -439,11 +521,8 @@ def reachability(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> ReachabilityGr
 
 
 def _edges(edges: list) -> Edges:
-    import numpy as np
-
-    columns = np.array(edges, dtype=np.intp).reshape(len(edges), 5).T.copy()
-    source, target, into_v, transition, factor = columns
-    return Edges(source, target, into_v.astype(bool), transition, factor.astype(float))
+    columns = [list(column) for column in zip(*edges)] or [[] for _ in range(5)]
+    return Edges(*columns)
 
 
 def rerate(graph: ReachabilityGraph, constants) -> ReachabilityGraph:
@@ -461,23 +540,23 @@ def rerate(graph: ReachabilityGraph, constants) -> ReachabilityGraph:
     ``Net.add_timed`` and ``Net.add_immediate`` enforce.  A caller that
     passes constants without building a net must check that itself.
     """
-    import numpy as np
-
-    constants = np.asarray(constants, dtype=float)
     timed, immediate = graph.timed, graph.immediate
-    weights = constants[immediate.transition] * immediate.factor
-    totals = np.bincount(immediate.source, weights=weights, minlength=len(graph.vanishing))
+    weights = [constants[k] * f for k, f in zip(immediate.transition, immediate.factor)]
+    totals = [0.0] * len(graph.vanishing)
+    for i, w in zip(immediate.source, weights):
+        totals[i] += w
     return ReachabilityGraph(
         graph.tangible, graph.vanishing,
-        timed._replace(value=constants[timed.transition] * timed.factor),
-        immediate._replace(value=weights / totals[immediate.source]), graph.chain)
+        timed._replace(value=[constants[k] * f for k, f in zip(timed.transition, timed.factor)]),
+        immediate._replace(value=[w / totals[i] for i, w in zip(immediate.source, weights)]),
+        graph.chain)
 
 
 def eliminate_vanishing(graph: ReachabilityGraph) -> sp.csr_matrix:
     """The CTMC generator Q over the tangible markings, with the
     vanishing markings eliminated.
 
-    Q is a sparse matrix with zero row sums.  The edge arrays split by
+    Q is a sparse matrix with zero row sums.  The edge lists split by
     target kind into timed rates R_TT and R_TV out of tangible markings
     and branching probabilities P_VV and P_VT out of vanishing ones.  The
     off-diagonal part of Q is
@@ -503,9 +582,10 @@ def eliminate_vanishing(graph: ReachabilityGraph) -> sp.csr_matrix:
     nt, nv = len(graph.tangible), len(graph.vanishing)
 
     def block(edges, into_vanishing, shape):
-        pick = edges.into_vanishing == into_vanishing
-        return sp.csr_matrix((edges.value[pick], (edges.source[pick], edges.target[pick])),
-                             shape=shape)
+        pick = np.array(edges.into_vanishing, dtype=bool) == into_vanishing
+        return sp.csr_matrix((np.array(edges.value, dtype=float)[pick],
+                              (np.array(edges.source, dtype=np.intp)[pick],
+                               np.array(edges.target, dtype=np.intp)[pick])), shape=shape)
 
     r = block(graph.timed, False, (nt, nt))
     if nv:
@@ -521,7 +601,7 @@ def eliminate_vanishing(graph: ReachabilityGraph) -> sp.csr_matrix:
 @dataclass
 class SteadyStateSolution:
     states: list  # tangible markings
-    pi: np.ndarray
+    pi: list
     residual: float
 
     def probability(self, predicate) -> float:
@@ -531,7 +611,7 @@ class SteadyStateSolution:
 
 def steady_state(q: sp.spmatrix, states=None) -> SteadyStateSolution:
     """Solve pi Q = 0, sum(pi) = 1 for a CTMC generator Q: the triplets of
-    Q as a ``Chain`` with no vanishing states, and one pinned solve
+    Q as a ``Chain`` with no vanishing states, and one solve
     (``_solve_pinned``).
 
     Requires a single closed communicating class covering all states
@@ -539,14 +619,13 @@ def steady_state(q: sp.spmatrix, states=None) -> SteadyStateSolution:
     """
     n = q.shape[0]
     q = q.tocoo()
-    chain = Chain(trapped=[], kept=None, rows=q.row, cols=q.col, n=n,
-                  components=_components(q.row, q.col, n, n))
-    return _solve_pinned(chain, q.data, list(range(n)) if states is None else states)
+    chain = Chain.over(q.row.tolist(), q.col.tolist(), n, n)
+    return _solve_pinned(chain, q.data.tolist(), list(range(n)) if states is None else states)
 
 
 def solve_graph(graph: ReachabilityGraph) -> SteadyStateSolution:
     """The steady state over ``graph.tangible``, from the chain that keeps
-    the vanishing markings (``Chain``) and one pinned solve.
+    the vanishing markings (``Chain``) and one solve.
 
     The exit rate s of every kept vanishing marking is the largest total
     timed rate out of any tangible marking, so every row of G has the
@@ -559,64 +638,65 @@ def solve_graph(graph: ReachabilityGraph) -> SteadyStateSolution:
     return _solve_pinned(graph.chain, _chain_data(graph), graph.tangible)
 
 
-def _chain_data(graph: ReachabilityGraph):
+def _chain_data(graph: ReachabilityGraph) -> list:
     """The value of each triplet of G (``graph.chain``), in
-    ``solve_graph``'s terms, written in place into one array."""
-    import numpy as np
-
+    ``solve_graph``'s terms."""
     chain, timed = graph.chain, graph.timed
-    rows, n = chain.rows, chain.n
-    nt_edges, off = len(timed.value), len(rows) - n  # timed, all off-diagonal triplets
-    data = np.empty(len(rows))
-    data[:nt_edges] = timed.value
-    exit_rate = np.bincount(timed.source, weights=timed.value,
-                            minlength=len(graph.tangible)).max()
-    np.multiply(exit_rate, graph.immediate.value[chain.kept], out=data[nt_edges:off])
-    np.negative(np.bincount(rows[:off], weights=data[:off], minlength=n), out=data[off:])
-    return data
+    totals = [0.0] * len(graph.tangible)
+    for i, rate in zip(timed.source, timed.value):
+        totals[i] += rate
+    exit_rate = max(totals, default=0.0)
+    probability = graph.immediate.value
+    data = timed.value + [exit_rate * probability[e] for e in chain.kept]
+    diagonal = [0.0] * chain.n
+    for i, value in zip(chain.rows, data):  # the off-diagonal triplets
+        diagonal[i] -= value
+    return data + diagonal
 
 
-def _solve_pinned(chain: Chain, data, states: list) -> SteadyStateSolution:
+def _solve_pinned(chain: Chain, data: list, states: list) -> SteadyStateSolution:
     """pi over the states of a generator G whose triplets ``chain`` holds
     and ``data`` gives values; the returned pi is its part over the first
     len(states) (tangible) states, renormalised.
 
-    A chain of at most ``DENSE_STATES`` states is solved by numpy's dense
-    LU (``_dense_kernel``), a larger one by scipy's sparse LU
-    (``_sparse_kernel``).  The dense solve costs O(n^3) whatever the
-    pattern, the sparse one a fixed overhead of about 0.15 ms plus what
-    its fill needs.  Measured single-threaded on a 2-vCPU VM, the two
-    break even between 96 and 128 states on a birth-death chain
-    (tridiagonal, so the least fill) and between 225 and 320 states on
-    the flat network SRN of the bundled model, where the dense solve is
-    3-4 times faster up to 162 states.  The constant is the lower
-    crossover.
+    A chain whose state reduction takes at most ``GTH_UPDATES`` updates
+    (``chain.plan`` is not None) is solved by it (``_gth_kernel``), in
+    plain Python, a larger one by scipy's sparse LU (``_sparse_kernel``).
+    The numeric phase of the reduction costs about 0.1 us per update,
+    and its symbolic phase, once per chain, 0.2-0.5 us per update (about
+    3 us per state on a birth-death chain); the sparse LU costs about
+    0.2 ms per solve plus what its fill needs.  Measured single-threaded
+    on a 2-vCPU VM, the numeric phase breaks even with the sparse LU near
+    5 000 updates on the flat network SRN of the bundled model (54
+    states, 4 443 updates: 0.34 ms against 0.36 ms; 81 states, 11 307
+    updates: 1.5 ms against 0.56 ms), and later on chains with less fill
+    (two birth-death pools, 15 513 updates: 1.6 ms against 2.1 ms).  The
+    budget is the lower crossover.  Below it a new chain pays at most a
+    few ms for its symbolic phase, far less than importing scipy, and a
+    re-rated one (``availability.aggregate_rates``) nothing.  The server
+    nets take 104 updates, and a birth-death chain of n states n - 1.
 
-    Whichever kernel solves, the pin rule and the singular verdict are
-    these ones.  Any one state may be pinned in exact arithmetic; state
-    0 is the initial marking, or the first tangible marking reached from
-    it.  It is pinned first and, if another state's entry comes out
-    larger in magnitude, that state is pinned and the system solved
-    again, so every probability is found relative to the largest one: on
-    a pool whose initial marking has pi near 1e-48, every entry is
-    within 1e-11 of its exact value, relatively.  The pinned system is
-    singular when a kernel's LU meets an exactly singular matrix (its
-    LinAlgError) or when state 0's probability lies beyond double range
-    relative to the largest one, pi[0] < tiny * max(pi) (near 1e-600 on
-    such a pool); a net should therefore not start in such a marking.
+    Whichever kernel solves, the singular verdict is this one: the
+    reduction meets an exit rate that is not positive, the sparse LU an
+    exactly singular matrix, or state 0's entry lies beyond double range
+    relative to the largest one: max(x) is not finite or x[0] < tiny *
+    max(x), with tiny the smallest normal double (a pool that starts in
+    a marking of pi near 1e-600); a net should therefore not start in
+    such a marking.  Both kernels find every entry to a small relative
+    error: the reduction because it never subtracts, the sparse LU
+    because it pins the most probable state.
 
-    The reported residual is max|pi G| / ||G||_inf, so the tolerance
-    does not depend on the scale of the rates.  SrnError, naming the
-    stage and the state count, is raised when the pinned system is
-    singular or the solution is not finite, has a residual above
-    ``RESIDUAL_TOLERANCE`` or has an entry below ``-RESIDUAL_TOLERANCE``;
-    ReducibleChain when G's pattern is not strongly connected.
+    The reported residual is max|pi G| / ||G||_inf, over G's entries with
+    duplicate triplets summed, so the tolerance does not depend on the
+    scale of the rates.  SrnError, naming the stage and the state count,
+    is raised when the system is singular or the solution is not
+    finite, has a residual above ``RESIDUAL_TOLERANCE`` or has an entry
+    below ``-RESIDUAL_TOLERANCE``; ReducibleChain when G's pattern is not
+    strongly connected.
     """
-    import numpy as np
-
     nt, n = len(states), chain.n
     if nt == 1:
-        return SteadyStateSolution(states, np.array([1.0]), 0.0)
+        return SteadyStateSolution(states, [1.0], 0.0)
     if chain.components:
         groups = chain.components
         raise ReducibleChain(
@@ -624,65 +704,87 @@ def _solve_pinned(chain: Chain, data, states: list) -> SteadyStateSolution:
         )
     where = f"{nt} tangible states" if n == nt else \
         f"{nt} tangible and {n - nt} vanishing states"
-    g, solve = (_dense_kernel if n <= DENSE_STATES else _sparse_kernel)(chain, data)
-    try:
-        x = solve(0)
-        # when state 0 is rare, x is pi times any factor, even a negative one
-        top = int(abs(x).argmax())
-        if top:
-            x = solve(top)
-    except np.linalg.LinAlgError:
-        x = None
-    if x is None or x[0] < sys.float_info.min * x.max():  # the smallest normal double
+    g = data
+    if len(chain.pairs) < len(data):  # G's entries, duplicate triplets summed in order
+        g = [0.0] * len(chain.pairs)
+        for e, value in zip(chain.entry, data):
+            g[e] += value
+    x = (_sparse_kernel if chain.plan is None else _gth_kernel)(chain, g)
+    top = math.nan if x is None else max(x)
+    if not math.isfinite(top) or x[0] < sys.float_info.min * top:  # the smallest normal double
         raise SrnError(f"steady-state solve failed at {where}: the pinned system is singular")
-    pi = x / x.sum()
-    residual = float(abs(pi @ g).max() / abs(g).sum(axis=1).max())
-    if not (np.isfinite(pi).all() and math.isfinite(residual)):
+    total = sum(x)
+    if not 0 < total < math.inf:  # pi = x / total would not be finite
         raise SrnError(f"steady-state solve failed at {where}: non-finite solution")
-    if residual > RESIDUAL_TOLERANCE or pi.min() < -RESIDUAL_TOLERANCE:
+    y, norm = [0.0] * n, [0.0] * n  # x G and G's absolute row sums
+    for (i, j), value in zip(chain.pairs, g):
+        y[j] += x[i] * value
+        norm[i] += abs(value)
+    residual = max(map(abs, y)) / (total * max(norm))  # of pi
+    if not math.isfinite(residual):
+        raise SrnError(f"steady-state solve failed at {where}: non-finite solution")
+    if residual > RESIDUAL_TOLERANCE or min(x) < -RESIDUAL_TOLERANCE * total:
         raise SrnError(f"steady-state solve failed at {where}: "
                        f"relative residual {residual:g}")
-    pi = np.maximum(pi[:nt], 0.0)
-    pi /= pi.sum()
-    return SteadyStateSolution(states, pi, residual)
+    pi = [v if v > 0.0 else 0.0 for v in x[:nt]]
+    total = sum(pi)
+    return SteadyStateSolution(states, [p / total for p in pi], residual)
 
 
-def _dense_kernel(chain: Chain, data):
-    """(G as a dense array, solve) where solve(k) is x with x[k] = 1 and
-    (x G)_j = 0 for every j != k, from numpy's dense LU with partial
-    pivoting of G^T with its row k replaced by e_k; an exactly zero
-    pivot raises numpy's LinAlgError."""
-    import numpy as np
+def _gth_kernel(chain: Chain, g: list) -> list | None:
+    """x with x[0] = 1 and (x G)_j = 0 for every j != 0, or None when an
+    exit rate comes out not positive: Grassmann, Taksar and Heyman's
+    state reduction ("Regenerative analysis and steady state
+    distributions for Markov chains", Oper. Res. 33(5), 1985), the
+    numeric phase of ``chain.plan`` over G's entries g.
 
-    rows, cols, n = chain.rows, chain.cols, chain.n
-    flat = rows.astype(np.intp, copy=False) * n + cols  # scipy's rows may be int32
-    g = np.bincount(flat, weights=data, minlength=n * n).reshape(n, n)
+    Each state k in turn, in the plan's order, leaves the chain: with s
+    the sum of its rates a_kj to the states that remain, each
+    predecessor i takes f = a_ik / s, kept in a_ik's slot, and
+    a_ij += f a_kj for each such j.  Then x_0 = 1 and, in reverse order,
+    x_k = sum_i x_i f_ik.  Only positive terms are ever added, so each
+    entry of x is found to a small relative error (O'Cinneide, Numer.
+    Math. 65, 1993).  The diagonal is never read."""
+    plan = chain.plan
+    a = g + [0.0] * plan.fill
+    for out, preds in plan.steps:
+        s = 0.0
+        for q in out:
+            s += a[q]
+        if not s > 0:
+            return None
+        for p, targets in preds:
+            f = a[p] = a[p] / s
+            for t, q in targets:
+                a[t] += f * a[q]
+    x = [0.0] * chain.n
+    x[0] = 1.0
+    for k, i, p in plan.back:
+        x[k] += x[i] * a[p]
+    return x
 
-    def solve(k: int):
-        a = g.T.copy(order="F")
-        a[k] = 0.0
-        a[k, k] = 1.0
-        b = np.zeros(n)
-        b[k] = 1.0
-        return np.linalg.solve(a, b)
 
-    return g, solve
-
-
-def _sparse_kernel(chain: Chain, data):
-    """(G as a CSR matrix, solve) where solve(k) is x with x[k] = 1 and
-    (x G)_j = 0 for every j != k, from scipy's sparse LU of A = G^T with
-    G's column k (A's row k) replaced by e_k: the triplets of that column
+def _sparse_kernel(chain: Chain, g: list) -> list | None:
+    """x with (x G)_j = 0 for every j != k and x[k] = 1, or None when the
+    system is exactly singular, from scipy's sparse LU of A = G^T with
+    G's column k (A's row k) replaced by e_k: the entries of that column
     are left out and one for e_k leads them, so A stays as sparse as G (a
-    dense row of ones would fill the LU factors).  An exactly singular A
-    raises numpy's LinAlgError, as in ``_dense_kernel``."""
+    dense row of ones would fill the LU factors).
+
+    k is state 0 first and, if another state's entry comes out larger in
+    magnitude, that state, solved again, so every probability is found
+    relative to the largest one: on a pool whose initial marking has pi
+    near 1e-48, every entry is within 1e-11 of its exact value,
+    relatively."""
     import warnings
 
     import numpy as np
     import scipy.sparse as sp
     from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-    rows, cols, n = chain.rows, chain.cols, chain.n
+    n = chain.n
+    rows, cols = (np.array(index, dtype=np.intp) for index in zip(*chain.pairs))
+    data = np.array(g)
 
     def solve(k: int):
         keep = cols != k
@@ -691,14 +793,19 @@ def _sparse_kernel(chain: Chain, data):
                           shape=(n, n))
         b = np.zeros(n)
         b[k] = 1.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", MatrixRankWarning)
-            try:
-                return np.asarray(spsolve(a, b)).ravel()
-            except MatrixRankWarning as e:
-                raise np.linalg.LinAlgError(str(e)) from None
+        return np.asarray(spsolve(a, b)).ravel()
 
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n)), solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MatrixRankWarning)
+        try:
+            x = solve(0)
+            # when state 0 is rare, x is pi times any factor, even a negative one
+            top = int(abs(x).argmax())
+            if top:
+                x = solve(top)
+        except MatrixRankWarning:
+            return None
+    return x.tolist()
 
 
 def solve(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> SteadyStateSolution:

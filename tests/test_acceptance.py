@@ -143,7 +143,7 @@ def test_criterion_7_engine_properties(model, rates):
         graph = srn.reachability(net)
         sol = srn.steady_state(srn.eliminate_vanishing(graph), graph.tangible)
         assert sol.residual <= 1e-10
-        assert abs(sol.pi.sum() - 1.0) <= 1e-12
+        assert abs(sum(sol.pi) - 1.0) <= 1e-12
         # token conservation in every reachable marking
         total = sum(net.initial_marking().counts)
         for m in graph.tangible + graph.vanishing:

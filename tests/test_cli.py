@@ -606,6 +606,21 @@ def test_security_loads_neither_numpy_nor_scipy():
     assert proc.stdout.split("\n")[0] == "0 []", proc.stderr
 
 
+def test_security_loads_no_srn_module():
+    # the package resolves its names on first use and the CLI imports the
+    # modules a command runs, so security compiles none of the SRN engine
+    script = (
+        "import io, sys\n"
+        "from patchdesign import cli\n"
+        f"code = cli.run(['security', '--model', {MODEL!r}], out=io.StringIO())\n"
+        "print(code, sorted(m for m in ('patchdesign.srn', 'patchdesign.availability',\n"
+        "                               'patchdesign.guards', 'patchdesign.netfile')\n"
+        "                   if m in sys.modules))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.stdout.split("\n")[0] == "0 []", proc.stderr
+
+
 def test_netfile_simulation_loads_no_numpy(tmp_path):
     path = tmp_path / "flip.net"
     path.write_text("place up 1\nplace down 0\n"
@@ -628,8 +643,8 @@ def test_netfile_simulation_loads_no_numpy(tmp_path):
 
 @pytest.mark.parametrize("command", ["availability", "compare"])
 def test_bundled_model_loads_no_scipy(tmp_path, command):
-    # the four server nets have 50 states each, at most srn.DENSE_STATES:
-    # connectivity and the solve need numpy only
+    # the four server nets take 104 updates each, within srn.GTH_UPDATES:
+    # connectivity and the solve need neither numpy nor scipy
     argv = [command, "--model", MODEL] + (["--out", str(tmp_path)] if command == "compare" else [])
     script = (
         "import io, sys\n"
@@ -639,7 +654,7 @@ def test_bundled_model_loads_no_scipy(tmp_path, command):
         "      sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
     )
     proc = _python("-c", script)
-    assert proc.stdout.split("\n")[0] == "0 True []", proc.stderr
+    assert proc.stdout.split("\n")[0] == "0 False []", proc.stderr
 
 
 def test_security_path_count_beyond_float_range(tmp_path):

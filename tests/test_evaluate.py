@@ -147,15 +147,16 @@ def test_sweep_prunes_each_tree_once(model, monkeypatch):
     # the pruned trees depend on the templates and the policy only, so a
     # sweep prunes each tier's tree once, not once per design
     pruned = []
-    original = harm.apply_patch_policy
+    original = harm.prune_attack_tree
 
-    def counting(template, policy):
-        pruned.append(template.tier)
-        return original(template, policy)
+    def counting(tree, selector):
+        pruned.append(tree)
+        return original(tree, selector)
 
-    monkeypatch.setattr(harm, "apply_patch_policy", counting)
+    monkeypatch.setattr(harm, "prune_attack_tree", counting)
     result = evaluate.sweep(model, patched=True)
-    assert sorted(pruned) == sorted(model.templates)
+    tiers = {id(tpl.attack_tree): tier for tier, tpl in model.templates.items()}
+    assert sorted(tiers[id(tree)] for tree in pruned) == sorted(model.templates)
     for e in result.evaluations:
         assert e == evaluate.evaluate_design(model, model.designs[e.label], True)
 

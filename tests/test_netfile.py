@@ -160,8 +160,9 @@ def test_initial_marking_below_float_range_fails_loudly():
 
 
 def test_initial_marking_below_float_range_is_singular_to_the_sparse_kernel(monkeypatch):
-    # the same verdict from the kernel that solves chains above DENSE_STATES
-    monkeypatch.setattr(srn, "DENSE_STATES", 3)
-    monkeypatch.setattr(srn, "_dense_kernel", None)
+    # the same verdict from the kernel that solves chains above the update
+    # budget: this pool's chain takes 3 updates
+    monkeypatch.setattr(srn, "GTH_UPDATES", 2)
+    monkeypatch.setattr(srn, "_gth_kernel", None)
     with pytest.raises(srn.SrnError, match="failed at 4 tangible states: .*singular"):
         srn.solve(pool_net(3, 1e100, 1e-100).net)

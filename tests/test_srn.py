@@ -1,5 +1,4 @@
 import math
-import warnings
 from itertools import product
 from unittest import mock
 
@@ -92,8 +91,8 @@ def test_immediate_weight_split():
     net.add_timed("back_r", 5.0, ["right"], ["tick"])
     graph = srn.reachability(net)
     assert len(graph.vanishing) == 1
-    assert graph.immediate.source.tolist() == [0, 0]
-    assert sorted(graph.immediate.value.tolist()) == [0.25, 0.75]
+    assert graph.immediate.source == [0, 0]
+    assert sorted(graph.immediate.value) == [0.25, 0.75]
     # occupancy of left vs right reflects the split
     sol = srn.steady_state(srn.eliminate_vanishing(graph), graph.tangible)
     p_left = sol.probability(lambda m: m["left"] == 1)
@@ -225,7 +224,7 @@ def test_single_state_chain():
     net = srn.Net()
     net.add_place("p", 1)
     sol = srn.solve(net)
-    assert sol.pi.tolist() == [1.0]
+    assert sol.pi == [1.0]
 
 
 def test_symmetric_two_state_chain():
@@ -236,7 +235,7 @@ def test_symmetric_two_state_chain():
 def test_steady_state_residual_and_normalization():
     sol = srn.solve(two_state_net())
     assert sol.residual <= 1e-10
-    assert abs(sol.pi.sum() - 1.0) <= 1e-12
+    assert abs(sum(sol.pi) - 1.0) <= 1e-12
 
 
 def test_reducible_chain_rejected():
@@ -292,10 +291,10 @@ def test_enabled_timed_pairs_each_rate_evaluated_once(monkeypatch):
     graph = srn.reachability(net)
     timed = graph.timed
     # fixed from (1, 0) to (0, 1), blocked back
-    assert timed.source.tolist() == [0, 1]
-    assert timed.target.tolist() == [1, 0]
-    assert timed.into_vanishing.tolist() == [False, False]
-    assert timed.value.tolist() == [0.5, 1.0]
+    assert timed.source == [0, 1]
+    assert timed.target == [1, 0]
+    assert timed.into_vanishing == [False, False]
+    assert timed.value == [0.5, 1.0]
     # by_b and fixed in (1, 0), blocked in (0, 1): one evaluation each
     assert len(calls) == 3
 
@@ -410,15 +409,30 @@ def pool_net(units, fail=0.5, repair=2.0):
     return net
 
 
+# a budget that puts a pool of up to BUDGET units on the state reduction
+# and a larger one on the sparse LU: the update count of a birth-death
+# chain is its number of units
+BUDGET = 127
+
+
+@pytest.fixture
+def small_budget(monkeypatch):
+    monkeypatch.setattr(srn, "GTH_UPDATES", BUDGET)
+
+
 def _nan_solution(a, b, **_):
     return np.full(len(b), np.nan)
 
 
+def _nan_reduction(chain, g):
+    return [math.nan] * chain.n
+
+
 @pytest.mark.parametrize("units, module, name, fake", [
-    (1, np.linalg, "solve", _nan_solution),
-    (srn.DENSE_STATES, scipy.sparse.linalg, "spsolve", _nan_solution),
-], ids=["dense", "sparse"])
-def test_non_finite_solution_rejected(monkeypatch, units, module, name, fake):
+    (1, srn, "_gth_kernel", _nan_reduction),
+    (BUDGET + 1, scipy.sparse.linalg, "spsolve", _nan_solution),
+], ids=["gth", "sparse"])
+def test_non_finite_solution_rejected(monkeypatch, small_budget, units, module, name, fake):
     # a singular solve comes back as NaN, which compares False with any
     # tolerance; it must not pass as a solution from either kernel
     monkeypatch.setattr(module, name, fake)
@@ -426,37 +440,30 @@ def test_non_finite_solution_rejected(monkeypatch, units, module, name, fake):
         srn.solve(pool_net(units))
 
 
-def _singular_solve(a, b, **_):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-def _rank_deficient_solve(a, b, **_):
-    warnings.warn("Matrix is exactly singular", scipy.sparse.linalg.MatrixRankWarning)
-    return np.full(len(b), np.nan)
-
-
-@pytest.mark.parametrize("units, module, name, fake", [
-    (1, np.linalg, "solve", _singular_solve),
-    (srn.DENSE_STATES, scipy.sparse.linalg, "spsolve", _rank_deficient_solve),
-], ids=["dense", "sparse"])
-def test_exactly_singular_solve_rejected(monkeypatch, units, module, name, fake):
-    # each kernel's signal of an exactly singular LU ends in the one
-    # singular verdict, naming the stage and the state count
-    monkeypatch.setattr(module, name, fake)
+@pytest.mark.parametrize("units", [1, BUDGET + 1], ids=["gth", "sparse"])
+def test_exactly_singular_solve_rejected(monkeypatch, small_budget, units):
+    # the rates out of the last state stay in the pattern but are zero, so
+    # the pattern is strongly connected and the system singular.  Each
+    # kernel's signal of that, a zero exit rate in the state reduction
+    # and a rank warning from the sparse LU, ends in the one singular
+    # verdict, naming the stage and the state count
+    q = srn.eliminate_vanishing(srn.reachability(pool_net(units))).tocoo()
+    q.data[q.row == units] = 0.0
+    monkeypatch.setattr(srn, "_sparse_kernel" if units <= BUDGET else "_gth_kernel", None)
     with pytest.raises(srn.SrnError, match=f"failed at {units + 1} tangible states: "
                                            "the pinned system is singular"):
-        srn.solve(pool_net(units))
+        srn.steady_state(q)
 
 
-@pytest.mark.parametrize("states", [srn.DENSE_STATES, srn.DENSE_STATES + 1, 201])
-def test_pool_solves_on_both_sides_of_the_dense_threshold(monkeypatch, states):
+@pytest.mark.parametrize("states", [BUDGET + 1, BUDGET + 2, 201])
+def test_pool_solves_on_both_sides_of_the_dense_threshold(monkeypatch, small_budget, states):
     # the units are independent, so the number up is binomial; the kernel
-    # that the size rule does not pick must not run.  Every unit starts
-    # up, a marking of probability 0.8^units (near 4e-20 at 201 states),
-    # so each kernel must re-pin to find every state to a small relative
-    # error
+    # that the update budget does not pick must not run.  Every unit
+    # starts up, a marking of probability 0.8^units (near 4e-20 at 201
+    # states), so each kernel must find every state to a small relative
+    # error: the state reduction never subtracts, the sparse LU re-pins
     units, fail, repair = states - 1, 0.5, 2.0
-    unused = "_sparse_kernel" if states <= srn.DENSE_STATES else "_dense_kernel"
+    unused = "_sparse_kernel" if units <= BUDGET else "_gth_kernel"
     monkeypatch.setattr(srn, unused, None)
     sol = srn.solve(pool_net(units, fail, repair))
     assert len(sol.states) == states
@@ -469,8 +476,8 @@ def test_pool_solves_on_both_sides_of_the_dense_threshold(monkeypatch, states):
     assert sol.residual <= srn.RESIDUAL_TOLERANCE
 
 
-@pytest.mark.parametrize("states", [srn.DENSE_STATES, srn.DENSE_STATES + 1])
-def test_both_kernels_sum_duplicate_triplets(monkeypatch, states):
+@pytest.mark.parametrize("states", [BUDGET + 1, BUDGET + 2])
+def test_both_kernels_sum_duplicate_triplets(monkeypatch, small_budget, states):
     # the generator of pool_net(states - 1) as COO triplets, with every
     # other off-diagonal entry and every third diagonal one given in two
     # parts; each kernel must add the parts up
@@ -490,13 +497,45 @@ def test_both_kernels_sum_duplicate_triplets(monkeypatch, states):
     rows, cols, values = zip(*triplets)
     q = scipy.sparse.coo_matrix((values, (rows, cols)), shape=(states, states))
     assert q.nnz > 3 * states - 2
-    unused = "_sparse_kernel" if states <= srn.DENSE_STATES else "_dense_kernel"
+    unused = "_sparse_kernel" if units <= BUDGET else "_gth_kernel"
     monkeypatch.setattr(srn, unused, None)
     sol = srn.steady_state(q)
     p_up = repair / (fail + repair)
     for k, p in enumerate(sol.pi):
         assert abs(p - math.comb(units, k) * p_up ** k * (1 - p_up) ** (units - k)) <= 1e-12
     assert sol.residual <= srn.RESIDUAL_TOLERANCE
+
+
+@pytest.mark.parametrize("units", [srn.GTH_UPDATES, srn.GTH_UPDATES + 1])
+def test_update_budget_selects_the_kernel(units):
+    # at the budget itself: a birth-death chain of n states takes n - 1
+    # updates, so the pool of GTH_UPDATES units is reduced and one more
+    # unit sends it to the sparse LU; both find the binomial pi, with
+    # one unit down on average
+    fail, repair = 1.0 / units, 1.0
+    graph = srn.reachability(pool_net(units, fail, repair))
+    assert (graph.chain.plan is None) == (units > srn.GTH_UPDATES)
+    if graph.chain.plan:
+        assert graph.chain.plan.updates == units
+    sol = srn.solve_graph(graph)
+    log_up, log_down = math.log(repair / (fail + repair)), math.log(fail / (fail + repair))
+    for m, p in zip(sol.states, sol.pi):
+        k = m["down"]
+        exact = math.exp(math.lgamma(units + 1) - math.lgamma(k + 1) - math.lgamma(units - k + 1)
+                         + k * log_down + (units - k) * log_up)
+        assert math.isclose(p, exact, rel_tol=1e-9, abs_tol=1e-15), (k, p, exact)
+
+
+def test_state_reduction_plan_is_shared_by_rerated_graphs(model):
+    # the symbolic phase runs once per explored graph: a re-rated copy
+    # keeps its chain, and the server nets reduce in 104 updates
+    graph = srn.reachability(availability.build_server_srn(model.templates["dns"],
+                                                           model.policy))
+    rerated = srn.rerate(graph, [2.0 * c for c in
+                                 availability.build_server_srn(model.templates["dns"],
+                                                               model.policy).constants()])
+    assert rerated.chain is graph.chain
+    assert graph.chain.plan.updates == 104
 
 
 def test_residual_is_relative_to_generator_scale():
@@ -579,19 +618,19 @@ def test_solve_matches_dense_reference(spec):
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(spec=small_nets())
 def test_dense_and_sparse_kernels_agree(spec):
-    # each kernel on the same chain, whatever its size: the size rule is
-    # moved to either side of the chain's state count; _solve_pinned calls
-    # neither on a single tangible state
+    # the state reduction and the sparse LU on the same chain, whatever its
+    # size: the chain's plan is dropped to send it to the sparse LU;
+    # _solve_pinned calls neither on a single tangible state
     graph = srn.reachability(build_small_net(spec))
     chain = graph.chain
     assume(len(graph.tangible) > 1 and not chain.trapped and not chain.components)
     data = srn._chain_data(graph)
+    assert chain.plan is not None
     solutions = []
-    for threshold, unused in ((chain.n, "_sparse_kernel"), (0, "_dense_kernel")):
-        with mock.patch.object(srn, "DENSE_STATES", threshold), \
-                mock.patch.object(srn, unused, None):
-            solutions.append(srn._solve_pinned(chain, data, graph.tangible))
-    dense, sparse = (sol.pi for sol in solutions)
+    for planned, unused in ((chain, "_sparse_kernel"), (chain._replace(plan=None), "_gth_kernel")):
+        with mock.patch.object(srn, unused, None):
+            solutions.append(srn._solve_pinned(planned, data, graph.tangible))
+    dense, sparse = (np.array(sol.pi) for sol in solutions)
     dense_residual, sparse_residual = (sol.residual for sol in solutions)
     assert np.max(np.abs(dense - sparse)) <= 1e-12
     assert max(dense_residual, sparse_residual) <= srn.RESIDUAL_TOLERANCE
@@ -647,8 +686,8 @@ def test_rerate_matches_fresh_exploration(spec, data):
     for name in ("timed", "immediate"):
         a, b = getattr(rerated, name), getattr(fresh, name)
         for field in _EDGE_FIELDS:
-            assert getattr(a, field).tolist() == getattr(b, field).tolist(), (name, field)
-        assert a.value.tolist() == expected[name]
+            assert getattr(a, field) == getattr(b, field), (name, field)
+        assert a.value == expected[name]
     try:
         q = srn.eliminate_vanishing(rerated)
     except srn.TimelessTrap:

@@ -1,8 +1,8 @@
 """Command-line front end: load -> build -> solve -> emit pipelines.
 
 Each command imports the modules it runs, so ``security`` never loads
-the SRN engine; the errors that ``run`` maps to exit codes live in
-``model``."""
+the SRN engine; ``run`` maps the errors of all of them to exit codes
+without importing any."""
 
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from . import __version__
-from .model import (_SERVER_FIELD_KEYS, Bounds, ModelError, NetFileError, SrnError,
-                    load_model, make_bounds)
+from .model import _SERVER_FIELD_KEYS, Bounds, ModelError, SrnError, load_model, make_bounds
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -252,7 +251,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         return EXIT_VALIDATION
     try:
         return _COMMANDS[args.command](args, out)
-    except (ModelError, NetFileError, FileNotFoundError, ValueError) as e:
+    except (FileNotFoundError, ValueError) as e:  # ModelError, netfile.NetFileError
         print(f"error: {e}", file=err)
         return EXIT_VALIDATION
     except SrnError as e:

@@ -21,19 +21,10 @@ class ModelError(ValueError):
         self.path = path
 
 
-# The errors of the SRN engine and the net-file parser live here too, so
-# the command line can tell them apart without importing either module;
-# ``srn.SrnError`` and ``netfile.NetFileError`` are the same classes.
-
-
 class SrnError(Exception):
-    """An SRN that cannot be explored or solved."""
-
-
-class NetFileError(ValueError):
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
+    """An SRN that cannot be explored or solved.  It lives here, next to
+    ``ModelError``, so the command line can tell the two apart without
+    importing the SRN engine; ``srn.SrnError`` is the same class."""
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,12 @@ from dataclasses import dataclass, field
 
 from . import srn
 from .guards import parse_guard
-from .model import NetFileError
+
+
+class NetFileError(ValueError):
+    def __init__(self, lineno: int, message: str):
+        super().__init__(f"line {lineno}: {message}")
+        self.lineno = lineno
 
 
 @dataclass

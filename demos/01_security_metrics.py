@@ -12,7 +12,6 @@ the listed paths must agree with that count.
 """
 
 from patchdesign import (
-    apply_patch_policy,
     build_harm,
     enumerate_attack_paths,
     example_network_path,
@@ -52,8 +51,7 @@ assert before.noap == len(paths)
 # -- the same design after applying the patch policy --------------------------
 # The policy removes every vulnerability marked critical; AND subtrees
 # missing a child disappear, OR subtrees survive while any child does.
-# Passing patched=True prunes each tier's tree with the given policy
-# (apply_patch_policy does the same thing for a single template).
+# Passing patched=True prunes each tier's tree with the given policy.
 harm = build_harm(design, model.templates, model.reachability,
                   patched=True, policy=model.policy)
 after = network_metrics(harm)

@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "model": ("AttackTreeNode", "Bounds", "DesignSpec", "Model", "PatchPolicy",
               "ReachabilityTemplate", "ServerTemplate", "Vulnerability",
-              "apply_patch_policy", "example_network_path", "load_model"),
+              "example_network_path", "load_model"),
     "harm": ("Harm", "SecurityMetrics", "build_harm", "enumerate_attack_paths",
              "network_metrics", "path_metrics", "tree_impact", "tree_probability"),
     "availability": ("AggregatedRates", "aggregate_all", "aggregate_rates",

@@ -53,11 +53,15 @@ def _number(text: str):
 
 def _apply_rate_overrides(model, overrides):
     templates = dict(model.templates)
+    seen = set()
     for item in overrides or []:
         target, eq, raw = item.partition("=")
         tier, dot, param = target.partition(".")
         if not (eq and dot):
             raise ModelError("rate-override", f"expected tier.param=value, got {item!r}")
+        if target in seen:
+            raise ModelError("rate-override", f"{target!r} given twice")
+        seen.add(target)
         if tier not in templates:
             raise ModelError("rate-override", f"{item!r}: unknown tier {tier!r}")
         if param not in _SERVER_FIELD_KEYS:
@@ -251,7 +255,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         return EXIT_VALIDATION
     try:
         return _COMMANDS[args.command](args, out)
-    except (FileNotFoundError, ValueError) as e:  # ModelError, netfile.NetFileError
+    except (OSError, ValueError) as e:  # file I/O, ModelError, netfile.NetFileError
         print(f"error: {e}", file=err)
         return EXIT_VALIDATION
     except SrnError as e:

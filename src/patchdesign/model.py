@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -111,6 +111,23 @@ _MINUTE_FIELDS = frozenset(f for f, key in _SERVER_FIELD_KEYS.items()
 _FAILURE_FIELDS = ("hw_mttf", "os_mttf", "svc_mttf")
 
 
+def _rate(name: str, mean: float) -> float:
+    """Reciprocal of the mean duration ``name``, in events per hour."""
+    return (60.0 if name in _MINUTE_FIELDS else 1.0) / mean
+
+
+def _check_duration(name: str, value: float, path: str) -> None:
+    """Every rate the server net uses is positive and finite, except a
+    failure rate, which an infinite MTTF makes 0."""
+    if not value > 0:
+        raise ModelError(path, f"duration must be strictly positive, got {value}")
+    if value == math.inf and name not in _FAILURE_FIELDS:
+        raise ModelError(path, "duration must be finite; only a failure MTTF "
+                               "may be infinite")
+    if _rate(name, value) == math.inf:
+        raise ModelError(path, f"duration {value} is too short: its rate overflows")
+
+
 @dataclass(frozen=True)
 class ServerTemplate:
     tier: str
@@ -129,33 +146,12 @@ class ServerTemplate:
     svc_reboot_after_failure: float  # minutes
 
     def __post_init__(self):
-        # every rate the server net uses is positive and finite, except a
-        # failure rate, which an infinite MTTF makes 0
         for name in _SERVER_FIELD_KEYS:
-            value, path = getattr(self, name), f"servers.{self.tier}.{name}"
-            if not value > 0:
-                raise ModelError(path, f"duration must be strictly positive, got {value}")
-            if value == math.inf and name not in _FAILURE_FIELDS:
-                raise ModelError(path, "duration must be finite; only hw_mttf, os_mttf "
-                                       "and svc_mttf may be infinite")
-            if self.rate_per_hour(name) == math.inf:
-                raise ModelError(path, f"duration {value} is too short: its rate overflows")
+            _check_duration(name, getattr(self, name), f"servers.{self.tier}.{name}")
 
     def rate_per_hour(self, name: str) -> float:
         """Reciprocal of a mean duration, converted to events per hour."""
-        mean = getattr(self, name)
-        if name in _MINUTE_FIELDS:
-            return 60.0 / mean
-        return 1.0 / mean
-
-    @property
-    def exploitable(self) -> bool:
-        return self.attack_tree is not None
-
-    def vulnerabilities(self) -> list[Vulnerability]:
-        if self.attack_tree is None:
-            return []
-        return list(self.attack_tree.leaves())
+        return _rate(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -210,10 +206,9 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class PatchPolicy:
-    """Monthly-style patch schedule; selector decides what gets patched."""
+    """Monthly-style patch schedule; it patches every critical vulnerability."""
 
     interval_mean: float = 720.0  # hours
-    selector: object = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.interval_mean > 0:
@@ -228,9 +223,7 @@ class PatchPolicy:
                              "its rate overflows")
 
     def matches(self, v: Vulnerability) -> bool:
-        if self.selector is None:
-            return v.critical
-        return self.selector(v)
+        return v.critical
 
 
 @dataclass(frozen=True)
@@ -242,20 +235,24 @@ class Bounds:
     noep_upper: int | None = None    # kappa
 
     def __post_init__(self):
-        for name in ("asp_upper", "coa_lower"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ModelError(f"bounds.{name}", f"{value} outside [0, 1]")
-        for name in ("noev_upper", "noap_upper", "noep_upper"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ModelError(f"bounds.{name}", f"{value} is negative")
+        for key, value in bounds_keys(self).items():
+            _check_bound(key, value, f"bounds.{key}")
 
 
 # bound key (model file "bounds" object, --bounds) -> (Bounds field, type)
 BOUND_KEYS = {"phi": ("asp_upper", float), "psi": ("coa_lower", float),
               "xi": ("noev_upper", int), "omega": ("noap_upper", int),
               "kappa": ("noep_upper", int)}
+
+
+def _check_bound(key: str, value, path: str) -> None:
+    """A probability bound (phi, psi) lies in [0, 1]; a count bound is
+    not negative."""
+    if BOUND_KEYS[key][1] is float:
+        if not 0.0 <= value <= 1.0:
+            raise ModelError(path, f"{value} outside [0, 1]")
+    elif value < 0:
+        raise ModelError(path, f"{value} is negative")
 
 
 def make_bounds(values: dict, path: str = "bounds") -> Bounds:
@@ -270,6 +267,7 @@ def make_bounds(values: dict, path: str = "bounds") -> Bounds:
         name, kind = BOUND_KEYS[key]
         if isinstance(value, bool) or not isinstance(value, (int, kind)):
             raise ModelError(f"{path}.{key}", f"expected {kind.__name__}, got {value!r}")
+        _check_bound(key, value, f"{path}.{key}")
         fields[name] = kind(value)
     return Bounds(**fields)
 
@@ -305,12 +303,6 @@ def prune_attack_tree(node: AttackTreeNode | None, selector) -> AttackTreeNode |
     if not kept:
         return None
     return AttackTreeNode("or", children=tuple(kept))
-
-
-def apply_patch_policy(template: ServerTemplate, policy: PatchPolicy) -> ServerTemplate:
-    """Post-patch template: attack tree with all patched leaves pruned."""
-    return replace(template, attack_tree=prune_attack_tree(template.attack_tree,
-                                                           policy.matches))
 
 
 # -- loading -----------------------------------------------------------
@@ -435,6 +427,7 @@ def load_model(source) -> Model:
         fields = {}
         for field_name, key in _SERVER_FIELD_KEYS.items():
             fields[field_name] = _require(raw, key, path, float)
+            _check_duration(field_name, fields[field_name], f"{path}.{key}")
         tree = raw.get("attack_tree")  # absent or null: no attack tree
         parsed = None if tree is None else _parse_tree(tree, catalog, f"{path}.attack_tree")
         templates[tier] = ServerTemplate(tier=tier, attack_tree=parsed, **fields)
@@ -476,46 +469,6 @@ def load_model(source) -> Model:
 
     return Model(templates=templates, reachability=reach, designs=designs,
                  policy=policy, bounds=bounds)
-
-
-def dump_model(model: Model) -> dict:
-    """Serialize a model back to its document form (round-trips with load)."""
-    catalog = {}
-    servers = {}
-    for tier, tpl in model.templates.items():
-        raw = {key: getattr(tpl, field_name)
-               for field_name, key in _SERVER_FIELD_KEYS.items()}
-        if tpl.attack_tree is not None:
-            raw["attack_tree"] = _dump_tree(tpl.attack_tree)
-            for v in tpl.vulnerabilities():
-                catalog[v.id] = v
-        servers[tier] = raw
-    doc = {
-        "tiers": list(model.reachability.tiers),
-        "reachability": {
-            "edges": sorted(list(e) for e in model.reachability.edges),
-            "entry_tiers": sorted(model.reachability.entry_tiers),
-            "target_tier": model.reachability.target_tier,
-        },
-        "servers": servers,
-        "vulnerabilities": [
-            {"id": v.id, "impact": v.attack_impact,
-             "probability": v.attack_success_prob,
-             "critical": v.critical, "component": v.component}
-            for v in sorted(catalog.values(), key=lambda v: v.id)
-        ],
-        "designs": {label: dict(d.counts) for label, d in model.designs.items()},
-        "patch_policy": {"interval_hours": model.policy.interval_mean},
-    }
-    if model.bounds is not None:
-        doc["bounds"] = bounds_keys(model.bounds)
-    return doc
-
-
-def _dump_tree(node: AttackTreeNode):
-    if node.kind == "leaf":
-        return {"vuln": node.vulnerability.id}
-    return {node.kind: [_dump_tree(c) for c in node.children]}
 
 
 def example_network_path() -> Path:

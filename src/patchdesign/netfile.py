@@ -19,6 +19,7 @@ marking.
 
 from __future__ import annotations
 
+import math
 import re
 import shlex
 from dataclasses import dataclass, field
@@ -124,6 +125,8 @@ def parse_net(text: str) -> NetDocument:
             try:
                 guard = parse_guard(expr_text)
                 value = float(value_text)
+                if not math.isfinite(value):
+                    raise ValueError(f"reward value must be finite, got {value}")
             except ValueError as e:
                 raise NetFileError(lineno, str(e)) from None
             rewards.setdefault(name, RewardSpec(name)).clauses.append((guard, value))

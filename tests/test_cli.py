@@ -475,6 +475,43 @@ def test_rate_override_names_the_field_it_breaks(override, field):
     assert err.count("\n") == 1
 
 
+def test_repeated_rate_override_rejected():
+    # the last value must not silently win
+    code, out, err = run_cli("availability", "--model", MODEL,
+                             "--rate-override", "dns.hw_mttf=1000",
+                             "--rate-override", "dns.hw_mttf=2000")
+    assert (code, out, err) == (1, "", "error: rate-override: 'dns.hw_mttf' given twice\n")
+
+
+def test_range_errors_name_the_key_given(tmp_path):
+    # the key as written on the command line or in the model file, not
+    # the field that stores it
+    code, out, err = run_cli("compare", "--model", MODEL, "--bounds", "phi=1.5",
+                             "--out", str(tmp_path))
+    assert (code, out, err) == (1, "", "error: bounds.phi: 1.5 outside [0, 1]\n")
+    model = _model_with_bounds(tmp_path, {"psi": 2})
+    code, out, err = run_cli("compare", "--model", model, "--out", str(tmp_path))
+    assert (code, out, err) == (1, "", "error: $.bounds.psi: 2 outside [0, 1]\n")
+    model = _mutated_model(tmp_path, lambda doc: doc["servers"]["dns"].update(hw_mttf_hours=-1))
+    code, out, err = run_cli("security", "--model", model)
+    assert (code, out) == (1, "")
+    assert err == ("error: $.servers.dns.hw_mttf_hours: "
+                   "duration must be strictly positive, got -1.0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "--model", MODEL, "--out", "{file}"),  # FileExistsError
+    ("security", "--model", "{dir}"),  # IsADirectoryError
+    ("solve-srn", "{dir}"),
+], ids=["compare-out-is-a-file", "model-is-a-directory", "netfile-is-a-directory"])
+def test_os_error_is_one_error_line(tmp_path, argv):
+    (tmp_path / "file").write_text("")
+    code, out, err = run_cli(*(a.format(dir=tmp_path, file=tmp_path / "file") for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+    assert str(tmp_path) in err
+
+
 def test_solve_srn_subcommand(tmp_path):
     netpath = tmp_path / "net.txt"
     netpath.write_text(

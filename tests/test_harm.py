@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import (BASELINE, COMPARISON_LABELS, exploitable_instances,
                       instance_path_metrics)
-from patchdesign.harm import (build_harm, enumerate_attack_paths,
-                              network_metrics, path_metrics, tree_impact,
-                              tree_probability)
+from patchdesign.harm import (Harm, TierTrees, build_harm,
+                              enumerate_attack_paths, network_metrics,
+                              path_metrics, tree_impact, tree_probability)
 from patchdesign.model import (DesignSpec, ModelError, ReachabilityTemplate,
                                ServerTemplate, Vulnerability, and_node, leaf,
-                               or_node)
+                               or_node, prune_attack_tree)
 
 
 def _harm(model, label, patched):
@@ -96,10 +96,9 @@ def test_tree_probability_and_product():
 
 
 def test_tree_probability_patched_db(model):
-    from patchdesign.model import apply_patch_policy
-    db = apply_patch_policy(model.templates["db"], model.policy)
+    db = prune_attack_tree(model.templates["db"].attack_tree, model.policy.matches)
     # OR(AND(0.86, 0.39), 0.39) -> 0.39
-    assert tree_probability(db.attack_tree) == pytest.approx(0.39)
+    assert tree_probability(db) == pytest.approx(0.39)
 
 
 def test_path_metrics_worked_example(model):
@@ -172,10 +171,10 @@ def test_network_metrics_after_patch(model):
 
 
 def test_metrics_of_unexploitable_network(model):
-    from patchdesign.model import PatchPolicy
-    patch_everything = PatchPolicy(selector=lambda v: True)
-    h = build_harm(model.designs["base"], model.templates, model.reachability,
-                   True, patch_everything)
+    # every tier's tree pruned to nothing
+    trees = TierTrees({tier: prune_attack_tree(tpl.attack_tree, lambda v: True)
+                       for tier, tpl in model.templates.items()})
+    h = Harm(dict(model.designs["base"].counts), trees, model.reachability)
     m = network_metrics(h)
     assert (m.aim, m.asp, m.noev, m.noap, m.noep) == (0.0, 0.0, 0, 0, 0)
 

@@ -4,10 +4,9 @@ import math
 
 import pytest
 
-from patchdesign.model import (Bounds, ModelError, PatchPolicy,
-                               apply_patch_policy, dump_model,
-                               example_network_path, load_model,
-                               prune_attack_tree)
+from patchdesign.harm import tier_trees
+from patchdesign.model import (ModelError, PatchPolicy, example_network_path,
+                               load_model, prune_attack_tree)
 
 
 def test_example_network_loads(model):
@@ -15,7 +14,7 @@ def test_example_network_loads(model):
     assert len(model.templates) == 4
     # 16 vulnerability rows across the four templates (one CVE appears on
     # both the app and db servers)
-    rows = sum(len(tpl.vulnerabilities()) for tpl in model.templates.values())
+    rows = sum(len(list(tpl.attack_tree.leaves())) for tpl in model.templates.values())
     assert rows == 16
     assert model.policy.interval_mean == 720.0
     assert "base" in model.designs
@@ -107,21 +106,6 @@ def test_entry_that_is_not_an_object_rejected(section, key, path, value):
     assert info.value.path == path
 
 
-def test_round_trip(model):
-    again = load_model(dump_model(model))
-    assert again == model
-
-
-def test_round_trip_keeps_bounds(model):
-    doc = dump_model(model)
-    doc["bounds"] = {"phi": 0.2, "psi": 0.9962, "xi": 9, "kappa": 2}
-    loaded = load_model(doc)
-    assert loaded.bounds == Bounds(asp_upper=0.2, coa_lower=0.9962,
-                                   noev_upper=9, noep_upper=2)
-    assert dump_model(loaded)["bounds"] == doc["bounds"]
-    assert load_model(dump_model(loaded)) == loaded
-
-
 @pytest.mark.parametrize("bounds, path", [({"phi": "0.2"}, "$.bounds.phi"),
                                           ({"omega": 2.5}, "$.bounds.omega"),
                                           ({"psi": True}, "$.bounds.psi"),
@@ -188,10 +172,13 @@ def test_patch_interval_must_give_a_positive_finite_rate(interval, message):
 # -- patching ------------------------------------------------------------
 
 
+def _patched(model):
+    return tier_trees(model.templates, model.reachability, True, model.policy)
+
+
 def test_patch_removes_critical_or_branches(model):
-    web = apply_patch_policy(model.templates["web"], model.policy)
     # OR(v1,v2,v3,AND(v4,v5)) with v1..v3 critical -> OR(AND(v4,v5))
-    tree = web.attack_tree
+    tree = _patched(model)["web"]
     assert tree.kind == "or" and len(tree.children) == 1
     assert tree.children[0].kind == "and"
     ids = {v.id for v in tree.leaves()}
@@ -199,36 +186,31 @@ def test_patch_removes_critical_or_branches(model):
 
 
 def test_patch_empties_dns_tree(model):
-    dns = apply_patch_policy(model.templates["dns"], model.policy)
-    assert dns.attack_tree is None
-    assert not dns.exploitable
+    assert _patched(model)["dns"] is None
 
 
 def test_patch_removes_and_with_any_removed_child(model):
     # a patched conjunct disables the whole AND branch
-    policy = PatchPolicy(selector=lambda v: v.id == "CVE-2016-4979")
-    web = apply_patch_policy(model.templates["web"], policy)
-    assert all(c.kind == "leaf" for c in web.attack_tree.children)
-    assert len(web.attack_tree.children) == 3
+    web = prune_attack_tree(model.templates["web"].attack_tree,
+                            lambda v: v.id == "CVE-2016-4979")
+    assert all(c.kind == "leaf" for c in web.children)
+    assert len(web.children) == 3
 
 
 def test_patch_with_empty_selector_is_identity(model):
-    policy = PatchPolicy(selector=lambda v: False)
     for tpl in model.templates.values():
-        assert apply_patch_policy(tpl, policy).attack_tree == tpl.attack_tree
+        assert prune_attack_tree(tpl.attack_tree, lambda v: False) == tpl.attack_tree
 
 
 def test_patch_is_idempotent(model):
-    for tpl in model.templates.values():
-        once = apply_patch_policy(tpl, model.policy)
-        twice = apply_patch_policy(once, model.policy)
-        assert once == twice
+    for once in _patched(model).values():
+        assert prune_attack_tree(once, model.policy.matches) == once
 
 
 def test_patched_vulnerabilities_subset_of_original(model):
-    for tpl in model.templates.values():
-        before = {v.id for v in tpl.vulnerabilities()}
-        after = {v.id for v in apply_patch_policy(tpl, model.policy).vulnerabilities()}
+    for tier, tree in _patched(model).items():
+        before = {v.id for v in model.templates[tier].attack_tree.leaves()}
+        after = set() if tree is None else {v.id for v in tree.leaves()}
         assert after <= before
 
 

@@ -107,6 +107,9 @@ def test_errors_carry_line_numbers(line, fragment):
     ("timed t rate=nan in=a out=b", "bad rate"),
     ("immediate i weight=nan in=a out=b", "weight must be positive and finite, got nan"),
     ("immediate i weight=inf in=a out=b", "weight must be positive and finite, got inf"),
+    ('reward r "#a == 1" = nan', "reward value must be finite, got nan"),
+    ('reward r "#a == 1" = inf', "reward value must be finite, got inf"),
+    ('reward r "#a == 1" = -inf', "reward value must be finite, got -inf"),
 ])
 def test_non_finite_rate_or_weight_rejected(statement, fragment):
     with pytest.raises(netfile.NetFileError, match=f"line 3: .*{fragment}"):

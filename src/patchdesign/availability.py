@@ -7,8 +7,10 @@ to patch -> service patch -> OS patch -> merged reboot (OS, then
 service), with the clock frozen while the patch is in flight.  The
 aggregation collapses all of that into a two-state (up / down-by-patch)
 abstraction per server.  COA is the reward of the network SRN, one token
-pool per tier.  The pools share nothing, so ``compute_coa`` evaluates it
-in product form; the flat net is kept as the test oracle.
+pool per tier.  The pools share nothing, so ``compute_coas`` evaluates it
+in product form for a set of designs, from each tier's factors computed
+once per replica count; ``compute_coa`` is its one-design slice, and the
+flat net is kept as the test oracle.
 
 Server nets differ only in their rate constants, apart from the failure
 arcs that an infinite MTTF leaves out.  ``aggregate_rates`` therefore
@@ -233,15 +235,35 @@ def compute_coa(design: DesignSpec, rates: dict) -> float:
     expectation factorises.  The flat SRN is kept as the test oracle.
     Raises ValueError unless every lambda_eq and mu_eq is positive and finite.
     """
-    covered, weighted = 1.0, 0.0  # both over the tiers seen so far
-    for tier, count in design.counts:
+    return compute_coas([design], rates)[0]
+
+
+def compute_coas(designs, rates: dict) -> list[float]:
+    """``compute_coa`` of each design, in the order given.  Each tier's
+    rates are checked once, and its factors 1 - (1 - a)^n and n * a are
+    computed once for each replica count n that some design gives it."""
+    used = {}  # tier -> the replica counts the designs give it
+    for design in designs:
+        for tier, count in design.counts:
+            used.setdefault(tier, set()).add(count)
+    factors = {}  # (tier, n) -> (1 - (1 - a)^n, n * a)
+    for tier, counts in used.items():
         agg = rates[tier]
         for name in ("lambda_eq", "mu_eq"):
             rate = getattr(agg, name)
             if not (math.isfinite(rate) and rate > 0):
                 raise ValueError(f"tier {tier!r}: {name} must be positive "
                                  f"and finite, got {rate!r}")
-        p_any_up = 1.0 - (agg.lambda_eq / (agg.lambda_eq + agg.mu_eq)) ** count
-        weighted = weighted * p_any_up + count * agg.availability * covered
-        covered *= p_any_up
-    return weighted / design.total
+        down = agg.lambda_eq / (agg.lambda_eq + agg.mu_eq)
+        for count in counts:
+            factors[tier, count] = (1.0 - down ** count, count * agg.availability)
+    coas = []
+    for design in designs:
+        covered, weighted, total = 1.0, 0.0, 0  # over the tiers seen so far
+        for tier, count in design.counts:
+            p_any_up, capacity = factors[tier, count]
+            weighted = weighted * p_any_up + capacity * covered
+            covered *= p_any_up
+            total += count
+        coas.append(weighted / total)
+    return coas

@@ -120,12 +120,10 @@ def cmd_security(args, out) -> int:
     from . import evaluate
 
     model = _apply_rate_overrides(load_model(args.model), args.rate_override)
-    evaluator = evaluate.Evaluator(model, args.patched)
-    rows = []
-    for design in _select_designs(model, args.design):
-        m = evaluator.security(design)
-        rows.append([design.label, str(args.patched).lower(), _fmt6(m.aim),
-                     _fmt6(m.asp), m.noev, m.noap, m.noep])
+    evaluations = evaluate.Evaluator(model, args.patched).evaluate_all(
+        _select_designs(model, args.design), coa=False)
+    rows = [[e.label, str(args.patched).lower(), _fmt6(e.metrics.aim), _fmt6(e.metrics.asp),
+             e.metrics.noev, e.metrics.noap, e.metrics.noep] for e in evaluations]
     _emit_rows(["design", "patched", "aim", "asp", "noev", "noap", "noep"],
                rows, args.format, out)
     return EXIT_OK
@@ -142,8 +140,8 @@ def cmd_availability(args, out) -> int:
             for tier, agg in evaluator.rates.items()]
     _emit_rows(["service", "mttp_hours", "patch_rate", "mttr_hours", "recovery_rate"],
                rows, args.format, out)
-    for design in designs:
-        print(f"COA[{design.label}] = {evaluator.coa(design):.6g}", file=out)
+    for e in evaluator.evaluate_all(designs, security=False):
+        print(f"COA[{e.label}] = {e.coa:.6g}", file=out)
     return EXIT_OK
 
 

@@ -1,4 +1,5 @@
-"""Per-design evaluation, the bound check, and comparison artifacts."""
+"""Evaluation of a design set in one pass, the bound check, and
+comparison artifacts."""
 
 from __future__ import annotations
 
@@ -24,10 +25,12 @@ class Evaluator:
 
     The aggregated rates and the pruned, scored tier trees do not depend
     on the design, so each is computed on first use and kept for every
-    later design.  ``security`` never reads the rates, so it solves no
-    server net and does not even import the SRN engine: ``rates`` and
-    ``coa`` import ``availability`` when they run.  The server nets
-    solve in plain Python (``srn``), so no method loads numpy or scipy."""
+    later design.  ``evaluate_all`` evaluates a set of designs in one
+    pass; ``security``, ``coa`` and ``evaluate`` are its one-design
+    slices.  Security never reads the rates, so it solves no server net
+    and does not even import the SRN engine: ``rates`` and the COA part
+    import ``availability`` when they run.  The server nets solve in
+    plain Python (``srn``), so no method loads numpy or scipy."""
 
     def __init__(self, model: Model, patched: bool = True):
         self.model = model
@@ -45,20 +48,36 @@ class Evaluator:
         m = self.model
         return harm.tier_trees(m.templates, m.reachability, self.patched, m.policy)
 
+    def evaluate_all(self, designs, security: bool = True,
+                     coa: bool = True) -> list[DesignEvaluation]:
+        """Each design's evaluation, in the order given, from one pass over
+        the set: one ``harm.SecurityTable`` over the designs' bounding box
+        and one table per tier of its COA factors.  A part not asked for
+        is None in every evaluation."""
+        designs = list(designs)
+        metrics = coas = [None] * len(designs)
+        if designs and security:
+            reach = self.model.reachability
+            counts = [dict(design.counts) for design in designs]
+            box = {t: max(c[t] for c in counts) for t in reach.tiers}
+            table = harm.SecurityTable(self.trees, reach, box)
+            metrics = [table.metrics(c) for c in counts]
+        if coa:
+            from .availability import compute_coas
+
+            coas = compute_coas(designs, self.rates)
+        return [DesignEvaluation(design.label, self.patched, m, c)
+                for design, m, c in zip(designs, metrics, coas)]
+
     def security(self, design: DesignSpec) -> SecurityMetrics:
-        reach = self.model.reachability
-        return harm.network_metrics(harm.Harm(
-            {t: design.count(t) for t in reach.tiers}, self.trees, reach))
+        return self.evaluate_all([design], coa=False)[0].metrics
 
     def coa(self, design: DesignSpec) -> float:
-        from .availability import compute_coa
-
-        return compute_coa(design, self.rates)
+        return self.evaluate_all([design], security=False)[0].coa
 
     def evaluate(self, design: DesignSpec) -> DesignEvaluation:
         """Security metrics plus capacity-oriented availability."""
-        return DesignEvaluation(design.label, self.patched,
-                                self.security(design), self.coa(design))
+        return self.evaluate_all([design])[0]
 
 
 def evaluate_design(model: Model, design: DesignSpec, patched: bool) -> DesignEvaluation:
@@ -91,8 +110,8 @@ def sweep(model: Model, bounds_list=None, patched: bool = True,
     """
     if designs is None:
         designs = list(model.designs.values())
-    evaluator = Evaluator(model, patched)
-    evaluations = sorted(map(evaluator.evaluate, designs), key=lambda e: e.label)
+    evaluations = sorted(Evaluator(model, patched).evaluate_all(designs),
+                         key=lambda e: e.label)
     regions = []
     for bounds in bounds_list or []:
         accepted = [e.label for e in evaluations if accepts(e, bounds)]

@@ -9,11 +9,12 @@ tier, shared by its replicas.  A tier whose tree is empty cannot be
 compromised and blocks traversal entirely.
 
 Because replicas are interchangeable, an attack path's impact and
-probability depend only on how often it visits each tier.
-``network_metrics`` therefore counts instance paths per visit vector
-and never lists them; ``enumerate_attack_paths`` expands the replicas
-and lists the instance paths themselves, for inspection and as the
-reference the counting is tested against.
+probability depend only on how often it visits each tier.  A
+``SecurityTable`` therefore counts tier sequences per visit vector, in
+one walk for a whole set of designs, and never lists instance paths;
+``network_metrics`` is its one-design slice.  ``enumerate_attack_paths``
+expands the replicas and lists the instance paths themselves, for
+inspection and as the reference the counting is tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +24,12 @@ import sys
 from dataclasses import dataclass
 
 from .model import (AttackTreeNode, DesignSpec, PatchPolicy,
-                    ReachabilityTemplate, prune_attack_tree)
+                    ReachabilityTemplate, SrnError, prune_attack_tree)
+
+# The most states a SecurityTable visits, checked once per level: a few
+# seconds and about 100 MB on a 2-vCPU VM.  The largest tables in the
+# tests and the bench take under 15 000 states.
+STATE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,7 @@ class TierTrees(dict):
 
     Each tree is evaluated once, here: ``scores`` maps every exploitable
     tier to its tree's impact, probability and number of distinct
-    vulnerabilities, which ``network_metrics`` reads for every design.
+    vulnerabilities, which ``SecurityTable`` reads for every design.
     """
 
     def __init__(self, trees: dict):
@@ -91,7 +97,7 @@ def build_harm(design: DesignSpec, templates: dict,
                policy: PatchPolicy | None = None) -> Harm:
     """The HARM of a design, pre- or post-patch: its replica count and
     (patched if asked) attack tree per tier over the tier graph."""
-    return Harm(counts={t: design.count(t) for t in reachability.tiers},
+    return Harm(counts=dict(design.counts),
                 trees=tier_trees(templates, reachability, patched, policy),
                 reachability=reachability)
 
@@ -162,64 +168,114 @@ def path_metrics(harm: Harm, path: tuple) -> tuple[float, float]:
     return impact, prob
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _log_miss(count: int, prob: float) -> float:
     """count * log1p(-prob), through log(count) past float range."""
     if prob >= 1.0:
         return -math.inf
-    if count <= sys.float_info.max:
+    if count <= _FLOAT_MAX:
         return count * math.log1p(-prob)
     if prob == 0.0:
         return 0.0
     scale = math.log(count) + math.log(-math.log1p(-prob))
-    return -math.exp(scale) if scale < math.log(sys.float_info.max) else -math.inf
+    return -math.exp(scale) if scale < math.log(_FLOAT_MAX) else -math.inf
+
+
+class SecurityTable:
+    """Instance-path counts of a set of designs, from one walk over their
+    bounding box ``box`` (tier -> the largest replica count).
+
+    A state is (current tier, unused replicas of the box per tier as
+    digits of one int); it holds the number of tier sequences that reach
+    it, with the impact and probability of the first walk to reach it.
+    A step into tier t needs an unused replica of t, and walks that reach
+    the same state merge, cycles and self-loops alike.  Each state at the
+    target is one row: its visit vector v, the number of tier sequences
+    s(v) and the walk's impact and probability.  A design with n_t
+    replicas of tier t has s(v) * prod_t (n_t)_{v_t} instance paths with
+    visit vector v, so ``metrics`` reads any design within the box off
+    the rows.  The walk raises SrnError once it has visited more than
+    STATE_CAP states.
+    """
+
+    def __init__(self, trees: TierTrees, reachability: ReachabilityTemplate, box: dict):
+        self.value = value = {t: score for t, score in trees.scores.items() if box[t]}
+        self.entries = sorted(t for t in reachability.entry_tiers if t in value)
+        radix = max(box.values()) + 1
+        digit = {t: radix ** i for i, t in enumerate(value)}
+        full = sum(box[t] * digit[t] for t in value)
+        succ = {}  # tier -> (next tier, its digit, impact, probability)
+        for a, b in sorted(reachability.edges):
+            if a in value and b in value:
+                succ.setdefault(a, []).append((b, digit[b], *value[b][:2]))
+        level = {(t, full - digit[t]): [1, *value[t][:2]] for t in self.entries}
+        target, states, depth, rows = reachability.target_tier, 0, 0, []
+        while level:
+            states += len(level)
+            if states > STATE_CAP:
+                raise SrnError(f"security: the attack-path table passed its cap of "
+                               f"{STATE_CAP} states at {states} states")
+            depth += 1
+            following = {}
+            for (tier, unused), (ways, impact, prob) in level.items():
+                if tier == target:
+                    rows.append((unused, ways, impact, prob))
+                    continue
+                for nxt, step, nxt_impact, nxt_prob in succ.get(tier, ()):
+                    if unused // step % radix:
+                        key = (nxt, unused - step)
+                        if key in following:
+                            following[key][0] += ways
+                        else:
+                            following[key] = [ways, impact + nxt_impact, prob * nxt_prob]
+            level = following
+        # A row keeps log1p(-p) and the keys of its visits in ``metrics``'
+        # table of falling factorials: key i * stride + k holds (n_t)_k for
+        # the i-th tier t, at k = 1 .. the most visits a row makes to t.
+        # No row makes more than depth visits, so keys of tiers never meet.
+        self.stride, self.most = depth + 1, [0] * len(value)
+        self.rows = []
+        for unused, ways, impact, prob in rows:
+            visited, positions = full - unused, []
+            for i in range(len(value)):
+                visited, visits = divmod(visited, radix)
+                if visits:
+                    positions.append(i * self.stride + visits)
+                    if visits > self.most[i]:
+                        self.most[i] = visits
+            self.rows.append((positions, ways, impact, prob,
+                              -math.inf if prob >= 1.0 else math.log1p(-prob)))
+
+    def metrics(self, counts: dict) -> SecurityMetrics:
+        """The five metrics of a design within the box (tier -> replicas).
+        ASP is the noisy-OR of the paths (assumed independent), summed as
+        log(1 - ASP) = sum of log1p(-p) so that a p too small to change
+        1.0 - p still counts.  A row that no path of the design walks is
+        skipped.  NoEV counts vulnerabilities per exploitable replica;
+        NoEP counts the replicas of exploitable entry tiers."""
+        falling, at = {}, 0
+        for t, most in zip(self.value, self.most):
+            n, product = counts[t], 1
+            for k in range(1, most + 1):
+                product *= n - k + 1
+                falling[at + k] = product
+            at += self.stride
+        noap, aim, log_miss, factor = 0, 0.0, 0.0, falling.__getitem__
+        for positions, ways, impact, prob, miss in self.rows:
+            count = ways * math.prod(map(factor, positions))
+            if count:
+                noap += count
+                if impact > aim:
+                    aim = impact
+                log_miss += count * miss if count <= _FLOAT_MAX else _log_miss(count, prob)
+        noev = sum(counts[t] * distinct for t, (_, _, distinct) in self.value.items())
+        return SecurityMetrics(aim=aim, asp=-math.expm1(log_miss) if log_miss else 0.0,
+                               noev=noev, noap=noap, noep=sum(counts[t] for t in self.entries))
 
 
 def network_metrics(harm: Harm) -> SecurityMetrics:
-    """Aggregate the five security metrics over all attack paths.
-
-    Paths are counted by visit vector.  A state is (current tier, unused
-    replicas per tier as digits of one int); it holds the number of
-    instance paths that reach it, with their impact and probability.  A
-    step into tier t multiplies that number by t's unused replicas, and
-    walks that reach the same state merge, cycles and self-loops alike.
-    ASP is the noisy-OR of the paths (assumed independent), summed as
-    log(1 - ASP) = sum of log1p(-p) so that a p too small to change
-    1.0 - p still counts.  NoEV counts vulnerabilities per exploitable
-    replica; NoEP counts the replicas of exploitable entry tiers.  The
-    per-tier values are ``harm.trees.scores``, evaluated once per
-    ``tier_trees`` result, which designs can share.
-    """
-    reach, replicas = harm.reachability, harm.counts
-    value = {t: score for t, score in harm.trees.scores.items() if replicas[t]}
-    succ = {}
-    for a, b in sorted(reach.edges):
-        if a in value and b in value:
-            succ.setdefault(a, []).append(b)
-    entries = sorted(t for t in reach.entry_tiers if t in value)
-    radix = max(replicas.values()) + 1
-    digit = {t: radix ** i for i, t in enumerate(value)}
-    full = sum(replicas[t] * digit[t] for t in value)
-    level = {(t, full - digit[t]): [replicas[t], *value[t][:2]] for t in entries}
-    noap, aim, log_miss = 0, 0.0, 0.0
-    while level:
-        following = {}
-        for (tier, unused), (count, impact, prob) in level.items():
-            if tier == reach.target_tier:
-                noap += count
-                aim = max(aim, impact)
-                log_miss += _log_miss(count, prob)
-                continue
-            for nxt in succ.get(tier, ()):
-                free = unused // digit[nxt] % radix
-                if free:
-                    key = (nxt, unused - digit[nxt])
-                    if key in following:
-                        following[key][0] += count * free
-                    else:
-                        nxt_impact, nxt_prob, _ = value[nxt]
-                        following[key] = [count * free, impact + nxt_impact, prob * nxt_prob]
-        level = following
-
-    noev = sum(replicas[t] * distinct for t, (_, _, distinct) in value.items())
-    return SecurityMetrics(aim=aim, asp=-math.expm1(log_miss) if log_miss else 0.0,
-                           noev=noev, noap=noap, noep=sum(replicas[t] for t in entries))
+    """The five security metrics of one design: a ``SecurityTable`` whose
+    box is the design itself."""
+    return SecurityTable(harm.trees, harm.reachability, harm.counts).metrics(harm.counts)

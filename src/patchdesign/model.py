@@ -36,20 +36,22 @@ class Vulnerability:
     component: str  # "os" | "application"
 
     def __post_init__(self):
-        if not self.id:
-            raise ModelError("vulnerabilities", "empty vulnerability id")
-        if not 0.0 <= self.attack_impact <= 10.0:
-            raise ModelError(
-                f"vulnerabilities[{self.id}].impact",
-                f"attack impact {self.attack_impact} outside [0, 10]")
-        if not 0.0 <= self.attack_success_prob <= 1.0:
-            raise ModelError(
-                f"vulnerabilities[{self.id}].probability",
-                f"attack success probability {self.attack_success_prob} outside [0, 1]")
-        if self.component not in ("os", "application"):
-            raise ModelError(
-                f"vulnerabilities[{self.id}].component",
-                f"unknown component {self.component!r}")
+        _check_vulnerability(f"vulnerabilities[{self.id}]", self.id, self.attack_impact,
+                             self.attack_success_prob, self.component)
+
+
+def _check_vulnerability(path, vid, impact, prob, component) -> None:
+    """Range checks on a vulnerability's fields; an error names ``path``
+    with the model-file key, and the id."""
+    if not vid:
+        raise ModelError(f"{path}.id", "empty vulnerability id")
+    if not 0.0 <= impact <= 10.0:
+        raise ModelError(f"{path}.impact", f"attack impact {impact} of {vid!r} outside [0, 10]")
+    if not 0.0 <= prob <= 1.0:
+        raise ModelError(f"{path}.probability",
+                         f"attack success probability {prob} of {vid!r} outside [0, 1]")
+    if component not in ("os", "application"):
+        raise ModelError(f"{path}.component", f"unknown component {component!r} of {vid!r}")
 
 
 @dataclass(frozen=True)
@@ -196,9 +198,6 @@ class DesignSpec:
     label: str
     counts: tuple  # ((tier, count), ...) in tier order
 
-    def count(self, tier: str) -> int:
-        return dict(self.counts)[tier]
-
     @property
     def total(self) -> int:
         return sum(n for _, n in self.counts)
@@ -211,19 +210,20 @@ class PatchPolicy:
     interval_mean: float = 720.0  # hours
 
     def __post_init__(self):
-        if not self.interval_mean > 0:
-            raise ModelError("patch_policy.interval_hours",
-                             "patch interval must be positive")
-        if self.interval_mean == math.inf:
-            raise ModelError("patch_policy.interval_hours",
-                             "patch interval must be finite")
-        if 1.0 / self.interval_mean == math.inf:
-            raise ModelError("patch_policy.interval_hours",
-                             f"patch interval {self.interval_mean} is too short: "
-                             "its rate overflows")
+        _check_interval(self.interval_mean, "patch_policy.interval_hours")
 
     def matches(self, v: Vulnerability) -> bool:
         return v.critical
+
+
+def _check_interval(value: float, path: str) -> None:
+    """The patch clock's rate 1/value is positive and finite."""
+    if not value > 0:
+        raise ModelError(path, "patch interval must be positive")
+    if value == math.inf:
+        raise ModelError(path, "patch interval must be finite")
+    if 1.0 / value == math.inf:
+        raise ModelError(path, f"patch interval {value} is too short: its rate overflows")
 
 
 @dataclass(frozen=True)
@@ -405,13 +405,13 @@ def load_model(source) -> Model:
     for i, row in enumerate(_require(doc, "vulnerabilities", "$", list)):
         path = f"$.vulnerabilities[{i}]"
         _of_kind(row, dict, path)
-        v = Vulnerability(
-            id=_require(row, "id", path, str),
-            attack_impact=_require(row, "impact", path, float),
-            attack_success_prob=_require(row, "probability", path, float),
-            critical=_require(row, "critical", path, bool),
-            component=_require(row, "component", path, str),
-        )
+        vid = _require(row, "id", path, str)
+        impact = _require(row, "impact", path, float)
+        prob = _require(row, "probability", path, float)
+        critical = _require(row, "critical", path, bool)
+        component = _require(row, "component", path, str)
+        _check_vulnerability(path, vid, impact, prob, component)
+        v = Vulnerability(vid, impact, prob, critical, component)
         if v.id in catalog and catalog[v.id] != v:
             raise ModelError(f"{path}.id",
                              f"vulnerability {v.id!r} redefined with different values")
@@ -461,6 +461,7 @@ def load_model(source) -> Model:
     interval = 720.0
     if "interval_hours" in raw_policy:
         interval = _require(raw_policy, "interval_hours", "$.patch_policy", float)
+        _check_interval(interval, "$.patch_policy.interval_hours")
     policy = PatchPolicy(interval_mean=interval)
 
     bounds = None

@@ -63,6 +63,46 @@ def instance_path_metrics(harm_obj):
                                 noev=noev, noap=len(paths), noep=noep)
 
 
+def per_design_metrics(harm_obj):
+    """The five security metrics of one design by a walk over its own
+    replica counts, each state holding its number of instance paths: the
+    bit-for-bit reference for ``harm.SecurityTable``, which reads every
+    design of a set off one walk over the set's bounding box."""
+    reach, replicas = harm_obj.reachability, harm_obj.counts
+    value = {t: score for t, score in harm_obj.trees.scores.items() if replicas[t]}
+    succ = {}
+    for a, b in sorted(reach.edges):
+        if a in value and b in value:
+            succ.setdefault(a, []).append(b)
+    entries = sorted(t for t in reach.entry_tiers if t in value)
+    radix = max(replicas.values()) + 1
+    digit = {t: radix ** i for i, t in enumerate(value)}
+    full = sum(replicas[t] * digit[t] for t in value)
+    level = {(t, full - digit[t]): [replicas[t], *value[t][:2]] for t in entries}
+    noap, aim, log_miss = 0, 0.0, 0.0
+    while level:
+        following = {}
+        for (tier, unused), (count, impact, prob) in level.items():
+            if tier == reach.target_tier:
+                noap += count
+                aim = max(aim, impact)
+                log_miss += harm._log_miss(count, prob)
+                continue
+            for nxt in succ.get(tier, ()):
+                free = unused // digit[nxt] % radix
+                if free:
+                    key = (nxt, unused - digit[nxt])
+                    if key in following:
+                        following[key][0] += count * free
+                    else:
+                        nxt_impact, nxt_prob, _ = value[nxt]
+                        following[key] = [count * free, impact + nxt_impact, prob * nxt_prob]
+        level = following
+    noev = sum(replicas[t] * distinct for t, (_, _, distinct) in value.items())
+    return harm.SecurityMetrics(aim=aim, asp=-math.expm1(log_miss) if log_miss else 0.0,
+                                noev=noev, noap=noap, noep=sum(replicas[t] for t in entries))
+
+
 def reference_simulate_reward(net, reward, hours, seed=0, batches=50):
     """``simulate.simulate_reward`` with the step rule, the firing and
     the reward recomputed at every event and the batch of each dwell

@@ -201,11 +201,13 @@ def test_coa_reward_clauses(model, rates):
     net = av.build_network_srn(design, rates)
     reward = av.coa_reward(design)
 
+    counts = dict(design.counts)
+
     def marking(dns, web, app, db):
-        return net.marking([dns, design.count("dns") - dns,
-                            web, design.count("web") - web,
-                            app, design.count("app") - app,
-                            db, design.count("db") - db])
+        return net.marking([dns, counts["dns"] - dns,
+                            web, counts["web"] - web,
+                            app, counts["app"] - app,
+                            db, counts["db"] - db])
 
     assert reward(marking(1, 2, 2, 1)) == pytest.approx(1.0)
     assert reward(marking(1, 1, 2, 1)) == pytest.approx(5 / 6)
@@ -217,6 +219,31 @@ def test_coa_reward_clauses(model, rates):
 def test_compute_coa_base_design(model, rates):
     assert av.compute_coa(model.designs["base"], rates) == \
         pytest.approx(0.99707, abs=1e-4)
+
+
+def _product_form(design, rates):
+    """The product-form COA, one tier after another, with every factor
+    computed where it is used."""
+    covered, weighted = 1.0, 0.0
+    for tier, count in design.counts:
+        agg = rates[tier]
+        p_any_up = 1.0 - (agg.lambda_eq / (agg.lambda_eq + agg.mu_eq)) ** count
+        weighted = weighted * p_any_up + count * agg.availability * covered
+        covered *= p_any_up
+    return weighted / design.total
+
+
+def test_design_set_coa_matches_each_design_bit_for_bit(model, rates):
+    # the per-tier tables of a design set give each design the same bits
+    # as the design alone, and as the product form evaluated in place
+    tiers = tuple(rates)
+    designs = [DesignSpec(f"g{i}", tuple(zip(tiers, counts))) for i, counts in
+               enumerate(itertools.product((1, 2, 3, 7), repeat=len(tiers)))]
+    designs += list(model.designs.values())
+    together = av.compute_coas(designs, rates)
+    assert [c.hex() for c in together] == [av.compute_coa(d, rates).hex() for d in designs]
+    assert [c.hex() for c in together] == [_product_form(d, rates).hex() for d in designs]
+    assert av.compute_coas([], rates) == []
 
 
 def test_compute_coa_baseline_is_product_of_availabilities(model, rates):

@@ -497,6 +497,34 @@ def test_range_errors_name_the_key_given(tmp_path):
     assert (code, out) == (1, "")
     assert err == ("error: $.servers.dns.hw_mttf_hours: "
                    "duration must be strictly positive, got -1.0\n")
+    for key, value, message in (
+            ("impact", 10.5, "attack impact 10.5 of 'CVE-2016-3227' outside [0, 10]"),
+            ("probability", 1.2,
+             "attack success probability 1.2 of 'CVE-2016-3227' outside [0, 1]"),
+            ("component", "kernel", "unknown component 'kernel' of 'CVE-2016-3227'")):
+        model = _mutated_model(tmp_path, _set("vulnerabilities", 0, key, value))
+        assert run_cli("security", "--model", model) == (
+            1, "", f"error: $.vulnerabilities[0].{key}: {message}\n")
+    model = _mutated_model(tmp_path, _set("patch_policy", {"interval_hours": -1}))
+    assert run_cli("security", "--model", model) == (
+        1, "", "error: $.patch_policy.interval_hours: patch interval must be positive\n")
+
+
+@pytest.mark.parametrize("argv", [("security",), ("compare", "--out", "{dir}")],
+                         ids=["security", "compare"])
+def test_security_state_cap_is_one_solver_error_line(tmp_path, monkeypatch, argv):
+    # the bundled designs walk 7 states unpatched: a cap of 7 lets them
+    # through, a cap of 6 stops them
+    from patchdesign import harm
+
+    argv = [*(a.format(dir=tmp_path) for a in argv), "--model", MODEL, "--unpatched"]
+    monkeypatch.setattr(harm, "STATE_CAP", 7)
+    assert run_cli(*argv)[0] == 0
+    monkeypatch.setattr(harm, "STATE_CAP", 6)
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err == ("solver error: security: the attack-path table passed its cap "
+                   "of 6 states at 7 states\n")
 
 
 @pytest.mark.parametrize("argv", [

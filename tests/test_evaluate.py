@@ -116,6 +116,21 @@ def test_sweep_empty_design_list(model):
     assert evaluate.scatter_csv(result.evaluations) == "design,patched,asp,coa\n"
 
 
+def test_evaluate_all_slices(model):
+    # a part not asked for is None; the one-design methods are slices
+    evaluator = evaluate.Evaluator(model, patched=True)
+    designs = [model.designs[label] for label in COMPARISON_LABELS]
+    both = evaluator.evaluate_all(designs)
+    assert [e.label for e in both] == COMPARISON_LABELS
+    security = evaluator.evaluate_all(designs, coa=False)
+    coa = evaluator.evaluate_all(designs, security=False)
+    for design, e, s, c in zip(designs, both, security, coa):
+        assert (s.metrics, s.coa, c.metrics, c.coa) == (e.metrics, None, None, e.coa)
+        assert evaluator.evaluate(design) == e
+        assert (evaluator.security(design), evaluator.coa(design)) == (e.metrics, e.coa)
+    assert evaluator.evaluate_all([]) == []
+
+
 def test_sweep_coa_ordering(model):
     designs = [model.designs[label] for label in COMPARISON_LABELS]
     result = evaluate.sweep(model, patched=True, designs=designs)

@@ -7,13 +7,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (BASELINE, COMPARISON_LABELS, exploitable_instances,
-                      instance_path_metrics)
+                      instance_path_metrics, per_design_metrics)
+from patchdesign.evaluate import Evaluator
 from patchdesign.harm import (Harm, TierTrees, build_harm,
                               enumerate_attack_paths, network_metrics,
                               path_metrics, tree_impact, tree_probability)
-from patchdesign.model import (DesignSpec, ModelError, ReachabilityTemplate,
-                               ServerTemplate, Vulnerability, and_node, leaf,
-                               or_node, prune_attack_tree)
+from patchdesign.model import (DesignSpec, Model, ModelError, PatchPolicy,
+                               ReachabilityTemplate, ServerTemplate, Vulnerability,
+                               and_node, leaf, or_node, prune_attack_tree)
 
 
 def _harm(model, label, patched):
@@ -268,14 +269,21 @@ _MAX_BRUTE_FORCE = 6  # exploitable instances up to which every sequence is trie
 
 
 @st.composite
-def tier_graphs(draw):
-    """(replica counts, tier edges, trees, entry tiers, target tier) over
-    tiers 0..k-1: cycles, self-loops and entry == target included."""
-    k = draw(st.integers(1, 5))
+def _replica_counts(draw, k):
+    """1-3 replicas for each of k tiers, at most _MAX_INSTANCES in all."""
     counts = []
     for i in range(k):
         spare = _MAX_INSTANCES - sum(counts) - (k - i - 1)
         counts.append(draw(st.integers(1, min(3, spare))))
+    return tuple(counts)
+
+
+@st.composite
+def tier_graphs(draw):
+    """(replica counts, tier edges, trees, entry tiers, target tier) over
+    tiers 0..k-1: cycles, self-loops and entry == target included."""
+    k = draw(st.integers(1, 5))
+    counts = draw(_replica_counts(k))
     pair = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
     edges = draw(st.frozensets(pair, max_size=2 * k))
     trees = draw(st.lists(_TREE, min_size=k, max_size=k))
@@ -284,7 +292,10 @@ def tier_graphs(draw):
     return tuple(counts), edges, tuple(trees), entries, target
 
 
-def _tier_graph_harm(case):
+def _tier_graph_model(case):
+    """The model of a ``tier_graphs`` case, with its counts as the one
+    design "random"; None if no tier path leads from an entry to the
+    target."""
     counts, edges, trees, entries, target = case
     tiers = tuple(f"t{i}" for i in range(len(counts)))
     try:
@@ -292,7 +303,7 @@ def _tier_graph_harm(case):
             tiers, frozenset((tiers[a], tiers[b]) for a, b in edges),
             frozenset(tiers[i] for i in entries), tiers[target])
     except ModelError:
-        return None  # no tier path from an entry to the target at all
+        return None
     templates = {}
     for tier, spec in zip(tiers, trees):
         tree = None if spec is None else or_node(*(
@@ -301,7 +312,15 @@ def _tier_graph_harm(case):
             for branch in spec))
         templates[tier] = _template(tier, tree)
     design = DesignSpec("random", tuple(zip(tiers, counts)))
-    return build_harm(design, templates, reach, patched=False)
+    return Model(templates, reach, {"random": design}, PatchPolicy())
+
+
+def _tier_graph_harm(case):
+    model = _tier_graph_model(case)
+    if model is None:
+        return None
+    return build_harm(model.designs["random"], model.templates, model.reachability,
+                      patched=False)
 
 
 _ONE = (((5.0, 0.5, "CVE-A"),),)
@@ -333,6 +352,57 @@ def test_network_metrics_match_instance_paths(case):
     assert got.asp == pytest.approx(ref.asp, abs=1e-12)
     if len(exploitable_instances(h)) <= _MAX_BRUTE_FORCE:
         assert enumerate_attack_paths(h) == _brute_force_paths(h)
+
+
+@st.composite
+def tier_graph_sets(draw):
+    """A ``tier_graphs`` case and 1-4 designs over its tiers: the case's
+    own counts and up to three more."""
+    case = draw(tier_graphs())
+    more = draw(st.lists(_replica_counts(len(case[0])), max_size=3))
+    return case, [case[0], *more]
+
+
+def _bits(m):
+    return m.aim.hex(), m.asp.hex(), m.noev, m.noap, m.noep
+
+
+@settings(max_examples=150, deadline=None)
+@given(sets=tier_graph_sets())
+# a box (3, 3, 1) wider than either design, with self-loops on both
+# replicated tiers: the box's longest rows belong to no design
+@example(sets=(((3, 1, 1), frozenset({(0, 0), (0, 1), (1, 1), (1, 2)}),
+                (_ONE, _SURE, _ONE), frozenset({0}), 2), [(3, 1, 1), (1, 3, 1)]))
+# a cycle through p = 1 tiers, walked further by the wider design
+@example(sets=(((2, 2, 2, 1), frozenset({(0, 1), (1, 2), (2, 1), (2, 3)}),
+                (_SURE, _SURE, _SURE, _ONE), frozenset({0}), 3),
+               [(2, 2, 2, 1), (1, 1, 1, 1), (1, 3, 2, 1)]))
+# two walks reach the target with the same visits, in orders whose sums
+# and products round apart: the first walk's values must be the ones kept
+@example(sets=(((1, 1, 1, 1), frozenset({(0, 1), (0, 2), (1, 2), (2, 1), (1, 3), (2, 3)}),
+                ((((0.1, 0.01, "CVE-A"),),), (((0.1, 0.01, "CVE-B"),),),
+                 (((0.4, 0.03, "CVE-C"),),), (((0.0, 0.5, "CVE-D"),),)),
+                frozenset({0}), 3), [(1, 1, 1, 1), (1, 2, 1, 1)]))
+def test_design_set_metrics_match_each_design_alone(sets):
+    # one table over the set's bounding box gives each design the exact
+    # counts and bit-identical ASP and AIM of a table over that design
+    # alone, and of a walk that counts that design's instance paths
+    case, designs = sets
+    model = _tier_graph_model(case)
+    assume(model is not None)
+    tiers = model.reachability.tiers
+    specs = [DesignSpec(f"d{i}", tuple(zip(tiers, c))) for i, c in enumerate(designs)]
+    evaluator = Evaluator(model, patched=False)
+    together = evaluator.evaluate_all(specs, coa=False)
+    for spec, e in zip(specs, together):
+        assert e.label == spec.label and e.coa is None
+        assert _bits(e.metrics) == _bits(evaluator.evaluate_all([spec], coa=False)[0].metrics)
+        h = Harm(dict(spec.counts), evaluator.trees, model.reachability)
+        assert _bits(e.metrics) == _bits(per_design_metrics(h))
+        ref = instance_path_metrics(h)
+        assert (e.metrics.noev, e.metrics.noap, e.metrics.noep) == (ref.noev, ref.noap, ref.noep)
+        assert e.metrics.aim == pytest.approx(ref.aim, abs=1e-12)
+        assert e.metrics.asp == pytest.approx(ref.asp, abs=1e-12)
 
 
 def test_ten_replicas_per_tier(model):

@@ -11,17 +11,22 @@ compromised and blocks traversal entirely.
 Because replicas are interchangeable, an attack path's impact and
 probability depend only on how often it visits each tier.  A
 ``SecurityTable`` therefore counts tier sequences per visit vector, in
-one walk for a whole set of designs, and never lists instance paths;
-``network_metrics`` is its one-design slice.  ``enumerate_attack_paths``
+one walk for a whole set of designs, and never lists instance paths.
+Once the table is built, one design costs one lookup per tier, to pick
+its falling factorials, and one per tier visited for each table row;
+``network_metrics`` is the one-design slice.  ``enumerate_attack_paths``
 expands the replicas and lists the instance paths themselves, for
 inspection and as the reference the counting is tested against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (AttackTreeNode, DesignSpec, PatchPolicy,
                     ReachabilityTemplate, SrnError, prune_attack_tree)
@@ -70,8 +75,7 @@ class Harm:
     reachability: ReachabilityTemplate
 
 
-@dataclass(frozen=True)
-class SecurityMetrics:
+class SecurityMetrics(NamedTuple):
     aim: float
     asp: float
     noev: int
@@ -195,8 +199,8 @@ class SecurityTable:
     target is one row: its visit vector v, the number of tier sequences
     s(v) and the walk's impact and probability.  A design with n_t
     replicas of tier t has s(v) * prod_t (n_t)_{v_t} instance paths with
-    visit vector v, so ``metrics`` reads any design within the box off
-    the rows.  The walk raises SrnError once it has visited more than
+    visit vector v, so ``metrics_all`` reads any design within the box
+    off the rows.  The walk raises SrnError once it has visited more than
     STATE_CAP states.
     """
 
@@ -211,13 +215,12 @@ class SecurityTable:
             if a in value and b in value:
                 succ.setdefault(a, []).append((b, digit[b], *value[b][:2]))
         level = {(t, full - digit[t]): [1, *value[t][:2]] for t in self.entries}
-        target, states, depth, rows = reachability.target_tier, 0, 0, []
+        target, states, rows = reachability.target_tier, 0, []
         while level:
             states += len(level)
             if states > STATE_CAP:
                 raise SrnError(f"security: the attack-path table passed its cap of "
                                f"{STATE_CAP} states at {states} states")
-            depth += 1
             following = {}
             for (tier, unused), (ways, impact, prob) in level.items():
                 if tier == target:
@@ -231,48 +234,60 @@ class SecurityTable:
                         else:
                             following[key] = [ways, impact + nxt_impact, prob * nxt_prob]
             level = following
-        # A row keeps log1p(-p) and the keys of its visits in ``metrics``'
-        # table of falling factorials: key i * stride + k holds (n_t)_k for
-        # the i-th tier t, at k = 1 .. the most visits a row makes to t.
-        # No row makes more than depth visits, so keys of tiers never meet.
-        self.stride, self.most = depth + 1, [0] * len(value)
-        self.rows = []
+        # A row keeps its visits as (tier index, visits) pairs and
+        # log1p(-p); ``most`` holds the most visits a row makes to each tier.
+        self.tiers, self.most, self.rows = list(value), [0] * len(value), []
         for unused, ways, impact, prob in rows:
-            visited, positions = full - unused, []
+            visited, visits = full - unused, []
             for i in range(len(value)):
-                visited, visits = divmod(visited, radix)
-                if visits:
-                    positions.append(i * self.stride + visits)
-                    if visits > self.most[i]:
-                        self.most[i] = visits
-            self.rows.append((positions, ways, impact, prob,
+                visited, k = divmod(visited, radix)
+                if k:
+                    visits.append((i, k))
+                    if k > self.most[i]:
+                        self.most[i] = k
+            self.rows.append((tuple(visits), ways, impact, prob,
                               -math.inf if prob >= 1.0 else math.log1p(-prob)))
 
+    def metrics_all(self, designs: list) -> list[SecurityMetrics]:
+        """The five metrics of each design within the box (tier ->
+        replicas), in the order given.  A list of falling factorials
+        (n)_0 .. (n)_k is built once per tier and replica count n that
+        some design gives it, so a design costs one lookup per tier, then
+        one per tier visited for each row.  ASP is the noisy-OR of the
+        paths (assumed independent), summed as log(1 - ASP) = sum of
+        log1p(-p) so that a p too small to change 1.0 - p still counts.
+        A row that no path of the design walks is skipped.  NoEV counts
+        vulnerabilities per exploitable replica; NoEP counts the replicas
+        of exploitable entry tiers."""
+        replicas = [list(map(counts.__getitem__, self.tiers)) for counts in designs]
+        falling = [{n: list(itertools.accumulate(range(n, n - most, -1), operator.mul,
+                                                 initial=1))
+                    for n in {ns[i] for ns in replicas}}
+                   for i, most in enumerate(self.most)]
+        distinct = [self.value[t][2] for t in self.tiers]
+        entries = [self.tiers.index(t) for t in self.entries]
+        out = []
+        for ns in replicas:
+            factors = list(map(dict.__getitem__, falling, ns))
+            noap, aim, log_miss = 0, 0.0, 0.0
+            for visits, ways, impact, prob, miss in self.rows:
+                count = ways
+                for i, k in visits:
+                    count *= factors[i][k]
+                if count:
+                    noap += count
+                    if impact > aim:
+                        aim = impact
+                    log_miss += count * miss if count <= _FLOAT_MAX else _log_miss(count, prob)
+            out.append(SecurityMetrics(aim, -math.expm1(log_miss) if log_miss else 0.0,
+                                       sum(map(operator.mul, ns, distinct)), noap,
+                                       sum(map(ns.__getitem__, entries))))
+        return out
+
     def metrics(self, counts: dict) -> SecurityMetrics:
-        """The five metrics of a design within the box (tier -> replicas).
-        ASP is the noisy-OR of the paths (assumed independent), summed as
-        log(1 - ASP) = sum of log1p(-p) so that a p too small to change
-        1.0 - p still counts.  A row that no path of the design walks is
-        skipped.  NoEV counts vulnerabilities per exploitable replica;
-        NoEP counts the replicas of exploitable entry tiers."""
-        falling, at = {}, 0
-        for t, most in zip(self.value, self.most):
-            n, product = counts[t], 1
-            for k in range(1, most + 1):
-                product *= n - k + 1
-                falling[at + k] = product
-            at += self.stride
-        noap, aim, log_miss, factor = 0, 0.0, 0.0, falling.__getitem__
-        for positions, ways, impact, prob, miss in self.rows:
-            count = ways * math.prod(map(factor, positions))
-            if count:
-                noap += count
-                if impact > aim:
-                    aim = impact
-                log_miss += count * miss if count <= _FLOAT_MAX else _log_miss(count, prob)
-        noev = sum(counts[t] * distinct for t, (_, _, distinct) in self.value.items())
-        return SecurityMetrics(aim=aim, asp=-math.expm1(log_miss) if log_miss else 0.0,
-                               noev=noev, noap=noap, noep=sum(counts[t] for t in self.entries))
+        """The five metrics of one design within the box: the one-design
+        slice of ``metrics_all``."""
+        return self.metrics_all([counts])[0]
 
 
 def network_metrics(harm: Harm) -> SecurityMetrics:

@@ -19,6 +19,15 @@ class ModelError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
+
+    def at(self, prefix: str, keys: dict | None = None) -> ModelError:
+        """This error under ``prefix``: its path's last key, renamed by
+        ``keys`` if given, joined to ``prefix``.  A constructor's range
+        check names a field in the library's terms; the loader renames
+        the error to the key it read in the model file."""
+        field = self.path.rpartition(".")[2]
+        return ModelError(f"{prefix}.{keys[field] if keys else field}", self.message)
 
 
 class SrnError(Exception):
@@ -36,22 +45,19 @@ class Vulnerability:
     component: str  # "os" | "application"
 
     def __post_init__(self):
-        _check_vulnerability(f"vulnerabilities[{self.id}]", self.id, self.attack_impact,
-                             self.attack_success_prob, self.component)
-
-
-def _check_vulnerability(path, vid, impact, prob, component) -> None:
-    """Range checks on a vulnerability's fields; an error names ``path``
-    with the model-file key, and the id."""
-    if not vid:
-        raise ModelError(f"{path}.id", "empty vulnerability id")
-    if not 0.0 <= impact <= 10.0:
-        raise ModelError(f"{path}.impact", f"attack impact {impact} of {vid!r} outside [0, 10]")
-    if not 0.0 <= prob <= 1.0:
-        raise ModelError(f"{path}.probability",
-                         f"attack success probability {prob} of {vid!r} outside [0, 1]")
-    if component not in ("os", "application"):
-        raise ModelError(f"{path}.component", f"unknown component {component!r} of {vid!r}")
+        """Range checks; an error names the model-file key and the id."""
+        vid, impact, prob = self.id, self.attack_impact, self.attack_success_prob
+        if not vid:
+            raise ModelError(f"vulnerabilities[{vid}].id", "empty vulnerability id")
+        if not 0.0 <= impact <= 10.0:
+            raise ModelError(f"vulnerabilities[{vid}].impact",
+                             f"attack impact {impact} of {vid!r} outside [0, 10]")
+        if not 0.0 <= prob <= 1.0:
+            raise ModelError(f"vulnerabilities[{vid}].probability",
+                             f"attack success probability {prob} of {vid!r} outside [0, 1]")
+        if self.component not in ("os", "application"):
+            raise ModelError(f"vulnerabilities[{vid}].component",
+                             f"unknown component {self.component!r} of {vid!r}")
 
 
 @dataclass(frozen=True)
@@ -118,16 +124,19 @@ def _rate(name: str, mean: float) -> float:
     return (60.0 if name in _MINUTE_FIELDS else 1.0) / mean
 
 
-def _check_duration(name: str, value: float, path: str) -> None:
+def _check_duration(tier: str, name: str, value: float) -> None:
     """Every rate the server net uses is positive and finite, except a
-    failure rate, which an infinite MTTF makes 0."""
+    failure rate, which an infinite MTTF makes 0.  An error names
+    ``servers.<tier>.<name>``, a path built only when a check fails."""
     if not value > 0:
-        raise ModelError(path, f"duration must be strictly positive, got {value}")
+        raise ModelError(f"servers.{tier}.{name}",
+                         f"duration must be strictly positive, got {value}")
     if value == math.inf and name not in _FAILURE_FIELDS:
-        raise ModelError(path, "duration must be finite; only a failure MTTF "
-                               "may be infinite")
+        raise ModelError(f"servers.{tier}.{name}", "duration must be finite; only a "
+                                                   "failure MTTF may be infinite")
     if _rate(name, value) == math.inf:
-        raise ModelError(path, f"duration {value} is too short: its rate overflows")
+        raise ModelError(f"servers.{tier}.{name}",
+                         f"duration {value} is too short: its rate overflows")
 
 
 @dataclass(frozen=True)
@@ -149,7 +158,7 @@ class ServerTemplate:
 
     def __post_init__(self):
         for name in _SERVER_FIELD_KEYS:
-            _check_duration(name, getattr(self, name), f"servers.{self.tier}.{name}")
+            _check_duration(self.tier, name, getattr(self, name))
 
     def rate_per_hour(self, name: str) -> float:
         """Reciprocal of a mean duration, converted to events per hour."""
@@ -210,20 +219,17 @@ class PatchPolicy:
     interval_mean: float = 720.0  # hours
 
     def __post_init__(self):
-        _check_interval(self.interval_mean, "patch_policy.interval_hours")
+        """The patch clock's rate 1/interval_mean is positive and finite."""
+        value, path = self.interval_mean, "patch_policy.interval_hours"
+        if not value > 0:
+            raise ModelError(path, "patch interval must be positive")
+        if value == math.inf:
+            raise ModelError(path, "patch interval must be finite")
+        if 1.0 / value == math.inf:
+            raise ModelError(path, f"patch interval {value} is too short: its rate overflows")
 
     def matches(self, v: Vulnerability) -> bool:
         return v.critical
-
-
-def _check_interval(value: float, path: str) -> None:
-    """The patch clock's rate 1/value is positive and finite."""
-    if not value > 0:
-        raise ModelError(path, "patch interval must be positive")
-    if value == math.inf:
-        raise ModelError(path, "patch interval must be finite")
-    if 1.0 / value == math.inf:
-        raise ModelError(path, f"patch interval {value} is too short: its rate overflows")
 
 
 @dataclass(frozen=True)
@@ -375,6 +381,30 @@ def _parse_tree(node, catalog, path):
     raise ModelError(path, f"unknown attack tree key {key!r}")
 
 
+def _design(label, counts, tiers) -> DesignSpec:
+    """The model file's design ``label``: an integer replica count >= 1
+    for each tier, and no other key.  Every design of a grid passes here,
+    so the checks run on one pass and the error path is built only when
+    one fails.  The label ``all`` is refused: ``--design all`` selects
+    every design."""
+    if type(counts) is dict and label != "all":
+        replicas = tuple(map(counts.get, tiers))
+        # every tier has an int (a missing one is None), and nothing else is there
+        if (set(map(type, replicas)) == {int} and min(replicas) >= 1
+                and len(counts) == len(tiers)):
+            return DesignSpec(label, tuple(zip(tiers, replicas)))
+    # a check failed: raise the first, in the order the fields are read
+    path = f"$.designs.{label}"
+    if label == "all":
+        raise ModelError(path, "the label 'all' is reserved: --design all selects "
+                               "every design")
+    _of_kind(counts, dict, path)
+    for tier, n in zip(tiers, replicas):
+        if type(n) is not int or n < 1:
+            raise ModelError(f"{path}.{tier}", "replica count must be an integer >= 1")
+    _reject_unknown(counts, tiers, path)  # raises: a key is not a tier
+
+
 def load_model(source) -> Model:
     """Load and validate a model document.
 
@@ -410,8 +440,10 @@ def load_model(source) -> Model:
         prob = _require(row, "probability", path, float)
         critical = _require(row, "critical", path, bool)
         component = _require(row, "component", path, str)
-        _check_vulnerability(path, vid, impact, prob, component)
-        v = Vulnerability(vid, impact, prob, critical, component)
+        try:
+            v = Vulnerability(vid, impact, prob, critical, component)
+        except ModelError as e:
+            raise e.at(path) from None
         if v.id in catalog and catalog[v.id] != v:
             raise ModelError(f"{path}.id",
                              f"vulnerability {v.id!r} redefined with different values")
@@ -424,13 +456,14 @@ def load_model(source) -> Model:
             raise ModelError(f"$.servers.{tier}", "missing server template")
         path = f"$.servers.{tier}"
         raw = _of_kind(servers[tier], dict, path)
-        fields = {}
-        for field_name, key in _SERVER_FIELD_KEYS.items():
-            fields[field_name] = _require(raw, key, path, float)
-            _check_duration(field_name, fields[field_name], f"{path}.{key}")
+        fields = {name: _require(raw, key, path, float)
+                  for name, key in _SERVER_FIELD_KEYS.items()}
         tree = raw.get("attack_tree")  # absent or null: no attack tree
         parsed = None if tree is None else _parse_tree(tree, catalog, f"{path}.attack_tree")
-        templates[tier] = ServerTemplate(tier=tier, attack_tree=parsed, **fields)
+        try:
+            templates[tier] = ServerTemplate(tier=tier, attack_tree=parsed, **fields)
+        except ModelError as e:
+            raise e.at(path, _SERVER_FIELD_KEYS) from None
     _reject_unknown(servers, tiers, "$.servers")
 
     raw_reach = _require(doc, "reachability", "$", dict)
@@ -445,24 +478,18 @@ def load_model(source) -> Model:
         target_tier=_require(raw_reach, "target_tier", "$.reachability", str),
     )
 
-    designs = {}
-    for label, counts in _require(doc, "designs", "$", dict).items():
-        path = f"$.designs.{label}"
-        _of_kind(counts, dict, path)
-        for tier in tiers:
-            n = counts.get(tier)
-            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                raise ModelError(f"{path}.{tier}", "replica count must be an integer >= 1")
-        _reject_unknown(counts, tiers, path)
-        designs[label] = DesignSpec(label, tuple((t, counts[t]) for t in tiers))
+    designs = {label: _design(label, counts, tiers)
+               for label, counts in _require(doc, "designs", "$", dict).items()}
 
     raw_policy = _require(doc, "patch_policy", "$", dict) if "patch_policy" in doc else {}
     _reject_unknown(raw_policy, ("interval_hours",), "$.patch_policy")
     interval = 720.0
     if "interval_hours" in raw_policy:
         interval = _require(raw_policy, "interval_hours", "$.patch_policy", float)
-        _check_interval(interval, "$.patch_policy.interval_hours")
-    policy = PatchPolicy(interval_mean=interval)
+    try:
+        policy = PatchPolicy(interval_mean=interval)
+    except ModelError as e:
+        raise e.at("$.patch_policy") from None
 
     bounds = None
     if "bounds" in doc:

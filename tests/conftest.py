@@ -103,6 +103,43 @@ def per_design_metrics(harm_obj):
                                 noev=noev, noap=noap, noep=sum(replicas[t] for t in entries))
 
 
+def reference_accepts(evaluation, bounds):
+    """``evaluate.accepts`` as a tuple of (value, upper bound) pairs under
+    ``all()``: the reference for the short-circuit predicate."""
+    m = evaluation.metrics
+    uppers = ((m.asp, bounds.asp_upper), (m.noev, bounds.noev_upper),
+              (m.noap, bounds.noap_upper), (m.noep, bounds.noep_upper))
+    return (all(bound is None or value <= bound for value, bound in uppers)
+            and (bounds.coa_lower is None or evaluation.coa >= bounds.coa_lower))
+
+
+def _fmt(x):
+    if isinstance(x, bool):
+        return str(x).lower()
+    if isinstance(x, int):
+        return str(x)
+    return f"{x:.6g}"
+
+
+def reference_scatter_csv(evaluations):
+    """``evaluate.scatter_csv`` with each field formatted on its own by
+    type: the reference for its one f-string per row."""
+    lines = ["design,patched,asp,coa"]
+    for e in evaluations:
+        lines.append(",".join([e.label, _fmt(e.patched), _fmt(e.metrics.asp), _fmt(e.coa)]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_radar_csv(evaluations):
+    """``evaluate.radar_csv`` with each field formatted on its own by type."""
+    lines = ["design,patched,aim,asp,noev,noap,noep,coa"]
+    for e in evaluations:
+        m = e.metrics
+        lines.append(",".join([e.label, _fmt(e.patched), _fmt(m.aim), _fmt(m.asp),
+                               _fmt(m.noev), _fmt(m.noap), _fmt(m.noep), _fmt(e.coa)]))
+    return "\n".join(lines) + "\n"
+
+
 def reference_simulate_reward(net, reward, hours, seed=0, batches=50):
     """``simulate.simulate_reward`` with the step rule, the firing and
     the reward recomputed at every event and the batch of each dwell

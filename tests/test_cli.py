@@ -393,6 +393,20 @@ def test_duplicate_tier_is_one_error_line(tmp_path):
     assert (code, out, err) == (1, "", "error: $.tiers[4]: duplicate tier 'dns'\n")
 
 
+def test_design_labelled_all_is_one_error_line(tmp_path):
+    # --design all selects every design, so a design labelled "all" could
+    # never be evaluated on its own: security --design all printed both rows
+    def mutate(doc):
+        doc["designs"] = {"all": {"dns": 1, "web": 1, "app": 1, "db": 1},
+                          "x2": {"dns": 2, "web": 2, "app": 2, "db": 2}}
+    path = _mutated_model(tmp_path, mutate)
+    for command in ("security", "availability"):
+        code, out, err = run_cli(command, "--model", path, "--design", "all")
+        assert (code, out) == (1, "")
+        assert err == ("error: $.designs.all: the label 'all' is reserved: "
+                       "--design all selects every design\n")
+
+
 @pytest.mark.parametrize("tree", [[], 0, "", {}, False],
                          ids=["list", "zero", "str", "dict", "false"])
 def test_falsy_attack_tree_is_one_error_line(tmp_path, tree):

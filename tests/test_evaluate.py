@@ -1,10 +1,16 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import BASELINE, COMPARISON_LABELS
+from conftest import (BASELINE, COMPARISON_LABELS, reference_accepts, reference_radar_csv,
+                      reference_scatter_csv)
 from patchdesign import availability, evaluate, harm
-from patchdesign.model import Bounds
+from patchdesign.evaluate import DesignEvaluation
+from patchdesign.harm import SecurityMetrics
+from patchdesign.model import AttackTreeNode, Bounds, leaf
 
 REGION1 = Bounds(asp_upper=0.2, coa_lower=0.9962)
 REGION2 = Bounds(asp_upper=0.1, coa_lower=0.9961)
@@ -219,3 +225,72 @@ def test_regions_json_layout():
     assert data[0]["accepted"] == ["a", "b"]
     assert data[0]["bounds"]["phi"] == 0.2
     assert data[0]["bounds"]["xi"] == 9
+
+
+# -- the bound check and the CSV rows against their references ------------
+
+_metrics = st.builds(SecurityMetrics,
+                     aim=st.floats(0, 1e4) | st.integers(0, 10 ** 8),
+                     asp=st.floats(0, 1), noev=st.integers(0, 10 ** 6),
+                     noap=st.integers(0, 2 ** 200), noep=st.integers(0, 10 ** 4))
+_evaluations = st.builds(DesignEvaluation,
+                         label=st.text("abcdxyz0123456789-", min_size=1, max_size=12),
+                         patched=st.booleans(), metrics=_metrics, coa=st.floats(0, 1))
+
+
+@st.composite
+def _evaluation_and_bounds(draw):
+    """An evaluation and a bound set whose bounds are each unset, equal
+    to the value they bound, one past it, or drawn on their own."""
+    e = draw(_evaluations)
+    m = e.metrics
+
+    def bound(value, others):
+        return draw(st.none() | st.just(value) | others)
+
+    def count_bound(value):
+        return bound(value, st.sampled_from([max(value - 1, 0), value + 1])
+                     | st.integers(0, 2 ** 200))
+
+    return e, Bounds(asp_upper=bound(m.asp, st.floats(0, 1)),
+                     coa_lower=bound(e.coa, st.floats(0, 1)),
+                     noev_upper=count_bound(m.noev), noap_upper=count_bound(m.noap),
+                     noep_upper=count_bound(m.noep))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_evaluation_and_bounds())
+def test_accepts_matches_the_reference(case):
+    evaluation, bounds = case
+    assert evaluate.accepts(evaluation, bounds) is reference_accepts(evaluation, bounds)
+
+
+def _int_impacts(node):
+    """``node`` with every leaf's impact rounded to an int."""
+    if node is None:
+        return None
+    if node.kind == "leaf":
+        v = node.vulnerability
+        return leaf(dataclasses.replace(v, attack_impact=round(v.attack_impact)))
+    return AttackTreeNode(node.kind, children=tuple(map(_int_impacts, node.children)))
+
+
+@pytest.fixture(scope="module")
+def int_aim_evaluations(model):
+    """The bundled designs, pre- and post-patch, on library-built trees of
+    int impacts: their AIM is an int."""
+    templates = {t: dataclasses.replace(tpl, attack_tree=_int_impacts(tpl.attack_tree))
+                 for t, tpl in model.templates.items()}
+    m = dataclasses.replace(model, templates=templates)
+    evaluations = [e for patched in (True, False)
+                   for e in evaluate.Evaluator(m, patched).evaluate_all(m.designs.values())]
+    assert all(type(e.metrics.aim) is int for e in evaluations)
+    return evaluations
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=st.lists(_evaluations, max_size=6), picks=st.lists(st.integers(0, 11), max_size=4))
+def test_csv_rows_match_the_reference(int_aim_evaluations, drawn, picks):
+    evaluations = drawn + [int_aim_evaluations[i] for i in picks]
+    assert evaluate.scatter_csv(evaluations) == reference_scatter_csv(evaluations)
+    assert evaluate.radar_csv(evaluations) == reference_radar_csv(evaluations)

@@ -43,6 +43,17 @@ def test_impact_out_of_range_rejected():
         load_model(doc)
 
 
+def test_range_error_names_the_row_whatever_the_id():
+    # the loader renames a constructor's error to the row it read; a dot
+    # in the id does not move the key
+    doc = json.loads(example_network_path().read_text())
+    doc["vulnerabilities"][0].update(id="CVE.2016.1", impact=10.5)
+    with pytest.raises(ModelError) as info:
+        load_model(doc)
+    assert str(info.value) == ("$.vulnerabilities[0].impact: "
+                               "attack impact 10.5 of 'CVE.2016.1' outside [0, 10]")
+
+
 def test_unknown_tier_in_design_rejected():
     doc = json.loads(example_network_path().read_text())
     doc["designs"]["base"]["cache"] = 2

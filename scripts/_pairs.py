@@ -1,0 +1,45 @@
+"""Timing of two source trees in alternating pairs, for the scripts here.
+
+Each pair measures both trees, each in a fresh interpreter whose
+PYTHONPATH is the tree, in alternating order, so drift on a shared
+machine falls on both trees alike.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+
+
+def parser(doc: str, pairs: int) -> argparse.ArgumentParser:
+    """A parser taking ``--pairs`` (default ``pairs``) and the two trees."""
+    p = argparse.ArgumentParser(description=doc.split("\n\n")[0])
+    p.add_argument("--pairs", type=int, default=pairs)
+    p.add_argument("trees", nargs=2, metavar="SRC", help="a directory holding patchdesign")
+    return p
+
+
+def run_python(src: str, args: list, **kwargs) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter with ``src`` as its PYTHONPATH."""
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, check=True, **kwargs)
+
+
+def alternate(trees: list, pairs: int, measure) -> dict:
+    """{tree: [measure(tree) in each pair]}, the trees taken in
+    alternating order."""
+    times = {src: [] for src in trees}
+    for pair in range(pairs):
+        for src in (trees if pair % 2 == 0 else trees[::-1]):
+            times[src].append(measure(src))
+    return times
+
+
+def report(times: dict, unit: str, digits: int) -> None:
+    """Print the best and the median of each tree's measurements."""
+    for src, values in times.items():
+        print(f"{src}: best {min(values):.{digits}f} {unit}, "
+              f"median {statistics.median(values):.{digits}f} {unit} over {len(values)} runs")

@@ -5,10 +5,9 @@ designs, 10^4 for the bundled model at N = 10.  One timing evaluates the
 grid with ``Evaluator.evaluate_all``, with the server-net rates solved
 beforehand, finds which designs meet each of two bound sets, and formats
 ``scatter_csv`` and ``radar_csv``: the work that ``patchdesign compare``
-does for each design.  Each pair times both trees, each in a fresh
-interpreter, in alternating order, so drift on a shared machine falls on
-both alike.  Prints the best and the median microseconds per design for
-each tree.
+does for each design.  The trees are timed in alternating pairs, each
+in a fresh interpreter (``_pairs``).  Prints the best and the median
+microseconds per design for each tree.
 
     python scripts/design_grid.py --pairs 5 OLD/src NEW/src
     python scripts/design_grid.py --model net.json --n 6 OLD/src NEW/src
@@ -16,14 +15,12 @@ each tree.
 
 from __future__ import annotations
 
-import argparse
 import itertools
-import os
-import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
+
+from _pairs import alternate, parser, report, run_python
 
 # the paper's two regions: (phi, psi)
 BOUNDS = ((0.2, 0.9962), (0.1, 0.9961))
@@ -55,10 +52,10 @@ def time_grid(model_path: str, n: int) -> float:
 
 
 def child_time(src: str, model_path: str, n: int) -> float:
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, __file__, CHILD, model_path, str(n)], env=env,
-                         check=True, capture_output=True, text=True).stdout
-    return float(out)
+    """Microseconds per design, timed in a fresh interpreter on ``src``."""
+    out = run_python(src, [__file__, CHILD, model_path, str(n)],
+                     capture_output=True, text=True).stdout
+    return float(out) * 1e6
 
 
 def main(argv=None) -> int:
@@ -66,22 +63,15 @@ def main(argv=None) -> int:
     if argv[:1] == [CHILD]:
         print(time_grid(argv[1], int(argv[2])))
         return 0
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--model", help="model file (default: the first tree's bundled model)")
-    parser.add_argument("--n", type=int, default=10, help="largest replica count per tier")
-    parser.add_argument("trees", nargs=2, metavar="SRC", help="a directory holding patchdesign")
-    args = parser.parse_args(argv)
+    p = parser(__doc__, pairs=5)
+    p.add_argument("--model", help="model file (default: the first tree's bundled model)")
+    p.add_argument("--n", type=int, default=10, help="largest replica count per tier")
+    args = p.parse_args(argv)
     model_path = args.model or str(Path(args.trees[0]) / "patchdesign" / "data"
                                    / "example_network.json")
-    times = {src: [] for src in args.trees}
-    for pair in range(args.pairs):
-        order = args.trees if pair % 2 == 0 else args.trees[::-1]
-        for src in order:
-            times[src].append(child_time(src, model_path, args.n) * 1e6)
-    for src, values in times.items():
-        print(f"{src}: best {min(values):.2f} us, median {statistics.median(values):.2f} us "
-              f"per design over {len(values)} runs")
+    times = alternate(args.trees, args.pairs,
+                      lambda src: child_time(src, model_path, args.n))
+    report(times, "us per design", 2)
     return 0
 
 

@@ -241,18 +241,13 @@ def compute_coa(design: DesignSpec, rates: dict) -> float:
 def compute_coas(designs, rates: dict) -> list[float]:
     """``compute_coa`` of each design, in the order given.  Each tier's
     rates are checked once, and its factors 1 - (1 - a)^n and n * a are
-    computed once for each replica count n that some design gives it, in
-    a table indexed by the tier's position in ``DesignSpec.counts``.
-    Raises ValueError unless every design lists the same tiers in the
-    same order."""
-    # tier position -> the (tier, replica count) pairs the designs give it
-    columns = [set(column) for column in zip(*(design.counts for design in designs))]
-    if (len({len(design.counts) for design in designs}) > 1
-            or any(len({tier for tier, _ in used}) > 1 for used in columns)):
-        raise ValueError("the designs of one set must list the same tiers in the same order")
-    tables = []  # tier position -> {n: (1 - (1 - a)^n, n * a)}
-    for used in columns:
-        tier = next(iter(used))[0]
+    computed once for each replica count n that some design gives it."""
+    used = {}  # tier -> the replica counts the designs give it
+    for design in designs:
+        for tier, count in design.counts:
+            used.setdefault(tier, set()).add(count)
+    factors = {}  # (tier, n) -> (1 - (1 - a)^n, n * a)
+    for tier, counts in used.items():
         agg = rates[tier]
         for name in ("lambda_eq", "mu_eq"):
             rate = getattr(agg, name)
@@ -260,13 +255,13 @@ def compute_coas(designs, rates: dict) -> list[float]:
                 raise ValueError(f"tier {tier!r}: {name} must be positive "
                                  f"and finite, got {rate!r}")
         down = agg.lambda_eq / (agg.lambda_eq + agg.mu_eq)
-        tables.append({count: (1.0 - down ** count, count * agg.availability)
-                       for _, count in used})
+        for count in counts:
+            factors[tier, count] = (1.0 - down ** count, count * agg.availability)
     coas = []
     for design in designs:
         covered, weighted, total = 1.0, 0.0, 0  # over the tiers seen so far
-        for (_, count), table in zip(design.counts, tables):
-            p_any_up, capacity = table[count]
+        for tier, count in design.counts:
+            p_any_up, capacity = factors[tier, count]
             weighted = weighted * p_any_up + capacity * covered
             covered *= p_any_up
             total += count

@@ -16,18 +16,19 @@ from pathlib import Path
 class ModelError(ValueError):
     """Validation failure, with a path to the offending field."""
 
-    def __init__(self, path: str, message: str):
+    def __init__(self, path: str, message: str, field: str | None = None):
         super().__init__(f"{path}: {message}")
         self.path = path
         self.message = message
+        self.field = field  # the key a constructor's range check names
 
     def at(self, prefix: str, keys: dict | None = None) -> ModelError:
-        """This error under ``prefix``: its path's last key, renamed by
-        ``keys`` if given, joined to ``prefix``.  A constructor's range
-        check names a field in the library's terms; the loader renames
-        the error to the key it read in the model file."""
-        field = self.path.rpartition(".")[2]
-        return ModelError(f"{prefix}.{keys[field] if keys else field}", self.message)
+        """A constructor's range error under ``prefix``: its ``field``,
+        renamed by ``keys`` if given, joined to ``prefix``.  The
+        constructor names a field in the library's terms; the loader
+        renames the error to the key it read in the model file."""
+        return ModelError(f"{prefix}.{keys[self.field] if keys else self.field}",
+                          self.message)
 
 
 class SrnError(Exception):
@@ -48,16 +49,17 @@ class Vulnerability:
         """Range checks; an error names the model-file key and the id."""
         vid, impact, prob = self.id, self.attack_impact, self.attack_success_prob
         if not vid:
-            raise ModelError(f"vulnerabilities[{vid}].id", "empty vulnerability id")
+            raise ModelError(f"vulnerabilities[{vid}].id", "empty vulnerability id", "id")
         if not 0.0 <= impact <= 10.0:
             raise ModelError(f"vulnerabilities[{vid}].impact",
-                             f"attack impact {impact} of {vid!r} outside [0, 10]")
+                             f"attack impact {impact} of {vid!r} outside [0, 10]", "impact")
         if not 0.0 <= prob <= 1.0:
             raise ModelError(f"vulnerabilities[{vid}].probability",
-                             f"attack success probability {prob} of {vid!r} outside [0, 1]")
+                             f"attack success probability {prob} of {vid!r} outside [0, 1]",
+                             "probability")
         if self.component not in ("os", "application"):
             raise ModelError(f"vulnerabilities[{vid}].component",
-                             f"unknown component {self.component!r} of {vid!r}")
+                             f"unknown component {self.component!r} of {vid!r}", "component")
 
 
 @dataclass(frozen=True)
@@ -130,13 +132,13 @@ def _check_duration(tier: str, name: str, value: float) -> None:
     ``servers.<tier>.<name>``, a path built only when a check fails."""
     if not value > 0:
         raise ModelError(f"servers.{tier}.{name}",
-                         f"duration must be strictly positive, got {value}")
+                         f"duration must be strictly positive, got {value}", name)
     if value == math.inf and name not in _FAILURE_FIELDS:
         raise ModelError(f"servers.{tier}.{name}", "duration must be finite; only a "
-                                                   "failure MTTF may be infinite")
+                                                   "failure MTTF may be infinite", name)
     if _rate(name, value) == math.inf:
         raise ModelError(f"servers.{tier}.{name}",
-                         f"duration {value} is too short: its rate overflows")
+                         f"duration {value} is too short: its rate overflows", name)
 
 
 @dataclass(frozen=True)
@@ -220,13 +222,14 @@ class PatchPolicy:
 
     def __post_init__(self):
         """The patch clock's rate 1/interval_mean is positive and finite."""
-        value, path = self.interval_mean, "patch_policy.interval_hours"
+        value, path, key = self.interval_mean, "patch_policy.interval_hours", "interval_hours"
         if not value > 0:
-            raise ModelError(path, "patch interval must be positive")
+            raise ModelError(path, "patch interval must be positive", key)
         if value == math.inf:
-            raise ModelError(path, "patch interval must be finite")
+            raise ModelError(path, "patch interval must be finite", key)
         if 1.0 / value == math.inf:
-            raise ModelError(path, f"patch interval {value} is too short: its rate overflows")
+            raise ModelError(path, f"patch interval {value} is too short: its rate overflows",
+                             key)
 
     def matches(self, v: Vulnerability) -> bool:
         return v.critical
@@ -384,25 +387,20 @@ def _parse_tree(node, catalog, path):
 def _design(label, counts, tiers) -> DesignSpec:
     """The model file's design ``label``: an integer replica count >= 1
     for each tier, and no other key.  Every design of a grid passes here,
-    so the checks run on one pass and the error path is built only when
-    one fails.  The label ``all`` is refused: ``--design all`` selects
-    every design."""
-    if type(counts) is dict and label != "all":
-        replicas = tuple(map(counts.get, tiers))
-        # every tier has an int (a missing one is None), and nothing else is there
-        if (set(map(type, replicas)) == {int} and min(replicas) >= 1
-                and len(counts) == len(tiers)):
-            return DesignSpec(label, tuple(zip(tiers, replicas)))
-    # a check failed: raise the first, in the order the fields are read
-    path = f"$.designs.{label}"
+    so its error path is built only when a check fails.  The label
+    ``all`` is refused: ``--design all`` selects every design."""
     if label == "all":
-        raise ModelError(path, "the label 'all' is reserved: --design all selects "
-                               "every design")
-    _of_kind(counts, dict, path)
-    for tier, n in zip(tiers, replicas):
+        raise ModelError("$.designs.all", "the label 'all' is reserved: --design all "
+                                          "selects every design")
+    _of_kind(counts, dict, "$.designs", label)
+    for tier in tiers:
+        n = counts.get(tier)
         if type(n) is not int or n < 1:
-            raise ModelError(f"{path}.{tier}", "replica count must be an integer >= 1")
-    _reject_unknown(counts, tiers, path)  # raises: a key is not a tier
+            raise ModelError(f"$.designs.{label}.{tier}",
+                             "replica count must be an integer >= 1")
+    if len(counts) != len(tiers):
+        _reject_unknown(counts, tiers, f"$.designs.{label}")
+    return DesignSpec(label, tuple((tier, counts[tier]) for tier in tiers))
 
 
 def load_model(source) -> Model:
@@ -410,7 +408,10 @@ def load_model(source) -> Model:
 
     ``source`` is the path of a JSON file, as a ``str`` or a ``Path``
     (whatever its name looks like), or an already-parsed dict whose
-    values have the types that json.loads gives.
+    values have the types that json.loads gives.  A value's type is
+    checked as it is read and its range when its object is built, so of
+    several faults in one server template or vulnerability, a type error
+    (or an attack-tree error) is the one reported.
     """
     if isinstance(source, (str, Path)):
         try:

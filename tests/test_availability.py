@@ -246,15 +246,6 @@ def test_design_set_coa_matches_each_design_bit_for_bit(model, rates):
     assert av.compute_coas([], rates) == []
 
 
-def test_design_set_must_list_the_same_tiers(rates):
-    # the factor tables are indexed by tier position
-    first = DesignSpec("a", (("dns", 1), ("web", 2)))
-    with pytest.raises(ValueError, match="same tiers in the same order"):
-        av.compute_coas([first, DesignSpec("b", (("web", 2), ("dns", 1)))], rates)
-    with pytest.raises(ValueError, match="same tiers in the same order"):
-        av.compute_coas([first, DesignSpec("c", (("dns", 1),))], rates)
-
-
 def test_compute_coa_baseline_is_product_of_availabilities(model, rates):
     expected = 1.0
     for tier in ("dns", "web", "app", "db"):

@@ -1,16 +1,15 @@
 """Evaluation of a design set in one pass, the bound check, and
 comparison artifacts.
 
-What one design of a set costs, once the set's tables are built: one
-lookup per tier, then one per tier visited for each row of the
-``harm.SecurityTable``, for its security metrics; one lookup per tier
-in ``availability.compute_coas``' factor tables for its COA; one
+What one design of a set costs, once the set's walk and tables are
+done: one lookup per tier, then one per tier visited for each row of
+``harm.metrics_all``'s walk, for its security metrics; one lookup per
+tier in ``availability.compute_coas``' factor tables for its COA; one
 short-circuit ``accepts`` per bound set; and one f-string per CSV row."""
 
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -30,14 +29,14 @@ class DesignEvaluation(NamedTuple):
 class Evaluator:
     """Evaluates the designs of one model, pre- or post-patch.
 
-    The aggregated rates and the pruned, scored tier trees do not depend
-    on the design, so each is computed on first use and kept for every
-    later design.  ``evaluate_all`` evaluates a set of designs in one
-    pass; ``security``, ``coa`` and ``evaluate`` are its one-design
-    slices.  Security never reads the rates, so it solves no server net
-    and does not even import the SRN engine: ``rates`` and the COA part
-    import ``availability`` when they run.  The server nets solve in
-    plain Python (``srn``), so no method loads numpy or scipy."""
+    The aggregated rates and the pruned tier trees do not depend on the
+    design, so each is computed on first use and kept for every later
+    design.  ``evaluate_all`` evaluates a set of designs in one pass;
+    ``evaluate`` is its one-design slice.  Security never reads the
+    rates, so it solves no server net and does not even import the SRN
+    engine: ``rates`` and the COA part import ``availability`` when they
+    run.  The server nets solve in plain Python (``srn``), so no method
+    loads numpy or scipy."""
 
     def __init__(self, model: Model, patched: bool = True):
         self.model = model
@@ -51,35 +50,27 @@ class Evaluator:
         return availability.aggregate_all(self.model.templates, self.model.policy)
 
     @cached_property
-    def trees(self) -> harm.TierTrees:
+    def trees(self) -> dict:
         m = self.model
         return harm.tier_trees(m.templates, m.reachability, self.patched, m.policy)
 
     def evaluate_all(self, designs, security: bool = True,
                      coa: bool = True) -> list[DesignEvaluation]:
         """Each design's evaluation, in the order given, from one pass over
-        the set: one ``harm.SecurityTable`` over the designs' bounding box
-        and one table per tier of its COA factors.  A part not asked for
-        is None in every evaluation."""
+        the set: one ``harm.metrics_all`` walk over the designs' bounding
+        box and one table per tier of its COA factors.  A part not asked
+        for is None in every evaluation."""
         designs = list(designs)
         metrics = coas = [None] * len(designs)
-        if designs and security:
-            reach = self.model.reachability
-            counts = [dict(design.counts) for design in designs]
-            box = {t: max(map(operator.itemgetter(t), counts)) for t in reach.tiers}
-            metrics = harm.SecurityTable(self.trees, reach, box).metrics_all(counts)
+        if security:
+            metrics = harm.metrics_all(self.trees, self.model.reachability,
+                                       [dict(design.counts) for design in designs])
         if coa:
             from .availability import compute_coas
 
             coas = compute_coas(designs, self.rates)
         return [DesignEvaluation(design.label, self.patched, m, c)
                 for design, m, c in zip(designs, metrics, coas)]
-
-    def security(self, design: DesignSpec) -> SecurityMetrics:
-        return self.evaluate_all([design], coa=False)[0].metrics
-
-    def coa(self, design: DesignSpec) -> float:
-        return self.evaluate_all([design], security=False)[0].coa
 
     def evaluate(self, design: DesignSpec) -> DesignEvaluation:
         """Security metrics plus capacity-oriented availability."""

@@ -9,11 +9,11 @@ tier, shared by its replicas.  A tier whose tree is empty cannot be
 compromised and blocks traversal entirely.
 
 Because replicas are interchangeable, an attack path's impact and
-probability depend only on how often it visits each tier.  A
-``SecurityTable`` therefore counts tier sequences per visit vector, in
+probability depend only on how often it visits each tier.
+``metrics_all`` therefore counts tier sequences per visit vector, in
 one walk for a whole set of designs, and never lists instance paths.
-Once the table is built, one design costs one lookup per tier, to pick
-its falling factorials, and one per tier visited for each table row;
+After the walk, one design costs one lookup per tier, to pick its
+falling factorials, and one per tier visited for each row;
 ``network_metrics`` is the one-design slice.  ``enumerate_attack_paths``
 expands the replicas and lists the instance paths themselves, for
 inspection and as the reference the counting is tested against.
@@ -31,9 +31,9 @@ from typing import NamedTuple
 from .model import (AttackTreeNode, DesignSpec, PatchPolicy,
                     ReachabilityTemplate, SrnError, prune_attack_tree)
 
-# The most states a SecurityTable visits, checked once per level: a few
-# seconds and about 100 MB on a 2-vCPU VM.  The largest tables in the
-# tests and the bench take under 15 000 states.
+# The most states the walk of ``metrics_all`` visits, checked once per
+# level: a few seconds and about 100 MB on a 2-vCPU VM.  The largest
+# walks in the tests and the bench take under 15 000 states.
 STATE_CAP = 1_000_000
 
 
@@ -50,28 +50,13 @@ class Instance:
         return self.id
 
 
-class TierTrees(dict):
-    """tier -> attack tree, None for a tier that cannot be compromised.
-
-    Each tree is evaluated once, here: ``scores`` maps every exploitable
-    tier to its tree's impact, probability and number of distinct
-    vulnerabilities, which ``SecurityTable`` reads for every design.
-    """
-
-    def __init__(self, trees: dict):
-        super().__init__(trees)
-        self.scores = {t: (tree_impact(tree), tree_probability(tree),
-                           len({v.id for v in tree.leaves()}))
-                       for t, tree in self.items() if tree is not None}
-
-
 @dataclass(frozen=True)
 class Harm:
     """The tier graph with its replica counts (upper layer) and one
     attack tree per tier (lower layer)."""
 
     counts: dict  # tier -> replicas
-    trees: TierTrees
+    trees: dict  # tier -> attack tree, None for a tier that cannot be compromised
     reachability: ReachabilityTemplate
 
 
@@ -84,16 +69,15 @@ class SecurityMetrics(NamedTuple):
 
 
 def tier_trees(templates: dict, reachability: ReachabilityTemplate, patched: bool,
-               policy: PatchPolicy | None = None) -> TierTrees:
+               policy: PatchPolicy | None = None) -> dict:
     """Each tier's attack tree, with the policy's patched leaves pruned
     if ``patched``.  The trees do not depend on the design, so an
-    ``evaluate.Evaluator`` prunes and evaluates them once for all its
-    designs."""
+    ``evaluate.Evaluator`` prunes them once for all its designs."""
     trees = {t: templates[t].attack_tree for t in reachability.tiers}
     if patched:
         matches = (policy or PatchPolicy()).matches
         trees = {t: prune_attack_tree(tree, matches) for t, tree in trees.items()}
-    return TierTrees(trees)
+    return trees
 
 
 def build_harm(design: DesignSpec, templates: dict,
@@ -187,110 +171,101 @@ def _log_miss(count: int, prob: float) -> float:
     return -math.exp(scale) if scale < math.log(_FLOAT_MAX) else -math.inf
 
 
-class SecurityTable:
-    """Instance-path counts of a set of designs, from one walk over their
-    bounding box ``box`` (tier -> the largest replica count).
+def metrics_all(trees: dict, reachability: ReachabilityTemplate,
+                designs: list) -> list[SecurityMetrics]:
+    """The five security metrics of each design (tier -> replicas), in
+    the order given, from one walk over the designs' bounding box (tier
+    -> the largest replica count).
 
-    A state is (current tier, unused replicas of the box per tier as
-    digits of one int); it holds the number of tier sequences that reach
-    it, with the impact and probability of the first walk to reach it.
-    A step into tier t needs an unused replica of t, and walks that reach
-    the same state merge, cycles and self-loops alike.  Each state at the
-    target is one row: its visit vector v, the number of tier sequences
-    s(v) and the walk's impact and probability.  A design with n_t
-    replicas of tier t has s(v) * prod_t (n_t)_{v_t} instance paths with
-    visit vector v, so ``metrics_all`` reads any design within the box
-    off the rows.  The walk raises SrnError once it has visited more than
-    STATE_CAP states.
-    """
+    Each exploitable tier's tree is scored once: impact, probability and
+    number of distinct vulnerabilities.  A state of the walk is (current
+    tier, unused replicas of the box per tier as digits of one int); it
+    holds the number of tier sequences that reach it, with the impact and
+    probability of the first walk to reach it.  A step into tier t needs
+    an unused replica of t, and walks that reach the same state merge,
+    cycles and self-loops alike.  Each state at the target is one row:
+    its visits as (tier index, visits) pairs, the number of tier
+    sequences s(v), the walk's impact and probability, and log1p(-p).
+    The walk raises SrnError once it has visited more than STATE_CAP
+    states.
 
-    def __init__(self, trees: TierTrees, reachability: ReachabilityTemplate, box: dict):
-        self.value = value = {t: score for t, score in trees.scores.items() if box[t]}
-        self.entries = sorted(t for t in reachability.entry_tiers if t in value)
-        radix = max(box.values()) + 1
-        digit = {t: radix ** i for i, t in enumerate(value)}
-        full = sum(box[t] * digit[t] for t in value)
-        succ = {}  # tier -> (next tier, its digit, impact, probability)
-        for a, b in sorted(reachability.edges):
-            if a in value and b in value:
-                succ.setdefault(a, []).append((b, digit[b], *value[b][:2]))
-        level = {(t, full - digit[t]): [1, *value[t][:2]] for t in self.entries}
-        target, states, rows = reachability.target_tier, 0, []
-        while level:
-            states += len(level)
-            if states > STATE_CAP:
-                raise SrnError(f"security: the attack-path table passed its cap of "
-                               f"{STATE_CAP} states at {states} states")
-            following = {}
-            for (tier, unused), (ways, impact, prob) in level.items():
-                if tier == target:
-                    rows.append((unused, ways, impact, prob))
-                    continue
-                for nxt, step, nxt_impact, nxt_prob in succ.get(tier, ()):
-                    if unused // step % radix:
-                        key = (nxt, unused - step)
-                        if key in following:
-                            following[key][0] += ways
-                        else:
-                            following[key] = [ways, impact + nxt_impact, prob * nxt_prob]
-            level = following
-        # A row keeps its visits as (tier index, visits) pairs and
-        # log1p(-p); ``most`` holds the most visits a row makes to each tier.
-        self.tiers, self.most, self.rows = list(value), [0] * len(value), []
-        for unused, ways, impact, prob in rows:
-            visited, visits = full - unused, []
-            for i in range(len(value)):
-                visited, k = divmod(visited, radix)
-                if k:
-                    visits.append((i, k))
-                    if k > self.most[i]:
-                        self.most[i] = k
-            self.rows.append((tuple(visits), ways, impact, prob,
-                              -math.inf if prob >= 1.0 else math.log1p(-prob)))
-
-    def metrics_all(self, designs: list) -> list[SecurityMetrics]:
-        """The five metrics of each design within the box (tier ->
-        replicas), in the order given.  A list of falling factorials
-        (n)_0 .. (n)_k is built once per tier and replica count n that
-        some design gives it, so a design costs one lookup per tier, then
-        one per tier visited for each row.  ASP is the noisy-OR of the
-        paths (assumed independent), summed as log(1 - ASP) = sum of
-        log1p(-p) so that a p too small to change 1.0 - p still counts.
-        A row that no path of the design walks is skipped.  NoEV counts
-        vulnerabilities per exploitable replica; NoEP counts the replicas
-        of exploitable entry tiers."""
-        replicas = [list(map(counts.__getitem__, self.tiers)) for counts in designs]
-        falling = [{n: list(itertools.accumulate(range(n, n - most, -1), operator.mul,
-                                                 initial=1))
-                    for n in {ns[i] for ns in replicas}}
-                   for i, most in enumerate(self.most)]
-        distinct = [self.value[t][2] for t in self.tiers]
-        entries = [self.tiers.index(t) for t in self.entries]
-        out = []
-        for ns in replicas:
-            factors = list(map(dict.__getitem__, falling, ns))
-            noap, aim, log_miss = 0, 0.0, 0.0
-            for visits, ways, impact, prob, miss in self.rows:
-                count = ways
-                for i, k in visits:
-                    count *= factors[i][k]
-                if count:
-                    noap += count
-                    if impact > aim:
-                        aim = impact
-                    log_miss += count * miss if count <= _FLOAT_MAX else _log_miss(count, prob)
-            out.append(SecurityMetrics(aim, -math.expm1(log_miss) if log_miss else 0.0,
-                                       sum(map(operator.mul, ns, distinct)), noap,
-                                       sum(map(ns.__getitem__, entries))))
-        return out
-
-    def metrics(self, counts: dict) -> SecurityMetrics:
-        """The five metrics of one design within the box: the one-design
-        slice of ``metrics_all``."""
-        return self.metrics_all([counts])[0]
+    A design with n_t replicas of tier t has s(v) * prod_t (n_t)_{v_t}
+    instance paths with visit vector v.  A list of falling factorials
+    (n)_0 .. (n)_k is built once per tier and replica count n that some
+    design gives it, so a design costs one lookup per tier, then one per
+    tier visited for each row.  ASP is the noisy-OR of the paths
+    (assumed independent), summed as log(1 - ASP) = sum of log1p(-p) so
+    that a p too small to change 1.0 - p still counts.  A row that no
+    path of the design walks is skipped.  NoEV counts vulnerabilities
+    per exploitable replica; NoEP counts the replicas of exploitable
+    entry tiers."""
+    box = {t: max((counts[t] for counts in designs), default=0) for t in reachability.tiers}
+    value = {t: (tree_impact(tree), tree_probability(tree), len({v.id for v in tree.leaves()}))
+             for t, tree in trees.items() if tree is not None and box[t]}
+    tiers = list(value)
+    entries = sorted(t for t in reachability.entry_tiers if t in value)
+    radix = max(box.values()) + 1
+    digit = {t: radix ** i for i, t in enumerate(tiers)}
+    full = sum(box[t] * digit[t] for t in tiers)
+    succ = {}  # tier -> (next tier, its digit, impact, probability)
+    for a, b in sorted(reachability.edges):
+        if a in value and b in value:
+            succ.setdefault(a, []).append((b, digit[b], *value[b][:2]))
+    level = {(t, full - digit[t]): [1, *value[t][:2]] for t in entries}
+    target, states, rows = reachability.target_tier, 0, []
+    most = [0] * len(tiers)  # the most visits a row makes to each tier
+    while level:
+        states += len(level)
+        if states > STATE_CAP:
+            raise SrnError(f"security: the attack-path table passed its cap of "
+                           f"{STATE_CAP} states at {states} states")
+        following = {}
+        for (tier, unused), (ways, impact, prob) in level.items():
+            if tier == target:
+                visited, visits = full - unused, []
+                for i in range(len(tiers)):
+                    visited, k = divmod(visited, radix)
+                    if k:
+                        visits.append((i, k))
+                        if k > most[i]:
+                            most[i] = k
+                rows.append((tuple(visits), ways, impact, prob,
+                             -math.inf if prob >= 1.0 else math.log1p(-prob)))
+                continue
+            for nxt, step, nxt_impact, nxt_prob in succ.get(tier, ()):
+                if unused // step % radix:
+                    key = (nxt, unused - step)
+                    if key in following:
+                        following[key][0] += ways
+                    else:
+                        following[key] = [ways, impact + nxt_impact, prob * nxt_prob]
+        level = following
+    replicas = [list(map(counts.__getitem__, tiers)) for counts in designs]
+    falling = [{n: list(itertools.accumulate(range(n, n - k, -1), operator.mul, initial=1))
+                for n in {ns[i] for ns in replicas}}
+               for i, k in enumerate(most)]
+    distinct = [score[2] for score in value.values()]
+    entries = list(map(tiers.index, entries))
+    out = []
+    for ns in replicas:
+        factors = list(map(dict.__getitem__, falling, ns))
+        noap, aim, log_miss = 0, 0.0, 0.0
+        for visits, ways, impact, prob, miss in rows:
+            count = ways
+            for i, k in visits:
+                count *= factors[i][k]
+            if count:
+                noap += count
+                if impact > aim:
+                    aim = impact
+                log_miss += count * miss if count <= _FLOAT_MAX else _log_miss(count, prob)
+        out.append(SecurityMetrics(aim, -math.expm1(log_miss) if log_miss else 0.0,
+                                   sum(map(operator.mul, ns, distinct)), noap,
+                                   sum(map(ns.__getitem__, entries))))
+    return out
 
 
 def network_metrics(harm: Harm) -> SecurityMetrics:
-    """The five security metrics of one design: a ``SecurityTable`` whose
-    box is the design itself."""
-    return SecurityTable(harm.trees, harm.reachability, harm.counts).metrics(harm.counts)
+    """The five security metrics of one design: the one-design slice of
+    ``metrics_all``."""
+    return metrics_all(harm.trees, harm.reachability, [harm.counts])[0]

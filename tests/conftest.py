@@ -66,10 +66,12 @@ def instance_path_metrics(harm_obj):
 def per_design_metrics(harm_obj):
     """The five security metrics of one design by a walk over its own
     replica counts, each state holding its number of instance paths: the
-    bit-for-bit reference for ``harm.SecurityTable``, which reads every
+    bit-for-bit reference for ``harm.metrics_all``, which reads every
     design of a set off one walk over the set's bounding box."""
     reach, replicas = harm_obj.reachability, harm_obj.counts
-    value = {t: score for t, score in harm_obj.trees.scores.items() if replicas[t]}
+    value = {t: (harm.tree_impact(tree), harm.tree_probability(tree),
+                 len({v.id for v in tree.leaves()}))
+             for t, tree in harm_obj.trees.items() if tree is not None and replicas[t]}
     succ = {}
     for a, b in sorted(reach.edges):
         if a in value and b in value:

@@ -123,7 +123,7 @@ def test_sweep_empty_design_list(model):
 
 
 def test_evaluate_all_slices(model):
-    # a part not asked for is None; the one-design methods are slices
+    # a part not asked for is None; evaluate is the one-design slice
     evaluator = evaluate.Evaluator(model, patched=True)
     designs = [model.designs[label] for label in COMPARISON_LABELS]
     both = evaluator.evaluate_all(designs)
@@ -133,7 +133,6 @@ def test_evaluate_all_slices(model):
     for design, e, s, c in zip(designs, both, security, coa):
         assert (s.metrics, s.coa, c.metrics, c.coa) == (e.metrics, None, None, e.coa)
         assert evaluator.evaluate(design) == e
-        assert (evaluator.security(design), evaluator.coa(design)) == (e.metrics, e.coa)
     assert evaluator.evaluate_all([]) == []
 
 
@@ -156,7 +155,7 @@ def test_evaluator_aggregates_rates_once_and_only_for_coa(model, monkeypatch):
 
     monkeypatch.setattr(availability, "aggregate_all", counting)
     evaluator = evaluate.Evaluator(model, patched=True)
-    security = [evaluator.security(d) for d in model.designs.values()]
+    security = [e.metrics for e in evaluator.evaluate_all(model.designs.values(), coa=False)]
     assert calls == []
     evaluations = [evaluator.evaluate(d) for d in model.designs.values()]
     assert len(calls) == 1

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import (BASELINE, COMPARISON_LABELS, exploitable_instances,
                       instance_path_metrics, per_design_metrics)
 from patchdesign.evaluate import Evaluator
-from patchdesign.harm import (Harm, TierTrees, build_harm,
+from patchdesign.harm import (Harm, build_harm,
                               enumerate_attack_paths, network_metrics,
                               path_metrics, tree_impact, tree_probability)
 from patchdesign.model import (DesignSpec, Model, ModelError, PatchPolicy,
@@ -173,8 +173,8 @@ def test_network_metrics_after_patch(model):
 
 def test_metrics_of_unexploitable_network(model):
     # every tier's tree pruned to nothing
-    trees = TierTrees({tier: prune_attack_tree(tpl.attack_tree, lambda v: True)
-                       for tier, tpl in model.templates.items()})
+    trees = {tier: prune_attack_tree(tpl.attack_tree, lambda v: True)
+             for tier, tpl in model.templates.items()}
     h = Harm(dict(model.designs["base"].counts), trees, model.reachability)
     m = network_metrics(h)
     assert (m.aim, m.asp, m.noev, m.noap, m.noep) == (0.0, 0.0, 0, 0, 0)

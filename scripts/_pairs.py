@@ -29,17 +29,20 @@ def run_python(src: str, args: list, **kwargs) -> subprocess.CompletedProcess:
 
 
 def alternate(trees: list, pairs: int, measure) -> dict:
-    """{tree: [measure(tree) in each pair]}, the trees taken in
-    alternating order."""
-    times = {src: [] for src in trees}
+    """{"tree (A)", "tree (B)": [measure(tree) in each pair]}, the two
+    sides taken in alternating order.  The timings are keyed by side, so
+    an A/A run, one tree given twice, keeps its sides apart: their
+    spread is the noise floor."""
+    sides = [(f"{src} ({side})", src) for side, src in zip("AB", trees)]
+    times = {key: [] for key, _ in sides}
     for pair in range(pairs):
-        for src in (trees if pair % 2 == 0 else trees[::-1]):
-            times[src].append(measure(src))
+        for key, src in (sides if pair % 2 == 0 else sides[::-1]):
+            times[key].append(measure(src))
     return times
 
 
 def report(times: dict, unit: str, digits: int) -> None:
-    """Print the best and the median of each tree's measurements."""
-    for src, values in times.items():
-        print(f"{src}: best {min(values):.{digits}f} {unit}, "
+    """Print the best and the median of each side's measurements."""
+    for side, values in times.items():
+        print(f"{side}: best {min(values):.{digits}f} {unit}, "
               f"median {statistics.median(values):.{digits}f} {unit} over {len(values)} runs")

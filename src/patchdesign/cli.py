@@ -56,7 +56,7 @@ def _apply_rate_overrides(model, overrides):
     seen = set()
     for item in overrides or []:
         target, eq, raw = item.partition("=")
-        tier, dot, param = target.partition(".")
+        tier, dot, param = target.rpartition(".")  # a tier name may hold a dot
         if not (eq and dot):
             raise ModelError("rate-override", f"expected tier.param=value, got {item!r}")
         if target in seen:

@@ -384,14 +384,25 @@ def _parse_tree(node, catalog, path):
     raise ModelError(path, f"unknown attack tree key {key!r}")
 
 
+# Tier names and design labels are fields of every CSV the program
+# writes, unquoted: one of these characters in a name would split or
+# join that CSV's rows.
+_CSV_BREAKING = frozenset(',"\r\n')
+_CSV_BREAKING_MESSAGE = "a name may not contain a comma, a double quote or a line break"
+
+
 def _design(label, counts, tiers) -> DesignSpec:
     """The model file's design ``label``: an integer replica count >= 1
     for each tier, and no other key.  Every design of a grid passes here,
     so its error path is built only when a check fails.  The label
-    ``all`` is refused: ``--design all`` selects every design."""
+    ``all`` is refused: ``--design all`` selects every design; so is a
+    label that would break a CSV row."""
     if label == "all":
         raise ModelError("$.designs.all", "the label 'all' is reserved: --design all "
                                           "selects every design")
+    if not _CSV_BREAKING.isdisjoint(label):
+        # the label's line breaks escaped, so that the error is one line
+        raise ModelError(f"$.designs.{repr(label)[1:-1]}", _CSV_BREAKING_MESSAGE)
     _of_kind(counts, dict, "$.designs", label)
     for tier in tiers:
         n = counts.get(tier)
@@ -431,6 +442,9 @@ def load_model(source) -> Model:
     if len(set(tiers)) < len(tiers):
         i = next(i for i, tier in enumerate(tiers) if tier in tiers[:i])
         raise ModelError(f"$.tiers[{i}]", f"duplicate tier {tiers[i]!r}")
+    for i, tier in enumerate(tiers):
+        if not _CSV_BREAKING.isdisjoint(tier):
+            raise ModelError(f"$.tiers[{i}]", f"{_CSV_BREAKING_MESSAGE}: {tier!r}")
 
     catalog = {}
     for i, row in enumerate(_require(doc, "vulnerabilities", "$", list)):

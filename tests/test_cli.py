@@ -407,6 +407,38 @@ def test_design_labelled_all_is_one_error_line(tmp_path):
                        "--design all selects every design\n")
 
 
+def _renamed_tier(doc, old, new):
+    """``doc`` with tier ``old`` renamed to ``new`` everywhere."""
+    return json.loads(json.dumps(doc).replace(json.dumps(old), json.dumps(new)))
+
+
+@pytest.mark.parametrize("label,shown", [("a,b", "a,b"), ('a"b', 'a"b'),
+                                         ("a\nb", "a\\nb"), ("a\rb", "a\\rb")],
+                         ids=["comma", "quote", "lf", "cr"])
+def test_design_label_that_breaks_csv_is_one_error_line(tmp_path, label, shown):
+    # every CSV row starts with the label, unquoted: a design "a,b" read
+    # back from scatter.csv as design "a" with patched "b"
+    def mutate(doc):
+        doc["designs"][label] = doc["designs"]["base"]
+    path = _mutated_model(tmp_path, mutate)
+    code, out, err = run_cli("security", "--model", path, "--format", "csv")
+    assert (code, out) == (1, "")
+    assert err == (f"error: $.designs.{shown}: a name may not contain a comma, "
+                   "a double quote or a line break\n")
+
+
+@pytest.mark.parametrize("tier", ["web,edge", 'web"edge', "web\nedge", "web\redge"],
+                         ids=["comma", "quote", "lf", "cr"])
+def test_tier_name_that_breaks_csv_is_one_error_line(tmp_path, tier):
+    # availability --format csv starts each rate row with the tier name
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_renamed_tier(json.loads(Path(MODEL).read_text()), "web", tier)))
+    code, out, err = run_cli("availability", "--model", str(path), "--format", "csv")
+    assert (code, out) == (1, "")
+    assert err == ("error: $.tiers[1]: a name may not contain a comma, "
+                   f"a double quote or a line break: {tier!r}\n")
+
+
 @pytest.mark.parametrize("tree", [[], 0, "", {}, False],
                          ids=["list", "zero", "str", "dict", "false"])
 def test_falsy_attack_tree_is_one_error_line(tmp_path, tree):
@@ -487,6 +519,19 @@ def test_rate_override_names_the_field_it_breaks(override, field):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {field}: ")
     assert err.count("\n") == 1
+
+
+def test_rate_override_on_a_tier_whose_name_has_a_dot(tmp_path):
+    # the override splits at the last dot: no rate parameter has one
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_renamed_tier(json.loads(Path(MODEL).read_text()),
+                                             "app", "app.v2")))
+    code, out, err = run_cli("availability", "--model", str(path), "--design", "base",
+                             "--format", "csv", "--rate-override", "app.v2.hw_mttr=10")
+    assert (code, err) == (0, "")
+    stock = run_cli("availability", "--model", MODEL, "--design", "base", "--format", "csv",
+                    "--rate-override", "app.hw_mttr=10")[1]
+    assert out == stock.replace("app,", "app.v2,")
 
 
 def test_repeated_rate_override_rejected():

@@ -6,6 +6,10 @@ The oracle finds it by another method than the solve's state reduction:
 the reduced generator Q = R_TT + R_TV (I - P_VV)^-1 P_VT over the
 tangible markings, formed in ``Fraction``s, then Gauss-Jordan
 elimination on pi Q = 0 with sum(pi) = 1.
+
+The same arithmetic certifies the answer the paper asks for: each
+bundled design's ASP and COA, and whether it meets a bound set, against
+exact values from the exact mu_eq and the instance paths.
 """
 
 import math
@@ -15,8 +19,10 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_small_net, small_nets
-from patchdesign import availability, srn
-from patchdesign.model import PatchPolicy, ServerTemplate, _FAILURE_FIELDS, _SERVER_FIELD_KEYS
+from patchdesign import availability, harm, srn
+from patchdesign.evaluate import Evaluator, accepts
+from patchdesign.model import (Bounds, PatchPolicy, ServerTemplate, _FAILURE_FIELDS,
+                               _SERVER_FIELD_KEYS)
 
 
 def _gauss_jordan(a: list, b: list) -> list:
@@ -139,3 +145,53 @@ def test_small_net_pi_matches_exact(spec):
     assume(len(sol.states) > 1)
     exact = exact_pi(net, graph)
     assert max(abs(Fraction(p) - e) for p, e in zip(sol.pi, exact)) <= Fraction(1e-14)
+
+
+def exact_coa(design, mu_eq: dict, lambda_eq: Fraction) -> Fraction:
+    """``compute_coa``'s product form in Fractions:
+    (1/N) sum_i n_i a_i prod_{j != i} (1 - (1 - a_j)^n_j)."""
+    a = {tier: mu / (lambda_eq + mu) for tier, mu in mu_eq.items()}
+    any_up = {tier: 1 - (1 - a[tier]) ** n for tier, n in design.counts}
+    return sum(n * a[tier] * math.prod(any_up[t] for t, _ in design.counts if t != tier)
+               for tier, n in design.counts) / design.total
+
+
+def exact_tree_probability(node) -> Fraction:
+    """``harm.tree_probability`` in Fractions."""
+    if node.kind == "leaf":
+        return Fraction(node.vulnerability.attack_success_prob)
+    children = [exact_tree_probability(c) for c in node.children]
+    return math.prod(children) if node.kind == "and" else max(children)
+
+
+def exact_asp(harm_obj) -> Fraction:
+    """The noisy-OR of the enumerated instance paths, in Fractions."""
+    tier_prob = {t: exact_tree_probability(tree)
+                 for t, tree in harm_obj.trees.items() if tree is not None}
+    miss = math.prod(1 - math.prod(tier_prob[inst.tier] for inst in path)
+                     for path in harm.enumerate_attack_paths(harm_obj))
+    return 1 - Fraction(miss)
+
+
+# the paper's two regions, (phi, psi), as the command line tests use them
+REGIONS = ((0.2, 0.9962), (0.1, 0.9961))
+
+
+def test_bundled_verdicts_are_certified(model):
+    # every bundled design's float ASP and COA within 1e-13 relative of
+    # their exact values, and its verdict for each region the exact one
+    mu_eq = {tier: exact_mu_eq(template, model.policy)
+             for tier, template in model.templates.items()}
+    lambda_eq = 1 / Fraction(model.policy.interval_mean)
+    designs = list(model.designs.values())
+    for patched in (True, False):
+        for design, e in zip(designs, Evaluator(model, patched).evaluate_all(designs)):
+            asp = exact_asp(harm.build_harm(design, model.templates, model.reachability,
+                                            patched, model.policy))
+            coa = exact_coa(design, mu_eq, lambda_eq)
+            assert abs(Fraction(e.metrics.asp) - asp) <= Fraction(1e-13) * asp, design.label
+            assert abs(Fraction(e.coa) - coa) <= Fraction(1e-13) * coa, design.label
+            for phi, psi in REGIONS:
+                exact = asp <= Fraction(phi) and coa >= Fraction(psi)
+                assert accepts(e, Bounds(asp_upper=phi, coa_lower=psi)) == exact, \
+                    (design.label, patched, phi, psi)

@@ -384,8 +384,8 @@ def _bits(m):
                  (((0.4, 0.03, "CVE-C"),),), (((0.0, 0.5, "CVE-D"),),)),
                 frozenset({0}), 3), [(1, 1, 1, 1), (1, 2, 1, 1)]))
 def test_design_set_metrics_match_each_design_alone(sets):
-    # one table over the set's bounding box gives each design the exact
-    # counts and bit-identical ASP and AIM of a table over that design
+    # one walk over the set's bounding box gives each design the exact
+    # counts and bit-identical ASP and AIM of a walk over that design
     # alone, and of a walk that counts that design's instance paths
     case, designs = sets
     model = _tier_graph_model(case)

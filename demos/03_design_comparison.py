@@ -34,10 +34,8 @@ labels = [
 # prunes the attack trees once, then evaluates any number of designs.
 evaluator = Evaluator(model, patched=True)
 print(f"{'design':>20} {'ASP':>9} {'COA':>9} {'NoEV':>5} {'NoAP':>5} {'NoEP':>5}")
-evaluations = []
-for label in labels:
-    e = evaluator.evaluate(model.designs[label])
-    evaluations.append(e)
+evaluations = evaluator.evaluate_all(model.designs[label] for label in labels)
+for label, e in zip(labels, evaluations):
     m = e.metrics
     print(f"{label:>20} {m.asp:9.6f} {e.coa:9.6f} "
           f"{m.noev:5d} {m.noap:5d} {m.noep:5d}")

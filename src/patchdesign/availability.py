@@ -115,10 +115,6 @@ def build_server_srn(template: ServerTemplate, policy: PatchPolicy) -> srn.Net:
     return net
 
 
-# failure arcs that build_server_srn leaves out at an infinite MTTF
-_FAILURE_ARCS = frozenset({"T_hwd", "T_osfd", "T_svcfd"})
-
-
 def _patch_down(m) -> bool:
     """The service is down because of the patch cycle."""
     return m["P_svcrtp"] == 1 or m["P_svcp"] == 1 or m["P_svcrrb"] == 1
@@ -129,8 +125,8 @@ def _reboot_ready(m) -> bool:
     return m["P_svcrrb"] == 1 and m["P_hwup"] == 1 and m["P_osup"] == 1
 
 
-# failure arcs left out -> (explored graph, indices of the tangible
-# markings where _patch_down and _reboot_ready hold)
+# names of the transitions _server_transitions kept -> (explored graph,
+# indices of the tangible markings where _patch_down and _reboot_ready hold)
 _EXPLORED: dict = {}
 
 
@@ -171,7 +167,7 @@ def aggregate_rates(template: ServerTemplate, policy: PatchPolicy) -> Aggregated
     finite.
     """
     rows = _server_transitions(template, policy)
-    variant = _FAILURE_ARCS.difference(name for name, *_ in rows)
+    variant = tuple(name for name, *_ in rows)
     if variant not in _EXPLORED:
         graph = srn.reachability(build_server_srn(template, policy))
         _EXPLORED[variant] = (

@@ -55,7 +55,7 @@ def _apply_rate_overrides(model, overrides):
     templates = dict(model.templates)
     seen = set()
     for item in overrides or []:
-        target, eq, raw = item.partition("=")
+        target, eq, raw = item.rpartition("=")  # a tier name may hold '='; no number does
         tier, dot, param = target.rpartition(".")  # a tier name may hold a dot
         if not (eq and dot):
             raise ModelError("rate-override", f"expected tier.param=value, got {item!r}")
@@ -112,17 +112,14 @@ def _emit_rows(header, rows, fmt, out):
             print("  ".join(str(x).ljust(w) for x, w in zip(r, widths)), file=out)
 
 
-def _fmt6(x: float) -> str:
-    return f"{x:.6g}"
-
-
 def cmd_security(args, out) -> int:
     from . import evaluate
 
-    model = _apply_rate_overrides(load_model(args.model), args.rate_override)
+    model = load_model(args.model)
     evaluations = evaluate.Evaluator(model, args.patched).evaluate_all(
         _select_designs(model, args.design), coa=False)
-    rows = [[e.label, str(args.patched).lower(), _fmt6(e.metrics.aim), _fmt6(e.metrics.asp),
+    fmt = evaluate._fmt
+    rows = [[e.label, str(args.patched).lower(), fmt(e.metrics.aim), fmt(e.metrics.asp),
              e.metrics.noev, e.metrics.noap, e.metrics.noep] for e in evaluations]
     _emit_rows(["design", "patched", "aim", "asp", "noev", "noap", "noep"],
                rows, args.format, out)
@@ -135,8 +132,8 @@ def cmd_availability(args, out) -> int:
     model = _apply_rate_overrides(load_model(args.model), args.rate_override)
     designs = _select_designs(model, args.design)
     evaluator = evaluate.Evaluator(model)
-    rows = [[tier, _fmt6(agg.mttp), _fmt6(agg.lambda_eq),
-             _fmt6(agg.mttr), _fmt6(agg.mu_eq)]
+    fmt = evaluate._fmt
+    rows = [[tier, fmt(agg.mttp), fmt(agg.lambda_eq), fmt(agg.mttr), fmt(agg.mu_eq)]
             for tier, agg in evaluator.rates.items()]
     _emit_rows(["service", "mttp_hours", "patch_rate", "mttr_hours", "recovery_rate"],
                rows, args.format, out)
@@ -199,6 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_model_args(p):
         p.add_argument("--model", required=True, help="model file (JSON)")
         p.add_argument("--design", default="all", help="design label, or 'all'")
+
+    def add_override_args(p):  # the server rates: read by availability and compare
         p.add_argument("--rate-override", action="append", metavar="tier.param=value")
 
     def add_patch_args(p):
@@ -214,10 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("availability", help="print aggregated rates and COA")
     add_model_args(p)
+    add_override_args(p)
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
 
     p = sub.add_parser("compare", help="sweep designs and write comparison files")
     add_model_args(p)
+    add_override_args(p)
     add_patch_args(p)
     p.add_argument("--bounds", action="append",
                    metavar="phi=..,psi=..[,xi=..,omega=..,kappa=..]",

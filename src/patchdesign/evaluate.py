@@ -32,7 +32,7 @@ class Evaluator:
     The aggregated rates and the pruned tier trees do not depend on the
     design, so each is computed on first use and kept for every later
     design.  ``evaluate_all`` evaluates a set of designs in one pass;
-    ``evaluate`` is its one-design slice.  Security never reads the
+    ``evaluate_design`` is its one-design slice.  Security never reads the
     rates, so it solves no server net and does not even import the SRN
     engine: ``rates`` and the COA part import ``availability`` when they
     run.  The server nets solve in plain Python (``srn``), so no method
@@ -72,14 +72,10 @@ class Evaluator:
         return [DesignEvaluation(design.label, self.patched, m, c)
                 for design, m, c in zip(designs, metrics, coas)]
 
-    def evaluate(self, design: DesignSpec) -> DesignEvaluation:
-        """Security metrics plus capacity-oriented availability."""
-        return self.evaluate_all([design])[0]
-
 
 def evaluate_design(model: Model, design: DesignSpec, patched: bool) -> DesignEvaluation:
     """Security metrics plus capacity-oriented availability for a design."""
-    return Evaluator(model, patched).evaluate(design)
+    return Evaluator(model, patched).evaluate_all([design])[0]
 
 
 def accepts(evaluation: DesignEvaluation, bounds: Bounds) -> bool:

@@ -156,18 +156,17 @@ class _Parser:
         return expr
 
     def expr(self):
-        terms = [self.term()]
-        while self.peek() and self.peek()[0] == "or":
-            self.i += 1
-            terms.append(self.term())
-        return terms[0] if len(terms) == 1 else AnyOf(tuple(terms))
+        """terms joined by '||', each term factors joined by '&&'."""
+        return self._junction("or", lambda: self._junction("and", self.factor, AllOf), AnyOf)
 
-    def term(self):
-        factors = [self.factor()]
-        while self.peek() and self.peek()[0] == "and":
+    def _junction(self, connective, operand, junction):
+        """operand (connective operand)*: one operand alone, or a
+        ``junction`` of them all."""
+        operands = [operand()]
+        while self.peek() and self.peek()[0] == connective:
             self.i += 1
-            factors.append(self.factor())
-        return factors[0] if len(factors) == 1 else AllOf(tuple(factors))
+            operands.append(operand())
+        return operands[0] if len(operands) == 1 else junction(tuple(operands))
 
     def factor(self):
         tok = self.peek()

@@ -124,25 +124,23 @@ def enumerate_attack_paths(harm: Harm) -> list[tuple]:
     return paths
 
 
+def _fold(node: AttackTreeNode, field: str, combine_and) -> float:
+    """A tree's leaf ``field`` folded up: ``combine_and`` over AND, max over OR."""
+    if node.kind == "leaf":
+        return getattr(node.vulnerability, field)
+    child_values = [_fold(c, field, combine_and) for c in node.children]
+    return combine_and(child_values) if node.kind == "and" else max(child_values)
+
+
 def tree_impact(node: AttackTreeNode | None) -> float | None:
     """Attack impact of a tree: leaf value, sum over AND, max over OR.
     None for an empty (unexploitable) tree."""
-    if node is None:
-        return None
-    if node.kind == "leaf":
-        return node.vulnerability.attack_impact
-    child_values = [tree_impact(c) for c in node.children]
-    return sum(child_values) if node.kind == "and" else max(child_values)
+    return None if node is None else _fold(node, "attack_impact", sum)
 
 
 def tree_probability(node: AttackTreeNode | None) -> float | None:
     """Attack success probability: leaf value, product over AND, max over OR."""
-    if node is None:
-        return None
-    if node.kind == "leaf":
-        return node.vulnerability.attack_success_prob
-    child_values = [tree_probability(c) for c in node.children]
-    return math.prod(child_values) if node.kind == "and" else max(child_values)
+    return None if node is None else _fold(node, "attack_success_prob", math.prod)
 
 
 def path_metrics(harm: Harm, path: tuple) -> tuple[float, float]:

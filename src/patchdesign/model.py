@@ -37,6 +37,22 @@ class SrnError(Exception):
     importing the SRN engine; ``srn.SrnError`` is the same class."""
 
 
+def _closure(n: int, heads, tails, start) -> list:
+    """Which of n nodes a walk from ``start`` along the edges
+    heads[k] -> tails[k] reaches: tiers here, chain states in ``srn``."""
+    succ = [[] for _ in range(n)]
+    for i, j in zip(heads, tails):
+        succ[i].append(j)
+    reached = [False] * n
+    stack = list(start)
+    while stack:
+        i = stack.pop()
+        if not reached[i]:
+            reached[i] = True
+            stack.extend(succ[i])
+    return reached
+
+
 @dataclass(frozen=True)
 class Vulnerability:
     id: str
@@ -185,23 +201,12 @@ class ReachabilityTemplate:
         for a, b in self.edges:
             if a not in declared or b not in declared:
                 raise ModelError("reachability.edges", f"unknown tier in edge ({a}, {b})")
-        if not self._target_reachable():
+        index = {t: i for i, t in enumerate(self.tiers)}
+        heads, tails = [index[a] for a, _ in self.edges], [index[b] for _, b in self.edges]
+        if not _closure(len(self.tiers), heads, tails,
+                        [index[t] for t in self.entry_tiers])[index[self.target_tier]]:
             raise ModelError("reachability",
                              "no tier-path from any entry tier to the target tier")
-
-    def _target_reachable(self) -> bool:
-        succ = {}
-        for a, b in self.edges:
-            succ.setdefault(a, set()).add(b)
-        frontier = set(self.entry_tiers)
-        seen = set(frontier)
-        while frontier:
-            nxt = set()
-            for t in frontier:
-                nxt |= succ.get(t, set()) - seen
-            seen |= nxt
-            frontier = nxt
-        return self.target_tier in seen
 
 
 @dataclass(frozen=True)
@@ -384,6 +389,10 @@ def _parse_tree(node, catalog, path):
     raise ModelError(path, f"unknown attack tree key {key!r}")
 
 
+# the keys of a vulnerability row and of a server entry in the model file
+_VULNERABILITY_KEYS = ("id", "impact", "probability", "critical", "component")
+_SERVER_KEYS = (*_SERVER_FIELD_KEYS.values(), "attack_tree")
+
 # Tier names and design labels are fields of every CSV the program
 # writes, unquoted: one of these characters in a name would split or
 # join that CSV's rows.
@@ -455,6 +464,8 @@ def load_model(source) -> Model:
         prob = _require(row, "probability", path, float)
         critical = _require(row, "critical", path, bool)
         component = _require(row, "component", path, str)
+        if len(row) > len(_VULNERABILITY_KEYS):  # every key is required
+            _reject_unknown(row, _VULNERABILITY_KEYS, path)
         try:
             v = Vulnerability(vid, impact, prob, critical, component)
         except ModelError as e:
@@ -474,6 +485,8 @@ def load_model(source) -> Model:
         fields = {name: _require(raw, key, path, float)
                   for name, key in _SERVER_FIELD_KEYS.items()}
         tree = raw.get("attack_tree")  # absent or null: no attack tree
+        if len(raw) > len(fields) + ("attack_tree" in raw):
+            _reject_unknown(raw, _SERVER_KEYS, path)
         parsed = None if tree is None else _parse_tree(tree, catalog, f"{path}.attack_tree")
         try:
             templates[tier] = ServerTemplate(tier=tier, attack_tree=parsed, **fields)
@@ -486,11 +499,15 @@ def load_model(source) -> Model:
     for i, edge in enumerate(edges):
         if type(edge) is not list or [type(tier) for tier in edge] != [str, str]:
             raise ModelError(f"$.reachability.edges[{i}]", "expected [from tier, to tier]")
+    entry_tiers = _strings(raw_reach, "entry_tiers", "$.reachability")
+    target_tier = _require(raw_reach, "target_tier", "$.reachability", str)
+    if len(raw_reach) > 3:  # every key is required
+        _reject_unknown(raw_reach, ("edges", "entry_tiers", "target_tier"), "$.reachability")
     reach = ReachabilityTemplate(
         tiers=tuple(tiers),
         edges=frozenset(map(tuple, edges)),
-        entry_tiers=frozenset(_strings(raw_reach, "entry_tiers", "$.reachability")),
-        target_tier=_require(raw_reach, "target_tier", "$.reachability", str),
+        entry_tiers=frozenset(entry_tiers),
+        target_tier=target_tier,
     )
 
     designs = {label: _design(label, counts, tiers)

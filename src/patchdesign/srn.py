@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 from .guards import TRUE, check_places
-from .model import SrnError
+from .model import SrnError, _closure
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -107,11 +107,6 @@ class RateExpr:
         if self.place is None:
             return self.constant
         return self.constant * marking[self.place]
-
-    def __str__(self):
-        if self.place is None:
-            return f"{self.constant:g}"
-        return f"{self.constant:g}*#{self.place}"
 
 
 @dataclass(frozen=True)
@@ -177,32 +172,30 @@ class Net:
         self._places[name] = tokens
         self._index[name] = len(self._index)
 
-    def _check_transition(self, t: Transition) -> None:
+    def add_timed(self, name, rate, inputs, outputs, guard=TRUE):
+        if not isinstance(rate, RateExpr):
+            rate = RateExpr(float(rate))
+        self._add(name, "rate constant", rate.constant, inputs, outputs, guard, rate=rate)
+
+    def add_immediate(self, name, inputs, outputs, guard=TRUE, weight=1.0, priority=0):
+        weight = float(weight)
+        self._add(name, "weight", weight, inputs, outputs, guard,
+                  weight=weight, priority=priority)
+
+    def _add(self, name, what, constant, inputs, outputs, guard, priority=0, **kind):
+        """Append a transition whose rate constant or weight ``constant``
+        is positive and finite and whose places are all declared."""
+        if not 0 < constant < math.inf:
+            raise ValueError(f"transition {name!r}: {what} must be positive "
+                             f"and finite, got {constant!r}")
+        t = Transition(name, _arcs(name, inputs), _arcs(name, outputs), guard,
+                       priority=int(priority), **kind)
         for p, _ in t.inputs + t.outputs:
             if p not in self._places:
                 raise ValueError(f"transition {t.name!r} references unknown place {p!r}")
         check_places(t.guard, self._places)
         if t.rate is not None and t.rate.place is not None and t.rate.place not in self._places:
             raise ValueError(f"transition {t.name!r}: rate references unknown place")
-
-    def add_timed(self, name, rate, inputs, outputs, guard=TRUE):
-        if not isinstance(rate, RateExpr):
-            rate = RateExpr(float(rate))
-        if not 0 < rate.constant < math.inf:
-            raise ValueError(f"transition {name!r}: rate constant must be positive "
-                             f"and finite, got {rate.constant!r}")
-        t = Transition(name, _arcs(name, inputs), _arcs(name, outputs), guard, rate=rate)
-        self._check_transition(t)
-        self.transitions.append(t)
-
-    def add_immediate(self, name, inputs, outputs, guard=TRUE, weight=1.0, priority=0):
-        weight = float(weight)
-        if not 0 < weight < math.inf:
-            raise ValueError(f"transition {name!r}: weight must be positive "
-                             f"and finite, got {weight!r}")
-        t = Transition(name, _arcs(name, inputs), _arcs(name, outputs), guard,
-                       weight=weight, priority=int(priority))
-        self._check_transition(t)
         self.transitions.append(t)
 
     def initial_marking(self) -> Marking:
@@ -389,22 +382,6 @@ def _components(rows, cols, n: int, nt: int) -> list:
         directed=True, connection="strong")
     groups = (np.nonzero(labels[:nt] == c)[0].tolist() for c in range(ncomp))
     return [group for group in groups if group]
-
-
-def _closure(n: int, heads, tails, start) -> list:
-    """Which of n nodes a walk from ``start`` along the edges
-    heads[k] -> tails[k] reaches."""
-    succ = [[] for _ in range(n)]
-    for i, j in zip(heads, tails):
-        succ[i].append(j)
-    reached = [False] * n
-    stack = list(start)
-    while stack:
-        i = stack.pop()
-        if not reached[i]:
-            reached[i] = True
-            stack.extend(succ[i])
-    return reached
 
 
 def _plan(pairs: list, n: int) -> Plan | None:

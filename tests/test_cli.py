@@ -407,6 +407,18 @@ def test_design_labelled_all_is_one_error_line(tmp_path):
                        "--design all selects every design\n")
 
 
+def test_misspelt_attack_tree_is_one_error_line(tmp_path):
+    # "attack_trees" used to load as no tree: security printed ASP 0 and NoAP 0
+    def mutate(doc):
+        doc["servers"]["db"]["attack_trees"] = doc["servers"]["db"].pop("attack_tree")
+
+    code, out, err = run_cli("security", "--model", _mutated_model(tmp_path, mutate),
+                             "--design", "base")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: $.servers.db.attack_trees: unknown key 'attack_trees' ")
+    assert err.count("\n") == 1
+
+
 def _renamed_tier(doc, old, new):
     """``doc`` with tier ``old`` renamed to ``new`` everywhere."""
     return json.loads(json.dumps(doc).replace(json.dumps(old), json.dumps(new)))
@@ -532,6 +544,26 @@ def test_rate_override_on_a_tier_whose_name_has_a_dot(tmp_path):
     stock = run_cli("availability", "--model", MODEL, "--design", "base", "--format", "csv",
                     "--rate-override", "app.hw_mttr=10")[1]
     assert out == stock.replace("app,", "app.v2,")
+
+
+def test_rate_override_on_a_tier_whose_name_has_an_equals_sign(tmp_path):
+    # the override splits at the last '=': no number has one
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_renamed_tier(json.loads(Path(MODEL).read_text()),
+                                             "app", "app=v2")))
+    code, out, err = run_cli("availability", "--model", str(path), "--design", "base",
+                             "--format", "csv", "--rate-override", "app=v2.hw_mttr=10")
+    assert (code, err) == (0, "")
+    stock = run_cli("availability", "--model", MODEL, "--design", "base", "--format", "csv",
+                    "--rate-override", "app.hw_mttr=10")[1]
+    assert out == stock.replace("app,", "app=v2,")
+
+
+def test_security_takes_no_rate_override():
+    # security reads no rate; an override used to be parsed and then ignored
+    code, out, err = run_cli("security", "--model", MODEL, "--rate-override", "dns.hw_mttf=1")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --rate-override dns.hw_mttf=1" in err
 
 
 def test_repeated_rate_override_rejected():

@@ -123,7 +123,7 @@ def test_sweep_empty_design_list(model):
 
 
 def test_evaluate_all_slices(model):
-    # a part not asked for is None; evaluate is the one-design slice
+    # a part not asked for is None; each design evaluated alone matches its row
     evaluator = evaluate.Evaluator(model, patched=True)
     designs = [model.designs[label] for label in COMPARISON_LABELS]
     both = evaluator.evaluate_all(designs)
@@ -132,7 +132,7 @@ def test_evaluate_all_slices(model):
     coa = evaluator.evaluate_all(designs, security=False)
     for design, e, s, c in zip(designs, both, security, coa):
         assert (s.metrics, s.coa, c.metrics, c.coa) == (e.metrics, None, None, e.coa)
-        assert evaluator.evaluate(design) == e
+        assert evaluator.evaluate_all([design])[0] == e
     assert evaluator.evaluate_all([]) == []
 
 
@@ -157,7 +157,7 @@ def test_evaluator_aggregates_rates_once_and_only_for_coa(model, monkeypatch):
     evaluator = evaluate.Evaluator(model, patched=True)
     security = [e.metrics for e in evaluator.evaluate_all(model.designs.values(), coa=False)]
     assert calls == []
-    evaluations = [evaluator.evaluate(d) for d in model.designs.values()]
+    evaluations = [evaluator.evaluate_all([d])[0] for d in model.designs.values()]
     assert len(calls) == 1
     assert [e.metrics for e in evaluations] == security
     assert all(e.patched for e in evaluations)

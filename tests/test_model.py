@@ -95,11 +95,19 @@ def test_missing_tier_path_to_target_rejected():
     ("bound", {"phi": 0.2}, "$.bound"),
     ("patch_policy", {"interval_hour": 100}, "$.patch_policy.interval_hour"),
     ("patch_policy", [720], "$.patch_policy"),
+    # a dotted key names a key of a nested object
+    ("servers.db.attack_trees", {"vuln": "CVE-2016-3227"}, "$.servers.db.attack_trees"),
+    ("vulnerabilities.0.cvss", 9.8, "$.vulnerabilities[0].cvss"),
+    ("reachability.note", "dmz first", "$.reachability.note"),
 ])
 def test_unknown_key_rejected(key, value, path):
     # a misspelt key must not load silently as its default
     doc = json.loads(example_network_path().read_text())
-    doc[key] = value
+    *parents, last = key.split(".")
+    entry = doc
+    for part in parents:
+        entry = entry[int(part) if isinstance(entry, list) else part]
+    entry[last] = value
     with pytest.raises(ModelError) as info:
         load_model(doc)
     assert info.value.path == path

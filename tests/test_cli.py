@@ -533,30 +533,29 @@ def test_rate_override_names_the_field_it_breaks(override, field):
     assert err.count("\n") == 1
 
 
-def test_rate_override_on_a_tier_whose_name_has_a_dot(tmp_path):
-    # the override splits at the last dot: no rate parameter has one
+def _override_on_renamed_app(tmp_path, name):
+    """``--rate-override <name>.hw_mttr=10`` on the bundled model with tier
+    app renamed to ``name`` prints what app.hw_mttr=10 prints on the stock
+    model, with the name changed."""
     path = tmp_path / "model.json"
     path.write_text(json.dumps(_renamed_tier(json.loads(Path(MODEL).read_text()),
-                                             "app", "app.v2")))
+                                             "app", name)))
     code, out, err = run_cli("availability", "--model", str(path), "--design", "base",
-                             "--format", "csv", "--rate-override", "app.v2.hw_mttr=10")
+                             "--format", "csv", "--rate-override", f"{name}.hw_mttr=10")
     assert (code, err) == (0, "")
     stock = run_cli("availability", "--model", MODEL, "--design", "base", "--format", "csv",
                     "--rate-override", "app.hw_mttr=10")[1]
-    assert out == stock.replace("app,", "app.v2,")
+    assert out == stock.replace("app,", f"{name},")
+
+
+def test_rate_override_on_a_tier_whose_name_has_a_dot(tmp_path):
+    # the override splits at the last dot: no rate parameter has one
+    _override_on_renamed_app(tmp_path, "app.v2")
 
 
 def test_rate_override_on_a_tier_whose_name_has_an_equals_sign(tmp_path):
     # the override splits at the last '=': no number has one
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(_renamed_tier(json.loads(Path(MODEL).read_text()),
-                                             "app", "app=v2")))
-    code, out, err = run_cli("availability", "--model", str(path), "--design", "base",
-                             "--format", "csv", "--rate-override", "app=v2.hw_mttr=10")
-    assert (code, err) == (0, "")
-    stock = run_cli("availability", "--model", MODEL, "--design", "base", "--format", "csv",
-                    "--rate-override", "app.hw_mttr=10")[1]
-    assert out == stock.replace("app,", "app=v2,")
+    _override_on_renamed_app(tmp_path, "app=v2")
 
 
 def test_security_takes_no_rate_override():

@@ -35,9 +35,9 @@ labels = [
 evaluator = Evaluator(model, patched=True)
 print(f"{'design':>20} {'ASP':>9} {'COA':>9} {'NoEV':>5} {'NoAP':>5} {'NoEP':>5}")
 evaluations = evaluator.evaluate_all(model.designs[label] for label in labels)
-for label, e in zip(labels, evaluations):
+for e in evaluations:
     m = e.metrics
-    print(f"{label:>20} {m.asp:9.6f} {e.coa:9.6f} "
+    print(f"{e.label:>20} {m.asp:9.6f} {e.coa:9.6f} "
           f"{m.noev:5d} {m.noap:5d} {m.noep:5d}")
 
 # Duplicating the app tier gives the largest COA gain because the app

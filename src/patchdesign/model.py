@@ -327,15 +327,6 @@ def prune_attack_tree(node: AttackTreeNode | None, selector) -> AttackTreeNode |
 _JSON_TYPES = {dict: (dict,), list: (list,), str: (str,), bool: (bool,), float: (int, float)}
 
 
-def _require(mapping, key, path, kind):
-    if key not in mapping:
-        raise ModelError(f"{path}.{key}", "missing required field")
-    value = mapping[key]
-    if type(value) is kind:  # most fields: returned without a further call
-        return value
-    return _of_kind(value, kind, path, key)
-
-
 def _of_kind(value, kind, path, key=None):
     """``value`` if it has the JSON type ``kind``: ``dict``, ``list``,
     ``str``, ``bool``, or ``float`` for a number, returned as a float.
@@ -356,20 +347,48 @@ def _of_kind(value, kind, path, key=None):
                      else "expected number")
 
 
-def _strings(mapping, key, path):
-    """``mapping[key]``, which must be a list of strings."""
-    value = _require(mapping, key, path, list)
-    for i, item in enumerate(value):
+def _strings(items, path):
+    """``items``, a list, if every item is a string."""
+    for i, item in enumerate(items):
         if type(item) is not str:
-            raise ModelError(f"{path}.{key}[{i}]", "expected str")
-    return value
+            raise ModelError(f"{path}[{i}]", "expected str")
+    return items
 
 
-def _reject_unknown(mapping, known, path):
-    for key in mapping:
-        if key not in known:
+def _fields(raw, schema, path, optional=()):
+    """The values of the object ``raw`` for the keys of ``schema``, in
+    its order: the one reader of every object of a model file.
+    ``schema`` maps a key to its JSON type (see ``_of_kind``), or to None
+    for a value read as it is.  A key of ``raw`` that ``schema`` does not
+    name is refused first; then each value is read, and a key not in
+    ``optional`` must be present (an absent optional key reads None)."""
+    if not isinstance(raw, dict):
+        raise ModelError(path, "expected dict")
+    for key in raw:
+        if key not in schema:
             raise ModelError(f"{path}.{key}",
-                             f"unknown key {key!r} (expected one of {sorted(known)})")
+                             f"unknown key {key!r} (expected one of {sorted(schema)})")
+    values = []
+    for key, kind in schema.items():
+        if key in raw:
+            value = raw[key]
+            if kind is not None and type(value) is not kind:  # most values skip the call
+                value = _of_kind(value, kind, path, key)
+        elif key in optional:
+            value = None
+        else:
+            raise ModelError(f"{path}.{key}", "missing required field")
+        values.append(value)
+    return values
+
+
+def _build(cls, path, *args, keys=None):
+    """``cls(*args)``, whose range error is renamed to the model-file
+    key under ``path`` (see ``ModelError.at``)."""
+    try:
+        return cls(*args)
+    except ModelError as e:
+        raise e.at(path, keys) from None
 
 
 def _parse_tree(node, catalog, path):
@@ -389,9 +408,14 @@ def _parse_tree(node, catalog, path):
     raise ModelError(path, f"unknown attack tree key {key!r}")
 
 
-# the keys of a vulnerability row and of a server entry in the model file
-_VULNERABILITY_KEYS = ("id", "impact", "probability", "critical", "component")
-_SERVER_KEYS = (*_SERVER_FIELD_KEYS.values(), "attack_tree")
+# The keys of each object of a model file, in the order they are read,
+# with their JSON types; an attack tree is read by _parse_tree.
+_DOCUMENT = {"tiers": list, "vulnerabilities": list, "servers": dict, "reachability": dict,
+             "designs": dict, "patch_policy": dict, "bounds": dict}
+_VULNERABILITY = {"id": str, "impact": float, "probability": float, "critical": bool,
+                  "component": str}
+_SERVER = {**dict.fromkeys(_SERVER_FIELD_KEYS.values(), float), "attack_tree": None}
+_REACHABILITY = {"edges": list, "entry_tiers": list, "target_tier": str}
 
 # Tier names and design labels are fields of every CSV the program
 # writes, unquoted: one of these characters in a name would split or
@@ -419,7 +443,7 @@ def _design(label, counts, tiers) -> DesignSpec:
             raise ModelError(f"$.designs.{label}.{tier}",
                              "replica count must be an integer >= 1")
     if len(counts) != len(tiers):
-        _reject_unknown(counts, tiers, f"$.designs.{label}")
+        _fields(counts, dict.fromkeys(tiers), f"$.designs.{label}")
     return DesignSpec(label, tuple((tier, counts[tier]) for tier in tiers))
 
 
@@ -428,10 +452,11 @@ def load_model(source) -> Model:
 
     ``source`` is the path of a JSON file, as a ``str`` or a ``Path``
     (whatever its name looks like), or an already-parsed dict whose
-    values have the types that json.loads gives.  A value's type is
-    checked as it is read and its range when its object is built, so of
-    several faults in one server template or vulnerability, a type error
-    (or an attack-tree error) is the one reported.
+    values have the types that json.loads gives.  Each object is read by
+    ``_fields``: its keys first, then each value's type; a value's range
+    is checked when its object is built.  So of several faults in one
+    object, an unknown key is reported first, then a missing key or a
+    type error (or an attack-tree error), then a range error.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -442,10 +467,10 @@ def load_model(source) -> Model:
         doc = source
     if not isinstance(doc, dict):
         raise ModelError("$", "top level must be an object")
-    _reject_unknown(doc, ("tiers", "vulnerabilities", "servers", "reachability",
-                          "designs", "patch_policy", "bounds"), "$")
+    tiers, vulnerabilities, servers, reachability, designs, policy, bounds = _fields(
+        doc, _DOCUMENT, "$", optional=("patch_policy", "bounds"))
 
-    tiers = _strings(doc, "tiers", "$")
+    _strings(tiers, "$.tiers")
     if not tiers:
         raise ModelError("$.tiers", "no tiers")
     if len(set(tiers)) < len(tiers):
@@ -456,76 +481,38 @@ def load_model(source) -> Model:
             raise ModelError(f"$.tiers[{i}]", f"{_CSV_BREAKING_MESSAGE}: {tier!r}")
 
     catalog = {}
-    for i, row in enumerate(_require(doc, "vulnerabilities", "$", list)):
+    for i, row in enumerate(vulnerabilities):
         path = f"$.vulnerabilities[{i}]"
-        _of_kind(row, dict, path)
-        vid = _require(row, "id", path, str)
-        impact = _require(row, "impact", path, float)
-        prob = _require(row, "probability", path, float)
-        critical = _require(row, "critical", path, bool)
-        component = _require(row, "component", path, str)
-        if len(row) > len(_VULNERABILITY_KEYS):  # every key is required
-            _reject_unknown(row, _VULNERABILITY_KEYS, path)
-        try:
-            v = Vulnerability(vid, impact, prob, critical, component)
-        except ModelError as e:
-            raise e.at(path) from None
+        v = _build(Vulnerability, path, *_fields(row, _VULNERABILITY, path))
         if v.id in catalog and catalog[v.id] != v:
             raise ModelError(f"{path}.id",
                              f"vulnerability {v.id!r} redefined with different values")
         catalog[v.id] = v
 
-    servers = _require(doc, "servers", "$", dict)
-    templates = {}
-    for tier in tiers:
+    for tier in tiers:  # before an unknown key: a tier renamed in $.tiers names its template
         if tier not in servers:
             raise ModelError(f"$.servers.{tier}", "missing server template")
+    templates = {}
+    for tier, raw in zip(tiers, _fields(servers, dict.fromkeys(tiers, dict), "$.servers")):
         path = f"$.servers.{tier}"
-        raw = _of_kind(servers[tier], dict, path)
-        fields = {name: _require(raw, key, path, float)
-                  for name, key in _SERVER_FIELD_KEYS.items()}
-        tree = raw.get("attack_tree")  # absent or null: no attack tree
-        if len(raw) > len(fields) + ("attack_tree" in raw):
-            _reject_unknown(raw, _SERVER_KEYS, path)
-        parsed = None if tree is None else _parse_tree(tree, catalog, f"{path}.attack_tree")
-        try:
-            templates[tier] = ServerTemplate(tier=tier, attack_tree=parsed, **fields)
-        except ModelError as e:
-            raise e.at(path, _SERVER_FIELD_KEYS) from None
-    _reject_unknown(servers, tiers, "$.servers")
+        *durations, tree = _fields(raw, _SERVER, path, optional=("attack_tree",))
+        tree = None if tree is None else _parse_tree(tree, catalog, f"{path}.attack_tree")
+        templates[tier] = _build(ServerTemplate, path, tier, tree, *durations,
+                                 keys=_SERVER_FIELD_KEYS)
 
-    raw_reach = _require(doc, "reachability", "$", dict)
-    edges = _require(raw_reach, "edges", "$.reachability", list)
+    edges, entry_tiers, target_tier = _fields(reachability, _REACHABILITY, "$.reachability")
     for i, edge in enumerate(edges):
         if type(edge) is not list or [type(tier) for tier in edge] != [str, str]:
             raise ModelError(f"$.reachability.edges[{i}]", "expected [from tier, to tier]")
-    entry_tiers = _strings(raw_reach, "entry_tiers", "$.reachability")
-    target_tier = _require(raw_reach, "target_tier", "$.reachability", str)
-    if len(raw_reach) > 3:  # every key is required
-        _reject_unknown(raw_reach, ("edges", "entry_tiers", "target_tier"), "$.reachability")
-    reach = ReachabilityTemplate(
-        tiers=tuple(tiers),
-        edges=frozenset(map(tuple, edges)),
-        entry_tiers=frozenset(entry_tiers),
-        target_tier=target_tier,
-    )
+    reach = ReachabilityTemplate(tuple(tiers), frozenset(map(tuple, edges)), frozenset(
+        _strings(entry_tiers, "$.reachability.entry_tiers")), target_tier)
 
-    designs = {label: _design(label, counts, tiers)
-               for label, counts in _require(doc, "designs", "$", dict).items()}
+    designs = {label: _design(label, counts, tiers) for label, counts in designs.items()}
 
-    raw_policy = _require(doc, "patch_policy", "$", dict) if "patch_policy" in doc else {}
-    _reject_unknown(raw_policy, ("interval_hours",), "$.patch_policy")
-    interval = 720.0
-    if "interval_hours" in raw_policy:
-        interval = _require(raw_policy, "interval_hours", "$.patch_policy", float)
-    try:
-        policy = PatchPolicy(interval_mean=interval)
-    except ModelError as e:
-        raise e.at("$.patch_policy") from None
-
-    bounds = None
-    if "bounds" in doc:
-        bounds = make_bounds(_require(doc, "bounds", "$", dict), "$.bounds")
+    interval, = _fields(policy or {}, {"interval_hours": float}, "$.patch_policy",
+                        optional=("interval_hours",))
+    policy = PatchPolicy() if interval is None else _build(PatchPolicy, "$.patch_policy", interval)
+    bounds = None if bounds is None else make_bounds(bounds, "$.bounds")
 
     return Model(templates=templates, reachability=reach, designs=designs,
                  policy=policy, bounds=bounds)

@@ -98,9 +98,16 @@ def _write_atomic(path: Path, content: str) -> None:
 
 
 def _emit_rows(header, rows, fmt, out):
+    """``rows`` of raw values under ``header``: as a JSON list of objects,
+    or, each value but a string written by ``evaluate._fmt``, as CSV or
+    a table padded to its column widths."""
     if fmt == "json":
         print(json.dumps([dict(zip(header, r)) for r in rows], indent=2), file=out)
-    elif fmt == "csv":
+        return
+    from .evaluate import _fmt
+
+    rows = [[x if isinstance(x, str) else _fmt(x) for x in r] for r in rows]
+    if fmt == "csv":
         print(",".join(header), file=out)
         for r in rows:
             print(",".join(str(x) for x in r), file=out)
@@ -118,9 +125,7 @@ def cmd_security(args, out) -> int:
     model = load_model(args.model)
     evaluations = evaluate.Evaluator(model, args.patched).evaluate_all(
         _select_designs(model, args.design), coa=False)
-    fmt = evaluate._fmt
-    rows = [[e.label, str(args.patched).lower(), fmt(e.metrics.aim), fmt(e.metrics.asp),
-             e.metrics.noev, e.metrics.noap, e.metrics.noep] for e in evaluations]
+    rows = [[e.label, e.patched, *e.metrics] for e in evaluations]
     _emit_rows(["design", "patched", "aim", "asp", "noev", "noap", "noep"],
                rows, args.format, out)
     return EXIT_OK
@@ -132,13 +137,17 @@ def cmd_availability(args, out) -> int:
     model = _apply_rate_overrides(load_model(args.model), args.rate_override)
     designs = _select_designs(model, args.design)
     evaluator = evaluate.Evaluator(model)
-    fmt = evaluate._fmt
-    rows = [[tier, fmt(agg.mttp), fmt(agg.lambda_eq), fmt(agg.mttr), fmt(agg.mu_eq)]
+    header = ["service", "mttp_hours", "patch_rate", "mttr_hours", "recovery_rate"]
+    rows = [[tier, agg.mttp, agg.lambda_eq, agg.mttr, agg.mu_eq]
             for tier, agg in evaluator.rates.items()]
-    _emit_rows(["service", "mttp_hours", "patch_rate", "mttr_hours", "recovery_rate"],
-               rows, args.format, out)
-    for e in evaluator.evaluate_all(designs, security=False):
-        print(f"COA[{e.label}] = {e.coa:.6g}", file=out)
+    coas = {e.label: e.coa for e in evaluator.evaluate_all(designs, security=False)}
+    if args.format == "json":  # one document: the rate rows and each design's COA
+        print(json.dumps({"rates": [dict(zip(header, r)) for r in rows], "coa": coas},
+                         indent=2), file=out)
+        return EXIT_OK
+    _emit_rows(header, rows, args.format, out)
+    for label, coa in coas.items():
+        print(f"COA[{label}] = {coa:.6g}", file=out)
     return EXIT_OK
 
 

@@ -2,7 +2,11 @@
 parameters, patch policy, redundancy designs.
 
 Everything is immutable after load; a validated model can be shared
-read-only across concurrent evaluators.
+read-only across concurrent evaluators.  ``load_model`` reads every
+object of a model file through one reader, ``_fields``, against that
+object's schema (``_DOCUMENT``, ``_VULNERABILITY``, ``_SERVER``,
+``_REACHABILITY``), and builds each through ``_build``, which names a
+range error by its model-file key.
 """
 
 from __future__ import annotations
@@ -24,9 +28,12 @@ class ModelError(ValueError):
 
     def at(self, prefix: str, keys: dict | None = None) -> ModelError:
         """A constructor's range error under ``prefix``: its ``field``,
-        renamed by ``keys`` if given, joined to ``prefix``.  The
-        constructor names a field in the library's terms; the loader
-        renames the error to the key it read in the model file."""
+        renamed by ``keys`` if given, joined to ``prefix``, or ``prefix``
+        alone for an error of the whole object.  The constructor names a
+        field in the library's terms; the loader renames the error to
+        the key it read in the model file."""
+        if self.field is None:
+            return ModelError(prefix, self.message)
         return ModelError(f"{prefix}.{keys[self.field] if keys else self.field}",
                           self.message)
 
@@ -194,13 +201,15 @@ class ReachabilityTemplate:
         declared = set(self.tiers)
         if self.target_tier not in declared:
             raise ModelError("reachability.target_tier",
-                             f"unknown tier {self.target_tier!r}")
+                             f"unknown tier {self.target_tier!r}", "target_tier")
         for t in self.entry_tiers:
             if t not in declared:
-                raise ModelError("reachability.entry_tiers", f"unknown tier {t!r}")
+                raise ModelError("reachability.entry_tiers", f"unknown tier {t!r}",
+                                 "entry_tiers")
         for a, b in self.edges:
             if a not in declared or b not in declared:
-                raise ModelError("reachability.edges", f"unknown tier in edge ({a}, {b})")
+                raise ModelError("reachability.edges", f"unknown tier in edge ({a}, {b})",
+                                 "edges")
         index = {t: i for i, t in enumerate(self.tiers)}
         heads, tails = [index[a] for a, _ in self.edges], [index[b] for _, b in self.edges]
         if not _closure(len(self.tiers), heads, tails,
@@ -409,7 +418,8 @@ def _parse_tree(node, catalog, path):
 
 
 # The keys of each object of a model file, in the order they are read,
-# with their JSON types; an attack tree is read by _parse_tree.
+# with their JSON types.  An attack tree is read by _parse_tree; absent
+# or null, the server has none.
 _DOCUMENT = {"tiers": list, "vulnerabilities": list, "servers": dict, "reachability": dict,
              "designs": dict, "patch_policy": dict, "bounds": dict}
 _VULNERABILITY = {"id": str, "impact": float, "probability": float, "critical": bool,
@@ -504,8 +514,9 @@ def load_model(source) -> Model:
     for i, edge in enumerate(edges):
         if type(edge) is not list or [type(tier) for tier in edge] != [str, str]:
             raise ModelError(f"$.reachability.edges[{i}]", "expected [from tier, to tier]")
-    reach = ReachabilityTemplate(tuple(tiers), frozenset(map(tuple, edges)), frozenset(
-        _strings(entry_tiers, "$.reachability.entry_tiers")), target_tier)
+    reach = _build(ReachabilityTemplate, "$.reachability", tuple(tiers),
+                   frozenset(map(tuple, edges)),
+                   frozenset(_strings(entry_tiers, "$.reachability.entry_tiers")), target_tier)
 
     designs = {label: _design(label, counts, tiers) for label, counts in designs.items()}
 

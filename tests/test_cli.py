@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import patchdesign
-from patchdesign import cli
+from patchdesign import cli, evaluate
 from patchdesign.model import example_network_path, load_model
 
 MODEL = str(example_network_path())
@@ -114,6 +114,32 @@ def test_security_json_format():
     assert code == 0
     data = json.loads(out)
     assert data[0]["noap"] == 4
+
+
+def test_security_json_is_one_document_of_raw_values():
+    # patched, aim and asp used to be written as strings ("true", "42.2")
+    code, out, err = run_cli("security", "--model", MODEL, "--format", "json")
+    assert (code, err) == (0, "")
+    model = load_model(MODEL)
+    evaluations = evaluate.Evaluator(model).evaluate_all(
+        sorted(model.designs.values(), key=lambda d: d.label), coa=False)
+    assert json.loads(out) == [
+        {"design": e.label, "patched": True, **e.metrics._asdict()} for e in evaluations]
+
+
+def test_availability_json_is_one_document_of_raw_values():
+    # the COA lines used to follow the JSON array, so json.loads failed
+    code, out, err = run_cli("availability", "--model", MODEL, "--format", "json")
+    assert (code, err) == (0, "")
+    model = load_model(MODEL)
+    evaluator = evaluate.Evaluator(model)
+    evaluations = evaluator.evaluate_all(
+        sorted(model.designs.values(), key=lambda d: d.label), security=False)
+    assert json.loads(out) == {
+        "rates": [{"service": tier, "mttp_hours": agg.mttp, "patch_rate": agg.lambda_eq,
+                   "mttr_hours": agg.mttr, "recovery_rate": agg.mu_eq}
+                  for tier, agg in evaluator.rates.items()],
+        "coa": {e.label: e.coa for e in evaluations}}
 
 
 def test_availability_reports_coa():
@@ -417,6 +443,45 @@ def test_misspelt_attack_tree_is_one_error_line(tmp_path):
     assert (code, out) == (1, "")
     assert err.startswith("error: $.servers.db.attack_trees: unknown key 'attack_trees' ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: doc.pop("tiers"), "$.tiers"),
+    (lambda doc: doc["vulnerabilities"][0].pop("critical"), "$.vulnerabilities[0].critical"),
+    (lambda doc: doc["servers"]["db"].pop("hw_mttr_hours"), "$.servers.db.hw_mttr_hours"),
+    (lambda doc: doc["reachability"].pop("target_tier"), "$.reachability.target_tier"),
+], ids=["tiers", "critical", "hw-mttr", "target-tier"])
+def test_missing_required_key_is_one_error_line(tmp_path, mutate, message):
+    code, out, err = run_cli("security", "--model", _mutated_model(tmp_path, mutate))
+    assert (code, out, err) == (1, "", f"error: {message}: missing required field\n")
+
+
+def test_misspelt_required_key_is_named_as_written(tmp_path):
+    # it used to be reported as the key it replaced, missing:
+    # $.reachability.target_tier: missing required field
+    def mutate(doc):
+        doc["reachability"]["target_tiers"] = doc["reachability"].pop("target_tier")
+
+    code, out, err = run_cli("security", "--model", _mutated_model(tmp_path, mutate))
+    assert (code, out, err) == (1, "", "error: $.reachability.target_tiers: unknown key "
+                                "'target_tiers' (expected one of ['edges', 'entry_tiers', "
+                                "'target_tier'])\n")
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set("reachability", "target_tier", "cache"),
+     "$.reachability.target_tier: unknown tier 'cache'"),
+    (_set("reachability", "entry_tiers", ["dns", "cache"]),
+     "$.reachability.entry_tiers: unknown tier 'cache'"),
+    (_set("reachability", "edges", [["dns", "cache"]]),
+     "$.reachability.edges: unknown tier in edge (dns, cache)"),
+    (_set("reachability", "edges", [["dns", "web"]]),
+     "$.reachability: no tier-path from any entry tier to the target tier"),
+], ids=["target-tier", "entry-tier", "edge", "no-path"])
+def test_reachability_error_names_the_file_key(tmp_path, mutate, message):
+    # these used to print without the "$." of every other model-file path
+    code, out, err = run_cli("security", "--model", _mutated_model(tmp_path, mutate))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def _renamed_tier(doc, old, new):

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from patchdesign.harm import tier_trees
-from patchdesign.model import (ModelError, PatchPolicy, example_network_path,
-                               load_model, prune_attack_tree)
+from patchdesign.model import (ModelError, PatchPolicy, ReachabilityTemplate,
+                               example_network_path, load_model, prune_attack_tree)
 
 
 def test_example_network_loads(model):
@@ -89,6 +89,23 @@ def test_missing_tier_path_to_target_rejected():
     doc["reachability"]["edges"] = [["dns", "web"]]
     with pytest.raises(ModelError, match="target"):
         load_model(doc)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"target_tier": "cache"}, "reachability.target_tier: unknown tier 'cache'"),
+    ({"entry_tiers": frozenset({"cache"})}, "reachability.entry_tiers: unknown tier 'cache'"),
+    ({"edges": frozenset({("dns", "cache")})},
+     "reachability.edges: unknown tier in edge (dns, cache)"),
+    ({"edges": frozenset()}, "reachability: no tier-path from any entry tier to the target tier"),
+], ids=["target-tier", "entry-tier", "edge", "no-path"])
+def test_reachability_template_errors_keep_the_library_path(fields, message):
+    # a template built in the library names its own fields; only the
+    # loader puts the model file's "$." in front
+    reach = {"tiers": ("dns", "web"), "edges": frozenset({("dns", "web")}),
+             "entry_tiers": frozenset({"dns"}), "target_tier": "web", **fields}
+    with pytest.raises(ModelError) as info:
+        ReachabilityTemplate(**reach)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("key, value, path", [

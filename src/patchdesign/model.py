@@ -457,6 +457,17 @@ def _design(label, counts, tiers) -> DesignSpec:
     return DesignSpec(label, tuple((tier, counts[tier]) for tier in tiers))
 
 
+def _unique_keys(pairs):
+    """One decoded JSON object, whose keys must differ: json.loads would
+    keep only the last value of a key given twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ModelError("$", f"duplicate key {key!r}")
+    return obj
+
+
 def load_model(source) -> Model:
     """Load and validate a model document.
 
@@ -470,7 +481,7 @@ def load_model(source) -> Model:
     """
     if isinstance(source, (str, Path)):
         try:
-            doc = json.loads(Path(source).read_text())
+            doc = json.loads(Path(source).read_text(), object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise ModelError("$", f"invalid JSON: {e}") from e
     else:

@@ -5,11 +5,20 @@
     immediate <id> [weight=<float>] [priority=<int>] [guard="..."] in=... out=...
     reward <name> "<guarded expression>" = <float>
 
+Blanks (spaces and tabs) separate tokens.  Double quotes group text,
+blanks included, into one token and are dropped.  There are no escapes:
+a line with an odd number of double quotes is an error.  Blank lines and
+lines starting with '#' are ignored.
+
+Places may follow their first use.  Every guard, of a transition or of
+a reward, every arc and every marking-dependent rate is checked against
+the declared places.  A place or transition named twice is an error, as
+is a key given twice or one that a statement does not take.  A place
+listed twice in one arc list gets the sum of its multiplicities:
+``in=a,a`` is ``in=a:2``.
+
 Reward clauses with the same name are tried in file order; the first
-matching guard supplies the reward, with 0 as the fallback.  Blank lines
-and lines starting with '#' are ignored.  A key that a statement does not
-take, or a key given twice, is an error.  A place listed twice in one
-arc list gets the sum of its multiplicities: ``in=a,a`` is ``in=a:2``.
+matching guard supplies the reward, with 0 as the fallback.
 
 The initial marking is the pinned state of the steady-state solve
 (``srn.solve_graph``): it may be rare, but not so rare that its
@@ -21,11 +30,10 @@ from __future__ import annotations
 
 import math
 import re
-import shlex
 from dataclasses import dataclass, field
 
 from . import srn
-from .guards import parse_guard
+from .guards import TRUE, check_places, parse_guard
 
 
 class NetFileError(ValueError):
@@ -54,111 +62,100 @@ class NetDocument:
     rewards: dict  # name -> RewardSpec
 
 
-_RATE_RE = re.compile(r"^([0-9.eE+-]+)(?:\*#(\w+))?$")
+_TOKEN_RE = re.compile(r'(?:[^ \t"]+|"[^"]*")+')
+_RATE_RE = re.compile(r"([0-9.eE+-]+)(?:\*#(\w+))?")
 _KEYS = {"timed": {"rate", "guard", "in", "out"},
          "immediate": {"weight", "priority", "guard", "in", "out"}}
 
 
-def _parse_arcs(text: str, lineno: int):
+def _tokens(line: str) -> list:
+    if line.count('"') % 2:
+        raise ValueError("No closing quotation")
+    return [token.replace('"', "") for token in _TOKEN_RE.findall(line)]
+
+
+def _statement(tokens):
+    """(kind, name, operands) of a statement of checked shape: a place's
+    tokens, a reward's guard and value text, a transition's options."""
+    kind = tokens[0]
+    if kind == "place":
+        if len(tokens) != 3:
+            raise ValueError("usage: place <id> <tokens>")
+        return kind, tokens[1], int(tokens[2])
+    if kind == "reward":
+        if len(tokens) != 5 or tokens[3] != "=":
+            raise ValueError('usage: reward <name> "<expr>" = <value>')
+        return kind, tokens[1], (tokens[2], tokens[4])
+    if kind not in _KEYS:
+        raise ValueError(f"unknown statement {kind!r}")
+    if len(tokens) < 2:
+        raise ValueError(f"{kind} statement needs a name")
+    opts = {}
+    for token in tokens[2:]:
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise ValueError(f"expected key=value, got {token!r}")
+        if key not in _KEYS[kind]:
+            raise ValueError(f"unknown key {key!r} for a {kind} transition")
+        if key in opts:
+            raise ValueError(f"duplicate key {key!r}")
+        opts[key] = value
+    return kind, tokens[1], opts
+
+
+def _arcs(text: str):
     arcs = []
-    for part in text.split(","):
-        if not part:
-            continue
-        if ":" in part:
-            place, mult = part.split(":", 1)
-            try:
-                arcs.append((place, int(mult)))
-            except ValueError:
-                raise NetFileError(lineno, f"bad arc multiplicity {mult!r}") from None
-        else:
-            arcs.append((part, 1))
+    for part in filter(None, text.split(",")):
+        place, colon, mult = part.partition(":")
+        try:
+            arcs.append((place, int(mult) if colon else 1))
+        except ValueError:
+            raise ValueError(f"bad arc multiplicity {mult!r}") from None
     return arcs
 
 
-def _split_kv(kind, tokens, lineno):
-    opts = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise NetFileError(lineno, f"expected key=value, got {tok!r}")
-        key, value = tok.split("=", 1)
-        if key not in _KEYS[kind]:
-            raise NetFileError(lineno, f"unknown key {key!r} for a {kind} transition")
-        if key in opts:
-            raise NetFileError(lineno, f"duplicate key {key!r}")
-        opts[key] = value
-    return opts
+def _add_transition(net: srn.Net, kind: str, name: str, opts: dict) -> None:
+    guard = parse_guard(opts["guard"]) if "guard" in opts else TRUE
+    inputs, outputs = _arcs(opts.get("in", "")), _arcs(opts.get("out", ""))
+    if kind == "immediate":
+        return net.add_immediate(name, inputs, outputs, guard,
+                                 weight=float(opts.get("weight", 1.0)),
+                                 priority=int(opts.get("priority", 0)))
+    if "rate" not in opts:
+        raise ValueError("timed transition needs rate=")
+    m = _RATE_RE.fullmatch(opts["rate"])
+    if not m:
+        raise ValueError(f"bad rate {opts['rate']!r}")
+    net.add_timed(name, srn.RateExpr(float(m[1]), m[2]), inputs, outputs, guard)
 
 
 def parse_net(text: str) -> NetDocument:
+    """Pass one lexes each line, checks its shape and declares places;
+    pass two reads transitions and rewards against the declared places."""
     net = srn.Net()
     rewards: dict[str, RewardSpec] = {}
-    pending = []  # transitions deferred so places can appear in any order
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            tokens = shlex.split(line)
-        except ValueError as e:
-            raise NetFileError(lineno, str(e)) from None
-        kind = tokens[0]
-
-        if kind == "place":
-            if len(tokens) != 3:
-                raise NetFileError(lineno, "usage: place <id> <tokens>")
-            try:
-                net.add_place(tokens[1], int(tokens[2]))
-            except ValueError as e:
-                raise NetFileError(lineno, str(e)) from None
-
-        elif kind in ("timed", "immediate"):
-            if len(tokens) < 2:
-                raise NetFileError(lineno, f"{kind} statement needs a name")
-            pending.append((lineno, kind, tokens[1], _split_kv(kind, tokens[2:], lineno)))
-
-        elif kind == "reward":
-            # reward <name> "<expr>" = <value>
-            if len(tokens) != 5 or tokens[3] != "=":
-                raise NetFileError(lineno, 'usage: reward <name> "<expr>" = <value>')
-            name, expr_text, value_text = tokens[1], tokens[2], tokens[4]
-            try:
-                guard = parse_guard(expr_text)
-                value = float(value_text)
-                if not math.isfinite(value):
-                    raise ValueError(f"reward value must be finite, got {value}")
-            except ValueError as e:
-                raise NetFileError(lineno, str(e)) from None
+    statements = []
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                kind, name, operands = _statement(_tokens(line))
+                if kind == "place":
+                    net.add_place(name, operands)
+                else:
+                    statements.append((lineno, kind, name, operands))
+        for lineno, kind, name, operands in statements:
+            if kind != "reward":
+                _add_transition(net, kind, name, operands)
+                continue
+            guard = parse_guard(operands[0])
+            check_places(guard, net.places)
+            value = float(operands[1])
+            if not math.isfinite(value):
+                raise ValueError(f"reward value must be finite, got {value}")
             rewards.setdefault(name, RewardSpec(name)).clauses.append((guard, value))
-
-        else:
-            raise NetFileError(lineno, f"unknown statement {kind!r}")
-
-    for lineno, kind, name, opts in pending:
-        try:
-            guard = parse_guard(opts["guard"]) if "guard" in opts else None
-            inputs = _parse_arcs(opts.get("in", ""), lineno)
-            outputs = _parse_arcs(opts.get("out", ""), lineno)
-            common = {"guard": guard} if guard is not None else {}
-            if kind == "timed":
-                if "rate" not in opts:
-                    raise NetFileError(lineno, "timed transition needs rate=")
-                m = _RATE_RE.match(opts["rate"])
-                if not m:
-                    raise NetFileError(lineno, f"bad rate {opts['rate']!r}")
-                rate = srn.RateExpr(float(m.group(1)), m.group(2))
-                net.add_timed(name, rate, inputs, outputs, **common)
-            else:
-                net.add_immediate(
-                    name, inputs, outputs,
-                    weight=float(opts.get("weight", 1.0)),
-                    priority=int(opts.get("priority", 0)),
-                    **common)
-        except NetFileError:
-            raise
-        except ValueError as e:
-            raise NetFileError(lineno, str(e)) from None
-
+    except ValueError as e:
+        raise NetFileError(lineno, str(e)) from None
     return NetDocument(net=net, rewards=rewards)
 
 

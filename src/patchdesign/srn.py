@@ -159,6 +159,7 @@ class Net:
         self._places: dict[str, int] = {}  # name -> initial tokens
         self._index: dict[str, int] = {}
         self.transitions: list[Transition] = []
+        self._names: set[str] = set()  # of the transitions
 
     @property
     def places(self):
@@ -183,8 +184,10 @@ class Net:
                   weight=weight, priority=priority)
 
     def _add(self, name, what, constant, inputs, outputs, guard, priority=0, **kind):
-        """Append a transition whose rate constant or weight ``constant``
-        is positive and finite and whose places are all declared."""
+        """Append a new-named transition whose rate constant or weight
+        ``constant`` is positive and finite and whose places are declared."""
+        if name in self._names:
+            raise ValueError(f"duplicate transition {name!r}")
         if not 0 < constant < math.inf:
             raise ValueError(f"transition {name!r}: {what} must be positive "
                              f"and finite, got {constant!r}")
@@ -197,6 +200,7 @@ class Net:
         if t.rate is not None and t.rate.place is not None and t.rate.place not in self._places:
             raise ValueError(f"transition {t.name!r}: rate references unknown place")
         self.transitions.append(t)
+        self._names.add(name)
 
     def initial_marking(self) -> Marking:
         return Marking(tuple(self._places.values()), self._index)

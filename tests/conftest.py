@@ -32,6 +32,18 @@ COMPARISON_LABELS = [
 BASELINE = "1dns-1web-1app-1db"
 
 
+class KeyTwice(dict):
+    """An object that json.dumps writes with ``key`` given a second time,
+    last, with ``value``: json.dumps writes no such object itself."""
+
+    def __init__(self, obj, key, value):
+        super().__init__(obj)
+        self.twice = (key, value)
+
+    def items(self):
+        return [*super().items(), self.twice]
+
+
 def flat_srn_coa(design, rates):
     """COA as the steady-state reward of the flat network SRN: the oracle
     for ``availability.compute_coa``."""

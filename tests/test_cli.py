@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import KeyTwice
 
 import patchdesign
 from patchdesign import cli, evaluate
@@ -734,6 +735,33 @@ def test_solve_srn_syntax_error(tmp_path):
     code, _, err = run_cli("solve-srn", str(netpath))
     assert code == 1
     assert "line 1" in err
+
+
+UP_DOWN_NET = ("place up 1\nplace down 0\ntimed fail rate=1 in=up out=down\n"
+               "timed repair rate=2 in=down out=up\n")
+
+
+@pytest.mark.parametrize("statement, message", [
+    # a misspelt reward place used to end in a KeyError traceback
+    ('reward u "#upp == 1" = 1', "line 5: guard references unknown place(s): ['upp']"),
+    # a copy-pasted transition used to fire beside the first: pi{up:1}
+    # came out 0.25 where the net has one failure path
+    ("timed fail rate=5 in=up out=down", "line 5: duplicate transition 'fail'"),
+], ids=["misspelt-reward-place", "duplicate-transition"])
+def test_solve_srn_net_fault_is_one_error_line(tmp_path, statement, message):
+    netpath = tmp_path / "net.txt"
+    netpath.write_text(f"{UP_DOWN_NET}{statement}\n")
+    assert run_cli("solve-srn", str(netpath)) == (1, "", f"error: {message}\n")
+
+
+def test_duplicate_design_label_is_one_error_line(tmp_path):
+    # json.loads kept the second "base" only, and security reported it
+    def mutate(doc):
+        doc["designs"] = KeyTwice(doc["designs"], "base", {"dns": 3, "web": 3, "app": 3, "db": 3})
+
+    path = _mutated_model(tmp_path, mutate)
+    for argv in (["security"], ["availability"], ["compare", "--out", str(tmp_path)]):
+        assert run_cli(*argv, "--model", path) == (1, "", "error: $: duplicate key 'base'\n")
 
 
 @pytest.mark.parametrize("statement", ["immediate i weight=nan in=a out=b",

@@ -3,6 +3,7 @@ import json
 import math
 
 import pytest
+from conftest import KeyTwice
 
 from patchdesign.harm import tier_trees
 from patchdesign.model import (ModelError, PatchPolicy, ReachabilityTemplate,
@@ -154,6 +155,29 @@ def test_malformed_bounds_rejected(bounds, path):
         load_model(doc)
     assert info.value.path == path
 
+
+@pytest.mark.parametrize("path, key, second", [
+    ((), "tiers", lambda doc: doc["tiers"][::-1]),
+    (("designs",), "base", lambda doc: {"dns": 3, "web": 3, "app": 3, "db": 3}),
+    (("servers",), "db", lambda doc: doc["servers"]["dns"]),
+    (("vulnerabilities", 0), "probability", lambda doc: 0.5),
+], ids=["top-level", "designs", "servers", "vulnerability-row"])
+def test_duplicate_key_rejected(tmp_path, path, key, second):
+    # json.loads keeps the last value of a key given twice, and this
+    # document loads that way: a second "base" silently replaced the first
+    doc = json.loads(example_network_path().read_text())
+    root = {"": doc}
+    holder, last = root, ""
+    for part in path:
+        holder, last = holder[last], part
+    holder[last] = KeyTwice(holder[last], key, second(doc))
+    text = json.dumps(root[""])
+    load_model(json.loads(text))
+    file = tmp_path / "model.json"
+    file.write_text(text)
+    with pytest.raises(ModelError) as info:
+        load_model(file)
+    assert str(info.value) == f"$: duplicate key {key!r}"
 
 def test_rates_are_reciprocals(model):
     dns = model.templates["dns"]

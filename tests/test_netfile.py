@@ -1,6 +1,10 @@
 import math
+import shlex
+import string
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from patchdesign import netfile, srn
 
@@ -99,6 +103,76 @@ timed back rate=1.0 in=b out=a
 def test_errors_carry_line_numbers(line, fragment):
     with pytest.raises(netfile.NetFileError, match=fragment):
         netfile.parse_net(line)
+
+
+# the documented grammar: runs of characters other than blanks and double
+# quotes, and double-quoted text with blanks, a run and quoted text
+# joined into one token; no backslash, and no single quote outside quotes
+_BARE = st.text(string.ascii_letters + string.digits + "_.:,=*#+-<>!&|()",
+                min_size=1, max_size=8)
+_QUOTED = st.text(string.ascii_letters + string.digits + "_#=<>!&|() \t'",
+                  max_size=10).map(lambda text: f'"{text}"')
+_TOKEN = st.lists(st.one_of(_BARE, _QUOTED), min_size=1, max_size=3).map("".join)
+_BLANKS = st.text(" \t", min_size=1, max_size=3)
+
+
+@given(st.lists(st.tuples(_TOKEN, _BLANKS), max_size=6), st.sampled_from(["", " ", "\t "]))
+@example([('immediate', ' '), ('route', ' '), ('guard="#b == 1"', ' '), ('in=b', ' ')], "")
+@example([('reward', ' '), ('L', '\t'), ('"#free == 0 && #busy > 1"', ' '), ('=', ' '),
+          ('1', ' ')], "")
+@example([('""', ' '), ('a""b', ' '), ('"x"y"z"', ' ')], "")
+def test_lexer_reads_the_documented_grammar_as_shlex_does(tokens, lead):
+    line = lead + "".join(token + blanks for token, blanks in tokens)
+    assert netfile._tokens(line) == shlex.split(line)
+
+
+UP_DOWN = """place up 1
+place down 0
+timed fail rate=1 in=up out=down
+timed repair rate=2 in=down out=up
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    # a misspelt reward place used to end solve-srn in a KeyError
+    (UP_DOWN + 'reward u "#upp == 1" = 1\n',
+     "line 5: guard references unknown place(s): ['upp']"),
+    ('place a 1\nreward r "#a == 1 || #b > 0" = 1\nplace c 0\n',
+     "line 2: guard references unknown place(s): ['b']"),
+    # a copy-pasted transition used to be kept and fired beside the first
+    (UP_DOWN + "timed fail rate=5 in=up out=down\n", "line 5: duplicate transition 'fail'"),
+    ("place a 1\nimmediate t in=a out=a\ntimed t rate=1 in=a out=a\n",
+     "line 3: duplicate transition 't'"),
+    ('place a 1\nreward r "#a == 1 = 1\n', "line 2: No closing quotation"),
+], ids=["misspelt-reward-place", "undeclared-reward-place", "duplicate-timed",
+        "duplicate-across-kinds", "unclosed-quote"])
+def test_error_messages(text, message):
+    with pytest.raises(netfile.NetFileError) as info:
+        netfile.parse_net(text)
+    assert str(info.value) == message
+
+
+def test_reward_may_name_a_place_declared_further_down():
+    doc = netfile.parse_net('reward u "#up == 1" = 1\n' + UP_DOWN)
+    _, values = netfile.solve_document(doc)
+    assert values["u"] == pytest.approx(2 / 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("statement", [
+    "timed t rate=1 guard='#a == 1' in=a out=a",
+    "timed t rate=1 guard='#a==1' in=a out=a",
+    'timed t rate=1 guard="#a == \\"1\\"" in=a out=a',
+    "timed t rate=1\\.5 in=a out=a",
+    "timed t rate=1 in=a\\ out=a",
+    "reward r '#a == 1' = 1",
+    'reward r "#a == 1" = \\1',
+])
+def test_shell_quoting_is_an_error_at_its_line(statement):
+    # single quotes and backslash escapes are not in the grammar: each such
+    # value is refused, where shlex used to read it as the shell does
+    with pytest.raises(netfile.NetFileError) as info:
+        netfile.parse_net(f"place a 1\n{statement}\n")
+    assert str(info.value).startswith("line 2: ") and "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize("statement,fragment", [

@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -85,8 +84,10 @@ def _select_designs(model, selector):
 
 
 def _write_atomic(path: Path, content: str) -> None:
-    # write-then-rename: error paths never leave a partial data file
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    # write-then-rename: error paths never leave a partial data file; the
+    # file gets mode 0o666 less the umask, where mkstemp would give 0o600
+    tmp = path.parent / f".{path.name}.{os.urandom(4).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(content)

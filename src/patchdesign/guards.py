@@ -198,8 +198,9 @@ def parse_guard(text: str):
     return _Parser(text).parse()
 
 
-def check_places(expr, known_places) -> None:
-    """Raise ValueError if the expression references an undeclared place."""
-    unknown = expr.places() - set(known_places)
+def check_places(owner: str, places, known_places) -> None:
+    """Raise ValueError, naming ``owner`` and the places, if any of
+    ``places`` is undeclared: the one check of every place a net names."""
+    unknown = set(places).difference(known_places)
     if unknown:
-        raise ValueError(f"guard references unknown place(s): {sorted(unknown)}")
+        raise ValueError(f"{owner} references unknown place(s) {sorted(unknown)}")

@@ -5,9 +5,10 @@ Everything is immutable after load; a validated model can be shared
 read-only across concurrent evaluators.  ``load_model`` reads every
 object of a model file through one reader, ``_fields``, against that
 object's schema (``_DOCUMENT``, ``_VULNERABILITY``, ``_SERVER``,
-``_REACHABILITY``), and builds each through ``_build``, the one path
-that renames a constructor's range error to the key it was read under,
-bounds included.
+``_REACHABILITY``, ``_BOUNDS``, which ``--bounds`` is read by too), and
+builds each through ``_build``, the one path that renames a
+constructor's range error to the key it was read under, attack-tree
+nodes included.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class AttackTreeNode:
                 raise ModelError("attack_tree", "leaf without vulnerability")
         elif self.kind in ("and", "or"):
             if not self.children:
-                raise ModelError("attack_tree", f"{self.kind} node with no children")
+                raise ModelError("attack_tree", f"{self.kind} node with no children", self.kind)
         else:
             raise ModelError("attack_tree", f"unknown node kind {self.kind!r}")
 
@@ -139,18 +140,19 @@ def _rate(name: str, mean: float) -> float:
     return (60.0 if name in _MINUTE_FIELDS else 1.0) / mean
 
 
-def _check_duration(tier: str, name: str, value: float) -> None:
-    """Every rate the server net uses is positive and finite, except a
-    failure rate, which an infinite MTTF makes 0.  An error names
-    ``servers.<tier>.<name>``, a path built only when a check fails."""
+def _check_duration(owner: str, name: str, value: float) -> None:
+    """Every rate the nets use, a server's or the patch clock's, is
+    positive and finite, except a failure rate, which an infinite MTTF
+    makes 0.  An error names ``<owner>.<name>``, a path built only when a
+    check fails."""
     if not value > 0:
-        raise ModelError(f"servers.{tier}.{name}",
-                         f"duration must be strictly positive, got {value}", name)
+        raise ModelError(f"{owner}.{name}",
+                         f"duration must be positive, got {value}", name)
     if value == math.inf and name not in _FAILURE_FIELDS:
-        raise ModelError(f"servers.{tier}.{name}", "duration must be finite; only a "
-                                                   "failure MTTF may be infinite", name)
+        raise ModelError(f"{owner}.{name}", "duration must be finite; only a "
+                                            "failure MTTF may be infinite", name)
     if _rate(name, value) == math.inf:
-        raise ModelError(f"servers.{tier}.{name}",
+        raise ModelError(f"{owner}.{name}",
                          f"duration {value} is too short: its rate overflows", name)
 
 
@@ -172,8 +174,9 @@ class ServerTemplate:
     svc_reboot_after_failure: float  # minutes
 
     def __post_init__(self):
+        owner = f"servers.{self.tier}"
         for name in _SERVER_FIELD_KEYS:
-            _check_duration(self.tier, name, getattr(self, name))
+            _check_duration(owner, name, getattr(self, name))
 
     def rate_per_hour(self, name: str) -> float:
         """Reciprocal of a mean duration, converted to events per hour."""
@@ -225,15 +228,7 @@ class PatchPolicy:
     interval_mean: float = 720.0  # hours
 
     def __post_init__(self):
-        """The patch clock's rate 1/interval_mean is positive and finite."""
-        value, path, key = self.interval_mean, "patch_policy.interval_hours", "interval_hours"
-        if not value > 0:
-            raise ModelError(path, "patch interval must be positive", key)
-        if value == math.inf:
-            raise ModelError(path, "patch interval must be finite", key)
-        if 1.0 / value == math.inf:
-            raise ModelError(path, f"patch interval {value} is too short: its rate overflows",
-                             key)
+        _check_duration("patch_policy", "interval_hours", self.interval_mean)
 
     def matches(self, v: Vulnerability) -> bool:
         return v.critical
@@ -267,17 +262,12 @@ BOUND_KEYS = {"phi": ("asp_upper", float), "psi": ("coa_lower", float),
 
 
 def make_bounds(values: dict, path: str = "bounds") -> Bounds:
-    """Bounds from {key: number} over the keys of BOUND_KEYS.  A count
-    bound (xi, omega, kappa) must be an integer; phi and psi take any
-    number.  Unknown keys and other values raise ModelError, before any
-    range error that ``Bounds`` raises."""
-    for key, value in values.items():
-        if key not in BOUND_KEYS:
-            raise ModelError(path, f"unknown bound {key!r} "
-                             f"(expected one of {sorted(BOUND_KEYS)})")
-        kind = BOUND_KEYS[key][1]
-        if isinstance(value, bool) or not isinstance(value, (int, kind)):
-            raise ModelError(f"{path}.{key}", f"expected {kind.__name__}, got {value!r}")
+    """Bounds from the object ``values`` (the model file's ``$.bounds``
+    or ``--bounds``), whose keys and types ``_fields`` checks: every key
+    optional, a count bound (xi, omega, kappa) an integer, phi and psi
+    any number.  ``Bounds`` gets the values as given, so that a range
+    error shows each as written."""
+    _fields(values, _BOUNDS, path, optional=BOUND_KEYS)
     return _build(Bounds, path, *map(values.get, BOUND_KEYS))
 
 
@@ -319,12 +309,14 @@ def prune_attack_tree(node: AttackTreeNode | None, selector) -> AttackTreeNode |
 
 # JSON type -> the Python types json.loads gives for it: a number is an
 # int or a float, and a bool, though an int subclass, is neither
-_JSON_TYPES = {dict: (dict,), list: (list,), str: (str,), bool: (bool,), float: (int, float)}
+_JSON_TYPES = {dict: (dict,), list: (list,), str: (str,), bool: (bool,), int: (int,),
+               float: (int, float)}
 
 
 def _of_kind(value, kind, path, key=None):
     """``value`` if it has the JSON type ``kind``: ``dict``, ``list``,
-    ``str``, ``bool``, or ``float`` for a number, returned as a float.
+    ``str``, ``bool``, ``int`` for an integer, or ``float`` for a number,
+    returned as a float.
     The error names ``path``, and ``key`` under it if given; it is
     joined only on failure, since every field of a model passes here."""
     if type(value) in _JSON_TYPES[kind]:
@@ -397,11 +389,9 @@ def _parse_tree(node, catalog, path):
             raise ModelError(path, f"unknown vulnerability {value!r}")
         return leaf(catalog[value])
     if key in ("and", "or"):
-        if not isinstance(value, list) or not value:
-            raise ModelError(f"{path}.{key}", "needs a nonempty child list")
         children = [_parse_tree(c, catalog, f"{path}.{key}[{i}]")
-                    for i, c in enumerate(value)]
-        return AttackTreeNode(key, children=tuple(children))
+                    for i, c in enumerate(_of_kind(value, list, path, key))]
+        return _build(AttackTreeNode, path, key, None, tuple(children))
     raise ModelError(path, f"unknown attack tree key {key!r}")
 
 
@@ -414,6 +404,7 @@ _VULNERABILITY = {"id": str, "impact": float, "probability": float, "critical": 
                   "component": str}
 _SERVER = {**dict.fromkeys(_SERVER_FIELD_KEYS.values(), float), "attack_tree": None}
 _REACHABILITY = {"edges": list, "entry_tiers": list, "target_tier": str}
+_BOUNDS = {key: kind for key, (_, kind) in BOUND_KEYS.items()}
 
 # Tier names and design labels are fields of every CSV the program
 # writes, unquoted: one of these characters in a name would split or

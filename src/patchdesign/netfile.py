@@ -12,10 +12,12 @@ error.  Blank lines and lines starting with '#' are ignored.
 
 Places may follow their first use.  Every guard, of a transition or of
 a reward, every arc and every marking-dependent rate is checked against
-the declared places.  A place or transition named twice is an error, as
-is a key given twice or one that a statement does not take.  A place
-listed twice in one arc list gets the sum of its multiplicities:
-``in=a,a`` is ``in=a:2``.
+the declared places, by one check that names the transition or the
+reward.  A place or transition named twice is an error, as is a key
+given twice or one that a statement does not take.  A place listed twice
+in one arc list gets the sum of its multiplicities: ``in=a,a`` is
+``in=a:2``.  Every number, rate constants included, is read by
+``_number``; ``srn.Net`` alone checks a rate constant's or weight's range.
 
 Reward clauses with the same name are tried in file order; the first
 matching guard supplies the reward, with 0 as the fallback.
@@ -63,7 +65,6 @@ class NetDocument:
 
 
 _TOKEN_RE = re.compile(r'(?:[^ \t"]+|"[^"]*")+')
-_RATE_RE = re.compile(r"([0-9.eE+-]+)(?:\*#(\w+))?")
 _KEYS = {"timed": {"rate", "guard", "in", "out"},
          "immediate": {"weight", "priority", "guard", "in", "out"}}
 
@@ -83,6 +84,14 @@ def _number(kind, text: str, what: str):
         raise ValueError(f"bad {what} {text!r}") from None
 
 
+def _guard_text(text: str) -> str:
+    """``text``, a transition's or a reward's guard, unless a single
+    quote opens it: net files group text with double quotes only."""
+    if text.startswith("'"):
+        raise ValueError(f"single quote in guard {text!r}: group text with double quotes")
+    return text
+
+
 def _statement(tokens):
     """(kind, name, operands) of a statement of checked shape: a place's
     tokens, a reward's guard and value text, a transition's options."""
@@ -92,6 +101,7 @@ def _statement(tokens):
             raise ValueError("usage: place <id> <tokens>")
         return kind, tokens[1], _number(int, tokens[2], "token count")
     if kind == "reward":
+        _guard_text("".join(tokens[2:3]))  # first: blanks in single quotes break the shape
         if len(tokens) != 5 or tokens[3] != "=":
             raise ValueError('usage: reward <name> "<expr>" = <value>')
         return kind, tokens[1], (tokens[2], tokens[4])
@@ -108,9 +118,7 @@ def _statement(tokens):
             raise ValueError(f"unknown key {key!r} for a {kind} transition")
         if key in opts:
             raise ValueError(f"duplicate key {key!r}")
-        if key == "guard" and value.startswith("'"):
-            raise ValueError(f"single quote in {token!r}: group text with double quotes")
-        opts[key] = value
+        opts[key] = _guard_text(value) if key == "guard" else value
     return kind, tokens[1], opts
 
 
@@ -131,10 +139,9 @@ def _add_transition(net: srn.Net, kind: str, name: str, opts: dict) -> None:
                                  priority=_number(int, opts.get("priority", "0"), "priority"))
     if "rate" not in opts:
         raise ValueError("timed transition needs rate=")
-    m = _RATE_RE.fullmatch(opts["rate"])
-    if not m:
-        raise ValueError(f"bad rate {opts['rate']!r}")
-    net.add_timed(name, srn.RateExpr(_number(float, m[1], "rate"), m[2]), inputs, outputs, guard)
+    constant, star, place = opts["rate"].partition("*#")
+    net.add_timed(name, srn.RateExpr(_number(float, constant, "rate"), place if star else None),
+                  inputs, outputs, guard)
 
 
 def parse_net(text: str) -> NetDocument:
@@ -157,7 +164,7 @@ def parse_net(text: str) -> NetDocument:
                 _add_transition(net, kind, name, operands)
                 continue
             guard = parse_guard(operands[0])
-            check_places(guard, net.places)
+            check_places(f"reward {name!r}", guard.places(), net.places)
             value = _number(float, operands[1], "reward value")
             if not math.isfinite(value):
                 raise ValueError(f"reward value must be finite, got {value}")

@@ -193,12 +193,10 @@ class Net:
                              f"and finite, got {constant!r}")
         t = Transition(name, _arcs(name, inputs), _arcs(name, outputs), guard,
                        priority=int(priority), **kind)
-        for p, _ in t.inputs + t.outputs:
-            if p not in self._places:
-                raise ValueError(f"transition {t.name!r} references unknown place {p!r}")
-        check_places(t.guard, self._places)
-        if t.rate is not None and t.rate.place is not None and t.rate.place not in self._places:
-            raise ValueError(f"transition {t.name!r}: rate references unknown place")
+        places = t.guard.places().union(p for p, _ in t.inputs + t.outputs)
+        if t.timed and t.rate.place is not None:
+            places.add(t.rate.place)
+        check_places(f"transition {name!r}", places, self._places)
         self.transitions.append(t)
         self._names.add(name)
 

@@ -234,6 +234,20 @@ def test_compare_output_and_files_are_pinned(tmp_path):
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == COMPARE_FILES
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_compare_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    # each file used to be written 0600 whatever the umask, and an
+    # existing 0644 file became 0600
+    (tmp_path / "scatter.csv").write_text("")
+    (tmp_path / "scatter.csv").chmod(0o644)
+    result = run_python("-c", "import os; os.umask(int(os.environ['UMASK'], 8)); "
+                              "from patchdesign.cli import main; main()",
+                        "compare", "--model", MODEL, "--out", str(tmp_path), UMASK=oct(umask))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()} == \
+        dict.fromkeys(["scatter.csv", "radar.csv", "regions.json"], mode)
+
+
 def test_compare_writes_region_files(tmp_path):
     code, out, _ = run_cli(
         "compare", "--model", MODEL, "--design", "all",
@@ -422,18 +436,29 @@ def _set(*keys_and_value):
      "$.vulnerabilities[0].component: expected str"),
     (_set("servers", "dns", "attack_tree", {"or": [{"vuln": ["CVE-2016-3227"]}]}),
      "$.servers.dns.attack_tree.or[0].vuln: expected str"),
+    (_set("servers", "dns", "attack_tree", {"and": {"vuln": "CVE-2016-3227"}}),
+     "$.servers.dns.attack_tree.and: expected list"),
     (_set("designs", "base", "dns", True),
      "$.designs.base.dns: replica count must be an integer >= 1"),
+    (lambda doc: '{"tiers": ',
+     "$: invalid JSON: Expecting value: line 1 column 11 (char 10)"),
+    (lambda doc: "[]", "$: top level must be an object"),
+    (lambda doc: doc["tiers"].append("cache"), "$.servers.cache: missing server template"),
+    (_set("servers", "dns", "attack_tree", {"xor": []}),
+     "$.servers.dns.attack_tree: unknown attack tree key 'xor'"),
+    (_set("vulnerabilities", 0, "id", ""), "$.vulnerabilities[0].id: empty vulnerability id"),
 ], ids=["null-mttf", "huge-int-mttf", "edge-not-list", "edge-tier-not-str", "tier-not-str", "id-list", "target-list",
         "entry-not-str", "impact-str", "edge-one-tier", "interval-str", "critical-str",
-        "impact-bool", "component-list", "tree-vuln-list", "count-bool"])
+        "impact-bool", "component-list", "tree-vuln-list", "tree-children-dict", "count-bool",
+        "invalid-json", "top-level-list", "no-template", "tree-key", "empty-id"])
 def test_model_field_of_the_wrong_type_is_one_error_line(tmp_path, mutate, message):
     # each used to end in a traceback, an error naming no path, or a
-    # silent misreading ("no" as True, true as impact 1.0 or 1 replica)
+    # silent misreading ("no" as True, true as impact 1.0 or 1 replica).
+    # A mutation that returns text writes it as the whole file
     doc = json.loads(Path(MODEL).read_text())
-    mutate(doc)
+    text = mutate(doc)
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc) if text is None else text)
     code, out, err = run_cli("security", "--model", str(path))
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
@@ -586,13 +611,17 @@ def test_invalid_bounds_key():
     assert err == "error: bounds: bound 'phi' given twice\n"
 
 
-@pytest.mark.parametrize("bounds", [",", ""])
-def test_bounds_without_a_pair_are_rejected(tmp_path, bounds):
+@pytest.mark.parametrize("bounds, message", [
+    (",", "no key=value pair in ','"),
+    ("", "no key=value pair in ''"),
+    ("phi", "expected key=value, got 'phi'"),
+], ids=[",", "", "no-equals"])
+def test_bounds_without_a_pair_are_rejected(tmp_path, bounds, message):
     # an empty bound set would accept every design
     code, out, err = run_cli("compare", "--model", MODEL, "--bounds", bounds,
                              "--out", str(tmp_path))
     assert (code, out) == (1, "")
-    assert err == f"error: bounds: no key=value pair in {bounds!r}\n"
+    assert err == f"error: bounds: {message}\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -623,10 +652,13 @@ def test_rate_override_rejects_unknown_param():
     ("dns.hw_mttr=inf", "servers.dns.hw_mttr"),
     ("web.svc_patch_mean=inf", "servers.web.svc_patch_mean"),
     ("app.svc_patch_mean=1e-320", "servers.app.svc_patch_mean"),
+    ("dnshw=1", "rate-override"),
+    ("cache.hw_mttf=1", "rate-override"),
 ])
 def test_rate_override_names_the_field_it_breaks(override, field):
     # an infinite mean other than a failure MTTF, or one whose rate
-    # overflows, used to reach the server net and name its transition
+    # overflows, used to reach the server net and name its transition; an
+    # override with no dot, or on no tier, names the option
     code, out, err = run_cli("availability", "--model", MODEL, "--rate-override", override)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {field}: ")
@@ -708,7 +740,7 @@ def test_range_errors_name_the_key_given(tmp_path):
     code, out, err = run_cli("security", "--model", model)
     assert (code, out) == (1, "")
     assert err == ("error: $.servers.dns.hw_mttf_hours: "
-                   "duration must be strictly positive, got -1.0\n")
+                   "duration must be positive, got -1.0\n")
     for key, value, message in (
             ("impact", 10.5, "attack impact 10.5 of 'CVE-2016-3227' outside [0, 10]"),
             ("probability", 1.2,
@@ -719,7 +751,7 @@ def test_range_errors_name_the_key_given(tmp_path):
             1, "", f"error: $.vulnerabilities[0].{key}: {message}\n")
     model = _mutated_model(tmp_path, _set("patch_policy", {"interval_hours": -1}))
     assert run_cli("security", "--model", model) == (
-        1, "", "error: $.patch_policy.interval_hours: patch interval must be positive\n")
+        1, "", "error: $.patch_policy.interval_hours: duration must be positive, got -1.0\n")
 
 
 @pytest.mark.parametrize("argv", [("security",), ("compare", "--out", "{dir}")],
@@ -799,7 +831,7 @@ UP_DOWN_NET = ("place up 1\nplace down 0\ntimed fail rate=1 in=up out=down\n"
 
 @pytest.mark.parametrize("statement, message", [
     # a misspelt reward place used to end in a KeyError traceback
-    ('reward u "#upp == 1" = 1', "line 5: guard references unknown place(s): ['upp']"),
+    ('reward u "#upp == 1" = 1', "line 5: reward 'u' references unknown place(s) ['upp']"),
     # a copy-pasted transition used to fire beside the first: pi{up:1}
     # came out 0.25 where the net has one failure path
     ("timed fail rate=5 in=up out=down", "line 5: duplicate transition 'fail'"),
@@ -810,9 +842,18 @@ UP_DOWN_NET = ("place up 1\nplace down 0\ntimed fail rate=1 in=up out=down\n"
     ('reward u "#up == 1" = x', "line 5: bad reward value 'x'"),
     # net files group text with double quotes only
     ("timed t rate=1 guard='#up == 1' in=up out=down",
-     "line 5: single quote in \"guard='#up\": group text with double quotes"),
+     "line 5: single quote in guard \"'#up\": group text with double quotes"),
+    ("reward u '#up == 1' = 1",
+     "line 5: single quote in guard \"'#up\": group text with double quotes"),
+    ("timed", "line 5: timed statement needs a name"),
+    ("timed t rate=1 in=up out=down x", "line 5: expected key=value, got 'x'"),
+    ("timed t rate=inf in=up out=down",
+     "line 5: transition 't': rate constant must be positive and finite, got inf"),
+    ("timed t rate=1*#dwn in=up out=down", "line 5: transition 't' references unknown "
+                                           "place(s) ['dwn']"),
 ], ids=["misspelt-reward-place", "duplicate-transition", "bad-token-count", "bad-weight",
-        "bad-priority", "bad-reward-value", "single-quoted-guard"])
+        "bad-priority", "bad-reward-value", "single-quoted-guard", "single-quoted-reward-guard",
+        "no-name", "no-equals", "infinite-rate", "undeclared-rate-place"])
 def test_solve_srn_net_fault_is_one_error_line(tmp_path, statement, message):
     netpath = tmp_path / "net.txt"
     netpath.write_text(f"{UP_DOWN_NET}{statement}\n")

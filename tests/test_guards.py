@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from patchdesign.availability import _SERVER_TRANSITIONS
-from patchdesign.guards import (AllOf, AnyOf, Comparison, GuardSyntaxError,
+from patchdesign.guards import (AllOf, AnyOf, Comparison, GuardSyntaxError, Literal,
                                 check_places, parse_guard)
 
 
@@ -84,6 +84,33 @@ def test_non_ascii_digit_or_whitespace_is_unexpected(text, offset):
     assert exc.value.offset == offset
 
 
+@pytest.mark.parametrize("text, expr", [
+    ("true", Literal(True)),
+    (" false ", Literal(False)),
+    ("(true)", Literal(True)),
+    ("false || #a == 1", AnyOf((Literal(False), Comparison("a", "==", 1)))),
+    ("#a > 0 && true", AllOf((Comparison("a", ">", 0), Literal(True)))),
+])
+def test_literal_atoms(text, expr):
+    assert parse_guard(text) == expr
+    assert parse_guard(text).evaluate({"a": 1}) is expr.evaluate({"a": 1})
+
+
+@pytest.mark.parametrize("text, message", [
+    ("#a == 1 )", "unexpected trailing input ')' at offset 8"),
+    ("true false", "unexpected trailing input 'false' at offset 5"),
+    ("(#a == 1) (#b == 1)", "unexpected trailing input '(' at offset 10"),
+    ("&& #a == 1", "expected expression, found '&&' at offset 0"),
+    ("#a == 1 || x", "expected expression, found 'x' at offset 11"),
+    ("(#a == 1 || )", "expected expression, found ')' at offset 12"),
+    ("#a == 1 &&", "expected expression, found end of input at offset 9"),
+])
+def test_parse_errors_name_the_token_and_its_offset(text, message):
+    with pytest.raises(GuardSyntaxError) as exc:
+        parse_guard(text)
+    assert str(exc.value) == message
+
+
 def test_conjunction_and_disjunction_of_the_same_terms_differ():
     terms = (Comparison("a", "==", 1), Comparison("b", "==", 1))
     assert AllOf(terms) != AnyOf(terms)
@@ -103,7 +130,7 @@ def test_empty_input():
 def test_unknown_place_rejected_at_bind_time():
     expr = parse_guard("#P_missing == 1")
     with pytest.raises(ValueError, match="P_missing"):
-        check_places(expr, {"P_other"})
+        check_places("guard", expr.places(), {"P_other"})
 
 
 def test_all_server_guards_round_trip():
@@ -116,11 +143,12 @@ def test_all_server_guards_round_trip():
         assert parse_guard(expr.unparse()) == expr
 
 
-_atoms = st.builds(
-    Comparison,
-    place=st.sampled_from(["p1", "p2", "p3"]),
-    op=st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
-    value=st.integers(min_value=0, max_value=5),
+_atoms = st.one_of(
+    st.builds(Comparison,
+              place=st.sampled_from(["p1", "p2", "p3"]),
+              op=st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
+              value=st.integers(min_value=0, max_value=5)),
+    st.builds(Literal, st.booleans()),
 )
 
 

@@ -8,9 +8,9 @@ from conftest import KeyTwice
 
 from patchdesign import cli
 from patchdesign.harm import tier_trees
-from patchdesign.model import (BOUND_KEYS, Bounds, ModelError, PatchPolicy,
-                               ReachabilityTemplate, example_network_path, load_model,
-                               make_bounds, prune_attack_tree)
+from patchdesign.model import (BOUND_KEYS, AttackTreeNode, Bounds, ModelError, PatchPolicy,
+                               ReachabilityTemplate, and_node, example_network_path,
+                               load_model, make_bounds, or_node, prune_attack_tree)
 
 
 def test_example_network_loads(model):
@@ -149,7 +149,7 @@ def test_entry_that_is_not_an_object_rejected(section, key, path, value):
 @pytest.mark.parametrize("bounds, path", [({"phi": "0.2"}, "$.bounds.phi"),
                                           ({"omega": 2.5}, "$.bounds.omega"),
                                           ({"psi": True}, "$.bounds.psi"),
-                                          ({"sigma": 1}, "$.bounds"),
+                                          ({"sigma": 1}, "$.bounds.sigma"),
                                           ([0.2, 0.99], "$.bounds")])
 def test_malformed_bounds_rejected(bounds, path):
     doc = json.loads(example_network_path().read_text())
@@ -199,24 +199,90 @@ def test_bound_range_fault_reads_the_same_every_way_in(tmp_path, bounds, message
 
 
 # one key or type fault, through --bounds and $.bounds (Bounds(...) checks
-# no key and no type); then several faults in one bound set: every unknown
-# key and type fault comes before any range fault, as in every other model
-# object, and range faults come in BOUND_KEYS order
+# no key and no type), in the words of every other model object, since
+# both are read by model._fields; then several faults in one bound set:
+# every unknown key and type fault comes before any range fault, and range
+# faults come in BOUND_KEYS order
 @pytest.mark.parametrize("bounds, message", [
     ({"zeta": 1},
-     "{}: unknown bound 'zeta' (expected one of ['kappa', 'omega', 'phi', 'psi', 'xi'])"),
-    ({"phi": "abc"}, "{}.phi: expected float, got 'abc'"),
-    ({"xi": 2.5}, "{}.xi: expected int, got 2.5"),
-    ({"kappa": 1000.0}, "{}.kappa: expected int, got 1000.0"),
+     "{}.zeta: unknown key 'zeta' (expected one of ['kappa', 'omega', 'phi', 'psi', 'xi'])"),
+    ({"phi": "abc"}, "{}.phi: expected number"),
+    ({"xi": 2.5}, "{}.xi: expected int"),
+    ({"kappa": 1000.0}, "{}.kappa: expected int"),
     ({"psi": 2, "zeta": 1},
-     "{}: unknown bound 'zeta' (expected one of ['kappa', 'omega', 'phi', 'psi', 'xi'])"),
-    ({"phi": 1.5, "xi": 2.5}, "{}.xi: expected int, got 2.5"),
-    ({"kappa": -1, "phi": "abc"}, "{}.phi: expected float, got 'abc'"),
+     "{}.zeta: unknown key 'zeta' (expected one of ['kappa', 'omega', 'phi', 'psi', 'xi'])"),
+    ({"phi": 1.5, "xi": 2.5}, "{}.xi: expected int"),
+    ({"kappa": -1, "phi": "abc"}, "{}.phi: expected number"),
     ({"omega": -1, "psi": 2}, "{}.psi: 2 outside [0, 1]"),
+    ({"psi": True}, "{}.psi: expected number"),
+    ({"omega": "x"}, "{}.omega: expected int"),
+    ({"phi": 10 ** 400}, "{}.phi: number out of float range"),
 ])
 def test_bound_key_and_type_faults_come_first_every_way_in(tmp_path, bounds, message):
     assert _bound_errors(tmp_path, bounds) == [
         f"error: {message.format(root)}\n" for root in ("bounds", "$.bounds")]
+
+
+def _cli_error(*argv):
+    """The one error line of a command that must exit 1 with empty
+    stdout, without its "error: " and newline."""
+    out, err = io.StringIO(), io.StringIO()
+    assert (cli.run(list(argv), out=out, err=err), out.getvalue()) == (1, "")
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return err.getvalue()[len("error: "):-1]
+
+
+# a server's duration and the patch interval share one rule: one message
+# through the library constructors, the model file and --rate-override
+@pytest.mark.parametrize("value, message", [
+    (0.0, "duration must be positive, got 0.0"),
+    (-1.0, "duration must be positive, got -1.0"),
+    (math.nan, "duration must be positive, got nan"),
+    (math.inf, "duration must be finite; only a failure MTTF may be infinite"),
+    (1e-320, "duration 1e-320 is too short: its rate overflows"),
+])
+def test_duration_fault_reads_the_same_every_way_in(model, tmp_path, value, message):
+    errors = []
+    for build in (lambda: dataclasses.replace(model.templates["dns"], hw_mttr=value),
+                  lambda: PatchPolicy(interval_mean=value)):
+        with pytest.raises(ModelError) as info:
+            build()
+        errors.append(str(info.value))
+    for mutate in (lambda doc: doc["servers"]["dns"].update(hw_mttr_hours=value),
+                   lambda doc: doc.update(patch_policy={"interval_hours": value})):
+        doc = json.loads(example_network_path().read_text())
+        mutate(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        errors.append(_cli_error("security", "--model", str(path)))
+    errors.append(_cli_error("availability", "--model", str(example_network_path()),
+                             "--rate-override", f"dns.hw_mttr={value!r}"))
+    assert errors == [f"servers.dns.hw_mttr: {message}",
+                      f"patch_policy.interval_hours: {message}",
+                      f"$.servers.dns.hw_mttr_hours: {message}",
+                      f"$.patch_policy.interval_hours: {message}",
+                      f"servers.dns.hw_mttr: {message}"]
+
+
+# an and or an or node with no children: one message through the library
+# constructors and the model file, at the top of a tree or nested
+@pytest.mark.parametrize("kind", ["and", "or"])
+def test_empty_junction_reads_the_same_every_way_in(tmp_path, kind):
+    errors = []
+    for build in (lambda: AttackTreeNode(kind), {"and": and_node, "or": or_node}[kind]):
+        with pytest.raises(ModelError) as info:
+            build()
+        errors.append(str(info.value))
+    for tree in ({kind: []}, {"or": [{"vuln": "CVE-2016-3227"}, {kind: []}]}):
+        doc = json.loads(example_network_path().read_text())
+        doc["servers"]["dns"]["attack_tree"] = tree
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        errors.append(_cli_error("security", "--model", str(path)))
+    message = f"{kind} node with no children"
+    assert errors == [f"attack_tree: {message}", f"attack_tree: {message}",
+                      f"$.servers.dns.attack_tree.{kind}: {message}",
+                      f"$.servers.dns.attack_tree.or[1].{kind}: {message}"]
 
 
 def test_probability_bounds_are_held_as_floats():

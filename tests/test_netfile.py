@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from patchdesign import netfile, srn
+from patchdesign.guards import parse_guard
 
 TWO_STATE = """
 # simple repairable component
@@ -136,9 +137,9 @@ timed repair rate=2 in=down out=up
 @pytest.mark.parametrize("text, message", [
     # a misspelt reward place used to end solve-srn in a KeyError
     (UP_DOWN + 'reward u "#upp == 1" = 1\n',
-     "line 5: guard references unknown place(s): ['upp']"),
+     "line 5: reward 'u' references unknown place(s) ['upp']"),
     ('place a 1\nreward r "#a == 1 || #b > 0" = 1\nplace c 0\n',
-     "line 2: guard references unknown place(s): ['b']"),
+     "line 2: reward 'r' references unknown place(s) ['b']"),
     # a copy-pasted transition used to be kept and fired beside the first
     (UP_DOWN + "timed fail rate=5 in=up out=down\n", "line 5: duplicate transition 'fail'"),
     ("place a 1\nimmediate t in=a out=a\ntimed t rate=1 in=a out=a\n",
@@ -146,14 +147,17 @@ timed repair rate=2 in=down out=up
     ('place a 1\nreward r "#a == 1 = 1\n', "line 2: No closing quotation"),
     # each number names its field, where int() and float() used to speak
     ("place a 1\nplace b 0\nplace c x\n", "line 3: bad token count 'x'"),
+    ("place a 1\nplace b -1\n", "line 2: negative initial tokens for 'b'"),
     ("place a 1\nimmediate i weight=x in=a out=a\n", "line 2: bad weight 'x'"),
     ("place a 1\nimmediate i priority=1.5 in=a out=a\n", "line 2: bad priority '1.5'"),
     ('place a 1\nreward r "#a == 1" = x\n', "line 2: bad reward value 'x'"),
     ("place a 1\ntimed t rate=1.2.3 in=a out=a\n", "line 2: bad rate '1.2.3'"),
+    ("place a 1\ntimed t rate=x*#a in=a out=a\n", "line 2: bad rate 'x'"),
     ("place a 1\ntimed t rate=1 in=a:x out=a\n", "line 2: bad arc multiplicity 'x'"),
 ], ids=["misspelt-reward-place", "undeclared-reward-place", "duplicate-timed",
-        "duplicate-across-kinds", "unclosed-quote", "bad-token-count", "bad-weight",
-        "bad-priority", "bad-reward-value", "bad-rate-constant", "bad-multiplicity"])
+        "duplicate-across-kinds", "unclosed-quote", "bad-token-count", "negative-tokens",
+        "bad-weight", "bad-priority", "bad-reward-value", "bad-rate-constant",
+        "bad-rate-of-a-place", "bad-multiplicity"])
 def test_error_messages(text, message):
     with pytest.raises(netfile.NetFileError) as info:
         netfile.parse_net(text)
@@ -170,13 +174,13 @@ def test_reward_may_name_a_place_declared_further_down():
 # blank used to read as "unknown key ''", from the "==" the blank split off
 _SHELL_QUOTING = {
     "timed t rate=1 guard='#a == 1' in=a out=a":
-        "single quote in \"guard='#a\": group text with double quotes",
+        "single quote in guard \"'#a\": group text with double quotes",
     "timed t rate=1 guard='#a==1' in=a out=a":
-        "single quote in \"guard='#a==1'\": group text with double quotes",
+        "single quote in guard \"'#a==1'\": group text with double quotes",
     'timed t rate=1 guard="#a == \\"1\\"" in=a out=a': "unexpected character '\\\\' at offset 6",
     "timed t rate=1\\.5 in=a out=a": "bad rate '1\\\\.5'",
-    "timed t rate=1 in=a\\ out=a": "transition 't' references unknown place 'a\\\\'",
-    "reward r '#a == 1' = 1": 'usage: reward <name> "<expr>" = <value>',
+    "timed t rate=1 in=a\\ out=a": "transition 't' references unknown place(s) ['a\\\\']",
+    "reward r '#a == 1' = 1": "single quote in guard \"'#a\": group text with double quotes",
     'reward r "#a == 1" = \\1': "bad reward value '\\\\1'",
 }
 
@@ -200,7 +204,7 @@ def test_a_name_holding_a_single_quote_reads_literally():
 @pytest.mark.parametrize("statement,fragment", [
     ("timed t rate=1e999 in=a out=b", "rate constant must be positive and finite, got inf"),
     ("timed t rate=1e999*#a in=a out=b", "rate constant must be positive and finite, got inf"),
-    ("timed t rate=nan in=a out=b", "bad rate"),
+    ("timed t rate=nan in=a out=b", "rate constant must be positive and finite, got nan"),
     ("immediate i weight=nan in=a out=b", "weight must be positive and finite, got nan"),
     ("immediate i weight=inf in=a out=b", "weight must be positive and finite, got inf"),
     ('reward r "#a == 1" = nan', "reward value must be finite, got nan"),
@@ -210,6 +214,84 @@ def test_a_name_holding_a_single_quote_reads_literally():
 def test_non_finite_rate_or_weight_rejected(statement, fragment):
     with pytest.raises(netfile.NetFileError, match=f"line 3: .*{fragment}"):
         netfile.parse_net(f"place a 1\nplace b 0\n{statement}\n")
+
+
+def _library_error(add):
+    """The message of the ValueError that ``add`` raises on a net with the
+    one place ``a``, which must keep no transition."""
+    net = srn.Net()
+    net.add_place("a", 1)
+    with pytest.raises(ValueError) as info:
+        add(net)
+    assert net.transitions == []
+    return str(info.value)
+
+
+# an undeclared place named by an arc, a guard, a marking-dependent rate or
+# a reward's guard: one message, naming the owner and every such place,
+# from a net file and from Net.add_*
+@pytest.mark.parametrize("statement, add, message", [
+    ("timed t rate=1 in=q out=a", lambda net: net.add_timed("t", 1.0, ["q"], ["a"]),
+     "transition 't' references unknown place(s) ['q']"),
+    ("immediate t in=a out=q,r:2", lambda net: net.add_immediate("t", ["a"], {"q": 1, "r": 2}),
+     "transition 't' references unknown place(s) ['q', 'r']"),
+    ('timed t rate=1 guard="#r == 1 || #q > 0" in=a out=a',
+     lambda net: net.add_timed("t", 1.0, ["a"], ["a"], parse_guard("#r == 1 || #q > 0")),
+     "transition 't' references unknown place(s) ['q', 'r']"),
+    ("timed t rate=2*#q in=a out=a",
+     lambda net: net.add_timed("t", srn.RateExpr(2.0, "q"), ["a"], ["a"]),
+     "transition 't' references unknown place(s) ['q']"),
+    ('immediate t guard="#q == 0" in=r out=a',
+     lambda net: net.add_immediate("t", ["r"], ["a"], parse_guard("#q == 0")),
+     "transition 't' references unknown place(s) ['q', 'r']"),
+    ('reward t "#a == 1 && #q == 0" = 1', None,
+     "reward 't' references unknown place(s) ['q']"),
+], ids=["arc-in", "arcs-out", "timed-guard", "rate", "immediate-guard-and-arc", "reward"])
+def test_undeclared_place_reads_the_same_every_way_in(statement, add, message):
+    with pytest.raises(netfile.NetFileError) as info:
+        netfile.parse_net(f"place a 1\n{statement}\n")
+    assert str(info.value) == f"line 2: {message}"
+    if add is not None:
+        assert _library_error(add) == message
+
+
+# a guard grouped by single quotes, with or without blanks in it, of a
+# transition or of a reward: one message, naming the guard text up to
+# the first blank
+@pytest.mark.parametrize("statement, text", [
+    ("timed t rate=1 guard='#a==1' in=a out=a", "'#a==1'"),
+    ("timed t rate=1 guard='#a == 1' in=a out=a", "'#a"),
+    ("immediate t guard='true' in=a out=a", "'true'"),
+    ("reward r '#a==1' = 1", "'#a==1'"),
+    ("reward r '#a == 1' = 1", "'#a"),
+    ("reward r '#a", "'#a"),
+])
+def test_single_quoted_guard_reads_the_same_every_way_in(statement, text):
+    with pytest.raises(netfile.NetFileError) as info:
+        netfile.parse_net(f"place a 1\n{statement}\n")
+    assert str(info.value) == f"line 2: single quote in guard {text!r}: " \
+                              "group text with double quotes"
+
+
+# a rate constant or a weight that is a number but not positive and
+# finite: one message from a net file, with or without a rate place, and
+# from Net.add_timed and Net.add_immediate, whatever its spelling
+@pytest.mark.parametrize("text", ["inf", "1e999", "-inf", "nan", "0", "-1", "+0.0"])
+def test_rate_constant_fault_reads_the_same_every_way_in(text):
+    value = float(text)
+    errors = []
+    for statement in (f"timed t rate={text} in=a out=a", f"timed t rate={text}*#a in=a out=a",
+                      f"immediate t weight={text} in=a out=a"):
+        with pytest.raises(netfile.NetFileError) as info:
+            netfile.parse_net(f"place a 1\n{statement}\n")
+        errors.append(str(info.value))
+    errors += [_library_error(lambda net: net.add_timed("t", rate, ["a"], ["a"]))
+               for rate in (value, srn.RateExpr(value), srn.RateExpr(value, "a"))]
+    errors.append(_library_error(lambda net: net.add_immediate("t", ["a"], ["a"], weight=value)))
+    rate, weight = (f"transition 't': {what} must be positive and finite, got {value!r}"
+                    for what in ("rate constant", "weight"))
+    assert errors == [f"line 2: {rate}", f"line 2: {rate}", f"line 2: {weight}",
+                      rate, rate, rate, weight]
 
 
 def test_unknown_guard_place_rejected():

@@ -440,6 +440,27 @@ def test_non_finite_solution_rejected(monkeypatch, small_budget, units, module, 
         srn.solve(pool_net(units))
 
 
+# a kernel's x that passes the singular verdict but must not be returned,
+# on a two-state pool whose exact x is [1, fail / repair]
+@pytest.mark.parametrize("fail, repair, x, verdict", [
+    # x sums past float range, so pi = x / sum(x) is not finite
+    (0.5, 2.0, [1e308, 1e308], "non-finite solution"),
+    # x G overflows: the residual is not finite
+    (4.0, 2.0, [1e308, 1.0], "non-finite solution"),
+    # a perturbed pi: x G is far from 0
+    (0.5, 2.0, [1.0, 0.3], "relative residual 0.0192308"),
+    # an entry of -1.5e-10 where the exact one is 1e-15: the relative
+    # residual, about half that error, passes, but the entry is negative
+    # beyond RESIDUAL_TOLERANCE
+    (1e-6, 1e9, [1.0, -1.5e-10], "relative residual 7.50005e-11"),
+], ids=["sum-overflows", "residual-overflows", "perturbed", "negative-entry"])
+def test_unchecked_kernel_solution_rejected(monkeypatch, fail, repair, x, verdict):
+    monkeypatch.setattr(srn, "_gth_kernel", lambda chain, g: list(x))
+    with pytest.raises(srn.SrnError) as info:
+        srn.solve(pool_net(1, fail, repair))
+    assert str(info.value) == f"steady-state solve failed at 2 tangible states: {verdict}"
+
+
 @pytest.mark.parametrize("units", [1, BUDGET + 1], ids=["gth", "sparse"])
 def test_exactly_singular_solve_rejected(monkeypatch, small_budget, units):
     # the rates out of the last state stay in the pattern but are zero, so

@@ -8,13 +8,16 @@ reboots.  Solving that net gives the probability of each marking; from
 those probabilities we collapse the whole server into an equivalent
 two-state model with a single failure rate lambda_eq and a single
 repair/patch rate mu_eq, which is what the network-level model uses.
+The net is the file src/patchdesign/data/server.net, written in the
+same text format as any net for `patchdesign solve-srn`; its timed rates
+are parameters, bound here from the dns server's mean durations.
 """
 
 from patchdesign import (
     aggregate_rates,
-    build_server_srn,
     example_network_path,
     load_model,
+    server_document,
 )
 from patchdesign.srn import solve
 
@@ -23,15 +26,15 @@ policy = model.policy
 
 # -- one server in detail ----------------------------------------------------
 template = model.templates["dns"]
-net = build_server_srn(template, policy)
-solution = solve(net)
-print(f"dns server SRN: {len(net.places)} places,",
+doc = server_document(template, policy)
+solution = solve(doc.net)
+print(f"dns server SRN: {len(doc.net.places)} places,",
       f"{len(solution.states)} tangible markings")
 
 # Probability that the patch cycle currently has the service down:
-# waiting to patch, patching, or waiting to reboot afterwards.
-down = solution.probability(
-    lambda m: m["P_svcrtp"] + m["P_svcp"] + m["P_svcrrb"] >= 1)
+# waiting to patch, patching, or waiting to reboot afterwards.  The net
+# file's patch_down reward clause is 1 in exactly those markings.
+down = solution.probability(doc.rewards["patch_down"])
 print(f"P(service down for patching) = {down:.6f}")
 
 rates = aggregate_rates(template, policy)

@@ -18,7 +18,7 @@ _EXPORTS = {
              "network_metrics", "path_metrics", "tree_impact", "tree_probability"),
     "availability": ("AggregatedRates", "aggregate_all", "aggregate_rates",
                      "build_network_srn", "build_server_srn", "coa_reward",
-                     "compute_coa"),
+                     "compute_coa", "server_document"),
     "evaluate": ("DesignEvaluation", "Evaluator", "accepts", "evaluate_design", "sweep"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,26 +1,28 @@
 """Availability models: per-server patch/failure SRN, rate aggregation,
 and capacity-oriented availability (COA) over replica pools.
 
-The server net composes four single-token sub-models (hardware, OS,
-service, patch clock).  A patch cycle runs: clock tick -> service ready
-to patch -> service patch -> OS patch -> merged reboot (OS, then
-service), with the clock frozen while the patch is in flight.  The
-aggregation collapses all of that into a two-state (up / down-by-patch)
-abstraction per server.  COA is the reward of the network SRN, one token
-pool per tier.  The pools share nothing, so ``compute_coas`` evaluates it
-in product form for a set of designs, from each tier's factors computed
-once per replica count; ``compute_coa`` is its one-design slice, and the
-flat net is kept as the test oracle.
+The server net is the net file ``SERVER_NET``, read by ``netfile`` like
+any other: four single-token sub-models (hardware, OS, service, patch
+clock), whose patch cycle runs clock tick -> service ready to patch ->
+service patch -> OS patch -> merged reboot (OS, then service), with the
+clock frozen while the patch is in flight.  Each timed rate names a
+parameter that ``_rates`` binds to the rate per hour of the
+``ServerTemplate`` mean of that name, or to 1 / ``interval_mean``; an
+infinite MTTF binds 0, which leaves its failure arc out.  The
+aggregation collapses the net into a two-state (up / down-by-patch)
+abstraction per server through the file's ``patch_down`` and
+``reboot_ready`` rewards.  COA is the reward of the network SRN, one
+token pool per tier.  The pools share nothing, so ``compute_coas``
+evaluates it in product form for a set of designs, from each tier's
+factors computed once per replica count; ``compute_coa`` is its
+one-design slice, and the flat net is kept as the test oracle.
 
-Server nets differ only in their rate constants, apart from the failure
-arcs that an infinite MTTF leaves out.  ``aggregate_rates`` therefore
-keeps one explored reachability graph per set of left-out failure arcs,
-at most 2^3 = 8 for the life of the process.  Every call re-rates the
-stored graph (``srn.rerate``) with the rate constants it reads from the
-template and the policy through ``_SERVER_TRANSITIONS``, the table that
-``build_server_srn`` builds from.  This is sound because the places, arcs, guards,
-priorities and rate places are otherwise fixed, and exploration depends
-on constants only through their being positive and finite, which
+``aggregate_rates`` keeps one explored graph per set of left-out failure
+arcs, at most 2^3 = 8 for the life of the process, and parses the file
+only when a call misses its variant; every call re-rates the stored
+graph (``srn.rerate``) with the rates it binds.  This is sound because
+nothing else of the net depends on the rates, and exploration depends on
+them only through their being positive and finite, which
 ``ServerTemplate`` and ``PatchPolicy`` enforce for every rate the net
 would check.
 """
@@ -29,104 +31,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
-from . import srn
-from .guards import parse_guard
-from .model import DesignSpec, PatchPolicy, ServerTemplate
+from . import netfile, srn
+from .model import _SERVER_FIELD_KEYS, DesignSpec, PatchPolicy, ServerTemplate
 
-# The server net's transitions, one row each: (name, rate, inputs,
-# outputs, guard).  ``rate`` names the ServerTemplate mean whose reciprocal
-# is the rate, "interval" for the patch clock, or is None for an immediate
-# transition (weight 1).  ``guard`` is the guard text, or None for none.
-# The order is the order of Net.transitions, which the stored graphs index.
-_SERVER_TRANSITIONS = (
-    # hardware: single up/down cycle
-    ("T_hwd", "hw_mttf", ["P_hwup"], ["P_hwd"], None),
-    ("T_hwup", "hw_mttr", ["P_hwd"], ["P_hwup"], None),
-    # OS: up, down (by hw), failed, ready-to-patch, patched
-    ("T_osd", None, ["P_osup"], ["P_osd"], "#P_hwd == 1"),
-    ("T_osdrb", "os_reboot_after_failure", ["P_osd"], ["P_osup"], "#P_hwup == 1"),
-    ("T_osfd", "os_mttf", ["P_osup"], ["P_osfd"], None),
-    ("T_osfup", "os_mttr", ["P_osfd"], ["P_osup"], "#P_hwup == 1"),
-    ("T_osptrig", None, ["P_osup"], ["P_osrtp"], "#P_svcp == 1"),
-    ("T_osp", "os_patch_mean", ["P_osrtp"], ["P_osp"], "#P_hwup == 1"),
-    ("T_osrpd", None, ["P_osrtp"], ["P_osd"], "#P_hwd == 1"),
-    ("T_ospd", None, ["P_osp"], ["P_osd"], "#P_hwd == 1"),
-    ("T_osprb", "os_reboot_after_patch", ["P_osp"], ["P_osup"], "#P_hwup == 1"),
-    # service: up, down, failed, ready-to-patch, patched, ready-to-reboot
-    ("T_svcd", None, ["P_svcup"], ["P_svcd"], "#P_hwd == 1 || #P_osfd == 1"),
-    ("T_svcdrb", "svc_reboot_after_failure", ["P_svcd"], ["P_svcup"],
-     "#P_hwup == 1 && #P_osup == 1"),
-    ("T_svcfd", "svc_mttf", ["P_svcup"], ["P_svcfd"], None),
-    ("T_svcfup", "svc_mttr", ["P_svcfd"], ["P_svcup"], "#P_hwup == 1 && #P_osup == 1"),
-    ("T_svcptrig", None, ["P_svcup"], ["P_svcrtp"], "#P_trigger == 1"),
-    ("T_svcp", "svc_patch_mean", ["P_svcrtp"], ["P_svcp"], "#P_hwup == 1 && #P_osup == 1"),
-    ("T_svcrpd", None, ["P_svcrtp"], ["P_svcd"], "#P_hwd == 1 || #P_osfd == 1"),
-    ("T_svcrrb", None, ["P_svcp"], ["P_svcrrb"], "#P_osp == 1"),
-    ("T_svcrrbd", None, ["P_svcrrb"], ["P_svcd"], "#P_hwd == 1 || #P_osfd == 1"),
-    ("T_svcprb", "svc_reboot_after_patch", ["P_svcrrb"], ["P_svcup"],
-     "#P_hwup == 1 && #P_osup == 1"),
-    # patch clock: armed, triggered, waiting for the cycle to finish
-    ("T_interval", "interval", ["P_clock"], ["P_trigger"],
-     "#P_svcup == 1 || #P_svcd == 1 || #P_svcfd == 1"),
-    ("T_policy", None, ["P_trigger"], ["P_wait"], "#P_svcp == 1"),
-    ("T_reset", None, ["P_wait"], ["P_clock"], "#P_osp == 1"),
-)
-# guard text -> guard, parsed once: every server net shares the immutable guards
-_GUARDS = {guard: parse_guard(guard) for *_, guard in _SERVER_TRANSITIONS if guard}
+SERVER_NET = Path(__file__).parent / "data" / "server.net"
 
 
-def _server_transitions(template: ServerTemplate, policy: PatchPolicy) -> list:
-    """The rows of the server net's transitions, each with its rate, or
-    None for an immediate one.  An infinite MTTF means the failure arc
-    never fires; it is left out, so the net degenerates to the pure
-    patch cycle.  ``ServerTemplate`` and ``PatchPolicy`` keep every other
-    rate positive and finite."""
-    rows = []
-    for name, mean, inputs, outputs, guard in _SERVER_TRANSITIONS:
-        rate = None
-        if mean == "interval":
-            rate = 1.0 / policy.interval_mean
-        elif mean is not None:
-            rate = template.rate_per_hour(mean)
-            if rate == 0:
-                continue
-        rows.append((name, rate, inputs, outputs, guard))
-    return rows
+def _rates(template: ServerTemplate, policy: PatchPolicy) -> dict:
+    """The server net's rate parameters, bound: each ``ServerTemplate``
+    mean's rate per hour, and the patch clock's."""
+    rates = {name: template.rate_per_hour(name) for name in _SERVER_FIELD_KEYS}
+    rates["interval_mean"] = 1.0 / policy.interval_mean
+    return rates
+
+
+def server_document(template: ServerTemplate, policy: PatchPolicy) -> netfile.NetDocument:
+    """``SERVER_NET`` parsed with the template's and the policy's rates
+    bound: the server net and its rewards."""
+    return netfile.parse_net(SERVER_NET.read_text(), _rates(template, policy))
 
 
 def build_server_srn(template: ServerTemplate, policy: PatchPolicy) -> srn.Net:
     """Compose the hardware, OS, service and patch-clock sub-models."""
-    net = srn.Net()
-    # one token per sub-model; guards cross sub-model boundaries, so all
-    # places are declared before any transition
-    for p in ("P_hwup", "P_osup", "P_svcup", "P_clock"):
-        net.add_place(p, 1)
-    for p in ("P_hwd", "P_osd", "P_osfd", "P_osrtp", "P_osp",
-              "P_svcd", "P_svcfd", "P_svcrtp", "P_svcp", "P_svcrrb",
-              "P_trigger", "P_wait"):
-        net.add_place(p, 0)
-    for name, rate, inputs, outputs, text in _server_transitions(template, policy):
-        guard = _GUARDS.get(text, srn.TRUE)
-        if rate is None:
-            net.add_immediate(name, inputs, outputs, guard=guard)
-        else:
-            net.add_timed(name, rate, inputs, outputs, guard=guard)
-    return net
+    return server_document(template, policy).net
 
 
-def _patch_down(m) -> bool:
-    """The service is down because of the patch cycle."""
-    return m["P_svcrtp"] == 1 or m["P_svcp"] == 1 or m["P_svcrrb"] == 1
-
-
-def _reboot_ready(m) -> bool:
-    """The final service reboot is enabled."""
-    return m["P_svcrrb"] == 1 and m["P_hwup"] == 1 and m["P_osup"] == 1
-
-
-# names of the transitions _server_transitions kept -> (explored graph,
-# indices of the tangible markings where _patch_down and _reboot_ready hold)
+# the parameters bound to 0 -> (explored graph, indices of the tangible markings
+# where patch_down and reboot_ready hold, (parameter or None, constant) per transition)
 _EXPLORED: dict = {}
 
 
@@ -156,33 +89,28 @@ def aggregate_rates(template: ServerTemplate, policy: PatchPolicy) -> Aggregated
     stage (reboot transition enabled) versus anywhere in the patch
     pipeline.
 
-    The net's structure is fixed apart from the failure arcs that an
-    infinite MTTF leaves out, so one explored graph per such variant is
-    kept for the life of the process; only a call that misses its variant
-    builds and explores a net.  Every call reads the rate constants from
-    the template and the policy through the same transition table as
-    ``build_server_srn``, re-rates the stored graph with them and solves
-    it afresh.  That is sound because ``ServerTemplate`` and
-    ``PatchPolicy`` keep every rate the net would check positive and
-    finite.
+    A call whose variant (its parameters bound to 0) is stored parses
+    and builds nothing: it re-rates the stored graph with the rates it
+    binds and solves it afresh.
     """
-    rows = _server_transitions(template, policy)
-    variant = tuple(name for name, *_ in rows)
+    rates = _rates(template, policy)
+    variant = tuple(name for name, rate in rates.items() if rate == 0)
     if variant not in _EXPLORED:
-        graph = srn.reachability(build_server_srn(template, policy))
-        _EXPLORED[variant] = (
-            graph, [i for i, m in enumerate(graph.tangible) if _patch_down(m)],
-            [i for i, m in enumerate(graph.tangible) if _reboot_ready(m)])
-    graph, patch_down, reboot_ready = _EXPLORED[variant]
-    graph = srn.rerate(graph, [1.0 if rate is None else rate for _, rate, *_ in rows])
+        doc = server_document(template, policy)
+        graph = srn.reachability(doc.net)
+        selected = ([i for i, m in enumerate(graph.tangible) if doc.rewards[name](m)]
+                    for name in ("patch_down", "reboot_ready"))
+        keys = [doc.parameters.get(t.name) for t in doc.net.transitions]
+        _EXPLORED[variant] = (graph, *selected, list(zip(keys, doc.net.constants())))
+    graph, patch_down, reboot_ready, constants = _EXPLORED[variant]
+    graph = srn.rerate(graph, [c if p is None else rates[p] for p, c in constants])
     pi = srn.solve_graph(graph).pi
     # summed in marking order, as SteadyStateSolution.probability sums
-    p_patch_down = sum([pi[i] for i in patch_down])
-    p_reboot_ready = sum([pi[i] for i in reboot_ready])
-    beta_svc = template.rate_per_hour("svc_reboot_after_patch")
+    p_down = sum([pi[i] for i in patch_down])
+    p_ready = sum([pi[i] for i in reboot_ready])
     return AggregatedRates(
-        lambda_eq=1.0 / policy.interval_mean,
-        mu_eq=beta_svc * p_reboot_ready / p_patch_down,
+        lambda_eq=rates["interval_mean"],
+        mu_eq=rates["svc_reboot_after_patch"] * p_ready / p_down,
     )
 
 

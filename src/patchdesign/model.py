@@ -266,8 +266,11 @@ def make_bounds(values: dict, path: str = "bounds") -> Bounds:
     or ``--bounds``), whose keys and types ``_fields`` checks: every key
     optional, a count bound (xi, omega, kappa) an integer, phi and psi
     any number.  ``Bounds`` gets the values as given, so that a range
-    error shows each as written."""
+    error shows each as written.  An empty object is refused: it would
+    accept every design."""
     _fields(values, _BOUNDS, path, optional=BOUND_KEYS)
+    if not values:
+        raise ModelError(path, "no bound given (an empty bound set accepts every design)")
     return _build(Bounds, path, *map(values.get, BOUND_KEYS))
 
 

@@ -1,7 +1,7 @@
 """Textual net format, one statement per line::
 
     place <id> <tokens>
-    timed <id> rate=<float>[*#<place>] [guard="<expr>"] in=<place>[:mult],... out=...
+    timed <id> rate=<float>|$<param>[*#<place>] [guard="<expr>"] in=<place>[:mult],... out=...
     immediate <id> [weight=<float>] [priority=<int>] [guard="..."] in=... out=...
     reward <name> "<guarded expression>" = <float>
 
@@ -18,6 +18,11 @@ given twice or one that a statement does not take.  A place listed twice
 in one arc list gets the sum of its multiplicities: ``in=a,a`` is
 ``in=a:2``.  Every number, rate constants included, is read by
 ``_number``; ``srn.Net`` alone checks a rate constant's or weight's range.
+
+A rate constant may instead name a parameter, ``$<param>``, that the
+caller of ``parse_net`` binds to a rate.  One nobody binds is an error at
+its line (``solve-srn`` binds none).  One bound to 0 leaves its
+transition out, as an infinite MTTF does a failure arc; ``rate=0`` is an error.
 
 Reward clauses with the same name are tried in file order; the first
 matching guard supplies the reward, with 0 as the fallback.
@@ -62,6 +67,7 @@ class RewardSpec:
 class NetDocument:
     net: srn.Net
     rewards: dict  # name -> RewardSpec
+    parameters: dict = field(default_factory=dict)  # transition -> the parameter its rate names
 
 
 _TOKEN_RE = re.compile(r'(?:[^ \t"]+|"[^"]*")+')
@@ -130,25 +136,33 @@ def _arcs(text: str):
     return arcs
 
 
-def _add_transition(net: srn.Net, kind: str, name: str, opts: dict) -> None:
+def _add_transition(doc: NetDocument, kind: str, name: str, opts: dict, params: dict) -> None:
     guard = parse_guard(opts["guard"]) if "guard" in opts else TRUE
     inputs, outputs = _arcs(opts.get("in", "")), _arcs(opts.get("out", ""))
     if kind == "immediate":
-        return net.add_immediate(name, inputs, outputs, guard,
-                                 weight=_number(float, opts.get("weight", "1"), "weight"),
-                                 priority=_number(int, opts.get("priority", "0"), "priority"))
+        return doc.net.add_immediate(name, inputs, outputs, guard,
+                                     weight=_number(float, opts.get("weight", "1"), "weight"),
+                                     priority=_number(int, opts.get("priority", "0"), "priority"))
     if "rate" not in opts:
         raise ValueError("timed transition needs rate=")
     constant, star, place = opts["rate"].partition("*#")
-    net.add_timed(name, srn.RateExpr(_number(float, constant, "rate"), place if star else None),
-                  inputs, outputs, guard)
+    parameter = constant[1:] if constant.startswith("$") else None
+    if parameter is not None:
+        if parameter not in params:
+            raise ValueError(f"unbound rate parameter {parameter!r}")
+        if params[parameter] == 0:
+            return None  # the transition is left out
+        doc.parameters[name] = parameter
+    rate = _number(float, constant, "rate") if parameter is None else params[parameter]
+    doc.net.add_timed(name, srn.RateExpr(rate, place if star else None), inputs, outputs, guard)
 
 
-def parse_net(text: str) -> NetDocument:
+def parse_net(text: str, params: dict | None = None) -> NetDocument:
     """Pass one lexes each line, checks its shape and declares places;
-    pass two reads transitions and rewards against the declared places."""
-    net = srn.Net()
-    rewards: dict[str, RewardSpec] = {}
+    pass two reads transitions and rewards against the declared places.
+    ``params`` binds each rate parameter's name to its rate."""
+    doc = NetDocument(net=srn.Net(), rewards={})
+    net, rewards = doc.net, doc.rewards
     statements = []
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -161,7 +175,7 @@ def parse_net(text: str) -> NetDocument:
                     statements.append((lineno, kind, name, operands))
         for lineno, kind, name, operands in statements:
             if kind != "reward":
-                _add_transition(net, kind, name, operands)
+                _add_transition(doc, kind, name, operands, params or {})
                 continue
             guard = parse_guard(operands[0])
             check_places(f"reward {name!r}", guard.places(), net.places)
@@ -171,7 +185,7 @@ def parse_net(text: str) -> NetDocument:
             rewards.setdefault(name, RewardSpec(name)).clauses.append((guard, value))
     except ValueError as e:
         raise NetFileError(lineno, str(e)) from None
-    return NetDocument(net=net, rewards=rewards)
+    return doc
 
 
 def solve_document(doc: NetDocument, state_cap: int = srn.DEFAULT_STATE_CAP):

@@ -702,9 +702,13 @@ def _solve_pinned(chain: Chain, data: list, states: list) -> SteadyStateSolution
     residual = max(map(abs, y)) / (total * max(norm))  # of pi
     if not math.isfinite(residual):
         raise SrnError(f"steady-state solve failed at {where}: non-finite solution")
-    if residual > RESIDUAL_TOLERANCE or min(x) < -RESIDUAL_TOLERANCE * total:
+    if residual > RESIDUAL_TOLERANCE:
         raise SrnError(f"steady-state solve failed at {where}: "
                        f"relative residual {residual:g}")
+    low = min(x)
+    if low < -RESIDUAL_TOLERANCE * total:
+        raise SrnError(f"steady-state solve failed at {where}: "
+                       f"negative entry at state {x.index(low)}: {low / total:g}")
     pi = [v if v > 0.0 else 0.0 for v in x[:nt]]
     total = sum(pi)
     return SteadyStateSolution(states, [p / total for p in pi], residual)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 import patchdesign
-from patchdesign import availability, harm, srn
+from patchdesign import availability, harm, netfile, srn
 from patchdesign.guards import parse_guard
 from patchdesign.model import example_network_path, load_model
 
@@ -35,6 +35,15 @@ COMPARISON_LABELS = [
 ]
 
 BASELINE = "1dns-1web-1app-1db"
+
+
+def server_net_guards():
+    """The guard text of each transition of the shipped server net, in
+    file order, as the net file's lexer reads it."""
+    return [token[len("guard="):]
+            for line in availability.SERVER_NET.read_text().splitlines()
+            if not line.startswith("#") for token in netfile._tokens(line)
+            if token.startswith("guard=")]
 
 
 def run_python(*args, **env):

@@ -10,10 +10,9 @@ from itertools import product
 
 import pytest
 
-from conftest import BASELINE, COMPARISON_LABELS, flat_srn_coa
+from conftest import BASELINE, COMPARISON_LABELS, flat_srn_coa, server_net_guards
 from patchdesign import availability as av
 from patchdesign import evaluate, harm, simulate, srn
-from patchdesign.availability import _SERVER_TRANSITIONS
 from patchdesign.guards import GuardSyntaxError, parse_guard
 from patchdesign.model import Bounds
 
@@ -203,7 +202,7 @@ def _brute_force(net, token_cap):
 
 
 def test_criterion_8_guard_parser():
-    guards = [guard for *_, guard in _SERVER_TRANSITIONS if guard]
+    guards = server_net_guards()
     assert len(guards) == 20
     for text in guards:
         expr = parse_guard(text)

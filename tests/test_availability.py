@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import BASELINE, COMPARISON_LABELS, flat_srn_coa
 from patchdesign import availability as av
-from patchdesign import srn
+from patchdesign import netfile, srn
 from patchdesign.model import DesignSpec, PatchPolicy
 
 SUBMODEL_TOKENS = {
@@ -151,15 +151,44 @@ def test_rerated_rates_equal_a_fresh_solve(model, monkeypatch):
 
 
 def test_store_hit_builds_no_net(model, monkeypatch):
-    # a call whose variant is stored reads its rates through the transition
-    # table: over the grid, one net is built per variant
+    # a call whose variant is stored binds its rates to the stored
+    # parameters: over the grid, the server net is parsed and built once
+    # per variant
     monkeypatch.setattr(av, "_EXPLORED", {})
-    built = []
-    init = srn.Net.__init__
+    built, parsed = [], []
+    init, parse = srn.Net.__init__, netfile.parse_net
     monkeypatch.setattr(srn.Net, "__init__", lambda net: built.append(net) or init(net))
+    monkeypatch.setattr(netfile, "parse_net",
+                        lambda text, params=None: parsed.append(text) or parse(text, params))
     for template, policy in override_grid(model):
         av.aggregate_rates(template, policy)
-    assert len(built) == len(av._EXPLORED) == 2
+    assert len(parsed) == len(built) == len(av._EXPLORED) == 2
+
+
+# mu_eq of each bundled tier, stock and with every MTTF infinite, to the
+# last bit: a change to the server net file or its binding shows here
+@pytest.mark.parametrize("tier, stock, failure_free", [
+    ("dns", "0x1.7ffa2b4fd7ec6p+0", "0x1.8000000000000p+0"),
+    ("web", "0x1.b6d536ffbc4adp+0", "0x1.b6db6db6db6dbp+0"),
+    ("app", "0x1.fff82a044f9f7p-1", "0x1.0000000000000p+0"),
+    ("db", "0x1.17416086a390fp+0", "0x1.1745d1745d174p+0"),
+])
+def test_bundled_mu_eq_is_pinned(model, tier, stock, failure_free):
+    template = model.templates[tier]
+    assert [av.aggregate_rates(tpl, model.policy).mu_eq.hex()
+            for tpl in (template, no_failures(template))] == [stock, failure_free]
+
+
+def test_server_net_takes_its_rates_as_parameters(model):
+    # every timed rate of the file is a bound parameter, so a store hit can
+    # re-rate every one; a failure rate bound to 0 leaves its arc out
+    doc = av.server_document(model.templates["dns"], model.policy)
+    timed = [t.name for t in doc.net.transitions if t.timed]
+    assert sorted(doc.parameters) == sorted(timed) and len(timed) == 13
+    assert set(doc.parameters.values()) == set(av._rates(model.templates["dns"], model.policy))
+    failure_free = av.server_document(no_failures(model.templates["dns"]), model.policy)
+    assert {t.name for t in doc.net.transitions} - \
+        {t.name for t in failure_free.net.transitions} == {"T_hwd", "T_osfd", "T_svcfd"}
 
 
 def test_failure_perturbation_below_one_percent(model, rates):

@@ -612,8 +612,8 @@ def test_invalid_bounds_key():
 
 
 @pytest.mark.parametrize("bounds, message", [
-    (",", "no key=value pair in ','"),
-    ("", "no key=value pair in ''"),
+    (",", "no bound given (an empty bound set accepts every design)"),
+    ("", "no bound given (an empty bound set accepts every design)"),
     ("phi", "expected key=value, got 'phi'"),
 ], ids=[",", "", "no-equals"])
 def test_bounds_without_a_pair_are_rejected(tmp_path, bounds, message):
@@ -851,13 +851,24 @@ UP_DOWN_NET = ("place up 1\nplace down 0\ntimed fail rate=1 in=up out=down\n"
      "line 5: transition 't': rate constant must be positive and finite, got inf"),
     ("timed t rate=1*#dwn in=up out=down", "line 5: transition 't' references unknown "
                                            "place(s) ['dwn']"),
+    # solve-srn binds no rate parameter
+    ("timed t rate=$lam*#up in=up out=down", "line 5: unbound rate parameter 'lam'"),
 ], ids=["misspelt-reward-place", "duplicate-transition", "bad-token-count", "bad-weight",
         "bad-priority", "bad-reward-value", "single-quoted-guard", "single-quoted-reward-guard",
-        "no-name", "no-equals", "infinite-rate", "undeclared-rate-place"])
+        "no-name", "no-equals", "infinite-rate", "undeclared-rate-place", "unbound-parameter"])
 def test_solve_srn_net_fault_is_one_error_line(tmp_path, statement, message):
     netpath = tmp_path / "net.txt"
     netpath.write_text(f"{UP_DOWN_NET}{statement}\n")
     assert run_cli("solve-srn", str(netpath)) == (1, "", f"error: {message}\n")
+
+
+def test_solve_srn_refuses_the_shipped_server_net():
+    # its rates are parameters that only availability binds: refused at
+    # the first timed transition, not solved with some default
+    lines = availability.SERVER_NET.read_text().splitlines()
+    first = next(n for n, line in enumerate(lines, start=1) if "rate=$" in line)
+    assert run_cli("solve-srn", str(availability.SERVER_NET)) == \
+        (1, "", f"error: line {first}: unbound rate parameter 'hw_mttf'\n")
 
 
 def test_duplicate_design_label_is_one_error_line(tmp_path):

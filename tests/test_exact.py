@@ -75,15 +75,16 @@ def exact_pi(net: srn.Net, graph: srn.ReachabilityGraph) -> list:
 
 
 def exact_mu_eq(template: ServerTemplate, policy: PatchPolicy) -> Fraction:
-    """``aggregate_rates``' mu_eq from the exact stationary vector."""
-    net = availability.build_server_srn(template, policy)
-    graph = srn.reachability(net)
-    pi = exact_pi(net, graph)
-    p_patch_down = sum(p for m, p in zip(graph.tangible, pi) if availability._patch_down(m))
-    p_reboot_ready = sum(p for m, p in zip(graph.tangible, pi)
-                         if availability._reboot_ready(m))
+    """``aggregate_rates``' mu_eq from the exact stationary vector, over
+    the markings where the server net's reward clauses hold."""
+    doc = availability.server_document(template, policy)
+    graph = srn.reachability(doc.net)
+    pi = exact_pi(doc.net, graph)
+    p_down, p_ready = (
+        sum(p for m, p in zip(graph.tangible, pi) if doc.rewards[name](m))
+        for name in ("patch_down", "reboot_ready"))
     beta_svc = Fraction(template.rate_per_hour("svc_reboot_after_patch"))
-    return beta_svc * p_reboot_ready / p_patch_down
+    return beta_svc * p_ready / p_down
 
 
 def _assert_mu_eq_exact(template, policy):

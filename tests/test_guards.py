@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from patchdesign.availability import _SERVER_TRANSITIONS
+from conftest import server_net_guards
 from patchdesign.guards import (AllOf, AnyOf, Comparison, GuardSyntaxError, Literal,
                                 check_places, parse_guard)
 
@@ -136,7 +136,7 @@ def test_unknown_place_rejected_at_bind_time():
 def test_all_server_guards_round_trip():
     # every guard used by the server sub-models must survive
     # parse -> unparse -> parse
-    guards = [guard for *_, guard in _SERVER_TRANSITIONS if guard]
+    guards = server_net_guards()
     assert len(guards) == 20
     for text in guards:
         expr = parse_guard(text)

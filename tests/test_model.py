@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+from pathlib import Path, PurePosixPath
 
 import pytest
 from conftest import KeyTwice
@@ -11,6 +12,23 @@ from patchdesign.harm import tier_trees
 from patchdesign.model import (BOUND_KEYS, AttackTreeNode, Bounds, ModelError, PatchPolicy,
                                ReachabilityTemplate, and_node, example_network_path,
                                load_model, make_bounds, or_node, prune_attack_tree)
+
+
+def test_every_data_file_is_package_data():
+    # a file under src/patchdesign/data/ that no package-data glob names
+    # is left out of the installed package
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10: the reader pytest itself uses
+        import tomli as tomllib
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as f:
+        globs = tomllib.load(f)["tool"]["setuptools"]["package-data"]["patchdesign"]
+    package = root / "src" / "patchdesign"
+    files = [PurePosixPath(path.relative_to(package).as_posix())
+             for path in (package / "data").rglob("*") if path.is_file()]
+    assert {"data/example_network.json", "data/server.net"} <= set(map(str, files))
+    assert [str(f) for f in files if not any(f.match(glob) for glob in globs)] == []
 
 
 def test_example_network_loads(model):
@@ -221,6 +239,17 @@ def test_bound_range_fault_reads_the_same_every_way_in(tmp_path, bounds, message
 def test_bound_key_and_type_faults_come_first_every_way_in(tmp_path, bounds, message):
     assert _bound_errors(tmp_path, bounds) == [
         f"error: {message.format(root)}\n" for root in ("bounds", "$.bounds")]
+
+
+def test_empty_bound_set_is_refused_every_way_in(tmp_path):
+    # an empty bound set would accept every design: one rule for
+    # "bounds": {} in a model file and for --bounds with no pair
+    message = "no bound given (an empty bound set accepts every design)"
+    assert _bound_errors(tmp_path, {}) == [
+        f"error: {root}: {message}\n" for root in ("bounds", "$.bounds")]
+    assert not list(tmp_path.glob("*.csv"))
+    with pytest.raises(ModelError, match=r"^bounds: no bound given"):
+        make_bounds({})
 
 
 def _cli_error(*argv):

@@ -164,6 +164,24 @@ def test_error_messages(text, message):
     assert str(info.value) == message
 
 
+def test_rate_parameters_are_bound_by_the_caller():
+    text = UP_DOWN.replace("rate=1 ", "rate=$lam*#up ").replace("rate=2 ", "rate=$mu ")
+    doc = netfile.parse_net(text, {"lam": 0.5, "mu": 2.0, "unused": 1.0})
+    assert [(t.name, t.rate) for t in doc.net.transitions] == \
+        [("fail", srn.RateExpr(0.5, "up")), ("repair", srn.RateExpr(2.0))]
+    assert doc.parameters == {"fail": "lam", "repair": "mu"}
+    # a parameter bound to 0 leaves its transition out; a written 0 is refused
+    assert [t.name for t in netfile.parse_net(text, {"lam": 0, "mu": 2.0}).net.transitions] \
+        == ["repair"]
+    with pytest.raises(netfile.NetFileError, match="^line 3: .* got 0.0$"):
+        netfile.parse_net(UP_DOWN.replace("rate=1 ", "rate=0 "), {"lam": 0})
+    # a parameter nobody binds is refused at its line, by name
+    for params in (None, {"lam": 0.5}):
+        with pytest.raises(netfile.NetFileError) as info:
+            netfile.parse_net(text.replace("$lam", "1"), params)
+        assert str(info.value) == "line 4: unbound rate parameter 'mu'"
+
+
 def test_reward_may_name_a_place_declared_further_down():
     doc = netfile.parse_net('reward u "#up == 1" = 1\n' + UP_DOWN)
     _, values = netfile.solve_document(doc)

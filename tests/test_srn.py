@@ -452,7 +452,7 @@ def test_non_finite_solution_rejected(monkeypatch, small_budget, units, module, 
     # an entry of -1.5e-10 where the exact one is 1e-15: the relative
     # residual, about half that error, passes, but the entry is negative
     # beyond RESIDUAL_TOLERANCE
-    (1e-6, 1e9, [1.0, -1.5e-10], "relative residual 7.50005e-11"),
+    (1e-6, 1e9, [1.0, -1.5e-10], "negative entry at state 1: -1.5e-10"),
 ], ids=["sum-overflows", "residual-overflows", "perturbed", "negative-entry"])
 def test_unchecked_kernel_solution_rejected(monkeypatch, fail, repair, x, verdict):
     monkeypatch.setattr(srn, "_gth_kernel", lambda chain, g: list(x))

@@ -21,16 +21,15 @@ in one arc list gets the sum of its multiplicities: ``in=a,a`` is
 
 A rate constant may instead name a parameter, ``$<param>``, that the
 caller of ``parse_net`` binds to a rate.  One nobody binds is an error at
-its line (``solve-srn`` binds none).  One bound to 0 leaves its
+its line (``solve-srn`` binds none).  One bound to 0 leaves its checked
 transition out, as an infinite MTTF does a failure arc; ``rate=0`` is an error.
 
 Reward clauses with the same name are tried in file order; the first
 matching guard supplies the reward, with 0 as the fallback.
 
-The initial marking is the pinned state of the steady-state solve
-(``srn.solve_graph``): it may be rare, but not so rare that its
-probability underflows double precision relative to the likeliest
-marking.
+The initial marking, which the steady-state solve pins, may be of any
+probability when the state reduction solves the chain; to the sparse LU
+of a larger chain one too rare for a double is singular (``srn._solve_pinned``).
 """
 
 from __future__ import annotations
@@ -147,14 +146,16 @@ def _add_transition(doc: NetDocument, kind: str, name: str, opts: dict, params: 
         raise ValueError("timed transition needs rate=")
     constant, star, place = opts["rate"].partition("*#")
     parameter = constant[1:] if constant.startswith("$") else None
+    if parameter is not None and parameter not in params:
+        raise ValueError(f"unbound rate parameter {parameter!r}")
+    rate = srn.RateExpr(_number(float, constant, "rate") if parameter is None
+                        else params[parameter], place if star else None)
     if parameter is not None:
-        if parameter not in params:
-            raise ValueError(f"unbound rate parameter {parameter!r}")
-        if params[parameter] == 0:
-            return None  # the transition is left out
+        if rate.constant == 0:  # left out, once its places are checked
+            doc.net._transition(name, inputs, outputs, guard, rate=rate)
+            return None
         doc.parameters[name] = parameter
-    rate = _number(float, constant, "rate") if parameter is None else params[parameter]
-    doc.net.add_timed(name, srn.RateExpr(rate, place if star else None), inputs, outputs, guard)
+    doc.net.add_timed(name, rate, inputs, outputs, guard)
 
 
 def parse_net(text: str, params: dict | None = None) -> NetDocument:

@@ -38,44 +38,41 @@ chain whose symbolic phase would pass ``GTH_UPDATES`` updates goes to
 scipy's sparse LU instead (``_sparse_kernel``, W. J. Stewart,
 "Introduction to the Numerical Solution of Markov Chains", 1994, ch. 2),
 which pins state 0 and, if another state is more probable, that one.
-``_solve_pinned`` gives the measured crossover, and it alone rules the
-system singular and checks the residual, for both kernels.
+``_solve_pinned`` gives the measured crossover, and it alone raises the
+solve's verdicts, for both kernels, each naming the stage and state count.
 
 Exploration fixes what is structural in one record, ``Chain``: the
 state numbering, the generator's (row, column) triplets and distinct
-entries, which immediate edges stay in the chain, the strong-connectivity
-verdict of ``_components``, from walks forward and backward from state
-0, and the state reduction's plan, which every re-rated copy of a graph
-shares.  A solve gives each triplet its value.
+entries, which immediate edges stay in the chain, the tangible states
+outside the class of state 0 (``_outside``), from walks forward and
+backward from it, and the state reduction's plan, which every re-rated
+copy of a graph shares.  A solve gives each triplet its value.
 ``eliminate_vanishing`` keeps the reduced generator as the plain
 reference, and ``steady_state`` solves it as a chain with no vanishing
 states.
 
 The graph, the chain and the steady state are plain lists, so a chain
 the state reduction solves, every server net among them, needs neither
-numpy nor scipy.  Both are imported only by the sparse kernel, for the
-components of a reducible chain, and by the reference functions
-``eliminate_vanishing`` and ``steady_state``.
+numpy nor scipy, and nor does a verdict reached before a kernel runs.
+Both are imported only by the sparse kernel and by the reference
+``eliminate_vanishing``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .guards import TRUE, check_places
 from .model import SrnError, _closure
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 DEFAULT_STATE_CAP = 1_000_000
 RESIDUAL_TOLERANCE = 1e-10  # the steady-state solve's bound on its relative residual
 GTH_UPDATES = 5_000  # the most updates of a chain the state reduction solves
+_RESCALE = 2.0 ** 600  # the back pass scales x down by this once an entry passes it
 
 
 class StateCapExceeded(SrnError):
@@ -85,11 +82,10 @@ class StateCapExceeded(SrnError):
 class TimelessTrap(SrnError):
     """A set of vanishing markings with no path to any tangible marking."""
 
-    def __init__(self, markings):
+    def __init__(self, failed: str, markings):
         self.markings = markings
-        super().__init__(
-            "timeless trap among vanishing markings: " + "; ".join(map(str, markings))
-        )
+        super().__init__(f"{failed}: timeless trap among vanishing markings: "
+                         + "; ".join(map(str, markings)))
 
 
 class ReducibleChain(SrnError):
@@ -186,19 +182,25 @@ class Net:
     def _add(self, name, what, constant, inputs, outputs, guard, priority=0, **kind):
         """Append a new-named transition whose rate constant or weight
         ``constant`` is positive and finite and whose places are declared."""
-        if name in self._names:
-            raise ValueError(f"duplicate transition {name!r}")
+        t = self._transition(name, inputs, outputs, guard, priority, **kind)
         if not 0 < constant < math.inf:
             raise ValueError(f"transition {name!r}: {what} must be positive "
                              f"and finite, got {constant!r}")
+        self.transitions.append(t)
+        self._names.add(name)
+
+    def _transition(self, name, inputs, outputs, guard, priority=0, **kind) -> Transition:
+        """The transition, unless its name is taken or it reads a place,
+        by an arc, its guard or its rate, that is not declared."""
+        if name in self._names:
+            raise ValueError(f"duplicate transition {name!r}")
         t = Transition(name, _arcs(name, inputs), _arcs(name, outputs), guard,
                        priority=int(priority), **kind)
         places = t.guard.places().union(p for p, _ in t.inputs + t.outputs)
         if t.timed and t.rate.place is not None:
             places.add(t.rate.place)
         check_places(f"transition {name!r}", places, self._places)
-        self.transitions.append(t)
-        self._names.add(name)
+        return t
 
     def initial_marking(self) -> Marking:
         return Marking(tuple(self._places.values()), self._index)
@@ -289,7 +291,7 @@ class Plan(NamedTuple):
     # j that remain, [(slot of a_ik, [(slot of a_ij, slot of a_kj), ...])
     # for each predecessor i that remains])
     steps: list
-    back: list     # (k, i, slot of a_ik) in back-substitution order
+    back: list     # (k, [(i, slot of a_ik), ...]) in back-substitution order
     fill: int
     updates: int   # (predecessor, successor) pairs over the eliminated states
 
@@ -322,7 +324,7 @@ class Chain(NamedTuple):
     rows: list        # the row of each triplet of G, the diagonal last
     cols: list        # the column of each triplet of G
     n: int
-    components: list  # ``_components`` of G's pattern
+    outside: list | None  # ``_outside`` of G's pattern: None when it is strongly connected
     pairs: list       # G's distinct (row, column) entries
     entry: list       # the index in ``pairs`` of each triplet
     plan: Plan | None
@@ -360,30 +362,19 @@ class Chain(NamedTuple):
         entry = [index.setdefault(pair, len(index)) for pair in zip(rows, cols)]
         pairs = list(index)
         return cls(list(trapped), list(kept), rows, cols, n,
-                   _components(rows, cols, n, nt), pairs, entry, _plan(pairs, n))
+                   _outside(rows, cols, n, nt), pairs, entry, _plan(pairs, n))
 
 
-def _components(rows, cols, n: int, nt: int) -> list:
-    """[] when the pattern (rows, cols) over n states is strongly
-    connected, else the tangible states (the first nt) of each strongly
-    connected component that has any.
-
-    The pattern is strongly connected when state 0 reaches every state
-    and every state reaches state 0 (``_closure`` forward and backward),
-    which needs neither numpy nor scipy.  Only a chain found reducible
-    goes to scipy's ``connected_components`` for its components."""
+def _outside(rows, cols, n: int, nt: int) -> list | None:
+    """None when walks forward and backward from state 0 (``_closure``)
+    reach all n states of the pattern (rows, cols), else (state, reached)
+    for each tangible state (of the first nt) outside state 0's class:
+    reached is whether state 0 reaches it, so that it cannot return."""
     origin = [0] if n else []  # none in an empty chain
-    if all(_closure(n, rows, cols, origin)) and all(_closure(n, cols, rows, origin)):
-        return []
-    import numpy as np
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    ncomp, labels = connected_components(
-        sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)),
-        directed=True, connection="strong")
-    groups = (np.nonzero(labels[:nt] == c)[0].tolist() for c in range(ncomp))
-    return [group for group in groups if group]
+    forward, backward = _closure(n, rows, cols, origin), _closure(n, cols, rows, origin)
+    if all(forward) and all(backward):
+        return None
+    return [(i, forward[i]) for i in range(nt) if not (forward[i] and backward[i])]
 
 
 def _plan(pairs: list, n: int) -> Plan | None:
@@ -431,10 +422,10 @@ def _plan(pairs: list, n: int) -> Plan | None:
                         size += 1
                     pairs_i.append((row[j], q))
             preds.append((p, pairs_i))
-            back.append((k, i, p))
         for j in out:
             del pred[j][k]
         steps.append((list(out.values()), preds))
+        back.append((k, list(reversed(pred[k].items()))))
         for i in {*pred[k], *out}:
             if i:
                 heapq.heappush(heap, (len(pred[i]) * len(succ[i]), i))
@@ -477,7 +468,7 @@ def reachability(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> ReachabilityGr
         if key in seen:
             return seen[key]
         if len(seen) >= state_cap:
-            raise StateCapExceeded(f"more than {state_cap} markings")
+            raise StateCapExceeded(f"reachability failed: more than {state_cap} markings")
         vanishing, step = net.branches(m)
         ref = seen[key] = (vanishing, len(markings[vanishing]))
         markings[vanishing].append(m)
@@ -531,11 +522,11 @@ def rerate(graph: ReachabilityGraph, constants) -> ReachabilityGraph:
         graph.chain)
 
 
-def eliminate_vanishing(graph: ReachabilityGraph) -> sp.csr_matrix:
+def eliminate_vanishing(graph: ReachabilityGraph):
     """The CTMC generator Q over the tangible markings, with the
     vanishing markings eliminated.
 
-    Q is a sparse matrix with zero row sums.  The edge lists split by
+    Q is a scipy sparse CSR matrix with zero row sums.  The edge lists split by
     target kind into timed rates R_TT and R_TV out of tangible markings
     and branching probabilities P_VV and P_VT out of vanishing ones.  The
     off-diagonal part of Q is
@@ -556,9 +547,9 @@ def eliminate_vanishing(graph: ReachabilityGraph) -> sp.csr_matrix:
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
-    if graph.chain.trapped:
-        raise TimelessTrap(graph.chain.trapped)
     nt, nv = len(graph.tangible), len(graph.vanishing)
+    if graph.chain.trapped:
+        raise TimelessTrap(_failed(nt, graph.chain.n), graph.chain.trapped)
 
     def block(edges, into_vanishing, shape):
         pick = np.array(edges.into_vanishing, dtype=bool) == into_vanishing
@@ -588,14 +579,10 @@ class SteadyStateSolution:
         return float(sum(p for m, p in zip(self.states, self.pi) if predicate(m)))
 
 
-def steady_state(q: sp.spmatrix, states=None) -> SteadyStateSolution:
-    """Solve pi Q = 0, sum(pi) = 1 for a CTMC generator Q: the triplets of
-    Q as a ``Chain`` with no vanishing states, and one solve
-    (``_solve_pinned``).
-
-    Requires a single closed communicating class covering all states
-    (checked via strong connectivity of the sparsity pattern).
-    """
+def steady_state(q, states=None) -> SteadyStateSolution:
+    """Solve pi Q = 0, sum(pi) = 1 for a CTMC generator Q, a scipy sparse
+    matrix whose pattern is strongly connected: its triplets as a
+    ``Chain`` with no vanishing states, and one solve (``_solve_pinned``)."""
     n = q.shape[0]
     q = q.tocoo()
     chain = Chain.over(q.row.tolist(), q.col.tolist(), n, n)
@@ -604,16 +591,13 @@ def steady_state(q: sp.spmatrix, states=None) -> SteadyStateSolution:
 
 def solve_graph(graph: ReachabilityGraph) -> SteadyStateSolution:
     """The steady state over ``graph.tangible``, from the chain that keeps
-    the vanishing markings (``Chain``) and one solve.
+    the vanishing markings (``Chain``) and one solve (``_solve_pinned``).
 
     The exit rate s of every kept vanishing marking is the largest total
     timed rate out of any tangible marking, so every row of G has the
     scale of the timed rates and the relative residual keeps its
-    meaning.  Raises TimelessTrap when some vanishing marking cannot
-    reach any tangible marking.
+    meaning.
     """
-    if graph.chain.trapped:
-        raise TimelessTrap(graph.chain.trapped)
     return _solve_pinned(graph.chain, _chain_data(graph), graph.tangible)
 
 
@@ -655,63 +639,68 @@ def _solve_pinned(chain: Chain, data: list, states: list) -> SteadyStateSolution
     re-rated one (``availability.aggregate_rates``) nothing.  The server
     nets take 104 updates, and a birth-death chain of n states n - 1.
 
-    Whichever kernel solves, the singular verdict is this one: the
-    reduction meets an exit rate that is not positive, the sparse LU an
-    exactly singular matrix, or state 0's entry lies beyond double range
-    relative to the largest one: max(x) is not finite or x[0] < tiny *
-    max(x), with tiny the smallest normal double (a pool that starts in
-    a marking of pi near 1e-600); a net should therefore not start in
-    such a marking.  Both kernels find every entry to a small relative
-    error: the reduction because it never subtracts, the sparse LU
-    because it pins the most probable state.
+    Both kernels find every entry to a small relative error: the
+    reduction because it never subtracts, the sparse LU because it pins
+    the most probable state.  The reduction rescales x, so a net may
+    start in a marking of any probability; the sparse LU pins state 0
+    first, so to it a start too rare for a double is singular.
 
-    The reported residual is max|pi G| / ||G||_inf, over G's entries with
-    duplicate triplets summed, so the tolerance does not depend on the
-    scale of the rates.  SrnError, naming the stage and the state count,
-    is raised when the system is singular or the solution is not
-    finite, has a residual above ``RESIDUAL_TOLERANCE`` or has an entry
-    below ``-RESIDUAL_TOLERANCE``; ReducibleChain when G's pattern is not
-    strongly connected.
+    Every verdict is raised here, one line naming the stage and the state
+    count (``_failed``): TimelessTrap (``Chain.trapped``), ReducibleChain
+    with the first tangible state outside the class of state 0
+    (``Chain.outside``), and SrnError when the system is singular (a
+    reduction's exit rate that is not positive, an exactly singular LU,
+    an x that is not finite) or the solution is not finite, has a
+    residual above ``RESIDUAL_TOLERANCE`` or an entry below
+    ``-RESIDUAL_TOLERANCE``.  The residual is max|pi G| / ||G||_inf, over
+    G's entries with duplicate triplets summed, so the tolerance does not
+    depend on the scale of the rates.
     """
     nt, n = len(states), chain.n
+    failed = _failed(nt, n)
+    if chain.trapped:
+        raise TimelessTrap(failed, chain.trapped)
     if nt == 1:
         return SteadyStateSolution(states, [1.0], 0.0)
-    if chain.components:
-        groups = chain.components
-        raise ReducibleChain(
-            f"chain is reducible into {len(groups)} strongly connected components: {groups}"
-        )
-    where = f"{nt} tangible states" if n == nt else \
-        f"{nt} tangible and {n - nt} vanishing states"
+    if chain.outside is not None:
+        (k, reached), count = chain.outside[0], len(chain.outside)
+        first = f"the first, {states[k]}, cannot return to it" if reached else \
+            f"it cannot reach the first, {states[k]}"
+        raise ReducibleChain(f"{failed}: reducible chain: {count} tangible state"
+                             f"{'s' * (count > 1)} outside the class of {states[0]}; {first}")
     g = data
     if len(chain.pairs) < len(data):  # G's entries, duplicate triplets summed in order
         g = [0.0] * len(chain.pairs)
         for e, value in zip(chain.entry, data):
             g[e] += value
     x = (_sparse_kernel if chain.plan is None else _gth_kernel)(chain, g)
-    top = math.nan if x is None else max(x)
-    if not math.isfinite(top) or x[0] < sys.float_info.min * top:  # the smallest normal double
-        raise SrnError(f"steady-state solve failed at {where}: the pinned system is singular")
+    if x is None or not math.isfinite(max(x)):
+        raise SrnError(f"{failed}: the pinned system is singular")
     total = sum(x)
     if not 0 < total < math.inf:  # pi = x / total would not be finite
-        raise SrnError(f"steady-state solve failed at {where}: non-finite solution")
+        raise SrnError(f"{failed}: non-finite solution")
     y, norm = [0.0] * n, [0.0] * n  # x G and G's absolute row sums
     for (i, j), value in zip(chain.pairs, g):
         y[j] += x[i] * value
         norm[i] += abs(value)
     residual = max(map(abs, y)) / (total * max(norm))  # of pi
     if not math.isfinite(residual):
-        raise SrnError(f"steady-state solve failed at {where}: non-finite solution")
+        raise SrnError(f"{failed}: non-finite solution")
     if residual > RESIDUAL_TOLERANCE:
-        raise SrnError(f"steady-state solve failed at {where}: "
-                       f"relative residual {residual:g}")
+        raise SrnError(f"{failed}: relative residual {residual:g}")
     low = min(x)
     if low < -RESIDUAL_TOLERANCE * total:
-        raise SrnError(f"steady-state solve failed at {where}: "
-                       f"negative entry at state {x.index(low)}: {low / total:g}")
+        raise SrnError(f"{failed}: negative entry at state {x.index(low)}: {low / total:g}")
     pi = [v if v > 0.0 else 0.0 for v in x[:nt]]
     total = sum(pi)
     return SteadyStateSolution(states, [p / total for p in pi], residual)
+
+
+def _failed(nt: int, n: int) -> str:
+    """The head of every steady-state verdict: the stage, and the count
+    of the chain's n states, the first nt of them tangible."""
+    vanishing = f" and {n - nt} vanishing" if n > nt else ""
+    return f"steady-state solve failed at {nt} tangible{vanishing} states"
 
 
 def _gth_kernel(chain: Chain, g: list) -> list | None:
@@ -727,7 +716,9 @@ def _gth_kernel(chain: Chain, g: list) -> list | None:
     a_ij += f a_kj for each such j.  Then x_0 = 1 and, in reverse order,
     x_k = sum_i x_i f_ik.  Only positive terms are ever added, so each
     entry of x is found to a small relative error (O'Cinneide, Numer.
-    Math. 65, 1993).  The diagonal is never read."""
+    Math. 65, 1993).  The diagonal is never read.  An x_k above
+    ``_RESCALE`` scales x down by it, an exact power of two, so x stays in
+    range however rare state 0 is; an entry too small beside it comes out 0."""
     plan = chain.plan
     a = g + [0.0] * plan.fill
     for out, preds in plan.steps:
@@ -742,8 +733,14 @@ def _gth_kernel(chain: Chain, g: list) -> list | None:
                 a[t] += f * a[q]
     x = [0.0] * chain.n
     x[0] = 1.0
-    for k, i, p in plan.back:
-        x[k] += x[i] * a[p]
+    for k, terms in plan.back:
+        v = 0.0
+        for i, p in terms:
+            v += x[i] * a[p]
+        if v > _RESCALE:
+            x = [e / _RESCALE for e in x]
+            v /= _RESCALE
+        x[k] = v
     return x
 
 

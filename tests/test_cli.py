@@ -807,14 +807,47 @@ def test_solve_srn_timeless_trap_is_solver_error(tmp_path):
     assert "timeless" in err.lower()
 
 
-def test_solve_srn_reducible_chain_message(tmp_path):
-    # the one transition empties a: each marking is its own component
-    netpath = tmp_path / "reducible.net"
-    netpath.write_text("place a 1\nplace b 0\ntimed t rate=1 in=a out=b\n")
-    code, out, err = run_cli("solve-srn", str(netpath))
-    assert (code, out) == (2, "")
-    assert err == ("solver error: chain is reducible into 2 strongly connected "
-                   "components: [[1], [0]]\n")
+# every way a solve fails, each through srn.solve and through solve-srn
+# with a state cap of 100: one line that names the stage and its state
+# count, with exit 2.  A kernel, where given, stands in for the state
+# reduction
+FLIP_NET = ("place up 1\nplace down 0\ntimed fail rate=0.5 in=up out=down\n"
+            "timed repair rate=2 in=down out=up\n")
+TRAP = ("place t 1\nplace a 0\nplace b 0\ntimed go rate=1 in=t out=a\n"
+        "immediate ab in=a out=b\nimmediate ba in=b out=a\n",
+        "steady-state solve failed at 1 tangible and 2 vanishing states: "
+        "timeless trap among vanishing markings: {a:1}; {b:1}")
+REDUCIBLE = ("place a 1\nplace b 0\ntimed t rate=1 in=a out=b\n",
+             "steady-state solve failed at 2 tangible states: reducible chain: 1 tangible "
+             "state outside the class of {a:1}; the first, {b:1}, cannot return to it")
+
+
+@pytest.mark.parametrize("text, kernel, message", [
+    ("place a 0\ntimed grow rate=1 out=a\n", None,
+     "reachability failed: more than 100 markings"),
+    (TRAP[0], None, TRAP[1]),
+    (REDUCIBLE[0], None, REDUCIBLE[1]),
+    # the vanishing initial marking branches to two absorbing markings
+    ("place v 1\nplace a 0\nplace b 0\nimmediate va in=v out=a\nimmediate vb in=v out=b\n",
+     None, "steady-state solve failed at 2 tangible states: reducible chain: 1 tangible "
+           "state outside the class of {a:1}; it cannot reach the first, {b:1}"),
+    (FLIP_NET, lambda chain, g: None,
+     "steady-state solve failed at 2 tangible states: the pinned system is singular"),
+    (FLIP_NET, lambda chain, g: [1.0, 0.3],
+     "steady-state solve failed at 2 tangible states: relative residual 0.0192308"),
+], ids=["state-cap", "timeless-trap", "reducible-cannot-return", "reducible-unreached",
+        "singular", "residual"])
+def test_solve_failure_is_one_line_naming_stage_and_states(tmp_path, monkeypatch, text,
+                                                             kernel, message):
+    if kernel is not None:
+        monkeypatch.setattr(srn, "_gth_kernel", kernel)
+    with pytest.raises(srn.SrnError) as info:
+        srn.solve(netfile.parse_net(text).net, state_cap=100)
+    assert str(info.value) == message
+    netpath = tmp_path / "failing.net"
+    netpath.write_text(text)
+    assert run_cli("solve-srn", str(netpath), "--state-cap", "100") == \
+        (2, "", f"solver error: {message}\n")
 
 
 def test_solve_srn_syntax_error(tmp_path):
@@ -928,14 +961,16 @@ def test_solve_srn_rejects_state_cap_below_one(tmp_path, cap):
 
 
 def test_solve_srn_singular_system_prints_only_the_solver_error(tmp_path):
-    # the initial marking has probability near 1e-600, so the pinned system
-    # is singular in double precision; scipy's MatrixRankWarning used to be
+    # the initial marking has probability near 1e-600, so to the sparse LU,
+    # which pins it first, the system is singular in double precision (the
+    # state reduction solves it); scipy's MatrixRankWarning used to be
     # printed to stderr before the solver error
     netpath = tmp_path / "singular.net"
     netpath.write_text("place down 3\nplace up 0\n"
                        "timed repair rate=1e100*#down in=down out=up\n"
                        "timed fail rate=1e-100*#up in=up out=down\n")
-    proc = run_python("-m", "patchdesign", "solve-srn", str(netpath))
+    sparse_cli = "from patchdesign import cli, srn\nsrn.GTH_UPDATES = 2\ncli.main()\n"
+    proc = run_python("-c", sparse_cli, "solve-srn", str(netpath))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == ("solver error: steady-state solve failed at 4 tangible states: "
                            "the pinned system is singular\n")
@@ -1054,6 +1089,36 @@ def test_bundled_model_loads_no_scipy(tmp_path, command):
     )
     proc = run_python("-c", script)
     assert proc.stdout.split("\n")[0] == "0 False []", proc.stderr
+
+
+# an interpreter in which importing numpy or scipy fails, running the CLI
+REFUSING_CLI = """import sys
+
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("numpy", "scipy"):
+            raise ImportError(f"{name} is refused")
+
+
+sys.meta_path.insert(0, Refuse())
+from patchdesign import cli
+cli.main()
+"""
+
+
+@pytest.mark.parametrize("case", [REDUCIBLE, TRAP, None],
+                         ids=["reducible", "timeless-trap", "compare"])
+def test_solve_verdicts_load_neither_numpy_nor_scipy(tmp_path, case):
+    # the verdicts come from the walks that exploration makes, and the
+    # bundled model's nets from the state reduction
+    if case is None:
+        proc = run_python("-c", REFUSING_CLI, "compare", "--model", MODEL, "--out", str(tmp_path))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return
+    (tmp_path / "failing.net").write_text(case[0])
+    proc = run_python("-c", REFUSING_CLI, "solve-srn", str(tmp_path / "failing.net"))
+    assert (proc.returncode, proc.stderr) == (2, f"solver error: {case[1]}\n")
 
 
 def test_security_path_count_beyond_float_range(tmp_path):

@@ -273,6 +273,21 @@ def test_undeclared_place_reads_the_same_every_way_in(statement, add, message):
         assert _library_error(add) == message
 
 
+# a transition whose rate parameter is bound to 0 is left out, but only
+# after the place checks of its arcs, guard and rate place: bound to 0 or
+# to a rate, a fault reads the same
+@pytest.mark.parametrize("statement, places", [
+    ("timed t rate=$p in=q out=a", "['q']"),
+    ('timed t rate=$p guard="#q == 0" in=a out=r', "['q', 'r']"),
+    ("timed t rate=$p*#q in=a out=a", "['q']"),
+], ids=["arc", "guard-and-arc", "rate"])
+@pytest.mark.parametrize("bound", [0, 1.0])
+def test_undeclared_place_of_a_parameter_bound_to_0_is_refused(statement, places, bound):
+    with pytest.raises(netfile.NetFileError) as info:
+        netfile.parse_net(f"place a 1\n{statement}\n", {"p": bound})
+    assert str(info.value) == f"line 2: transition 't' references unknown place(s) {places}"
+
+
 # a guard grouped by single quotes, with or without blanks in it, of a
 # transition or of a reward: one message, naming the guard text up to
 # the first blank
@@ -351,11 +366,31 @@ def test_rare_states_solve_to_a_small_relative_error():
         assert abs(p - exact) <= 1e-9 * exact, (k, p, exact)
 
 
-def test_initial_marking_below_float_range_fails_loudly():
-    # the initial marking has probability near 1e-600, so the system with
-    # its equation pinned is singular in double precision
-    with pytest.raises(srn.SrnError, match="steady-state solve failed.*singular"):
-        netfile.solve_document(pool_net(3, 1e100, 1e-100))
+def test_initial_marking_below_float_range_solves():
+    # the initial marking has probability near 1e-600: the state reduction
+    # pins it, rescales x as it grows, and finds it 0 beside the rest
+    solution, values = netfile.solve_document(pool_net(3, 1e100, 1e-100))
+    assert [m["down"] for m in solution.states] == [3, 2, 1, 0]
+    assert solution.pi == [0.0, 0.0, pytest.approx(3e-200, rel=1e-12), 1.0]
+    assert values["avail"] == 1.0
+
+
+def test_two_pools_of_3000_tokens_solve_to_the_binomial():
+    # each token flips between a and b at rate 1 both ways, so #b is
+    # binomial(3000, 1/2) and the initial marking has pi = 2^-3000; the
+    # chain's 3 000 updates are within the state reduction's budget
+    doc = netfile.parse_net("place a 3000\nplace b 0\n"
+                            "timed fa rate=1*#a in=a out=b\n"
+                            "timed fb rate=1*#b in=b out=a\n")
+    solution = srn.solve(doc.net)
+    assert len(solution.states) == 3001
+    assert solution.residual <= srn.RESIDUAL_TOLERANCE
+    for m, p in zip(solution.states, solution.pi):
+        exact = math.comb(3000, m["b"]) / 2 ** 3000  # correctly rounded
+        if exact > 1e-290:
+            assert abs(p - exact) <= 1e-12 * exact, (m, p, exact)
+        else:
+            assert p <= 1e-290, (m, p, exact)
 
 
 def test_initial_marking_below_float_range_is_singular_to_the_sparse_kernel(monkeypatch):

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -644,7 +644,7 @@ def test_dense_and_sparse_kernels_agree(spec):
     # _solve_pinned calls neither on a single tangible state
     graph = srn.reachability(build_small_net(spec))
     chain = graph.chain
-    assume(len(graph.tangible) > 1 and not chain.trapped and not chain.components)
+    assume(len(graph.tangible) > 1 and not chain.trapped and chain.outside is None)
     data = srn._chain_data(graph)
     assert chain.plan is not None
     solutions = []
@@ -660,17 +660,20 @@ def test_dense_and_sparse_kernels_agree(spec):
 @settings(max_examples=200, deadline=None)
 @given(spec=small_nets())
 def test_connectivity_walk_matches_scipy_components(spec):
-    # a chain is judged strongly connected by walks from state 0;
-    # scipy's components are the reference
+    # a chain is judged strongly connected by walks from state 0, which
+    # also give the tangible states outside state 0's class and whether
+    # state 0 reaches each; scipy's components and search are the reference
     graph = srn.reachability(build_small_net(spec))
     chain = graph.chain
-    ncomp, labels = connected_components(
-        scipy.sparse.csr_matrix((np.ones(len(chain.rows)), (chain.rows, chain.cols)),
-                                shape=(chain.n, chain.n)),
-        directed=True, connection="strong")
-    groups = (np.nonzero(labels[:len(graph.tangible)] == c)[0].tolist()
-              for c in range(ncomp))
-    assert chain.components == ([] if ncomp == 1 else [g for g in groups if g])
+    pattern = scipy.sparse.csr_matrix((np.ones(len(chain.rows)), (chain.rows, chain.cols)),
+                                      shape=(chain.n, chain.n))
+    ncomp, labels = connected_components(pattern, directed=True, connection="strong")
+    assert (chain.outside is not None) == (ncomp > 1)
+    outside = [i for i in range(len(graph.tangible)) if labels[i] != labels[0]]
+    assert [i for i, _ in chain.outside or []] == outside
+    if outside:
+        reached = set(breadth_first_order(pattern, 0, return_predecessors=False).tolist())
+        assert [r for _, r in chain.outside] == [i in reached for i in outside]
 
 
 def _branch_values(net, graph):

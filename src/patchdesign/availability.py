@@ -19,12 +19,13 @@ one-design slice, and the flat net is kept as the test oracle.
 
 ``aggregate_rates`` keeps one explored graph per set of left-out failure
 arcs, at most 2^3 = 8 for the life of the process, and parses the file
-only when a call misses its variant; every call re-rates the stored
-graph (``srn.rerate``) with the rates it binds.  This is sound because
-nothing else of the net depends on the rates, and exploration depends on
-them only through their being positive and finite, which
-``ServerTemplate`` and ``PatchPolicy`` enforce for every rate the net
-would check.
+only when a call misses its variant; every call solves the stored graph
+(``srn.solve_graph``) with the rates it binds as its constants, and
+copies no graph.  This is sound because the graph holds no rate:
+nothing of the net but its edge values depends on the rates, and
+exploration depends on them only through their being positive and
+finite, which ``ServerTemplate`` and ``PatchPolicy`` enforce for every
+rate the net would check.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ def aggregate_rates(template: ServerTemplate, policy: PatchPolicy) -> Aggregated
     pipeline.
 
     A call whose variant (its parameters bound to 0) is stored parses
-    and builds nothing: it re-rates the stored graph with the rates it
-    binds and solves it afresh.
+    and builds nothing: it solves the stored graph afresh, with the
+    rates it binds as the constants of their transitions.
     """
     rates = _rates(template, policy)
     variant = tuple(name for name, rate in rates.items() if rate == 0)
@@ -103,8 +104,7 @@ def aggregate_rates(template: ServerTemplate, policy: PatchPolicy) -> Aggregated
         keys = [doc.parameters.get(t.name) for t in doc.net.transitions]
         _EXPLORED[variant] = (graph, *selected, list(zip(keys, doc.net.constants())))
     graph, patch_down, reboot_ready, constants = _EXPLORED[variant]
-    graph = srn.rerate(graph, [c if p is None else rates[p] for p, c in constants])
-    pi = srn.solve_graph(graph).pi
+    pi = srn.solve_graph(graph, [c if p is None else rates[p] for p, c in constants]).pi
     # summed in marking order, as SteadyStateSolution.probability sums
     p_down = sum([pi[i] for i in patch_down])
     p_ready = sum([pi[i] for i in reboot_ready])

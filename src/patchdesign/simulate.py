@@ -24,6 +24,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from .srn import TimelessTrap
+
 
 @dataclass
 class SimulationEstimate:
@@ -53,6 +55,24 @@ def _step(net, reward, marking, number):
             None if vanishing else reward(marking))
 
 
+def _check_trap(net, reward, steps, markings, number, current, now):
+    """Raise TimelessTrap, at simulated hour ``now``, if no vanishing
+    marking that vanishing steps reach from ``current`` leads to a
+    tangible one.  A step not yet in the run's table is computed and
+    kept there."""
+    walk, seen = [current], {current}
+    for i in walk:  # grows while it is read
+        if steps[i] is None:
+            steps[i] = _step(net, reward, markings[i], number)
+        if not steps[i][0]:
+            return
+        for j in steps[i][3]:
+            if j not in seen:
+                seen.add(j)
+                walk.append(j)
+    raise TimelessTrap(f"simulation failed at {now:g} hours", [markings[i] for i in walk])
+
+
 def simulate_reward(net, reward, hours: float, seed: int = 0,
                     batches: int = 50) -> SimulationEstimate:
     """Time-average reward over a simulated horizon.
@@ -75,6 +95,12 @@ def simulate_reward(net, reward, hours: float, seed: int = 0,
     table on later visits, so ``reward`` must be a function of the
     marking alone.  The table grows by at most one step per event and
     lives for this call only.
+
+    A run that enters vanishing markings none of which leads to a
+    tangible one raises TimelessTrap naming them, as ``srn.solve`` does:
+    after more zero-time steps in a row than markings numbered so far,
+    the run walks the vanishing successors of its marking, drawing no
+    uniform (``_check_trap``).
 
     Raises ``ValueError`` if ``hours`` is not a finite positive number,
     ``seed`` is not an integer of at least 0 or ``batches`` is not an
@@ -105,7 +131,7 @@ def simulate_reward(net, reward, hours: float, seed: int = 0,
     batch_totals = [0.0] * batches
     last = batches - 1
     b, edge = 0, batch_len  # the batch that holds `now`, and its right edge
-    now = 0.0
+    now, zero = 0.0, 0  # zero: the zero-time steps since the last dwell or trap check
     while now < hours:
         step = steps[current]
         if step is None:
@@ -123,6 +149,12 @@ def simulate_reward(net, reward, hours: float, seed: int = 0,
                 edge = hours if b == last else (b + 1) * batch_len
             batch_totals[b] += r * (end - at)
             now += dwell
+            zero = 0
+        else:
+            zero += 1
+            if zero > len(markings):
+                zero = 0
+                _check_trap(net, reward, steps, markings, number, current, now)
         if sole is not None:
             current = sole
         elif successors:

@@ -11,12 +11,14 @@ vanishing or tangible and which transitions may fire from it, with what
 weight or rate.  Both the explorer here and the discrete-event simulator
 (``simulate.simulate_reward``) take their steps from it.
 
-Exploration is structural; values come from the net's constants.  The
-reachability graph keeps each edge as indices (source, target, firing
-transition) and a rate factor, and ``rerate`` turns a net's rate
-constants and weights into edge rates and probabilities.  Exploration
-sees the constants only through their being positive, so one graph
-serves every net that differs from its own only in them.
+Exploration is structural: the reachability graph keeps each edge as
+indices (source, target, firing transition) and a rate factor, and its
+``Chain`` fixes the state numbering, G's pattern, the class of state 0
+and the state reduction's plan; it stores no value.  Each solve is
+given constants, ordered as ``Net.constants``, which ``_edge_values``
+turns into edge rates and probabilities.  Exploration sees them only
+through their being positive, so one graph serves every net that
+differs from its own only in them.
 
 The steady state keeps the vanishing markings in the chain rather than
 eliminating them (Ciardo, Muppala and Trivedi, "On the solution of GSPN
@@ -33,7 +35,7 @@ reduction (GTH, ``_gth_kernel``) removes one state at a time with no
 subtraction, so every probability, however rare, comes out to a small
 relative error; it runs in plain Python.  Its symbolic phase
 (``_plan``) picks the elimination order and the slot of every update
-once per chain; every re-rated copy pays only the numeric phase.  A
+once per chain; every solve of a graph pays only the numeric phase.  A
 chain whose symbolic phase would pass ``GTH_UPDATES`` updates goes to
 scipy's sparse LU instead (``_sparse_kernel``, W. J. Stewart,
 "Introduction to the Numerical Solution of Markov Chains", 1994, ch. 2),
@@ -41,12 +43,6 @@ which pins state 0 and, if another state is more probable, that one.
 ``_solve_pinned`` gives the measured crossover, and it alone raises the
 solve's verdicts, for both kernels, each naming the stage and state count.
 
-Exploration fixes what is structural in one record, ``Chain``: the
-state numbering, the generator's (row, column) triplets and distinct
-entries, which immediate edges stay in the chain, the tangible states
-outside the class of state 0 (``_outside``), from walks forward and
-backward from it, and the state reduction's plan, which every re-rated
-copy of a graph shares.  A solve gives each triplet its value.
 ``eliminate_vanishing`` keeps the reduced generator as the plain
 reference, and ``steady_state`` solves it as a chain with no vanishing
 states.
@@ -278,7 +274,6 @@ class Edges(NamedTuple):
     into_vanishing: list  # whether the target is vanishing
     transition: list      # index of the firing transition in Net.transitions
     factor: list          # tokens in the rate place, or 1 for a constant rate or weight
-    value: list | None = None  # rate of a timed edge, probability of an immediate one
 
 
 class Plan(NamedTuple):
@@ -300,7 +295,7 @@ class Chain(NamedTuple):
     """The continuous-time chain of a reachability graph, with its
     vanishing markings kept as states: the one structure a steady-state
     solve takes.  It depends on the graph's structure only, so every
-    re-rated copy shares it.
+    solve of the graph shares it, whatever constants it is given.
 
     The states are the tangible markings, in the order of
     ``graph.tangible``, then the vanishing markings that a tangible one
@@ -311,18 +306,16 @@ class Chain(NamedTuple):
     its rate and each immediate edge out of a kept vanishing marking at
     its probability times one exit rate s; its diagonal is minus each
     row's sum, so a self-loop cancels against its own diagonal entry.
-    ``rows`` and ``cols`` hold G's triplets in that order, the diagonal
-    last; ``pairs`` holds G's distinct (row, column) entries, and
-    ``entry`` the entry of each triplet, so a solve sums duplicate
-    triplets in triplet order.  ``plan`` is the state reduction's
-    symbolic phase, or None when it would take more than ``GTH_UPDATES``
-    updates, and then the sparse LU solves the chain.
+    G's triplets come in that order, the diagonal last; ``pairs`` holds
+    G's distinct (row, column) entries, and ``entry`` the entry of each
+    triplet, so ``solve_graph`` sums duplicate triplets in triplet
+    order.  ``plan`` is the state reduction's symbolic phase, or None
+    when it would take more than ``GTH_UPDATES`` updates, and then the
+    sparse LU solves the chain.
     """
 
     trapped: list     # vanishing markings with no path to a tangible one
-    kept: list        # indices of the immediate edges out of kept vanishing markings
-    rows: list        # the row of each triplet of G, the diagonal last
-    cols: list        # the column of each triplet of G
+    kept: list        # (edge, row) of each immediate edge out of a kept vanishing marking
     n: int
     outside: list | None  # ``_outside`` of G's pattern: None when it is strongly connected
     pairs: list       # G's distinct (row, column) entries
@@ -346,11 +339,11 @@ class Chain(NamedTuple):
         def columns(edges):
             return [state[j] if v else j for j, v in zip(edges.target, edges.into_vanishing)]
 
-        kept = [e for e, i in enumerate(immediate.source) if reached[i]]
+        kept = [(e, state[i]) for e, i in enumerate(immediate.source) if reached[i]]
         into = columns(immediate)
         diagonal = list(range(n))
-        rows = timed.source + [state[immediate.source[e]] for e in kept] + diagonal
-        cols = columns(timed) + [into[e] for e in kept] + diagonal
+        rows = timed.source + [i for _, i in kept] + diagonal
+        cols = columns(timed) + [into[e] for e, _ in kept] + diagonal
         return cls.over(rows, cols, n, nt, kept=kept,
                         trapped=[m for m, ok in zip(vanishing, escapes) if not ok])
 
@@ -361,8 +354,8 @@ class Chain(NamedTuple):
         index = {}
         entry = [index.setdefault(pair, len(index)) for pair in zip(rows, cols)]
         pairs = list(index)
-        return cls(list(trapped), list(kept), rows, cols, n,
-                   _outside(rows, cols, n, nt), pairs, entry, _plan(pairs, n))
+        return cls(list(trapped), list(kept), n, _outside(rows, cols, n, nt), pairs, entry,
+                   _plan(pairs, n))
 
 
 def _outside(rows, cols, n: int, nt: int) -> list | None:
@@ -447,10 +440,10 @@ def reachability(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> ReachabilityGr
 
     ``Net.branches`` classifies each new marking once and yields its
     out-edges.  Each edge keeps the index of the transition that fires
-    and its rate factor; ``rerate`` then derives the edge values from
-    the net's constants.  Exploration stops with StateCapExceeded after
-    ``state_cap`` markings, which is what ends it on an unbounded net;
-    a ``state_cap`` below 1 raises ValueError.
+    and its rate factor, and no value: a solve values the edges from the
+    constants it is given (``_edge_values``).  Exploration stops with
+    StateCapExceeded after ``state_cap`` markings, which is what ends it
+    on an unbounded net; a ``state_cap`` below 1 raises ValueError.
     """
     if state_cap < 1:
         raise ValueError(f"state cap must be at least 1, got {state_cap!r}")
@@ -486,8 +479,7 @@ def reachability(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> ReachabilityGr
 
     timed, immediate = _edges(edges[False]), _edges(edges[True])
     chain = Chain.of(markings[True], timed, immediate, len(markings[False]))
-    graph = ReachabilityGraph(markings[False], markings[True], timed, immediate, chain)
-    return rerate(graph, net.constants())
+    return ReachabilityGraph(markings[False], markings[True], timed, immediate, chain)
 
 
 def _edges(edges: list) -> Edges:
@@ -495,38 +487,32 @@ def _edges(edges: list) -> Edges:
     return Edges(*columns)
 
 
-def rerate(graph: ReachabilityGraph, constants) -> ReachabilityGraph:
-    """``graph`` with its edge values taken from ``constants``, the rate
-    constant of each timed transition and the weight of each immediate
-    one in the order of ``Net.transitions`` (``Net.constants``).
-
-    A timed edge's rate is its transition's rate constant times the
-    edge's factor; an immediate edge's probability is its transition's
-    weight over the sum of the weights out of its source, summed in
-    branch order.  ``graph`` may have been explored from any net with
+def _edge_values(graph: ReachabilityGraph, constants) -> tuple[list, list]:
+    """The rate of each timed edge of ``graph`` and the probability of
+    each immediate one, from ``constants``, the rate constant of each
+    timed transition and the weight of each immediate one in the order
+    of ``Net.transitions`` (``Net.constants``): a constant times the
+    edge's factor, and for an immediate edge, over the sum of those out
+    of its source in branch order.  ``graph`` may come from any net with
     the same places, arcs, guards, priorities and rate places as the
-    one the constants belong to: exploration depends on rate constants
-    and weights only through their being positive and finite, which
-    ``Net.add_timed`` and ``Net.add_immediate`` enforce.  A caller that
-    passes constants without building a net must check that itself.
-    """
+    constants' own: exploration sees rate constants and weights only
+    through their being positive and finite, which ``Net.add_timed`` and
+    ``Net.add_immediate`` enforce; a caller that passes constants
+    without building a net must check that itself."""
     timed, immediate = graph.timed, graph.immediate
     weights = [constants[k] * f for k, f in zip(immediate.transition, immediate.factor)]
     totals = [0.0] * len(graph.vanishing)
     for i, w in zip(immediate.source, weights):
         totals[i] += w
-    return ReachabilityGraph(
-        graph.tangible, graph.vanishing,
-        timed._replace(value=[constants[k] * f for k, f in zip(timed.transition, timed.factor)]),
-        immediate._replace(value=[w / totals[i] for i, w in zip(immediate.source, weights)]),
-        graph.chain)
+    return ([constants[k] * f for k, f in zip(timed.transition, timed.factor)],
+            [w / totals[i] for i, w in zip(immediate.source, weights)])
 
 
-def eliminate_vanishing(graph: ReachabilityGraph):
+def eliminate_vanishing(graph: ReachabilityGraph, constants):
     """The CTMC generator Q over the tangible markings, with the
-    vanishing markings eliminated.
+    vanishing markings eliminated, under ``constants`` (``_edge_values``).
 
-    Q is a scipy sparse CSR matrix with zero row sums.  The edge lists split by
+    Q is a scipy sparse CSR matrix with zero row sums.  The edge values split by
     target kind into timed rates R_TT and R_TV out of tangible markings
     and branching probabilities P_VV and P_VT out of vanishing ones.  The
     off-diagonal part of Q is
@@ -550,19 +536,20 @@ def eliminate_vanishing(graph: ReachabilityGraph):
     nt, nv = len(graph.tangible), len(graph.vanishing)
     if graph.chain.trapped:
         raise TimelessTrap(_failed(nt, graph.chain.n), graph.chain.trapped)
+    rates, probabilities = _edge_values(graph, constants)
 
-    def block(edges, into_vanishing, shape):
+    def block(edges, values, into_vanishing, shape):
         pick = np.array(edges.into_vanishing, dtype=bool) == into_vanishing
-        return sp.csr_matrix((np.array(edges.value, dtype=float)[pick],
+        return sp.csr_matrix((np.array(values, dtype=float)[pick],
                               (np.array(edges.source, dtype=np.intp)[pick],
                                np.array(edges.target, dtype=np.intp)[pick])), shape=shape)
 
-    r = block(graph.timed, False, (nt, nt))
+    r = block(graph.timed, rates, False, (nt, nt))
     if nv:
-        i_minus_p_vv = sp.identity(nv, format="csc") - block(graph.immediate, True, (nv, nv))
-        b = splu(sp.csc_matrix(i_minus_p_vv)).solve(
-            block(graph.immediate, False, (nv, nt)).toarray())
-        r = r + block(graph.timed, True, (nt, nv)) @ sp.csr_matrix(b)
+        p_vv = block(graph.immediate, probabilities, True, (nv, nv))
+        b = splu(sp.csc_matrix(sp.identity(nv, format="csc") - p_vv)).solve(
+            block(graph.immediate, probabilities, False, (nv, nt)).toarray())
+        r = r + block(graph.timed, rates, True, (nt, nv)) @ sp.csr_matrix(b)
     q = sp.csr_matrix(r - sp.diags(np.asarray(r.sum(axis=1)).ravel()))
     q.eliminate_zeros()
     return q
@@ -581,46 +568,51 @@ class SteadyStateSolution:
 
 def steady_state(q, states=None) -> SteadyStateSolution:
     """Solve pi Q = 0, sum(pi) = 1 for a CTMC generator Q, a scipy sparse
-    matrix whose pattern is strongly connected: its triplets as a
-    ``Chain`` with no vanishing states, and one solve (``_solve_pinned``)."""
+    matrix whose pattern is strongly connected: its entries, duplicates
+    summed by scipy, as a ``Chain`` with no vanishing states, and one
+    solve (``_solve_pinned``)."""
     n = q.shape[0]
-    q = q.tocoo()
+    q = q.tocoo(copy=True)
+    q.sum_duplicates()
     chain = Chain.over(q.row.tolist(), q.col.tolist(), n, n)
     return _solve_pinned(chain, q.data.tolist(), list(range(n)) if states is None else states)
 
 
-def solve_graph(graph: ReachabilityGraph) -> SteadyStateSolution:
-    """The steady state over ``graph.tangible``, from the chain that keeps
-    the vanishing markings (``Chain``) and one solve (``_solve_pinned``).
+def solve_graph(graph: ReachabilityGraph, constants) -> SteadyStateSolution:
+    """The steady state over ``graph.tangible`` under ``constants``
+    (``_edge_values``), from the chain that keeps the vanishing markings
+    (``Chain``) and one solve (``_solve_pinned``).
 
     The exit rate s of every kept vanishing marking is the largest total
     timed rate out of any tangible marking, so every row of G has the
     scale of the timed rates and the relative residual keeps its
-    meaning.
+    meaning.  A tangible row's diagonal is minus its total, and a kept
+    vanishing row's is its entries subtracted in turn from 0.  Duplicate
+    triplets are summed here, in triplet order, so the solve gets G's
+    entries.
     """
-    return _solve_pinned(graph.chain, _chain_data(graph), graph.tangible)
-
-
-def _chain_data(graph: ReachabilityGraph) -> list:
-    """The value of each triplet of G (``graph.chain``), in
-    ``solve_graph``'s terms."""
-    chain, timed = graph.chain, graph.timed
+    chain = graph.chain
+    rates, probabilities = _edge_values(graph, constants)
     totals = [0.0] * len(graph.tangible)
-    for i, rate in zip(timed.source, timed.value):
+    for i, rate in zip(graph.timed.source, rates):
         totals[i] += rate
     exit_rate = max(totals, default=0.0)
-    probability = graph.immediate.value
-    data = timed.value + [exit_rate * probability[e] for e in chain.kept]
-    diagonal = [0.0] * chain.n
-    for i, value in zip(chain.rows, data):  # the off-diagonal triplets
+    kept = [exit_rate * probabilities[e] for e, _ in chain.kept]
+    diagonal = [-total for total in totals] + [0.0] * (chain.n - len(totals))
+    for (_, i), value in zip(chain.kept, kept):
         diagonal[i] -= value
-    return data + diagonal
+    g = rates + kept + diagonal  # the value of each triplet
+    if len(chain.pairs) < len(g):
+        g, values = [0.0] * len(chain.pairs), g
+        for e, value in zip(chain.entry, values):
+            g[e] += value
+    return _solve_pinned(chain, g, graph.tangible)
 
 
-def _solve_pinned(chain: Chain, data: list, states: list) -> SteadyStateSolution:
-    """pi over the states of a generator G whose triplets ``chain`` holds
-    and ``data`` gives values; the returned pi is its part over the first
-    len(states) (tangible) states, renormalised.
+def _solve_pinned(chain: Chain, g: list, states: list) -> SteadyStateSolution:
+    """pi over the states of a generator G whose entries ``chain.pairs``
+    holds and ``g`` gives values, in that order; the returned pi is its
+    part over the first len(states) (tangible) states, renormalised.
 
     A chain whose state reduction takes at most ``GTH_UPDATES`` updates
     (``chain.plan`` is not None) is solved by it (``_gth_kernel``), in
@@ -636,7 +628,7 @@ def _solve_pinned(chain: Chain, data: list, states: list) -> SteadyStateSolution
     (two birth-death pools, 15 513 updates: 1.6 ms against 2.1 ms).  The
     budget is the lower crossover.  Below it a new chain pays at most a
     few ms for its symbolic phase, far less than importing scipy, and a
-    re-rated one (``availability.aggregate_rates``) nothing.  The server
+    stored one (``availability.aggregate_rates``) nothing.  The server
     nets take 104 updates, and a birth-death chain of n states n - 1.
 
     Both kernels find every entry to a small relative error: the
@@ -668,11 +660,6 @@ def _solve_pinned(chain: Chain, data: list, states: list) -> SteadyStateSolution
             f"it cannot reach the first, {states[k]}"
         raise ReducibleChain(f"{failed}: reducible chain: {count} tangible state"
                              f"{'s' * (count > 1)} outside the class of {states[0]}; {first}")
-    g = data
-    if len(chain.pairs) < len(data):  # G's entries, duplicate triplets summed in order
-        g = [0.0] * len(chain.pairs)
-        for e, value in zip(chain.entry, data):
-            g[e] += value
     x = (_sparse_kernel if chain.plan is None else _gth_kernel)(chain, g)
     if x is None or not math.isfinite(max(x)):
         raise SrnError(f"{failed}: the pinned system is singular")
@@ -790,7 +777,7 @@ def _sparse_kernel(chain: Chain, g: list) -> list | None:
 
 def solve(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> SteadyStateSolution:
     """Reachability and the steady state of its chain, in one call."""
-    return solve_graph(reachability(net, state_cap=state_cap))
+    return solve_graph(reachability(net, state_cap=state_cap), net.constants())
 
 
 def expected_reward(solution: SteadyStateSolution, reward) -> float:

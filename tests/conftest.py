@@ -46,15 +46,16 @@ def server_net_guards():
             if token.startswith("guard=")]
 
 
-def run_python(*args, **env):
+def run_python(*args, timeout=120, **env):
     """Run a fresh interpreter, with ``env`` added to its environment, that
     imports the copy of patchdesign these tests import: the checkout's
-    ``src`` or the installed package."""
+    ``src`` or the installed package.  It is killed, and the calling test
+    fails, after ``timeout`` seconds."""
     env = {**os.environ, **env}
     src = str(Path(patchdesign.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=timeout)
 
 
 class KeyTwice(dict):

@@ -140,7 +140,7 @@ def test_criterion_7_engine_properties(model, rates):
              for l in COMPARISON_LABELS + ["base"]]
     for net in nets:
         graph = srn.reachability(net)
-        sol = srn.steady_state(srn.eliminate_vanishing(graph), graph.tangible)
+        sol = srn.steady_state(srn.eliminate_vanishing(graph, net.constants()), graph.tangible)
         assert sol.residual <= 1e-10
         assert abs(sum(sol.pi) - 1.0) <= 1e-12
         # token conservation in every reachable marking

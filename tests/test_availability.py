@@ -138,9 +138,25 @@ def test_rate_override_grid_explores_each_variant_once(model, monkeypatch):
     assert len(av._EXPLORED) == 2
 
 
+def test_store_plans_each_variant_once(model, monkeypatch):
+    # the symbolic phase of the state reduction runs once per explored
+    # graph, and every later call solves the stored graph, plan and all,
+    # with its own rates: the stock server net reduces in 104 updates, the
+    # failure-free one in 11
+    monkeypatch.setattr(av, "_EXPLORED", {})
+    planned = []
+    plan = srn._plan
+    monkeypatch.setattr(srn, "_plan", lambda pairs, n: planned.append(n) or plan(pairs, n))
+    for template, policy in override_grid(model):
+        av.aggregate_rates(template, policy)
+    assert len(planned) == len(av._EXPLORED) == 2
+    assert {variant: graph.chain.plan.updates
+            for variant, (graph, *_) in av._EXPLORED.items()} == {(): 104, FAILURE_FIELDS: 11}
+
+
 def test_rerated_rates_equal_a_fresh_solve(model, monkeypatch):
-    # every one of the 8 variants, each re-rated for most of its entries:
-    # the same floats, to the last bit, as solving each net from scratch
+    # every one of the 8 variants, each solved from the store for most of
+    # its entries: the same floats, to the last bit, as solving each net from scratch
     monkeypatch.setattr(av, "_EXPLORED", {})
     infinite = [fields for k in range(4) for fields in itertools.combinations(FAILURE_FIELDS, k)]
     for template, policy in override_grid(model, infinite):
@@ -181,7 +197,7 @@ def test_bundled_mu_eq_is_pinned(model, tier, stock, failure_free):
 
 def test_server_net_takes_its_rates_as_parameters(model):
     # every timed rate of the file is a bound parameter, so a store hit can
-    # re-rate every one; a failure rate bound to 0 leaves its arc out
+    # bind every one afresh; a failure rate bound to 0 leaves its arc out
     doc = av.server_document(model.templates["dns"], model.policy)
     timed = [t.name for t in doc.net.transitions if t.timed]
     assert sorted(doc.parameters) == sorted(timed) and len(timed) == 13

@@ -15,14 +15,16 @@ exact values from the exact mu_eq and the instance paths.
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_small_net, small_nets
 from patchdesign import availability, harm, srn
 from patchdesign.evaluate import Evaluator, accepts
-from patchdesign.model import (Bounds, PatchPolicy, ServerTemplate, _FAILURE_FIELDS,
-                               _SERVER_FIELD_KEYS)
+from patchdesign.model import (Bounds, DesignSpec, PatchPolicy, ServerTemplate,
+                               _FAILURE_FIELDS, _SERVER_FIELD_KEYS)
+from test_harm import _tier_graph_harm, tier_graphs
 
 
 def _gauss_jordan(a: list, b: list) -> list:
@@ -100,7 +102,7 @@ def test_bundled_server_nets_match_exact(model):
         _assert_mu_eq_exact(template, model.policy)
         net = availability.build_server_srn(template, model.policy)
         graph = srn.reachability(net)
-        pi = srn.solve_graph(graph).pi
+        pi = srn.solve_graph(graph, net.constants()).pi
         for p, exact in zip(pi, exact_pi(net, graph)):
             assert abs(Fraction(p) - exact) <= Fraction(1e-14) * exact
 
@@ -140,7 +142,7 @@ def test_small_net_pi_matches_exact(spec):
     net = build_small_net(spec)
     graph = srn.reachability(net)
     try:
-        sol = srn.solve_graph(graph)
+        sol = srn.solve_graph(graph, net.constants())
     except srn.SrnError:
         assume(False)
     assume(len(sol.states) > 1)
@@ -178,12 +180,19 @@ def exact_asp(harm_obj) -> Fraction:
 REGIONS = ((0.2, 0.9962), (0.1, 0.9961))
 
 
-def test_bundled_verdicts_are_certified(model):
-    # every bundled design's float ASP and COA within 1e-13 relative of
-    # their exact values, and its verdict for each region the exact one
+@pytest.fixture(scope="module")
+def exact_rates(model):
+    """The exact mu_eq of each bundled tier, computed once, and the exact
+    patch rate lambda_eq."""
     mu_eq = {tier: exact_mu_eq(template, model.policy)
              for tier, template in model.templates.items()}
-    lambda_eq = 1 / Fraction(model.policy.interval_mean)
+    return mu_eq, 1 / Fraction(model.policy.interval_mean)
+
+
+def test_bundled_verdicts_are_certified(model, exact_rates):
+    # every bundled design's float ASP and COA within 1e-13 relative of
+    # their exact values, and its verdict for each region the exact one
+    mu_eq, lambda_eq = exact_rates
     designs = list(model.designs.values())
     for patched in (True, False):
         for design, e in zip(designs, Evaluator(model, patched).evaluate_all(designs)):
@@ -196,3 +205,33 @@ def test_bundled_verdicts_are_certified(model):
                 exact = asp <= Fraction(phi) and coa >= Fraction(psi)
                 assert accepts(e, Bounds(asp_upper=phi, coa_lower=psi)) == exact, \
                     (design.label, patched, phi, psi)
+
+
+@settings(max_examples=50, deadline=None)
+@given(drawn=st.lists(st.lists(st.integers(1, 10), min_size=4, max_size=4),
+                      min_size=1, max_size=6))
+def test_drawn_designs_coa_is_certified(model, exact_rates, drawn):
+    # designs with 1-10 replicas per bundled tier, evaluated as one set:
+    # each COA within 1e-13 relative of the exact product form
+    mu_eq, lambda_eq = exact_rates
+    tiers = model.reachability.tiers
+    designs = [DesignSpec(f"d{i}", tuple(zip(tiers, counts))) for i, counts in enumerate(drawn)]
+    for design, e in zip(designs, Evaluator(model).evaluate_all(designs, security=False)):
+        coa = exact_coa(design, mu_eq, lambda_eq)
+        assert abs(Fraction(e.coa) - coa) <= Fraction(1e-13) * coa, design.counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=tier_graphs())
+def test_drawn_tier_graph_asp_is_exact(case):
+    # cycles, self-loops, AND/OR trees and leaves of probability 0 or 1:
+    # metrics_all's ASP within 1e-13 relative of the exact noisy-OR.
+    # Below the smallest normal double, 2^-1022, a double keeps fewer
+    # than 53 bits (a leaf may be 5e-324), so the error is taken relative
+    # to 2^-1022 there
+    h = _tier_graph_harm(case)
+    assume(h is not None)
+    asp = harm.metrics_all(h.trees, h.reachability, [h.counts])[0].asp
+    exact = exact_asp(h)
+    scale = max(exact, Fraction(2) ** -1022)
+    assert abs(Fraction(asp) - exact) <= Fraction(1e-13) * scale, (asp, float(exact))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_small_net, reference_simulate_reward, small_nets
+from conftest import build_small_net, reference_simulate_reward, run_python, small_nets
 from patchdesign import availability as av
 from patchdesign import simulate, srn
 from patchdesign.model import PatchPolicy
@@ -143,6 +143,51 @@ def test_absorbing_initial_marking_after_immediates():
     # batch edges, which the batch accounting must step across
     assert est.value == pytest.approx(1.0, abs=1e-12)
     assert est.stderr < 1e-12
+
+
+def test_timeless_trap_is_a_verdict():
+    # a and b hand their token to each other in zero time for ever; the
+    # run is a fresh interpreter, so that a hang fails this test alone
+    script = """if True:
+        from patchdesign import simulate, srn
+        net = srn.Net()
+        net.add_place("a", 1)
+        net.add_place("b", 0)
+        net.add_immediate("ab", ["a"], ["b"])
+        net.add_immediate("ba", ["b"], ["a"])
+        try:
+            simulate.simulate_reward(net, lambda m: 1.0, hours=10.0)
+        except srn.TimelessTrap as trap:
+            print(trap)
+            print(trap.markings)
+    """
+    proc = run_python("-c", script, timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("simulation failed at 0 hours: timeless trap among vanishing "
+                           "markings: {a:1}; {b:1}\n[{a:1}, {b:1}]\n")
+
+
+def test_vanishing_loop_that_escapes_keeps_its_estimate():
+    # a sends its token to b and back 1 000 times for each time it lets
+    # it go to c, so runs of zero-time steps far outlast the four
+    # markings and the trap check walks a, b and c again and again; it
+    # draws nothing, so the estimate keeps every bit
+    net = srn.Net()
+    for place, tokens in [("tick", 1), ("a", 0), ("b", 0), ("c", 0)]:
+        net.add_place(place, tokens)
+    net.add_timed("go", 1.0, ["tick"], ["a"])
+    net.add_immediate("ab", ["a"], ["b"], weight=1000.0)
+    net.add_immediate("ac", ["a"], ["c"], weight=1.0)
+    net.add_immediate("ba", ["b"], ["a"])
+    net.add_timed("back", 2.0, ["c"], ["tick"])
+
+    def reward(m):
+        return float(m["tick"])
+
+    est = simulate.simulate_reward(net, reward, hours=50.0, seed=3)
+    assert (est.value.hex(), est.stderr.hex()) == ("0x1.57784f0561da9p-1",
+                                                   "0x1.912b2f46e4130p-5")
+    assert (est.value, est.stderr) == reference_simulate_reward(net, reward, 50.0, seed=3)
 
 
 def test_step_table_computes_branches_once_per_marking(model):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import product
 from unittest import mock
@@ -92,9 +93,9 @@ def test_immediate_weight_split():
     graph = srn.reachability(net)
     assert len(graph.vanishing) == 1
     assert graph.immediate.source == [0, 0]
-    assert sorted(graph.immediate.value) == [0.25, 0.75]
+    assert sorted(srn._edge_values(graph, net.constants())[1]) == [0.25, 0.75]
     # occupancy of left vs right reflects the split
-    sol = srn.steady_state(srn.eliminate_vanishing(graph), graph.tangible)
+    sol = srn.steady_state(srn.eliminate_vanishing(graph, net.constants()), graph.tangible)
     p_left = sol.probability(lambda m: m["left"] == 1)
     p_right = sol.probability(lambda m: m["right"] == 1)
     assert p_right == pytest.approx(3 * p_left, rel=1e-9)
@@ -123,7 +124,7 @@ def test_timeless_trap():
     net.add_immediate("ba", ["b"], ["a"])
     graph = srn.reachability(net)
     with pytest.raises(srn.TimelessTrap):
-        srn.eliminate_vanishing(graph)
+        srn.eliminate_vanishing(graph, net.constants())
 
 
 def test_timeless_trap_names_only_trapped_markings():
@@ -140,7 +141,7 @@ def test_timeless_trap_names_only_trapped_markings():
     graph = srn.reachability(net)
     assert len(graph.vanishing) == 3
     with pytest.raises(srn.TimelessTrap) as trap:
-        srn.eliminate_vanishing(graph)
+        srn.eliminate_vanishing(graph, net.constants())
     assert sorted(map(str, trap.value.markings)) == ["{a:1}", "{b:1}"]
 
 
@@ -208,7 +209,7 @@ def test_vanishing_marking_absent_from_tangible_set():
     graph = srn.reachability(net)
     assert len(graph.vanishing) == 1
     assert all(m["trig"] == 0 for m in graph.tangible)
-    q = srn.eliminate_vanishing(graph)
+    q = srn.eliminate_vanishing(graph, net.constants())
     assert q.shape == (2, 2)
 
 
@@ -294,7 +295,7 @@ def test_enabled_timed_pairs_each_rate_evaluated_once(monkeypatch):
     assert timed.source == [0, 1]
     assert timed.target == [1, 0]
     assert timed.into_vanishing == [False, False]
-    assert timed.value == [0.5, 1.0]
+    assert srn._edge_values(graph, net.constants())[0] == [0.5, 1.0]
     # by_b and fixed in (1, 0), blocked in (0, 1): one evaluation each
     assert len(calls) == 3
 
@@ -353,15 +354,18 @@ def test_product_form_of_independent_components():
     assert both_up == pytest.approx(ax * ay, rel=1e-12)
 
 
-def _dense_generator(graph):
+def _dense_generator(net, graph):
     """Dense reference Q = R_TT + R_TV (I - P_VV)^-1 P_VT, diagonal set
-    to minus the off-diagonal row sums."""
+    to minus the off-diagonal row sums, with the edge values of the net
+    read off ``Net.branches`` (``_branch_values``)."""
     nt, nv = len(graph.tangible), len(graph.vanishing)
     r = {"T": np.zeros((nt, nt)), "V": np.zeros((nt, nv))}
     p = {"T": np.zeros((nv, nt)), "V": np.zeros((nv, nv))}
-    for blocks, edges in ((r, graph.timed), (p, graph.immediate)):
+    values = _branch_values(net, graph)
+    for blocks, name in ((r, "timed"), (p, "immediate")):
+        edges = getattr(graph, name)
         for i, j, into_v, value in zip(edges.source, edges.target,
-                                       edges.into_vanishing, edges.value):
+                                       edges.into_vanishing, values[name]):
             blocks["V" if into_v else "T"][i, j] += value
     q = r["T"] + r["V"] @ np.linalg.solve(np.eye(nv) - p["V"], p["T"])
     np.fill_diagonal(q, 0.0)
@@ -390,10 +394,11 @@ def chained_immediates_net():
     lambda model: chained_immediates_net(),
 ], ids=["server", "chained"])
 def test_elimination_matches_dense_reference(model, make_net):
-    graph = srn.reachability(make_net(model))
+    net = make_net(model)
+    graph = srn.reachability(net)
     assert graph.vanishing
-    q = srn.eliminate_vanishing(graph).toarray()
-    ref = _dense_generator(graph)
+    q = srn.eliminate_vanishing(graph, net.constants()).toarray()
+    ref = _dense_generator(net, graph)
     assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.max(np.abs(q.sum(axis=1))) <= 1e-12 * np.max(np.abs(ref))
 
@@ -468,7 +473,8 @@ def test_exactly_singular_solve_rejected(monkeypatch, small_budget, units):
     # kernel's signal of that, a zero exit rate in the state reduction
     # and a rank warning from the sparse LU, ends in the one singular
     # verdict, naming the stage and the state count
-    q = srn.eliminate_vanishing(srn.reachability(pool_net(units))).tocoo()
+    net = pool_net(units)
+    q = srn.eliminate_vanishing(srn.reachability(net), net.constants()).tocoo()
     q.data[q.row == units] = 0.0
     monkeypatch.setattr(srn, "_sparse_kernel" if units <= BUDGET else "_gth_kernel", None)
     with pytest.raises(srn.SrnError, match=f"failed at {units + 1} tangible states: "
@@ -501,7 +507,7 @@ def test_pool_solves_on_both_sides_of_the_dense_threshold(monkeypatch, small_bud
 def test_both_kernels_sum_duplicate_triplets(monkeypatch, small_budget, states):
     # the generator of pool_net(states - 1) as COO triplets, with every
     # other off-diagonal entry and every third diagonal one given in two
-    # parts; each kernel must add the parts up
+    # parts; the parts must be added up whichever kernel solves it
     units, fail, repair = states - 1, 0.5, 2.0
     triplets = []
 
@@ -534,29 +540,18 @@ def test_update_budget_selects_the_kernel(units):
     # unit sends it to the sparse LU; both find the binomial pi, with
     # one unit down on average
     fail, repair = 1.0 / units, 1.0
-    graph = srn.reachability(pool_net(units, fail, repair))
+    net = pool_net(units, fail, repair)
+    graph = srn.reachability(net)
     assert (graph.chain.plan is None) == (units > srn.GTH_UPDATES)
     if graph.chain.plan:
         assert graph.chain.plan.updates == units
-    sol = srn.solve_graph(graph)
+    sol = srn.solve_graph(graph, net.constants())
     log_up, log_down = math.log(repair / (fail + repair)), math.log(fail / (fail + repair))
     for m, p in zip(sol.states, sol.pi):
         k = m["down"]
         exact = math.exp(math.lgamma(units + 1) - math.lgamma(k + 1) - math.lgamma(units - k + 1)
                          + k * log_down + (units - k) * log_up)
         assert math.isclose(p, exact, rel_tol=1e-9, abs_tol=1e-15), (k, p, exact)
-
-
-def test_state_reduction_plan_is_shared_by_rerated_graphs(model):
-    # the symbolic phase runs once per explored graph: a re-rated copy
-    # keeps its chain, and the server nets reduce in 104 updates
-    graph = srn.reachability(availability.build_server_srn(model.templates["dns"],
-                                                           model.policy))
-    rerated = srn.rerate(graph, [2.0 * c for c in
-                                 availability.build_server_srn(model.templates["dns"],
-                                                               model.policy).constants()])
-    assert rerated.chain is graph.chain
-    assert graph.chain.plan.updates == 104
 
 
 def test_residual_is_relative_to_generator_scale():
@@ -587,9 +582,10 @@ def test_residual_is_relative_to_generator_scale():
 def test_assembly_matches_dense_reference(spec):
     # small nets with immediates, priorities, guards, timed self-loops and
     # duplicate edges
-    graph = srn.reachability(build_small_net(spec))
-    q = srn.eliminate_vanishing(graph)
-    ref = _dense_generator(graph)
+    net = build_small_net(spec)
+    graph = srn.reachability(net)
+    q = srn.eliminate_vanishing(graph, net.constants())
+    ref = _dense_generator(net, graph)
     assert np.max(np.abs(q.toarray() - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert q.nnz == np.count_nonzero(q.toarray())
     try:
@@ -618,7 +614,7 @@ def test_solve_matches_dense_reference(spec):
     net = build_small_net(spec)
     graph = srn.reachability(net)
     try:
-        srn.steady_state(srn.eliminate_vanishing(graph))
+        srn.steady_state(srn.eliminate_vanishing(graph, net.constants()))
     except srn.SrnError as expected:
         with pytest.raises(srn.SrnError) as raised:
             srn.solve(net)
@@ -626,7 +622,7 @@ def test_solve_matches_dense_reference(spec):
         return
     sol = srn.solve(net)
     n = len(graph.tangible)
-    system = np.vstack([_dense_generator(graph).T, np.ones(n)])
+    system = np.vstack([_dense_generator(net, graph).T, np.ones(n)])
     pi = np.linalg.lstsq(system, np.append(np.zeros(n), 1.0), rcond=None)[0]
     assert sol.states == graph.tangible
     assert np.max(np.abs(sol.pi - pi)) <= 1e-10
@@ -642,15 +638,16 @@ def test_dense_and_sparse_kernels_agree(spec):
     # the state reduction and the sparse LU on the same chain, whatever its
     # size: the chain's plan is dropped to send it to the sparse LU;
     # _solve_pinned calls neither on a single tangible state
-    graph = srn.reachability(build_small_net(spec))
+    net = build_small_net(spec)
+    graph = srn.reachability(net)
     chain = graph.chain
     assume(len(graph.tangible) > 1 and not chain.trapped and chain.outside is None)
-    data = srn._chain_data(graph)
     assert chain.plan is not None
     solutions = []
     for planned, unused in ((chain, "_sparse_kernel"), (chain._replace(plan=None), "_gth_kernel")):
         with mock.patch.object(srn, unused, None):
-            solutions.append(srn._solve_pinned(planned, data, graph.tangible))
+            solutions.append(srn.solve_graph(dataclasses.replace(graph, chain=planned),
+                                             net.constants()))
     dense, sparse = (np.array(sol.pi) for sol in solutions)
     dense_residual, sparse_residual = (sol.residual for sol in solutions)
     assert np.max(np.abs(dense - sparse)) <= 1e-12
@@ -665,7 +662,8 @@ def test_connectivity_walk_matches_scipy_components(spec):
     # state 0 reaches each; scipy's components and search are the reference
     graph = srn.reachability(build_small_net(spec))
     chain = graph.chain
-    pattern = scipy.sparse.csr_matrix((np.ones(len(chain.rows)), (chain.rows, chain.cols)),
+    rows, cols = zip(*chain.pairs)
+    pattern = scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, cols)),
                                       shape=(chain.n, chain.n))
     ncomp, labels = connected_components(pattern, directed=True, connection="strong")
     assert (chain.outside is not None) == (ncomp > 1)
@@ -689,35 +687,32 @@ def _branch_values(net, graph):
     return values
 
 
-_EDGE_FIELDS = ("source", "target", "into_vanishing", "transition", "factor", "value")
+def _solved(solve):
+    """A solve's pi and residual in hex, or its verdict's type and text."""
+    try:
+        sol = solve()
+    except srn.SrnError as verdict:
+        return type(verdict), str(verdict)
+    return [p.hex() for p in sol.pi], sol.residual.hex()
 
 
 @settings(max_examples=200, deadline=None)
 @given(spec=small_nets(), data=st.data())
-def test_rerate_matches_fresh_exploration(spec, data):
-    # the graph of one net re-rated with another net's constants and
-    # weights equals the graph explored from the other net
+def test_solve_with_other_constants_matches_fresh_exploration(spec, data):
+    # a graph holds no value: explored from one net and solved with
+    # another net's constants and weights, it gives the other net's own
+    # solve to the last bit, and its structure is the other net's graph
     tokens, transitions = spec
     constants = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(transitions),
                                    max_size=len(transitions)))
     other = build_small_net((tokens, tuple(t[:3] + (c,) + t[4:]
                                            for t, c in zip(transitions, constants))))
-    rerated = srn.rerate(srn.reachability(build_small_net(spec)), other.constants())
+    explored = srn.reachability(build_small_net(spec))
     fresh = srn.reachability(other)
-    assert rerated.tangible == fresh.tangible
-    assert rerated.vanishing == fresh.vanishing
-    expected = _branch_values(other, fresh)
-    for name in ("timed", "immediate"):
-        a, b = getattr(rerated, name), getattr(fresh, name)
-        for field in _EDGE_FIELDS:
-            assert getattr(a, field) == getattr(b, field), (name, field)
-        assert a.value == expected[name]
-    try:
-        q = srn.eliminate_vanishing(rerated)
-    except srn.TimelessTrap:
-        with pytest.raises(srn.TimelessTrap):
-            srn.eliminate_vanishing(fresh)
-        return
-    q_fresh = srn.eliminate_vanishing(fresh)
-    for attr in ("indptr", "indices", "data"):
-        assert getattr(q, attr).tolist() == getattr(q_fresh, attr).tolist()
+    assert explored.tangible == fresh.tangible
+    assert explored.vanishing == fresh.vanishing
+    assert (explored.timed, explored.immediate) == (fresh.timed, fresh.immediate)
+    assert srn._edge_values(explored, other.constants()) == \
+        tuple(_branch_values(other, fresh)[name] for name in ("timed", "immediate"))
+    assert _solved(lambda: srn.solve_graph(explored, other.constants())) == \
+        _solved(lambda: srn.solve(other))

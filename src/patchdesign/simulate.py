@@ -23,6 +23,7 @@ import numbers
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .srn import TimelessTrap
 
@@ -43,13 +44,17 @@ def _step(net, reward, marking, number):
     once and its successor numbered by ``number``, and the reward of a
     tangible marking.  ``thresholds`` are the running sums of the
     weights over their total; ``total`` is the last running sum, so the
-    last threshold is exactly 1.0."""
+    last threshold is exactly 1.0.  A vanishing marking whose weights sum
+    past float range has them divided by their largest before they are
+    summed, as ``srn._edge_values`` does."""
     vanishing, branches = net.branches(marking)
     successors = [number(net.fire(t, marking)) for t, _ in branches]
-    acc, sums = 0.0, []
-    for _, w in branches:
-        acc += w
-        sums.append(acc)
+    weights = [w for _, w in branches]
+    sums = list(accumulate(weights))
+    if vanishing and sums[-1] == math.inf:
+        largest = max(weights)
+        sums = list(accumulate(w / largest for w in weights))
+    acc = sums[-1] if sums else 0.0
     return (vanishing, acc, [s / acc for s in sums], successors,
             successors[0] if len(successors) == 1 else None,
             None if vanishing else reward(marking))

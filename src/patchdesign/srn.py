@@ -20,15 +20,21 @@ turns into edge rates and probabilities.  Exploration sees them only
 through their being positive, so one graph serves every net that
 differs from its own only in them.
 
-The steady state keeps the vanishing markings in the chain rather than
+The steady state keeps vanishing markings in the chain rather than
 eliminating them (Ciardo, Muppala and Trivedi, "On the solution of GSPN
-reward models", Performance Evaluation 12(4), 1991).  Each vanishing
+reward models", Performance Evaluation 12(4), 1991), but only those that
+need it.  A vanishing marking whose zero-time paths all end in one
+tangible marking, its exit (``_exits``), is left for that marking with
+probability 1 whatever its weights, so every edge into it goes straight
+to its exit and its weights never enter the chain.  Each other vanishing
 marking that a tangible one reaches becomes a state whose exit rate is
 the largest total timed rate out of any tangible marking, split by its
 branching probabilities.  The time spent in those states is a fiction,
 but censoring the chain on the tangible markings gives back the reduced
 CTMC exactly, so the tangible part of its stationary vector, renormalised,
-is the net's steady state.
+is the net's steady state.  A net with a timeless trap keeps every
+vanishing marking that a tangible one reaches, so its verdict counts
+them all.
 
 Two kernels solve the chain.  Grassmann, Taksar and Heyman's state
 reduction (GTH, ``_gth_kernel``) removes one state at a time with no
@@ -292,20 +298,23 @@ class Plan(NamedTuple):
 
 
 class Chain(NamedTuple):
-    """The continuous-time chain of a reachability graph, with its
+    """The continuous-time chain of a reachability graph, with some of its
     vanishing markings kept as states: the one structure a steady-state
     solve takes.  It depends on the graph's structure only, so every
     solve of the graph shares it, whatever constants it is given.
 
     The states are the tangible markings, in the order of
     ``graph.tangible``, then the vanishing markings that a tangible one
-    reaches, in their order.  Any other vanishing marking is only passed
-    on the way from the initial marking, and holds no steady-state
-    probability.
+    reaches and that have more than one exit, in their order (every one
+    that a tangible one reaches, if the net has a timeless trap).  An
+    edge into a vanishing marking with one exit (``_exits``) enters its
+    exit instead; any other vanishing marking is only passed on the way
+    from the initial marking, and holds no steady-state probability.
     The generator G holds each timed edge out of a tangible marking at
     its rate and each immediate edge out of a kept vanishing marking at
     its probability times one exit rate s; its diagonal is minus each
-    row's sum, so a self-loop cancels against its own diagonal entry.
+    row's sum, so a self-loop, which a timed edge into a marking whose
+    exit is its source also makes, cancels against its own diagonal entry.
     G's triplets come in that order, the diagonal last; ``pairs`` holds
     G's distinct (row, column) entries, and ``entry`` the entry of each
     triplet, so ``solve_graph`` sums duplicate triplets in triplet
@@ -325,27 +334,30 @@ class Chain(NamedTuple):
     @classmethod
     def of(cls, vanishing: list, timed: Edges, immediate: Edges, nt: int) -> Chain:
         nv, into_v = len(vanishing), immediate.into_vanishing
-        inner = [(i, j) for i, j, v in zip(immediate.source, immediate.target, into_v) if v]
-        v_source, v_target = [i for i, _ in inner], [j for _, j in inner]
-        escapes = _closure(nv, v_target, v_source,
-                           [i for i, v in zip(immediate.source, into_v) if not v])
-        reached = _closure(nv, v_source, v_target,
-                           [j for j, v in zip(timed.target, timed.into_vanishing) if v])
-        state, n = [-1] * nv, nt
-        for v in range(nv):
-            if reached[v]:
-                state[v], n = n, n + 1
+        exits = _exits(nv, immediate)
+        trapped = [m for m, e in zip(vanishing, exits) if e is None]
+        # the column of the edges into each vanishing marking: its exit; or,
+        # if it has several or the net has a trap (whose verdict counts the
+        # chain that keeps every reached vanishing marking), its own state
+        # when a tangible marking reaches it, and -1 when none does
+        state, n = [_MANY if trapped else e for e in exits], nt
+        if _MANY in state:
+            inner = [(i, j) for i, j, v in zip(immediate.source, immediate.target, into_v) if v]
+            reached = _closure(nv, [i for i, _ in inner], [j for _, j in inner],
+                               [j for j, v in zip(timed.target, timed.into_vanishing) if v])
+            for v in range(nv):
+                if state[v] == _MANY and reached[v]:
+                    state[v], n = n, n + 1
 
         def columns(edges):
             return [state[j] if v else j for j, v in zip(edges.target, edges.into_vanishing)]
 
-        kept = [(e, state[i]) for e, i in enumerate(immediate.source) if reached[i]]
+        kept = [(e, state[i]) for e, i in enumerate(immediate.source) if state[i] >= nt]
         into = columns(immediate)
         diagonal = list(range(n))
         rows = timed.source + [i for _, i in kept] + diagonal
         cols = columns(timed) + [into[e] for e, _ in kept] + diagonal
-        return cls.over(rows, cols, n, nt, kept=kept,
-                        trapped=[m for m, ok in zip(vanishing, escapes) if not ok])
+        return cls.over(rows, cols, n, nt, kept=kept, trapped=trapped)
 
     @classmethod
     def over(cls, rows: list, cols: list, n: int, nt: int, kept=(), trapped=()) -> Chain:
@@ -356,6 +368,38 @@ class Chain(NamedTuple):
         pairs = list(index)
         return cls(list(trapped), list(kept), n, _outside(rows, cols, n, nt), pairs, entry,
                    _plan(pairs, n))
+
+
+_MANY = -1  # the exit of a vanishing marking whose zero-time paths end in several
+
+
+def _exits(nv: int, immediate: Edges) -> list:
+    """The exit of each of nv vanishing markings: the index of the one
+    tangible marking in which every zero-time path from it ends, _MANY if
+    they end in several, or None if in none (it is trapped).
+
+    One backward worklist pass over the immediate edges: an edge into a
+    tangible marking seeds its source, and a marking whose exit changes
+    passes it to the sources of the edges into it.  An exit changes at
+    most twice (None, then one, then _MANY), so the pass is linear in the
+    edges."""
+    exits, into, work = [None] * nv, [[] for _ in range(nv)], []
+
+    def meet(i, e):
+        if exits[i] != e and exits[i] != _MANY:
+            exits[i] = e if exits[i] is None else _MANY
+            work.append(i)
+
+    for i, j, v in zip(immediate.source, immediate.target, immediate.into_vanishing):
+        if v:
+            into[j].append(i)
+        else:
+            meet(i, j)
+    while work:
+        j = work.pop()
+        for i in into[j]:
+            meet(i, exits[j])
+    return exits
 
 
 def _outside(rows, cols, n: int, nt: int) -> list | None:
@@ -482,6 +526,9 @@ def reachability(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> ReachabilityGr
     return ReachabilityGraph(markings[False], markings[True], timed, immediate, chain)
 
 
+_NO_EDGES = Edges([], [], [], [], [])
+
+
 def _edges(edges: list) -> Edges:
     columns = [list(column) for column in zip(*edges)] or [[] for _ in range(5)]
     return Edges(*columns)
@@ -498,12 +545,23 @@ def _edge_values(graph: ReachabilityGraph, constants) -> tuple[list, list]:
     constants' own: exploration sees rate constants and weights only
     through their being positive and finite, which ``Net.add_timed`` and
     ``Net.add_immediate`` enforce; a caller that passes constants
-    without building a net must check that itself."""
+    without building a net must check that itself.  A marking whose
+    weights sum past float range has them divided by their largest
+    before they are summed; any other keeps this arithmetic."""
     timed, immediate = graph.timed, graph.immediate
     weights = [constants[k] * f for k, f in zip(immediate.transition, immediate.factor)]
     totals = [0.0] * len(graph.vanishing)
     for i, w in zip(immediate.source, weights):
         totals[i] += w
+    if math.inf in totals:
+        largest = [0.0] * len(totals)
+        for i, w in zip(immediate.source, weights):
+            largest[i] = max(largest[i], w)
+        weights = [w / largest[i] if totals[i] == math.inf else w
+                   for i, w in zip(immediate.source, weights)]
+        totals = [0.0] * len(totals)
+        for i, w in zip(immediate.source, weights):
+            totals[i] += w
     return ([constants[k] * f for k, f in zip(timed.transition, timed.factor)],
             [w / totals[i] for i, w in zip(immediate.source, weights)])
 
@@ -581,7 +639,9 @@ def steady_state(q, states=None) -> SteadyStateSolution:
 def solve_graph(graph: ReachabilityGraph, constants) -> SteadyStateSolution:
     """The steady state over ``graph.tangible`` under ``constants``
     (``_edge_values``), from the chain that keeps the vanishing markings
-    (``Chain``) and one solve (``_solve_pinned``).
+    with more than one exit (``Chain``) and one solve (``_solve_pinned``).
+    A chain that keeps none has no immediate edge in G, so only the timed
+    edges are valued.
 
     The exit rate s of every kept vanishing marking is the largest total
     timed rate out of any tangible marking, so every row of G has the
@@ -592,6 +652,8 @@ def solve_graph(graph: ReachabilityGraph, constants) -> SteadyStateSolution:
     entries.
     """
     chain = graph.chain
+    if not chain.kept:  # G holds no immediate edge, so none is valued
+        graph = ReachabilityGraph(graph.tangible, [], graph.timed, _NO_EDGES, chain)
     rates, probabilities = _edge_values(graph, constants)
     totals = [0.0] * len(graph.tangible)
     for i, rate in zip(graph.timed.source, rates):
@@ -628,8 +690,8 @@ def _solve_pinned(chain: Chain, g: list, states: list) -> SteadyStateSolution:
     (two birth-death pools, 15 513 updates: 1.6 ms against 2.1 ms).  The
     budget is the lower crossover.  Below it a new chain pays at most a
     few ms for its symbolic phase, far less than importing scipy, and a
-    stored one (``availability.aggregate_rates``) nothing.  The server
-    nets take 104 updates, and a birth-death chain of n states n - 1.
+    stored one (``availability.aggregate_rates``) nothing.  The stock
+    server net takes 69 updates, and a birth-death chain of n states n - 1.
 
     Both kernels find every entry to a small relative error: the
     reduction because it never subtracts, the sparse LU because it pins

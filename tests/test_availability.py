@@ -141,8 +141,8 @@ def test_rate_override_grid_explores_each_variant_once(model, monkeypatch):
 def test_store_plans_each_variant_once(model, monkeypatch):
     # the symbolic phase of the state reduction runs once per explored
     # graph, and every later call solves the stored graph, plan and all,
-    # with its own rates: the stock server net reduces in 104 updates, the
-    # failure-free one in 11
+    # with its own rates: the stock server net reduces in 69 updates, the
+    # failure-free one in 4
     monkeypatch.setattr(av, "_EXPLORED", {})
     planned = []
     plan = srn._plan
@@ -151,7 +151,7 @@ def test_store_plans_each_variant_once(model, monkeypatch):
         av.aggregate_rates(template, policy)
     assert len(planned) == len(av._EXPLORED) == 2
     assert {variant: graph.chain.plan.updates
-            for variant, (graph, *_) in av._EXPLORED.items()} == {(): 104, FAILURE_FIELDS: 11}
+            for variant, (graph, *_) in av._EXPLORED.items()} == {(): 69, FAILURE_FIELDS: 4}
 
 
 def test_rerated_rates_equal_a_fresh_solve(model, monkeypatch):
@@ -186,7 +186,7 @@ def test_store_hit_builds_no_net(model, monkeypatch):
 @pytest.mark.parametrize("tier, stock, failure_free", [
     ("dns", "0x1.7ffa2b4fd7ec6p+0", "0x1.8000000000000p+0"),
     ("web", "0x1.b6d536ffbc4adp+0", "0x1.b6db6db6db6dbp+0"),
-    ("app", "0x1.fff82a044f9f7p-1", "0x1.0000000000000p+0"),
+    ("app", "0x1.fff82a044f9f7p-1", "0x1.fffffffffffffp-1"),
     ("db", "0x1.17416086a390fp+0", "0x1.1745d1745d174p+0"),
 ])
 def test_bundled_mu_eq_is_pinned(model, tier, stock, failure_free):

@@ -289,3 +289,22 @@ def test_simulation_matches_analytic_reward(spec, seed):
         assume(False)
     est = simulate.simulate_reward(build_small_net(spec), reward, hours=2_000.0, seed=seed)
     assert est.within(analytic, n_sigma=5)
+
+
+def test_weights_summing_past_float_range_split_as_their_ratio():
+    # two finite weights whose sum is not: divided by the largest, they
+    # draw as weights 1 and 1 do, to the last bit
+    estimates = []
+    for weight in (1e308, 1.0):
+        net = srn.Net()
+        for place, tokens in (("t", 1), ("a", 0), ("b", 0), ("c", 0)):
+            net.add_place(place, tokens)
+        net.add_timed("go", 1.0, ["t"], ["a"])
+        net.add_immediate("x", ["a"], ["b"], weight=weight)
+        net.add_immediate("y", ["a"], ["c"], weight=weight)
+        net.add_timed("back", 1.0, ["b"], ["t"])
+        net.add_timed("back2", 1.0, ["c"], ["t"])
+        est = simulate.simulate_reward(net, lambda m: float(m["b"]), hours=2_000.0, seed=11)
+        estimates.append((est.value.hex(), est.stderr.hex()))
+        assert est.within(0.25)
+    assert estimates[0] == estimates[1]

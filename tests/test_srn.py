@@ -10,9 +10,10 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_small_net, small_nets
+from conftest import build_small_net, run_python, small_nets
 from patchdesign import availability, srn
 from patchdesign.guards import parse_guard
+from patchdesign.model import example_network_path, load_model
 
 
 def two_state_net(lam=0.00139, mu=1.49992):
@@ -716,3 +717,125 @@ def test_solve_with_other_constants_matches_fresh_exploration(spec, data):
         tuple(_branch_values(other, fresh)[name] for name in ("timed", "immediate"))
     assert _solved(lambda: srn.solve_graph(explored, other.constants())) == \
         _solved(lambda: srn.solve(other))
+
+
+def conflict_net(weights, merge=True):
+    """tick fires into the vanishing marking src, which splits by
+    ``weights`` into the vanishing markings left and right; with
+    ``merge`` both pass on to the one tangible marking done (right after a
+    zero-time loop back to src by weight 1), without it each is the
+    tangible end of its branch."""
+    net = srn.Net()
+    for place in ("tick", "src", "left", "right", "done"):
+        net.add_place(place, int(place == "tick"))
+    net.add_timed("go", 0.1, ["tick"], ["src"])
+    net.add_immediate("to_left", ["src"], ["left"], weight=weights[0])
+    net.add_immediate("to_right", ["src"], ["right"], weight=weights[1])
+    if merge:
+        net.add_immediate("left_done", ["left"], ["done"])
+        net.add_immediate("right_done", ["right"], ["done"])
+        net.add_immediate("right_back", ["right"], ["src"])
+        net.add_timed("back", 3.7, ["done"], ["tick"])
+    else:
+        net.add_timed("back_l", 2.0, ["left"], ["tick"])
+        net.add_timed("back_r", 5.0, ["right"], ["tick"])
+    return net
+
+
+def test_single_exit_conflict_is_folded_whatever_its_weights():
+    # every zero-time path from src ends in done, so src, left and right
+    # are no chain states and their weights never enter G: the same pi
+    # to the last bit (with src kept, these weights moved pi(done) by 1 ulp)
+    solved = []
+    for weights in ((1.0, 1.0), (1.0, 1e6)):
+        net = conflict_net(weights)
+        graph = srn.reachability(net)
+        assert (len(graph.tangible), len(graph.vanishing), graph.chain.n) == (2, 3, 2)
+        assert graph.chain.kept == []
+        assert srn._exits(3, graph.immediate) == [1, 1, 1]
+        solved.append([p.hex() for p in srn.solve_graph(graph, net.constants()).pi])
+    assert solved[0] == solved[1]
+    assert [float.fromhex(p) for p in solved[0]] == pytest.approx([3.7 / 3.8, 0.1 / 3.8],
+                                                                   rel=1e-15)
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 3.0)])
+def test_marking_with_two_exits_stays_a_chain_state(weights):
+    # src may end in left or in right, so it is a state of the chain, and
+    # its weights split the visits between left (mean stay 1/2) and right
+    # (mean stay 1/5)
+    net = conflict_net(weights, merge=False)
+    graph = srn.reachability(net)
+    assert (len(graph.tangible), len(graph.vanishing), graph.chain.n) == (3, 1, 4)
+    assert srn._exits(1, graph.immediate) == [srn._MANY]
+    sol = srn.solve_graph(graph, net.constants())
+    p_left, p_right = (sol.probability(lambda m, p=p: m[p] == 1) for p in ("left", "right"))
+    assert p_left * 2.0 / weights[0] == pytest.approx(p_right * 5.0 / weights[1], rel=1e-12)
+
+
+def test_weights_summing_past_float_range_split_as_their_ratio():
+    # each weight is finite but their sum is not: divided by the largest,
+    # they split as weights 1 and 1 do, to the last bit
+    solved = []
+    for weight in (1e308, 1.0):
+        net = conflict_net((weight, weight), merge=False)
+        solved.append([p.hex() for p in srn.solve(net).pi])
+        assert sorted(srn._edge_values(srn.reachability(net), net.constants())[1]) == [0.5, 0.5]
+    assert solved[0] == solved[1]
+
+
+def test_server_net_chains_keep_no_vanishing_marking():
+    # every vanishing marking of the shipped server net has one exit: the
+    # stock variant's 23 and the failure-free variant's 7 are folded
+    model = load_model(example_network_path())
+    template = model.templates["dns"]
+    failure_free = dataclasses.replace(template, hw_mttf=math.inf, os_mttf=math.inf,
+                                       svc_mttf=math.inf)
+    sizes = []
+    for tpl in (template, failure_free):
+        graph = srn.reachability(availability.build_server_srn(tpl, model.policy))
+        assert graph.chain.kept == []
+        sizes.append((len(graph.tangible), len(graph.vanishing), graph.chain.n,
+                      len(graph.chain.pairs), graph.chain.plan.updates))
+    assert sizes == [(27, 23, 27, 90, 69), (5, 7, 5, 10, 4)]
+
+
+MMCK_SOLVE = """
+import math, sys
+from patchdesign import srn
+
+servers, slots, lam, mu = 4, 3000, 3.4, 1.0
+net = srn.Net()
+net.add_place("free", slots)
+net.add_place("wait", 0)
+net.add_place("idle", servers)
+net.add_place("busy", 0)
+net.add_timed("arrive", lam, ["free"], ["wait"])
+net.add_immediate("start", ["wait", "idle"], ["busy"])
+net.add_timed("done", srn.RateExpr(mu, "busy"), ["busy"], ["idle", "free"])
+graph = srn.reachability(net)
+sol = srn.solve_graph(graph, net.constants())
+# the M/M/c/K birth-death distribution over the jobs in the system, in logs
+log_p = [0.0]
+for jobs in range(1, slots + 1):
+    log_p.append(log_p[-1] + math.log(lam / (mu * min(jobs, servers))))
+top = max(log_p)
+exact = [math.exp(v - top) for v in log_p]
+total = math.fsum(exact)
+error = max(abs(p - exact[slots - m["free"]] / total) / (exact[slots - m["free"]] / total)
+            for m, p in zip(sol.states, sol.pi))
+print(len(graph.tangible), len(graph.vanishing), graph.chain.n, graph.chain.plan.updates,
+      "scipy" in sys.modules or "numpy" in sys.modules, error < 1e-9,
+      sol.probability(lambda m: m["free"] == 0) > 0)
+"""
+
+
+def test_large_queue_folds_onto_the_state_reduction():
+    # M/M/4/3000 has a vanishing marking (a job waits by an idle server)
+    # for each but one tangible marking, each with one exit; folded, the
+    # chain is the 3 001-state birth-death chain, within GTH_UPDATES, so
+    # it solves without scipy, every entry to a small relative error,
+    # down to a blocking probability near 1e-210
+    proc = run_python("-c", MMCK_SOLVE, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["3001", "2999", "3001", "3000", "False", "True", "True"]

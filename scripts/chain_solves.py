@@ -1,6 +1,6 @@
 """Per-stage cost of the SRN chain solves, for two source trees.
 
-Five stages, each timed in its own fresh interpreter (``_pairs``), the
+Six stages, each timed in its own fresh interpreter (``_pairs``), the
 trees in alternating pairs:
 
 - a store hit of ``availability.aggregate_rates`` on the bundled dns
@@ -10,7 +10,11 @@ trees in alternating pairs:
   ``start`` moves a waiting job to an idle server in zero time, in
   milliseconds;
 - one ``srn.solve`` of that net with K / 10 and with K buffer slots, in
-  a fresh interpreter, so with whatever it imports, in milliseconds.
+  a fresh interpreter, so with whatever it imports, in milliseconds;
+- the two ``simulate.simulate_reward`` runs of the ``server-nets``
+  workload, 12 000 h each of the bundled app tier with every MTTF
+  infinite and of the stock web tier, both patched every 24 h on
+  average, in milliseconds for the two.
 
 Prints a heading per stage, then the best and the median per tree.
 
@@ -34,7 +38,11 @@ STAGES = {  # stage -> its heading, given k = K and small = K // 10
     "chain": "Chain.of on M/M/4/{k}, ms",
     "solve-small": "one srn.solve of M/M/4/{small}, fresh interpreter, ms",
     "solve": "one srn.solve of M/M/4/{k}, fresh interpreter, ms",
+    "simulate": "simulate_reward, app failure-free and web server nets, 12000 h each, ms",
 }
+# the stage means and reboot times the server-nets simulations set, in hours
+SIM_STAGES = {"svc_patch_mean": 10.0, "os_patch_mean": 20.0,
+              "os_reboot_after_patch": 10.0, "svc_reboot_after_patch": 5.0}
 
 
 def mmck_net(k: int):
@@ -99,11 +107,40 @@ def solve_once(k: int) -> float:
     return (time.perf_counter() - start) * 1e3
 
 
+def simulations() -> float:
+    """Best milliseconds of the two ``server-nets`` simulations."""
+    import dataclasses
+    import math
+
+    from patchdesign import PatchPolicy, availability, load_model, simulate
+    from patchdesign.model import example_network_path
+
+    model = load_model(example_network_path())
+    policy = PatchPolicy(interval_mean=24.0)
+    infinite = dict(hw_mttf=math.inf, os_mttf=math.inf, svc_mttf=math.inf)
+    nets = [availability.build_server_srn(
+        dataclasses.replace(model.templates[tier], **SIM_STAGES, **more), policy)
+        for tier, more in (("app", infinite), ("web", {}))]
+
+    def service_up(m):
+        return float(m["P_svcup"] == 1)
+
+    best = math.inf
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for seed, net in enumerate(nets):
+            simulate.simulate_reward(net, service_up, hours=12_000.0, seed=seed)
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
 def measure(stage: str, k: int) -> float:
     if stage in ("stock", "failure-free"):
         return stored(stage == "failure-free")
     if stage == "chain":
         return chain(k)
+    if stage == "simulate":
+        return simulations()
     return solve_once(k // 10 if stage == "solve-small" else k)
 
 

@@ -4,7 +4,8 @@ Cross-validates the analytic steady-state reward: simulate the net for a
 long horizon, average the reward over time, and estimate the standard
 error with batch means.  Each step comes from ``Net.branches``, the same
 rule that drives ``srn.reachability``, computed once per distinct
-marking a run visits.
+marking a run reaches; its branches split, and timeless traps are found,
+by the solve's own rules (``srn._split``, ``srn._exits``).
 
 Every variate comes from one seeded Mersenne Twister stream
 (``random.Random``), so the simulator imports no numpy.  The per-event
@@ -23,9 +24,8 @@ import numbers
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
-from .srn import TimelessTrap
+from .srn import TimelessTrap, _exits, _split
 
 
 @dataclass
@@ -43,39 +43,44 @@ def _step(net, reward, marking, number):
     None, reward) of one marking: its ``Net.branches``, each branch fired
     once and its successor numbered by ``number``, and the reward of a
     tangible marking.  ``thresholds`` are the running sums of the
-    weights over their total; ``total`` is the last running sum, so the
-    last threshold is exactly 1.0.  A vanishing marking whose weights sum
-    past float range has them divided by their largest before they are
-    summed, as ``srn._edge_values`` does."""
+    weights or rates (``srn._split``) over their last, which is thus
+    exactly 1.0; ``total`` is the sum of the rates, infinite when they
+    sum past float range."""
     vanishing, branches = net.branches(marking)
     successors = [number(net.fire(t, marking)) for t, _ in branches]
-    weights = [w for _, w in branches]
-    sums = list(accumulate(weights))
-    if vanishing and sums[-1] == math.inf:
-        largest = max(weights)
-        sums = list(accumulate(w / largest for w in weights))
+    scale, sums = _split([w for _, w in branches])
     acc = sums[-1] if sums else 0.0
-    return (vanishing, acc, [s / acc for s in sums], successors,
+    return (vanishing, acc * scale, [s / acc for s in sums], successors,
             successors[0] if len(successors) == 1 else None,
             None if vanishing else reward(marking))
 
 
-def _check_trap(net, reward, steps, markings, number, current, now):
-    """Raise TimelessTrap, at simulated hour ``now``, if no vanishing
-    marking that vanishing steps reach from ``current`` leads to a
-    tangible one.  A step not yet in the run's table is computed and
-    kept there."""
-    walk, seen = [current], {current}
-    for i in walk:  # grows while it is read
-        if steps[i] is None:
-            steps[i] = _step(net, reward, markings[i], number)
-        if not steps[i][0]:
-            return
+def _first_step(net, reward, steps, markings, number, current, now):
+    """The step of marking ``current``, computed into the run's table; a
+    vanishing one's also computes the new steps of the markings its
+    zero-time steps reach, and raises TimelessTrap at hour ``now`` naming
+    those that ``srn._exits`` finds trapped.  A step already in the table
+    counts as an exit: it is tangible or has passed this check."""
+    step = steps[current] = _step(net, reward, markings[current], number)
+    if not step[0]:
+        return step
+    walk, local = [current], {current: 0}  # new vanishing markings, and their places in walk
+    source, target, into_vanishing = [], [], []  # their edges; one out of walk ends in its exit
+    for k, i in enumerate(walk):  # grows while it is read
         for j in steps[i][3]:
-            if j not in seen:
-                seen.add(j)
-                walk.append(j)
-    raise TimelessTrap(f"simulation failed at {now:g} hours", [markings[i] for i in walk])
+            if steps[j] is None:
+                steps[j] = _step(net, reward, markings[j], number)
+                if steps[j][0]:
+                    local[j] = len(walk)
+                    walk.append(j)
+            source.append(k)
+            target.append(local.get(j, j))
+            into_vanishing.append(j in local)
+    exits = _exits(len(walk), (source, target, into_vanishing))
+    trapped = [markings[i] for i, e in zip(walk, exits) if e is None]
+    if trapped:
+        raise TimelessTrap(f"simulation failed at {now:g} hours", trapped)
+    return step
 
 
 def simulate_reward(net, reward, hours: float, seed: int = 0,
@@ -96,16 +101,14 @@ def simulate_reward(net, reward, hours: float, seed: int = 0,
 
     Each marking gets an integer id when it is first reached.  Its step
     (its branches, their successors' ids and, if it is tangible, its
-    reward) is computed the first time the run visits it and read from a
-    table on later visits, so ``reward`` must be a function of the
-    marking alone.  The table grows by at most one step per event and
-    lives for this call only.
+    reward) is computed once, when the run or a trap check first reaches
+    it, and read from a table on later visits, so ``reward`` must be a
+    function of the marking alone.  The table lives for this call only.
 
-    A run that enters vanishing markings none of which leads to a
-    tangible one raises TimelessTrap naming them, as ``srn.solve`` does:
-    after more zero-time steps in a row than markings numbered so far,
-    the run walks the vanishing successors of its marking, drawing no
-    uniform (``_check_trap``).
+    A run raises TimelessTrap, as ``srn.solve`` does, on first reaching a
+    vanishing marking whose zero-time steps can enter markings none of
+    which leads to a tangible one, naming them: it walks the zero-time
+    steps new to the table, drawing no uniform (``_first_step``).
 
     Raises ``ValueError`` if ``hours`` is not a finite positive number,
     ``seed`` is not an integer of at least 0 or ``batches`` is not an
@@ -136,11 +139,11 @@ def simulate_reward(net, reward, hours: float, seed: int = 0,
     batch_totals = [0.0] * batches
     last = batches - 1
     b, edge = 0, batch_len  # the batch that holds `now`, and its right edge
-    now, zero = 0.0, 0  # zero: the zero-time steps since the last dwell or trap check
+    now = 0.0
     while now < hours:
         step = steps[current]
         if step is None:
-            step = steps[current] = _step(net, reward, markings[current], number)
+            step = _first_step(net, reward, steps, markings, number, current, now)
         vanishing, total, thresholds, successors, sole, r = step
         if not vanishing:
             dwell = -log(1.0 - uniform()) / total if successors else hours - now
@@ -154,12 +157,6 @@ def simulate_reward(net, reward, hours: float, seed: int = 0,
                 edge = hours if b == last else (b + 1) * batch_len
             batch_totals[b] += r * (end - at)
             now += dwell
-            zero = 0
-        else:
-            zero += 1
-            if zero > len(markings):
-                zero = 0
-                _check_trap(net, reward, steps, markings, number, current, now)
         if sole is not None:
             current = sole
         elif successors:

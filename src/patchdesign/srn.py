@@ -9,14 +9,15 @@ steady-state solve, expected reward.
 ``Net.branches`` is the one step rule: it decides whether a marking is
 vanishing or tangible and which transitions may fire from it, with what
 weight or rate.  Both the explorer here and the discrete-event simulator
-(``simulate.simulate_reward``) take their steps from it.
+(``simulate.simulate_reward``) take their steps from it, split them
+(``_split``) and find timeless traps (``_exits``) alike.
 
 Exploration is structural: the reachability graph keeps each edge as
 indices (source, target, firing transition) and a rate factor, and its
 ``Chain`` fixes the state numbering, G's pattern, the class of state 0
 and the state reduction's plan; it stores no value.  Each solve is
 given constants, ordered as ``Net.constants``, which ``_edge_values``
-turns into edge rates and probabilities.  Exploration sees them only
+turns into edge rates and weights.  Exploration sees them only
 through their being positive, so one graph serves every net that
 differs from its own only in them.
 
@@ -27,14 +28,12 @@ need it.  A vanishing marking whose zero-time paths all end in one
 tangible marking, its exit (``_exits``), is left for that marking with
 probability 1 whatever its weights, so every edge into it goes straight
 to its exit and its weights never enter the chain.  Each other vanishing
-marking that a tangible one reaches becomes a state whose exit rate is
-the largest total timed rate out of any tangible marking, split by its
-branching probabilities.  The time spent in those states is a fiction,
-but censoring the chain on the tangible markings gives back the reduced
-CTMC exactly, so the tangible part of its stationary vector, renormalised,
-is the net's steady state.  A net with a timeless trap keeps every
-vanishing marking that a tangible one reaches, so its verdict counts
-them all.
+marking that a tangible one reaches, with several exits or none (a
+trap), becomes a state whose exit rate is the largest total timed rate
+out of any tangible marking, split by its branching probabilities.  The
+time spent in those states is a fiction, but censoring the chain on the
+tangible markings gives back the reduced CTMC exactly, so the tangible
+part of its stationary vector, renormalised, is the net's steady state.
 
 Two kernels solve the chain.  Grassmann, Taksar and Heyman's state
 reduction (GTH, ``_gth_kernel``) removes one state at a time with no
@@ -66,6 +65,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby
 from typing import NamedTuple
 
 from .guards import TRUE, check_places
@@ -305,11 +305,11 @@ class Chain(NamedTuple):
 
     The states are the tangible markings, in the order of
     ``graph.tangible``, then the vanishing markings that a tangible one
-    reaches and that have more than one exit, in their order (every one
-    that a tangible one reaches, if the net has a timeless trap).  An
-    edge into a vanishing marking with one exit (``_exits``) enters its
-    exit instead; any other vanishing marking is only passed on the way
-    from the initial marking, and holds no steady-state probability.
+    reaches and that have more than one exit or none (are trapped), in
+    their order.  An edge into a vanishing marking with one exit
+    (``_exits``) enters its exit instead; any other vanishing marking is
+    only passed on the way from the initial marking, and holds no
+    steady-state probability.
     The generator G holds each timed edge out of a tangible marking at
     its rate and each immediate edge out of a kept vanishing marking at
     its probability times one exit rate s; its diagonal is minus each
@@ -337,10 +337,9 @@ class Chain(NamedTuple):
         exits = _exits(nv, immediate)
         trapped = [m for m, e in zip(vanishing, exits) if e is None]
         # the column of the edges into each vanishing marking: its exit; or,
-        # if it has several or the net has a trap (whose verdict counts the
-        # chain that keeps every reached vanishing marking), its own state
-        # when a tangible marking reaches it, and -1 when none does
-        state, n = [_MANY if trapped else e for e in exits], nt
+        # if it has several or none, its own state when a tangible marking
+        # reaches it, and -1 when none does
+        state, n = [_MANY if e is None else e for e in exits], nt
         if _MANY in state:
             inner = [(i, j) for i, j, v in zip(immediate.source, immediate.target, into_v) if v]
             reached = _closure(nv, [i for i, _ in inner], [j for _, j in inner],
@@ -373,10 +372,12 @@ class Chain(NamedTuple):
 _MANY = -1  # the exit of a vanishing marking whose zero-time paths end in several
 
 
-def _exits(nv: int, immediate: Edges) -> list:
-    """The exit of each of nv vanishing markings: the index of the one
-    tangible marking in which every zero-time path from it ends, _MANY if
-    they end in several, or None if in none (it is trapped).
+def _exits(nv: int, immediate) -> list:
+    """The exit of each of nv vanishing markings, given their immediate
+    edges' source, target and into_vanishing (as an ``Edges`` or alone):
+    the index of the one tangible marking in which every zero-time path
+    from it ends, _MANY if they end in several, or None if in none (it
+    is trapped).
 
     One backward worklist pass over the immediate edges: an edge into a
     tangible marking seeds its source, and a marking whose exit changes
@@ -390,7 +391,7 @@ def _exits(nv: int, immediate: Edges) -> list:
             exits[i] = e if exits[i] is None else _MANY
             work.append(i)
 
-    for i, j, v in zip(immediate.source, immediate.target, immediate.into_vanishing):
+    for i, j, v in zip(*immediate[:3]):
         if v:
             into[j].append(i)
         else:
@@ -526,44 +527,43 @@ def reachability(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> ReachabilityGr
     return ReachabilityGraph(markings[False], markings[True], timed, immediate, chain)
 
 
-_NO_EDGES = Edges([], [], [], [], [])
-
-
 def _edges(edges: list) -> Edges:
     columns = [list(column) for column in zip(*edges)] or [[] for _ in range(5)]
     return Edges(*columns)
 
 
-def _edge_values(graph: ReachabilityGraph, constants) -> tuple[list, list]:
-    """The rate of each timed edge of ``graph`` and the probability of
-    each immediate one, from ``constants``, the rate constant of each
-    timed transition and the weight of each immediate one in the order
-    of ``Net.transitions`` (``Net.constants``): a constant times the
-    edge's factor, and for an immediate edge, over the sum of those out
-    of its source in branch order.  ``graph`` may come from any net with
+def _edge_values(edges: Edges, constants) -> list:
+    """Each edge's value, a timed one's rate or an immediate one's
+    weight: its factor times its transition's constant in ``constants``,
+    ordered as ``Net.constants``.  The edges may come from any net with
     the same places, arcs, guards, priorities and rate places as the
     constants' own: exploration sees rate constants and weights only
     through their being positive and finite, which ``Net.add_timed`` and
     ``Net.add_immediate`` enforce; a caller that passes constants
-    without building a net must check that itself.  A marking whose
-    weights sum past float range has them divided by their largest
-    before they are summed; any other keeps this arithmetic."""
-    timed, immediate = graph.timed, graph.immediate
-    weights = [constants[k] * f for k, f in zip(immediate.transition, immediate.factor)]
-    totals = [0.0] * len(graph.vanishing)
-    for i, w in zip(immediate.source, weights):
-        totals[i] += w
-    if math.inf in totals:
-        largest = [0.0] * len(totals)
-        for i, w in zip(immediate.source, weights):
-            largest[i] = max(largest[i], w)
-        weights = [w / largest[i] if totals[i] == math.inf else w
-                   for i, w in zip(immediate.source, weights)]
-        totals = [0.0] * len(totals)
-        for i, w in zip(immediate.source, weights):
-            totals[i] += w
-    return ([constants[k] * f for k, f in zip(timed.transition, timed.factor)],
-            [w / totals[i] for i, w in zip(immediate.source, weights)])
+    without building a net must check that itself."""
+    return [constants[k] * f for k, f in zip(edges.transition, edges.factor)]
+
+
+def _probabilities(immediate: Edges, constants) -> list:
+    """Each immediate edge's weight (``_edge_values``) over the sum of
+    those out of its source (``_split``)."""
+    probabilities = []
+    for _, run in groupby(zip(immediate.source, _edge_values(immediate, constants)),
+                          lambda edge: edge[0]):
+        weights = [w for _, w in run]
+        scale, sums = _split(weights)
+        probabilities += [w / scale / sums[-1] for w in weights]
+    return probabilities
+
+
+def _split(values: list) -> tuple[float, list]:
+    """(scale, sums): the running sums, in branch order, of one marking's
+    branch values divided by scale, which is 1.0, or their largest when
+    their sum passes float range and it does not."""
+    sums, largest = list(accumulate(values)), max(values, default=0.0)
+    if sums and sums[-1] == math.inf and largest < math.inf:
+        return largest, list(accumulate(v / largest for v in values))
+    return 1.0, sums
 
 
 def eliminate_vanishing(graph: ReachabilityGraph, constants):
@@ -594,7 +594,8 @@ def eliminate_vanishing(graph: ReachabilityGraph, constants):
     nt, nv = len(graph.tangible), len(graph.vanishing)
     if graph.chain.trapped:
         raise TimelessTrap(_failed(nt, graph.chain.n), graph.chain.trapped)
-    rates, probabilities = _edge_values(graph, constants)
+    rates = _edge_values(graph.timed, constants)
+    probabilities = _probabilities(graph.immediate, constants)
 
     def block(edges, values, into_vanishing, shape):
         pick = np.array(edges.into_vanishing, dtype=bool) == into_vanishing
@@ -637,11 +638,12 @@ def steady_state(q, states=None) -> SteadyStateSolution:
 
 
 def solve_graph(graph: ReachabilityGraph, constants) -> SteadyStateSolution:
-    """The steady state over ``graph.tangible`` under ``constants``
-    (``_edge_values``), from the chain that keeps the vanishing markings
-    with more than one exit (``Chain``) and one solve (``_solve_pinned``).
-    A chain that keeps none has no immediate edge in G, so only the timed
-    edges are valued.
+    """The steady state over ``graph.tangible`` under ``constants``, from
+    the chain that keeps the vanishing markings with several exits or
+    none (``Chain``) and one solve (``_solve_pinned``).  Immediate edges
+    are valued (``_probabilities``) only when the chain keeps one.  If a
+    tangible marking's rates sum past float range, and none is infinite,
+    every rate is halved until none does: exactly, so pi keeps its bits.
 
     The exit rate s of every kept vanishing marking is the largest total
     timed rate out of any tangible marking, so every row of G has the
@@ -652,13 +654,16 @@ def solve_graph(graph: ReachabilityGraph, constants) -> SteadyStateSolution:
     entries.
     """
     chain = graph.chain
-    if not chain.kept:  # G holds no immediate edge, so none is valued
-        graph = ReachabilityGraph(graph.tangible, [], graph.timed, _NO_EDGES, chain)
-    rates, probabilities = _edge_values(graph, constants)
-    totals = [0.0] * len(graph.tangible)
-    for i, rate in zip(graph.timed.source, rates):
-        totals[i] += rate
+    rates = _edge_values(graph.timed, constants)
+    while True:
+        totals = [0.0] * len(graph.tangible)
+        for i, rate in zip(graph.timed.source, rates):
+            totals[i] += rate
+        if math.inf not in totals or math.inf in rates:
+            break
+        rates = [rate / 2 for rate in rates]
     exit_rate = max(totals, default=0.0)
+    probabilities = _probabilities(graph.immediate, constants) if chain.kept else []
     kept = [exit_rate * probabilities[e] for e, _ in chain.kept]
     diagonal = [-total for total in totals] + [0.0] * (chain.n - len(totals))
     for (_, i), value in zip(chain.kept, kept):

@@ -36,6 +36,13 @@ COMPARISON_LABELS = [
 
 BASELINE = "1dns-1web-1app-1db"
 
+# a leaves for the tangible c by weight 1e6, or for b by weight 1, and b
+# and d then hand their token to each other in zero time for ever
+PARTIAL_TRAP_NET = ("place tick 1\nplace a 0\nplace b 0\nplace c 0\nplace d 0\n"
+                    "timed go rate=1 in=tick out=a\nimmediate ac weight=1e6 in=a out=c\n"
+                    "immediate ab weight=1 in=a out=b\nimmediate bd in=b out=d\n"
+                    "immediate db in=d out=b\ntimed back rate=2 in=c out=tick\n")
+
 
 def server_net_guards():
     """The guard text of each transition of the shipped server net, in
@@ -260,6 +267,19 @@ def small_nets(draw):
                             draw(st.booleans()), draw(st.integers(0, 2)),
                             draw(guards)))
     return tuple(tokens), tuple(transitions)
+
+
+def overflow_net(rate, back=1.0):
+    """t leaves for b and for c at ``rate`` each, and both return at
+    ``back``: at rate 1e308 the two rates out of t sum past float range."""
+    net = srn.Net()
+    for place, tokens in (("t", 1), ("b", 0), ("c", 0)):
+        net.add_place(place, tokens)
+    net.add_timed("x", rate, ["t"], ["b"])
+    net.add_timed("y", rate, ["t"], ["c"])
+    net.add_timed("back", back, ["b"], ["t"])
+    net.add_timed("back2", back, ["c"], ["t"])
+    return net
 
 
 def build_small_net(spec):

@@ -6,7 +6,7 @@ import math
 from pathlib import Path
 
 import pytest
-from conftest import KeyTwice, run_python
+from conftest import PARTIAL_TRAP_NET, KeyTwice, run_python
 
 import patchdesign
 from patchdesign import availability, cli, evaluate, netfile, srn
@@ -826,6 +826,9 @@ REDUCIBLE = ("place a 1\nplace b 0\ntimed t rate=1 in=a out=b\n",
     ("place a 0\ntimed grow rate=1 out=a\n", None,
      "reachability failed: more than 100 markings"),
     (TRAP[0], None, TRAP[1]),
+    # a has the one exit c, so it is no chain state: the chain keeps b and d
+    (PARTIAL_TRAP_NET, None, "steady-state solve failed at 2 tangible and 2 vanishing "
+                             "states: timeless trap among vanishing markings: {b:1}; {d:1}"),
     (REDUCIBLE[0], None, REDUCIBLE[1]),
     # the vanishing initial marking branches to two absorbing markings
     ("place v 1\nplace a 0\nplace b 0\nimmediate va in=v out=a\nimmediate vb in=v out=b\n",
@@ -835,8 +838,8 @@ REDUCIBLE = ("place a 1\nplace b 0\ntimed t rate=1 in=a out=b\n",
      "steady-state solve failed at 2 tangible states: the pinned system is singular"),
     (FLIP_NET, lambda chain, g: [1.0, 0.3],
      "steady-state solve failed at 2 tangible states: relative residual 0.0192308"),
-], ids=["state-cap", "timeless-trap", "reducible-cannot-return", "reducible-unreached",
-        "singular", "residual"])
+], ids=["state-cap", "timeless-trap", "partial-trap", "reducible-cannot-return",
+        "reducible-unreached", "singular", "residual"])
 def test_solve_failure_is_one_line_naming_stage_and_states(tmp_path, monkeypatch, text,
                                                              kernel, message):
     if kernel is not None:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_small_net, reference_simulate_reward, run_python, small_nets
+from conftest import (PARTIAL_TRAP_NET, build_small_net, overflow_net,
+                      reference_simulate_reward, run_python, small_nets)
 from patchdesign import availability as av
 from patchdesign import simulate, srn
 from patchdesign.model import PatchPolicy
@@ -167,6 +168,24 @@ def test_timeless_trap_is_a_verdict():
                            "markings: {a:1}; {b:1}\n[{a:1}, {b:1}]\n")
 
 
+def test_trap_is_a_verdict_on_first_reaching_a_marking_that_can_enter_it():
+    # the run reaches a at the first go firing and would leave it for c,
+    # almost surely, but b and d are a trap, so the run stops on reaching
+    # a, naming the trap alone, as the solve does
+    script = f"""if True:
+        from patchdesign import netfile, simulate, srn
+        net = netfile.parse_net({PARTIAL_TRAP_NET!r}).net
+        try:
+            simulate.simulate_reward(net, lambda m: 1.0, hours=10.0, seed=0)
+        except srn.TimelessTrap as trap:
+            print(trap)
+    """
+    proc = run_python("-c", script, timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("simulation failed at 1.86061 hours: timeless trap among "
+                           "vanishing markings: {b:1}; {d:1}\n")
+
+
 def test_vanishing_loop_that_escapes_keeps_its_estimate():
     # a sends its token to b and back 1 000 times for each time it lets
     # it go to c, so runs of zero-time steps far outlast the four
@@ -308,3 +327,21 @@ def test_weights_summing_past_float_range_split_as_their_ratio():
         estimates.append((est.value.hex(), est.stderr.hex()))
         assert est.within(0.25)
     assert estimates[0] == estimates[1]
+    # two timed rates alike: t's dwell is 0 and its branches draw as those
+    # of rates 1e300 do, whose dwell of about 1e-300 h no later time keeps
+    estimates = []
+    for rate in (1e308, 1e300):
+        net = overflow_net(rate)
+        est = simulate.simulate_reward(net, lambda m: float(m["b"]), hours=2_000.0, seed=11)
+        estimates.append((est.value.hex(), est.stderr.hex()))
+        assert est.within(0.5)
+    assert estimates[0] == estimates[1]
+    # a rate that is itself infinite, 1e308 per token, is no largest to
+    # divide by: its marking is left at once, and q keeps both tokens
+    net = srn.Net()
+    net.add_place("p", 2)
+    net.add_place("q", 0)
+    net.add_timed("x", srn.RateExpr(1e308, "p"), ["p"], ["q"])
+    net.add_timed("back", 1.0, ["q"], ["p"])
+    est = simulate.simulate_reward(net, lambda m: float(m["q"]), hours=100.0, seed=1)
+    assert (est.value, est.stderr) == (2.0, 0.0)

@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_small_net, run_python, small_nets
+from conftest import build_small_net, overflow_net, run_python, small_nets
 from patchdesign import availability, srn
 from patchdesign.guards import parse_guard
 from patchdesign.model import example_network_path, load_model
@@ -94,7 +94,7 @@ def test_immediate_weight_split():
     graph = srn.reachability(net)
     assert len(graph.vanishing) == 1
     assert graph.immediate.source == [0, 0]
-    assert sorted(srn._edge_values(graph, net.constants())[1]) == [0.25, 0.75]
+    assert sorted(srn._probabilities(graph.immediate, net.constants())) == [0.25, 0.75]
     # occupancy of left vs right reflects the split
     sol = srn.steady_state(srn.eliminate_vanishing(graph, net.constants()), graph.tangible)
     p_left = sol.probability(lambda m: m["left"] == 1)
@@ -296,7 +296,7 @@ def test_enabled_timed_pairs_each_rate_evaluated_once(monkeypatch):
     assert timed.source == [0, 1]
     assert timed.target == [1, 0]
     assert timed.into_vanishing == [False, False]
-    assert srn._edge_values(graph, net.constants())[0] == [0.5, 1.0]
+    assert srn._edge_values(graph.timed, net.constants()) == [0.5, 1.0]
     # by_b and fixed in (1, 0), blocked in (0, 1): one evaluation each
     assert len(calls) == 3
 
@@ -713,7 +713,8 @@ def test_solve_with_other_constants_matches_fresh_exploration(spec, data):
     assert explored.tangible == fresh.tangible
     assert explored.vanishing == fresh.vanishing
     assert (explored.timed, explored.immediate) == (fresh.timed, fresh.immediate)
-    assert srn._edge_values(explored, other.constants()) == \
+    assert (srn._edge_values(explored.timed, other.constants()),
+            srn._probabilities(explored.immediate, other.constants())) == \
         tuple(_branch_values(other, fresh)[name] for name in ("timed", "immediate"))
     assert _solved(lambda: srn.solve_graph(explored, other.constants())) == \
         _solved(lambda: srn.solve(other))
@@ -780,8 +781,17 @@ def test_weights_summing_past_float_range_split_as_their_ratio():
     for weight in (1e308, 1.0):
         net = conflict_net((weight, weight), merge=False)
         solved.append([p.hex() for p in srn.solve(net).pi])
-        assert sorted(srn._edge_values(srn.reachability(net), net.constants())[1]) == [0.5, 0.5]
+        assert sorted(srn._probabilities(srn.reachability(net).immediate,
+                                          net.constants())) == [0.5, 0.5]
     assert solved[0] == solved[1]
+    # two timed rates alike: every rate is halved until no sum overflows,
+    # which is exact, so pi is that of the net with every rate halved
+    solved = []
+    for rate, back in ((1e308, 1.0), (5e307, 0.5)):
+        solved.append([p.hex() for p in srn.solve(overflow_net(rate, back)).pi])
+    assert solved[0] == solved[1]
+    assert [float.fromhex(p) for p in solved[0]] == pytest.approx([0.5e-308, 0.5, 0.5],
+                                                                   rel=1e-12)
 
 
 def test_server_net_chains_keep_no_vanishing_marking():

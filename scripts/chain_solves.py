@@ -1,6 +1,6 @@
 """Per-stage cost of the SRN chain solves, for two source trees.
 
-Six stages, each timed in its own fresh interpreter (``_pairs``), the
+Seven stages, each timed in its own fresh interpreter (``_pairs``), the
 trees in alternating pairs:
 
 - a store hit of ``availability.aggregate_rates`` on the bundled dns
@@ -14,7 +14,10 @@ trees in alternating pairs:
 - the two ``simulate.simulate_reward`` runs of the ``server-nets``
   workload, 12 000 h each of the bundled app tier with every MTTF
   infinite and of the stock web tier, both patched every 24 h on
-  average, in milliseconds for the two.
+  average, in milliseconds for the two;
+- ``srn.solve_graph`` of the four bundled server nets over ``Fraction``
+  constants, their graphs explored beforehand, in milliseconds for the
+  four.
 
 Prints a heading per stage, then the best and the median per tree.
 
@@ -39,6 +42,7 @@ STAGES = {  # stage -> its heading, given k = K and small = K // 10
     "solve-small": "one srn.solve of M/M/4/{small}, fresh interpreter, ms",
     "solve": "one srn.solve of M/M/4/{k}, fresh interpreter, ms",
     "simulate": "simulate_reward, app failure-free and web server nets, 12000 h each, ms",
+    "exact": "solve_graph over Fractions, the four bundled server nets, ms",
 }
 # the stage means and reboot times the server-nets simulations set, in hours
 SIM_STAGES = {"svc_patch_mean": 10.0, "os_patch_mean": 20.0,
@@ -134,6 +138,29 @@ def simulations() -> float:
     return best * 1e3
 
 
+def exact_solves() -> float:
+    """Best milliseconds of the four bundled server nets' solves over
+    ``Fraction`` constants."""
+    import math
+    from fractions import Fraction
+
+    from patchdesign import availability, load_model, srn
+    from patchdesign.model import example_network_path
+
+    model = load_model(example_network_path())
+    solves = []
+    for template in model.templates.values():
+        net = availability.build_server_srn(template, model.policy)
+        solves.append((srn.reachability(net), [Fraction(c) for c in net.constants()]))
+    best = math.inf
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for graph, constants in solves:
+            srn.solve_graph(graph, constants)
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
 def measure(stage: str, k: int) -> float:
     if stage in ("stock", "failure-free"):
         return stored(stage == "failure-free")
@@ -141,6 +168,8 @@ def measure(stage: str, k: int) -> float:
         return chain(k)
     if stage == "simulate":
         return simulations()
+    if stage == "exact":
+        return exact_solves()
     return solve_once(k // 10 if stage == "solve-small" else k)
 
 

@@ -22,7 +22,8 @@ in one arc list gets the sum of its multiplicities: ``in=a,a`` is
 A rate constant may instead name a parameter, ``$<param>``, that the
 caller of ``parse_net`` binds to a rate.  One nobody binds is an error at
 its line (``solve-srn`` binds none).  One bound to 0 leaves its checked
-transition out, as an infinite MTTF does a failure arc; ``rate=0`` is an error.
+transition out, as an infinite MTTF does a failure arc, but its name stays
+taken; ``rate=0`` is an error.
 
 Reward clauses with the same name are tried in file order; the first
 matching guard supplies the reward, with 0 as the fallback.
@@ -151,9 +152,8 @@ def _add_transition(doc: NetDocument, kind: str, name: str, opts: dict, params: 
     rate = srn.RateExpr(_number(float, constant, "rate") if parameter is None
                         else params[parameter], place if star else None)
     if parameter is not None:
-        if rate.constant == 0:  # left out, once its places are checked
-            doc.net._transition(name, inputs, outputs, guard, rate=rate)
-            return None
+        if rate.constant == 0:  # left out, once its name and places are checked
+            return doc.net._add(name, inputs, outputs, guard, kept=False, rate=rate)
         doc.parameters[name] = parameter
     doc.net.add_timed(name, rate, inputs, outputs, guard)
 

@@ -45,8 +45,13 @@ chain whose symbolic phase would pass ``GTH_UPDATES`` updates goes to
 scipy's sparse LU instead (``_sparse_kernel``, W. J. Stewart,
 "Introduction to the Numerical Solution of Markov Chains", 1994, ch. 2),
 which pins state 0 and, if another state is more probable, that one.
-``_solve_pinned`` gives the measured crossover, and it alone raises the
-solve's verdicts, for both kernels, each naming the stage and state count.
+``_solve_pinned`` gives the measured crossover, and it raises the solve's
+verdicts, for both kernels, each naming the stage and state count, but
+one: ``solve_graph`` refuses an infinite rate, naming its transition.
+
+A solve runs in the number type of its constants (``solve_graph``):
+float constants give the float solve, bit for bit, and ``Fraction``
+constants the exact steady state.  The sparse LU takes floats only.
 
 ``eliminate_vanishing`` keeps the reduced generator as the plain
 reference, and ``steady_state`` solves it as a chain with no vanishing
@@ -174,26 +179,17 @@ class Net:
     def add_timed(self, name, rate, inputs, outputs, guard=TRUE):
         if not isinstance(rate, RateExpr):
             rate = RateExpr(float(rate))
-        self._add(name, "rate constant", rate.constant, inputs, outputs, guard, rate=rate)
+        self._add(name, inputs, outputs, guard, rate=rate)
 
     def add_immediate(self, name, inputs, outputs, guard=TRUE, weight=1.0, priority=0):
-        weight = float(weight)
-        self._add(name, "weight", weight, inputs, outputs, guard,
-                  weight=weight, priority=priority)
+        self._add(name, inputs, outputs, guard, priority, weight=float(weight))
 
-    def _add(self, name, what, constant, inputs, outputs, guard, priority=0, **kind):
-        """Append a new-named transition whose rate constant or weight
-        ``constant`` is positive and finite and whose places are declared."""
-        t = self._transition(name, inputs, outputs, guard, priority, **kind)
-        if not 0 < constant < math.inf:
-            raise ValueError(f"transition {name!r}: {what} must be positive "
-                             f"and finite, got {constant!r}")
-        self.transitions.append(t)
-        self._names.add(name)
-
-    def _transition(self, name, inputs, outputs, guard, priority=0, **kind) -> Transition:
-        """The transition, unless its name is taken or it reads a place,
-        by an arc, its guard or its rate, that is not declared."""
+    def _add(self, name, inputs, outputs, guard, priority=0, kept=True, **kind) -> None:
+        """Append a transition or, unless ``kept``, only take its name.  It
+        is refused if its name is taken, by a kept transition or not, if
+        it reads a place, by an arc, its guard or its rate, that is not
+        declared, or, when kept, if its rate constant or weight is not
+        positive and finite."""
         if name in self._names:
             raise ValueError(f"duplicate transition {name!r}")
         t = Transition(name, _arcs(name, inputs), _arcs(name, outputs), guard,
@@ -202,7 +198,13 @@ class Net:
         if t.timed and t.rate.place is not None:
             places.add(t.rate.place)
         check_places(f"transition {name!r}", places, self._places)
-        return t
+        what, constant = ("rate constant", t.rate.constant) if t.timed else ("weight", t.weight)
+        if kept and not 0 < constant < math.inf:
+            raise ValueError(f"transition {name!r}: {what} must be positive "
+                             f"and finite, got {constant!r}")
+        self._names.add(name)
+        if kept:
+            self.transitions.append(t)
 
     def initial_marking(self) -> Marking:
         return Marking(tuple(self._places.values()), self._index)
@@ -478,6 +480,7 @@ class ReachabilityGraph:
     timed: Edges      # out of tangible markings
     immediate: Edges  # out of vanishing markings
     chain: Chain = field(repr=False, compare=False)
+    names: list = field(repr=False)  # of the transitions, as the edges index them
 
 
 def reachability(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> ReachabilityGraph:
@@ -524,7 +527,8 @@ def reachability(net: Net, state_cap: int = DEFAULT_STATE_CAP) -> ReachabilityGr
 
     timed, immediate = _edges(edges[False]), _edges(edges[True])
     chain = Chain.of(markings[True], timed, immediate, len(markings[False]))
-    return ReachabilityGraph(markings[False], markings[True], timed, immediate, chain)
+    return ReachabilityGraph(markings[False], markings[True], timed, immediate, chain,
+                             [t.name for t in net.transitions])
 
 
 def _edges(edges: list) -> Edges:
@@ -563,7 +567,7 @@ def _split(values: list) -> tuple[float, list]:
     sums, largest = list(accumulate(values)), max(values, default=0.0)
     if sums and sums[-1] == math.inf and largest < math.inf:
         return largest, list(accumulate(v / largest for v in values))
-    return 1.0, sums
+    return type(largest)(1), sums
 
 
 def eliminate_vanishing(graph: ReachabilityGraph, constants):
@@ -642,8 +646,16 @@ def solve_graph(graph: ReachabilityGraph, constants) -> SteadyStateSolution:
     the chain that keeps the vanishing markings with several exits or
     none (``Chain``) and one solve (``_solve_pinned``).  Immediate edges
     are valued (``_probabilities``) only when the chain keeps one.  If a
-    tangible marking's rates sum past float range, and none is infinite,
-    every rate is halved until none does: exactly, so pi keeps its bits.
+    tangible marking's rates sum past float range, every rate is halved
+    until none does: exactly, so pi keeps its bits.  An infinite rate, a
+    rate constant times its place's tokens past float range, is refused
+    in a verdict that names its transition and marking.
+
+    pi and the residual are of the number type of ``constants``: any
+    type closed under ``+ - * /`` and ordered, whose zero is ``type()``
+    and whose value of a float x is ``type(x)``, such as ``float``, or
+    ``fractions.Fraction``, in which pi is exact.  A chain past
+    ``GTH_UPDATES`` takes floats only.
 
     The exit rate s of every kept vanishing marking is the largest total
     timed rate out of any tangible marking, so every row of G has the
@@ -653,24 +665,30 @@ def solve_graph(graph: ReachabilityGraph, constants) -> SteadyStateSolution:
     triplets are summed here, in triplet order, so the solve gets G's
     entries.
     """
-    chain = graph.chain
+    chain, nt = graph.chain, len(graph.tangible)
+    zero = type(constants[0])() if constants else 0.0
     rates = _edge_values(graph.timed, constants)
     while True:
-        totals = [0.0] * len(graph.tangible)
+        totals = [zero] * nt
         for i, rate in zip(graph.timed.source, rates):
             totals[i] += rate
-        if math.inf not in totals or math.inf in rates:
+        if math.inf not in totals:
             break
+        if math.inf in rates:
+            e = rates.index(math.inf)
+            raise SrnError(f"{_failed(nt, chain.n)}: transition "
+                           f"{graph.names[graph.timed.transition[e]]!r} has an infinite "
+                           f"rate in {graph.tangible[graph.timed.source[e]]}")
         rates = [rate / 2 for rate in rates]
-    exit_rate = max(totals, default=0.0)
+    exit_rate = max(totals, default=zero)
     probabilities = _probabilities(graph.immediate, constants) if chain.kept else []
     kept = [exit_rate * probabilities[e] for e, _ in chain.kept]
-    diagonal = [-total for total in totals] + [0.0] * (chain.n - len(totals))
+    diagonal = [-total for total in totals] + [zero] * (chain.n - nt)
     for (_, i), value in zip(chain.kept, kept):
         diagonal[i] -= value
     g = rates + kept + diagonal  # the value of each triplet
     if len(chain.pairs) < len(g):
-        g, values = [0.0] * len(chain.pairs), g
+        g, values = [zero] * len(chain.pairs), g
         for e, value in zip(chain.entry, values):
             g[e] += value
     return _solve_pinned(chain, g, graph.tangible)
@@ -704,48 +722,56 @@ def _solve_pinned(chain: Chain, g: list, states: list) -> SteadyStateSolution:
     start in a marking of any probability; the sparse LU pins state 0
     first, so to it a start too rare for a double is singular.
 
-    Every verdict is raised here, one line naming the stage and the state
-    count (``_failed``): TimelessTrap (``Chain.trapped``), ReducibleChain
-    with the first tangible state outside the class of state 0
-    (``Chain.outside``), and SrnError when the system is singular (a
-    reduction's exit rate that is not positive, an exactly singular LU,
-    an x that is not finite) or the solution is not finite, has a
-    residual above ``RESIDUAL_TOLERANCE`` or an entry below
+    Every verdict but ``solve_graph``'s infinite rate is raised here, one
+    line naming the stage and the state count (``_failed``): TimelessTrap
+    (``Chain.trapped``), ReducibleChain with the first tangible state
+    outside the class of state 0 (``Chain.outside``), and SrnError when
+    the sparse LU is given numbers that are not floats, when the system
+    is singular (a reduction's exit rate that is not positive, an exactly
+    singular LU, an x that is not finite) or when the solution is not
+    finite, has a residual above ``RESIDUAL_TOLERANCE`` or an entry below
     ``-RESIDUAL_TOLERANCE``.  The residual is max|pi G| / ||G||_inf, over
     G's entries with duplicate triplets summed, so the tolerance does not
-    depend on the scale of the rates.
+    depend on the scale of the rates.  pi and the residual are of the
+    type of g's entries.
     """
     nt, n = len(states), chain.n
     failed = _failed(nt, n)
+    number = type(g[0]) if g else float
     if chain.trapped:
         raise TimelessTrap(failed, chain.trapped)
     if nt == 1:
-        return SteadyStateSolution(states, [1.0], 0.0)
+        return SteadyStateSolution(states, [number(1)], number())
     if chain.outside is not None:
         (k, reached), count = chain.outside[0], len(chain.outside)
         first = f"the first, {states[k]}, cannot return to it" if reached else \
             f"it cannot reach the first, {states[k]}"
         raise ReducibleChain(f"{failed}: reducible chain: {count} tangible state"
                              f"{'s' * (count > 1)} outside the class of {states[0]}; {first}")
+    if chain.plan is None and not all(isinstance(v, (int, float)) for v in g):
+        raise SrnError(f"{failed}: the sparse LU, past {GTH_UPDATES} updates, "
+                       "takes float constants only")
     x = (_sparse_kernel if chain.plan is None else _gth_kernel)(chain, g)
-    if x is None or not math.isfinite(max(x)):
+    if x is None or not -math.inf < max(x) < math.inf:  # math.isfinite takes a float of it
         raise SrnError(f"{failed}: the pinned system is singular")
     total = sum(x)
     if not 0 < total < math.inf:  # pi = x / total would not be finite
         raise SrnError(f"{failed}: non-finite solution")
-    y, norm = [0.0] * n, [0.0] * n  # x G and G's absolute row sums
+    zero = number()
+    y, norm = [zero] * n, [zero] * n  # x G and G's absolute row sums
     for (i, j), value in zip(chain.pairs, g):
         y[j] += x[i] * value
         norm[i] += abs(value)
     residual = max(map(abs, y)) / (total * max(norm))  # of pi
-    if not math.isfinite(residual):
+    if not residual < math.inf:
         raise SrnError(f"{failed}: non-finite solution")
     if residual > RESIDUAL_TOLERANCE:
-        raise SrnError(f"{failed}: relative residual {residual:g}")
+        raise SrnError(f"{failed}: relative residual {float(residual):g}")
     low = min(x)
-    if low < -RESIDUAL_TOLERANCE * total:
-        raise SrnError(f"{failed}: negative entry at state {x.index(low)}: {low / total:g}")
-    pi = [v if v > 0.0 else 0.0 for v in x[:nt]]
+    if low < -total * number(RESIDUAL_TOLERANCE):  # no float of total, which may overflow
+        raise SrnError(f"{failed}: negative entry at state {x.index(low)}: "
+                       f"{float(low / total):g}")
+    pi = [v if v > zero else zero for v in x[:nt]]
     total = sum(pi)
     return SteadyStateSolution(states, [p / total for p in pi], residual)
 
@@ -772,28 +798,33 @@ def _gth_kernel(chain: Chain, g: list) -> list | None:
     entry of x is found to a small relative error (O'Cinneide, Numer.
     Math. 65, 1993).  The diagonal is never read.  An x_k above
     ``_RESCALE`` scales x down by it, an exact power of two, so x stays in
-    range however rare state 0 is; an entry too small beside it comes out 0."""
-    plan = chain.plan
-    a = g + [0.0] * plan.fill
+    range however rare state 0 is; an entry too small beside it comes out 0.
+
+    Its zero, one and rescale factor are of the type of g's entries: a
+    float among ``Fraction``s would make x float, and an int among floats
+    slows a stored solve by a fifth."""
+    plan, number = chain.plan, type(g[0])
+    zero, rescale = number(), number(_RESCALE)
+    a = g + [zero] * plan.fill
     for out, preds in plan.steps:
-        s = 0.0
+        s = zero
         for q in out:
             s += a[q]
-        if not s > 0:
+        if not s > zero:
             return None
         for p, targets in preds:
             f = a[p] = a[p] / s
             for t, q in targets:
                 a[t] += f * a[q]
-    x = [0.0] * chain.n
-    x[0] = 1.0
+    x = [zero] * chain.n
+    x[0] = number(1)
     for k, terms in plan.back:
-        v = 0.0
+        v = zero
         for i, p in terms:
             v += x[i] * a[p]
-        if v > _RESCALE:
-            x = [e / _RESCALE for e in x]
-            v /= _RESCALE
+        if v > rescale:
+            x = [e / rescale for e in x]
+            v /= rescale
         x[k] = v
     return x
 

@@ -838,8 +838,13 @@ REDUCIBLE = ("place a 1\nplace b 0\ntimed t rate=1 in=a out=b\n",
      "steady-state solve failed at 2 tangible states: the pinned system is singular"),
     (FLIP_NET, lambda chain, g: [1.0, 0.3],
      "steady-state solve failed at 2 tangible states: relative residual 0.0192308"),
+    # x's rate overflows to inf in {p:2}: the verdict names the transition and marking
+    ("place p 2\nplace q 0\ntimed x rate=1e308*#p in=p out=q\n"
+     "timed back rate=1 in=q out=p\n", None,
+     "steady-state solve failed at 3 tangible states: transition 'x' has an infinite "
+     "rate in {p:2}"),
 ], ids=["state-cap", "timeless-trap", "partial-trap", "reducible-cannot-return",
-        "reducible-unreached", "singular", "residual"])
+        "reducible-unreached", "singular", "residual", "infinite-rate"])
 def test_solve_failure_is_one_line_naming_stage_and_states(tmp_path, monkeypatch, text,
                                                              kernel, message):
     if kernel is not None:

@@ -12,6 +12,7 @@ bundled design's ASP and COA, and whether it meets a bound set, against
 exact values from the exact mu_eq and the instance paths.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -89,6 +90,13 @@ def exact_mu_eq(template: ServerTemplate, policy: PatchPolicy) -> Fraction:
     return beta_svc * p_ready / p_down
 
 
+def _assert_exact_solve(net, graph, exact):
+    """The solve over the net's constants as Fractions: pi equal to the
+    oracle's, and a residual of exactly 0."""
+    sol = srn.solve_graph(graph, [Fraction(c) for c in net.constants()])
+    assert (sol.pi, sol.residual) == (exact, 0)
+
+
 def _assert_mu_eq_exact(template, policy):
     mu_eq = availability.aggregate_rates(template, policy).mu_eq
     exact = exact_mu_eq(template, policy)
@@ -97,14 +105,18 @@ def _assert_mu_eq_exact(template, policy):
 
 def test_bundled_server_nets_match_exact(model):
     # mu_eq, and every entry of pi to a small relative error: a pinned
-    # dense LU was 2.8e-11 off, relatively, on the dns net
+    # dense LU was 2.8e-11 off, relatively, on the dns net.  Over
+    # Fractions the same solve gives pi exactly, stock and failure-free
+    failure_free = dict.fromkeys(_FAILURE_FIELDS, math.inf)
     for template in model.templates.values():
         _assert_mu_eq_exact(template, model.policy)
-        net = availability.build_server_srn(template, model.policy)
-        graph = srn.reachability(net)
-        pi = srn.solve_graph(graph, net.constants()).pi
-        for p, exact in zip(pi, exact_pi(net, graph)):
-            assert abs(Fraction(p) - exact) <= Fraction(1e-14) * exact
+        for variant in (template, dataclasses.replace(template, **failure_free)):
+            net = availability.build_server_srn(variant, model.policy)
+            graph = srn.reachability(net)
+            exact = exact_pi(net, graph)
+            for p, e in zip(srn.solve_graph(graph, net.constants()).pi, exact):
+                assert abs(Fraction(p) - e) <= Fraction(1e-14) * e
+            _assert_exact_solve(net, graph, exact)
 
 
 # every duration over eight decades, in its field's unit; an MTTF may
@@ -138,6 +150,10 @@ def test_drawn_mu_eq_matches_exact(drawn):
                               (True, 1, 2, 1.0, False, 0, None),
                               (False, 2, 2, 0.5, False, 0, None),
                               (False, 2, 3, 1.0, False, 0, None))))
+# three units repaired at 1e100 and failing at 1e-100 each, all down at the
+# start: pi of the initial marking is near 1e-600, so the back pass rescales
+@example(spec=((3, 0), ((False, 0, 1, 1e100, True, 0, None),
+                        (False, 1, 0, 1e-100, True, 0, None))))
 def test_small_net_pi_matches_exact(spec):
     net = build_small_net(spec)
     graph = srn.reachability(net)
@@ -148,6 +164,7 @@ def test_small_net_pi_matches_exact(spec):
     assume(len(sol.states) > 1)
     exact = exact_pi(net, graph)
     assert max(abs(Fraction(p) - e) for p, e in zip(sol.pi, exact)) <= Fraction(1e-14)
+    _assert_exact_solve(net, graph, exact)
 
 
 def exact_coa(design, mu_eq: dict, lambda_eq: Fraction) -> Fraction:

@@ -1,6 +1,7 @@
 import math
 import shlex
 import string
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -175,6 +176,14 @@ def test_rate_parameters_are_bound_by_the_caller():
         == ["repair"]
     with pytest.raises(netfile.NetFileError, match="^line 3: .* got 0.0$"):
         netfile.parse_net(UP_DOWN.replace("rate=1 ", "rate=0 "), {"lam": 0})
+    # a left-out transition's name is taken all the same: a second 'fail',
+    # left out or kept, is refused whatever lam is bound to
+    for rate in ("$lam", "1"):
+        for lam in (0, 2.0):
+            with pytest.raises(netfile.NetFileError) as info:
+                netfile.parse_net(text + f"timed fail rate={rate} in=down out=up\n",
+                                  {"lam": lam, "mu": 2.0})
+            assert str(info.value) == "line 5: duplicate transition 'fail'"
     # a parameter nobody binds is refused at its line, by name
     for params in (None, {"lam": 0.5}):
         with pytest.raises(netfile.NetFileError) as info:
@@ -373,6 +382,13 @@ def test_initial_marking_below_float_range_solves():
     assert [m["down"] for m in solution.states] == [3, 2, 1, 0]
     assert solution.pi == [0.0, 0.0, pytest.approx(3e-200, rel=1e-12), 1.0]
     assert values["avail"] == 1.0
+    # over Fractions pi is exact, also where x passes float range after
+    # the rescale: at 1e300 and 1e-300 the float solve is singular
+    doc = pool_net(3, 1e300, 1e-300)
+    graph = srn.reachability(doc.net)
+    up = Fraction(1e300) / (Fraction(1e300) + Fraction(1e-300))
+    assert srn.solve_graph(graph, [Fraction(c) for c in doc.net.constants()]).pi == [
+        math.comb(3, m["up"]) * up ** m["up"] * (1 - up) ** (3 - m["up"]) for m in graph.tangible]
 
 
 def test_two_pools_of_3000_tokens_solve_to_the_binomial():

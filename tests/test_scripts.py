@@ -16,7 +16,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 @pytest.mark.parametrize("script, options, command, stages", [
     ("design_grid.py", ["--pairs", "1", "--n", "2"], [], 1),
     ("cold_start.py", ["--pairs", "1"], ["--", "security", "--model", str(example_network_path())], 1),
-    ("chain_solves.py", ["--pairs", "1", "--k", "10"], [], 6),
+    ("chain_solves.py", ["--pairs", "1", "--k", "10"], [], 7),
 ], ids=["design-grid", "cold-start", "chain-solves"])
 def test_timing_script_prints_one_line_per_side(script, options, command, stages):
     src = str(Path(patchdesign.__file__).resolve().parent.parent)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 from itertools import product
 from unittest import mock
 
@@ -493,7 +494,8 @@ def test_pool_solves_on_both_sides_of_the_dense_threshold(monkeypatch, small_bud
     units, fail, repair = states - 1, 0.5, 2.0
     unused = "_sparse_kernel" if units <= BUDGET else "_gth_kernel"
     monkeypatch.setattr(srn, unused, None)
-    sol = srn.solve(pool_net(units, fail, repair))
+    net = pool_net(units, fail, repair)
+    sol = srn.solve(net)
     assert len(sol.states) == states
     p_up = repair / (fail + repair)
     for m, p in zip(sol.states, sol.pi):
@@ -502,6 +504,20 @@ def test_pool_solves_on_both_sides_of_the_dense_threshold(monkeypatch, small_bud
         assert abs(p - exact) <= 1e-12
         assert abs(p - exact) <= 1e-9 * exact, (k, p, exact)
     assert sol.residual <= srn.RESIDUAL_TOLERANCE
+    # over Fractions, the state reduction gives the binomial exactly, and
+    # the sparse LU refuses them in one line
+    graph, fractions = srn.reachability(net), [Fraction(c) for c in net.constants()]
+    if units <= BUDGET:
+        p_up = Fraction(repair) / (Fraction(fail) + Fraction(repair))
+        assert srn.solve_graph(graph, fractions).pi == [
+            math.comb(units, m["up"]) * p_up ** m["up"] * (1 - p_up) ** (units - m["up"])
+            for m in graph.tangible]
+    else:
+        with pytest.raises(srn.SrnError) as info:
+            srn.solve_graph(graph, fractions)
+        assert str(info.value) == (f"steady-state solve failed at {states} tangible states: "
+                                   f"the sparse LU, past {BUDGET} updates, takes float "
+                                   "constants only")
 
 
 @pytest.mark.parametrize("states", [BUDGET + 1, BUDGET + 2])
